@@ -31,7 +31,7 @@ from .physics import (
     EulerPositivity,
 )
 
-__version__ = "1.0.0"
+__version__ = "0.1.0"
 
 __all__ = [
     "AdmissibilityError",

@@ -70,6 +70,32 @@ def _parse_floats(text: str) -> tuple[float, ...]:
     return tuple(float(tok) for tok in text.replace(",", " ").split())
 
 
+def _parse_cell_count(text: str) -> int:
+    n = int(text)
+    if n < 1:
+        raise ValueError(f"expected at least 1 cell, got {n}")
+    return n
+
+
+def _parse_degree(text: str) -> int:
+    k = int(text)
+    if k not in dc.SUPPORTED_K:
+        raise ValueError(f"supported degrees are {', '.join(map(str, dc.SUPPORTED_K))}, got {k}")
+    return k
+
+
+def _parse_decomposition(*names: str):
+    """Parser for a decomposition name; `jiang-liu` is the spelled-out `jiangliu`."""
+
+    def parse(text: str) -> str:
+        name = text.lower().replace("jiang-liu", "jiangliu")
+        if name not in names:
+            raise ValueError(f"expected one of {', '.join(names)}, got {text!r}")
+        return name
+
+    return parse
+
+
 @dataclass
 class RunConfig:
     model: str = "advection2d"
@@ -115,16 +141,16 @@ _KEY_PARSERS = {
     "x_hi": ("x_hi", float),
     "y_lo": ("y_lo", float),
     "y_hi": ("y_hi", float),
-    "nx": ("nx", int),
-    "ny": ("ny", int),
-    "k": ("k", int),
+    "nx": ("nx", _parse_cell_count),
+    "ny": ("ny", _parse_cell_count),
+    "k": ("k", _parse_degree),
     "scheme": ("scheme", str.lower),
-    "dt_policy": ("dt_policy", str.lower),
+    "dt_policy": ("dt_policy", _parse_decomposition("optimal", "classic", "jiangliu", "linear")),
     "c0": ("c0", float),
     "safety": ("safety", float),
     "limiter.bp": ("limiter_bp", _parse_bool),
     "limiter.tvb_M": ("tvb_m", _parse_optional_float),
-    "limiter.node_set": ("node_set", str.lower),
+    "limiter.node_set": ("node_set", _parse_decomposition("optimal", "classic", "jiangliu")),
     "t_end": ("t_end", float),
     "output_every": ("output_every", float),
     "seed": ("seed", int),
@@ -237,13 +263,13 @@ def _node_set_for(cfg: RunConfig, mesh: Mesh2D, a1: float, a2: float):
     return build_node_set(decomp, cfg.k, include_volume=cfg.model == "euler2d")
 
 
-def _build_limiter_chain(cfg: RunConfig, model, mesh: Mesh2D, field: DGField) -> Optional[LimiterChain]:
+def _build_limiter_chain(cfg: RunConfig, model, mesh: Mesh2D,
+                         speeds: Optional[tuple[float, float]]) -> Optional[LimiterChain]:
     if not cfg.limiter_bp and cfg.tvb_m is None:
         return None
     node_set = None
     if cfg.limiter_bp:
-        a1, a2 = global_max_speeds(field)
-        node_set = _node_set_for(cfg, mesh, a1, a2)
+        node_set = _node_set_for(cfg, mesh, *speeds)
     return LimiterChain(
         region=model.region if cfg.limiter_bp else None,
         node_set=node_set,
@@ -333,9 +359,13 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
         raise ConfigError(f"unknown scheme {cfg.scheme!r}")
     scheme = SCHEMES[cfg.scheme]
     field = project(_build_initial(cfg, model), mesh, basis, model)
-    chain = _build_limiter_chain(cfg, model, mesh, field)
+    # the node set in use was built for these speeds; the optimal one is
+    # rebuilt only when they change, since its internal nodes follow them
+    node_speeds = global_max_speeds(field) if cfg.limiter_bp else None
+    chain = _build_limiter_chain(cfg, model, mesh, node_speeds)
     if chain is not None:
         field = chain(field)
+    track_speeds = cfg.limiter_bp and cfg.node_set == "optimal"
 
     out_dir = Path(cfg.out_dir)
     if write_outputs:
@@ -349,21 +379,22 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
     start = time.perf_counter()
     while t < cfg.t_end * (1.0 - 1e-12):
         try:
-            a1, a2 = global_max_speeds(field)
-            if chain is not None and chain.bp_enabled and cfg.node_set == "optimal":
-                # optimal internal nodes move with the speed ratios
-                chain.node_set = _node_set_for(cfg, mesh, a1, a2)
-            dt = step_controller(cfg.dt_policy, field, scheme, cfg.c0, cfg.safety, cfg.fallback_dt)
+            speeds = global_max_speeds(field)
+            if track_speeds and speeds != node_speeds:
+                chain.node_set = _node_set_for(cfg, mesh, *speeds)
+                node_speeds = speeds
+            dt = step_controller(cfg.dt_policy, field, scheme, cfg.c0, cfg.safety, cfg.fallback_dt,
+                                 speeds=speeds)
             if t + dt > cfg.t_end:
                 dt = cfg.t_end - t  # clip the final step to land exactly on t_end
-            field = ssp_step(field, scheme, dt, chain)
+            field = ssp_step(field, scheme, dt, chain, speeds=speeds)
         except AdmissibilityError as exc:
             raise AdmissibilityError(
                 f"{exc} (t = {t:.6g}, step {report.steps + 1})", cell=exc.cell
             ) from exc
         t += dt
         report.steps += 1
-        report.speed_history.append((dt, a1, a2))
+        report.speed_history.append((dt, *speeds))
         report.min_mean = np.minimum(report.min_mean, field.cell_averages.min(axis=(0, 1)))
         report.max_mean = np.maximum(report.max_mean, field.cell_averages.max(axis=(0, 1)))
         if not _means_in_region(field):

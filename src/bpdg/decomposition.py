@@ -23,7 +23,7 @@ import numpy as np
 from .quadrature import QuadratureRule1D, gauss_lobatto_rule, gauss_rule, monomial_mean
 
 _MERGE_TOL = 1e-14
-_SUPPORTED_K = (2, 3)
+SUPPORTED_K = (2, 3)
 
 
 @dataclass(frozen=True)
@@ -106,8 +106,8 @@ def _merge_nodes(offsets: list[tuple[float, ...]], weights: list[float]) -> tupl
 
 
 def _check_k(k: int) -> None:
-    if k not in _SUPPORTED_K:
-        raise ValueError(f"unsupported polynomial degree k={k}; only k in {_SUPPORTED_K}")
+    if k not in SUPPORTED_K:
+        raise ValueError(f"unsupported polynomial degree k={k}; only k in {SUPPORTED_K}")
 
 
 def _classic_2d(k: int, kappa1: float, kappa2: float, name: str) -> ConvexDecomposition:

@@ -20,7 +20,8 @@ from .dg_core import (
     InflowSegment,
     OUTFLOW,
     PERIODIC,
-    evaluate_at_offsets,
+    apply_matrix,
+    mode_values,
 )
 from .physics import AdmissibilityError, BoxScalar, EulerPositivity, InvariantRegion
 from .quadrature import gauss_rule
@@ -31,12 +32,18 @@ _DEDUP_TOL = 1e-14
 @dataclass(frozen=True)
 class LimiterNodeSet:
     """Reference offsets where bounds are enforced: 4Q face-trace Gauss points
-    plus the decomposition's internal nodes, deduplicated."""
+    plus the decomposition's internal nodes, deduplicated, with the basis
+    values there."""
 
     offsets: np.ndarray  # (P, 2)
+    matrix: np.ndarray  # (P, n_modes)
 
     def __len__(self) -> int:
         return len(self.offsets)
+
+    def evaluate(self, field: DGField) -> np.ndarray:
+        """Field values at the nodes of every cell: (nx, ny, P, m)."""
+        return apply_matrix(self.matrix, field.coeffs)
 
 
 @dataclass
@@ -65,14 +72,15 @@ def build_node_set(decomp: ConvexDecomposition, k: int, include_volume: bool = F
         xi, eta = np.meshgrid(g.nodes, g.nodes, indexing="ij")
         pts.insert(4, np.column_stack([xi.ravel(), eta.ravel()]))
     allpts = np.concatenate([p for p in pts if len(p)], axis=0)
-    kept: list[np.ndarray] = []
-    for p in allpts:
-        if not any(np.max(np.abs(p - e)) <= _DEDUP_TOL for e in kept):
-            kept.append(p)
-    return LimiterNodeSet(np.array(kept))
+    # keep each point unless it lies within the tolerance of an earlier one
+    near = np.abs(allpts[:, None, :] - allpts[None, :, :]).max(axis=2) <= _DEDUP_TOL
+    offsets = allpts[np.argmax(near, axis=1) == np.arange(len(allpts))]
+    return LimiterNodeSet(offsets, mode_values(k, offsets).T)
 
 
 def _scale_modes(coeffs: np.ndarray, theta: np.ndarray, component: int | None = None) -> None:
+    if np.all(theta == 1.0):
+        return  # nothing limited: skip a strided multiply by ones
     if component is None:
         coeffs[:, :, 1:, :] *= theta[:, :, None, None]
     else:
@@ -109,7 +117,7 @@ def _bp_limit_box(field: DGField, region: BoxScalar, nodes: LimiterNodeSet):
     bad = (mean < region.lo - 1e-12) | (mean > region.hi + 1e-12)
     if np.any(bad):
         _precondition_failure(bad, f"[{region.lo}, {region.hi}]")
-    vals = evaluate_at_offsets(out, nodes.offsets)[..., 0]  # (nx, ny, P)
+    vals = nodes.evaluate(out)[..., 0]  # (nx, ny, P)
     hi = vals.max(axis=2)
     lo = vals.min(axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
@@ -134,7 +142,7 @@ def _bp_limit_euler(field: DGField, region: EulerPositivity, nodes: LimiterNodeS
         _precondition_failure(bad, "Euler positivity")
 
     # stage 1: scale the density modes so nodal rho >= eps_rho
-    vals = evaluate_at_offsets(out, nodes.offsets)  # (nx, ny, P, 4)
+    vals = nodes.evaluate(out)  # (nx, ny, P, 4)
     rho_min = vals[..., 0].min(axis=2)
     with np.errstate(divide="ignore", invalid="ignore"):
         theta_rho = np.where(
@@ -173,6 +181,7 @@ def _bp_limit_euler(field: DGField, region: EulerPositivity, nodes: LimiterNodeS
             t_hi = np.where(good, t_hi, t_mid)
         np.minimum.at(theta_p, (idx[:, 0], idx[:, 1]), t_lo)
     _scale_modes(out.coeffs, theta_p)
+    del vals, p_nodes, p_target  # the collapse check evaluates again: free these first
 
     theta = np.minimum(theta_rho, theta_p)
     collapsed = _collapse_roundoff_stragglers(out, region)
@@ -195,19 +204,12 @@ def _collapse_roundoff_stragglers(field: DGField, region: EulerPositivity):
     evaluates exactly.  Returns the collapsed mask, or None if no cell needed
     it.
     """
-    from .dg_core import _traces
-
-    model = field.model
-    basis = field.basis
-    uvol = np.einsum("ijnc,ng->ijgc", field.coeffs, basis.phi_vol, optimize=True)
-    bad = np.zeros(field.coeffs.shape[:2], dtype=bool)
-    for pts in (uvol,) + _traces(field):
-        rho = pts[..., 0]
-        p = model.pressure(pts)
-        bad |= np.any(
-            (rho < region.eps_rho * (1.0 - 1e-10)) | (p < region.eps_p * (1.0 - 1e-10)),
-            axis=2,
-        )
+    pts = field.basis.stacked_values(field.coeffs)
+    p = field.model.pressure(pts)
+    bad = np.any(
+        (pts[..., 0] < region.eps_rho * (1.0 - 1e-10)) | (p < region.eps_p * (1.0 - 1e-10)),
+        axis=2,
+    )
     if not np.any(bad):
         return None
     field.coeffs[bad, 1:, :] = 0.0

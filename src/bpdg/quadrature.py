@@ -9,6 +9,7 @@ special-function library is needed.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 
@@ -55,12 +56,22 @@ def _symmetrize(nodes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.
     return nodes, weights
 
 
+def _frozen_rule(kind: str, nodes: np.ndarray, weights: np.ndarray) -> QuadratureRule1D:
+    nodes.flags.writeable = False
+    weights.flags.writeable = False
+    return QuadratureRule1D(kind, nodes, weights)
+
+
+@lru_cache(maxsize=_MAX_ORDER)
 def gauss_rule(q: int) -> QuadratureRule1D:
-    """Q-point Gauss rule, exact for degree <= 2Q-1 on [-1/2, 1/2]."""
+    """Q-point Gauss rule, exact for degree <= 2Q-1 on [-1/2, 1/2].
+
+    Rules are cached and shared between callers, so their arrays are
+    read-only."""
     if not 1 <= q <= _MAX_ORDER:
         raise ValueError(f"Gauss point count must be in 1..{_MAX_ORDER}, got {q}")
     if q == 1:
-        return QuadratureRule1D(GAUSS, np.array([0.0]), np.array([1.0]))
+        return _frozen_rule(GAUSS, np.array([0.0]), np.array([1.0]))
     # Chebyshev initial guesses, then Newton on P_q
     x = -np.cos(np.pi * (np.arange(1, q + 1) - 0.25) / (q + 0.5))
     for _ in range(100):
@@ -72,7 +83,7 @@ def gauss_rule(q: int) -> QuadratureRule1D:
     _, dp = _legendre(q, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     nodes, weights = _symmetrize(x / 2.0, w)
-    return QuadratureRule1D(GAUSS, nodes, weights)
+    return _frozen_rule(GAUSS, nodes, weights)
 
 
 def gauss_lobatto_rule(n: int) -> QuadratureRule1D:

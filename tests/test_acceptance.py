@@ -144,6 +144,7 @@ def test_criterion_05_node_counts():
     _report(5, "internal node counts")
 
 
+@pytest.mark.slow
 def test_criterion_06_maximum_principle():
     start = time.perf_counter()
     details = []
@@ -164,6 +165,7 @@ def test_criterion_06_maximum_principle():
     _report(6, "maximum principle + bounded error", f"[{'; '.join(details)}] [{elapsed:.1f}s]")
 
 
+@pytest.mark.slow
 def test_criterion_07_convergence_orders():
     start = time.perf_counter()
     grids = [20, 40, 80, 160]
@@ -184,6 +186,7 @@ def test_criterion_07_convergence_orders():
             f"k3:{','.join(f'{o:.2f}' for o in orders3)}] [{elapsed:.1f}s]")
 
 
+@pytest.mark.slow
 def test_criterion_08_burgers_riemann():
     start = time.perf_counter()
     cfg = parse_config(CONFIG_DIR / "burgers_riemann_desk.cfg")
@@ -202,6 +205,7 @@ def test_criterion_08_burgers_riemann():
             f" [{elapsed:.1f}s]")
 
 
+@pytest.mark.slow
 def test_criterion_09_euler_jets():
     start = time.perf_counter()
     details = []
@@ -222,6 +226,7 @@ def test_criterion_09_euler_jets():
     _report(9, "Euler jets positivity", f"[{'; '.join(details)}] [{elapsed:.1f}s]")
 
 
+@pytest.mark.slow
 def test_criterion_10_efficiency_direction():
     start = time.perf_counter()
     details = []

@@ -216,6 +216,25 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     assert "config error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["nx = 0", "k = 4", "dt_policy = jiang_liu"],
+    ids=["zero-cells", "unsupported-degree", "unknown-policy"],
+)
+def test_cli_invalid_value_exit_code(tmp_path, capsys, line):
+    cfg = _write(tmp_path, "bad.cfg", ADVECTION_SMALL + f"{line}\nout_dir = {tmp_path / 'o'}\n")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error:") and line.split()[0] in err[0]
+
+
+def test_cli_accepts_jiang_liu_spelling(tmp_path, capsys):
+    text = ADVECTION_SMALL + "dt_policy = jiang-liu\nlimiter.node_set = jiang-liu\n"
+    cfg = _write(tmp_path, "jl.cfg", text + f"out_dir = {tmp_path / 'o'}\n")
+    assert parse_config(cfg).dt_policy == parse_config(cfg).node_set == "jiangliu"
+    assert main(["run", str(cfg)]) == 0
+
+
 def test_cli_admissibility_exit_code(tmp_path, capsys):
     jet = """
 model = euler2d

@@ -16,9 +16,12 @@ from bpdg.dg_core import (
     PERIODIC,
     SSPRK3,
     SSPRK4,
+    _face_coords,
+    _ghost_trace,
     error_norms,
     evaluate,
     global_max_speeds,
+    point_values,
     project,
     semidiscrete_residual,
     ssp_step,
@@ -50,6 +53,28 @@ def test_gram_matrix_is_identity(k):
     phi = basis.eval_modes(offsets)
     gram = np.einsum("ag,bg,g->ab", phi, phi, weights)
     np.testing.assert_allclose(gram, np.eye(basis.n_modes), atol=1e-13)
+
+
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_stacked_values_match_per_set_evaluation(k, m):
+    basis = Basis2D(k)
+    g = gauss_rule(k + 1)
+    q = len(g)
+    xi, eta = np.meshgrid(g.nodes, g.nodes, indexing="ij")
+    point_sets = {
+        "at_vol": np.column_stack([xi.ravel(), eta.ravel()]),
+        "at_xm": np.column_stack([np.full(q, -0.5), g.nodes]),
+        "at_xp": np.column_stack([np.full(q, 0.5), g.nodes]),
+        "at_ym": np.column_stack([g.nodes, np.full(q, -0.5)]),
+        "at_yp": np.column_stack([g.nodes, np.full(q, 0.5)]),
+    }
+    coeffs = np.random.default_rng(k).normal(size=(5, 4, basis.n_modes, m))
+    stacked = basis.stacked_values(coeffs)
+    assert stacked.shape == (5, 4, (k + 1) ** 2 + 4 * q, m)
+    for name, offsets in point_sets.items():
+        expect = np.einsum("ijnc,np->ijpc", coeffs, basis.eval_modes(offsets))
+        np.testing.assert_allclose(stacked[:, :, getattr(basis, name)], expect, rtol=0, atol=1e-14)
 
 
 def test_mode_zero_is_constant_one():
@@ -164,6 +189,72 @@ def test_mean_equation_equivalence_random_burgers():
     np.testing.assert_allclose(rate[:, :, 0, :], oracle, atol=1e-13)
 
 
+def _einsum_residual(field, alphas):
+    """The residual as first written, one einsum per evaluation and per
+    quadrature sum: the oracle for the precomputed-matrix version."""
+    from bpdg.physics import lax_friedrichs_flux
+
+    mesh, basis, model = field.mesh, field.basis, field.model
+    c = field.coeffs
+
+    def at(phi):
+        return np.einsum("ijnc,nq->ijqc", c, phi, optimize=True)
+
+    uxm, uxp, uym, uyp = (at(p) for p in (basis.phi_xm, basis.phi_xp, basis.phi_ym, basis.phi_yp))
+    uvol = at(basis.phi_vol)
+    wv, wq = basis.vol_weights, basis.face_rule.weights
+    rate = (
+        np.einsum("ijgc,ng,g->ijnc", model.flux(uvol, 0), basis.dphi_dxi_vol, wv, optimize=True) / mesh.dx
+        + np.einsum("ijgc,ng,g->ijnc", model.flux(uvol, 1), basis.dphi_deta_vol, wv, optimize=True) / mesh.dy
+    )
+    y_face = _face_coords(mesh, True, basis.face_rule.nodes)
+    x_face = _face_coords(mesh, False, basis.face_rule.nodes)
+    u_minus = np.concatenate([_ghost_trace(mesh.bc_left, uxm[0], uxp[-1], y_face)[None], uxp], axis=0)
+    u_plus = np.concatenate([uxm, _ghost_trace(mesh.bc_right, uxp[-1], uxm[0], y_face)[None]], axis=0)
+    fx = lax_friedrichs_flux(model, u_minus, u_plus, 0, alphas[0])
+    rate -= (
+        np.einsum("ijqc,nq,q->ijnc", fx[1:], basis.phi_xp, wq, optimize=True)
+        - np.einsum("ijqc,nq,q->ijnc", fx[:-1], basis.phi_xm, wq, optimize=True)
+    ) / mesh.dx
+    u_minus = np.concatenate([_ghost_trace(mesh.bc_bottom, uym[:, 0], uyp[:, -1], x_face)[:, None], uyp], axis=1)
+    u_plus = np.concatenate([uym, _ghost_trace(mesh.bc_top, uyp[:, -1], uym[:, 0], x_face)[:, None]], axis=1)
+    fy = lax_friedrichs_flux(model, u_minus, u_plus, 1, alphas[1])
+    rate -= (
+        np.einsum("ijqc,nq,q->ijnc", fy[:, 1:], basis.phi_yp, wq, optimize=True)
+        - np.einsum("ijqc,nq,q->ijnc", fy[:, :-1], basis.phi_ym, wq, optimize=True)
+    ) / mesh.dy
+    return rate
+
+
+def _residual_cases():
+    rng = np.random.default_rng(13)
+    periodic = _periodic_mesh(7)
+    outflow = Mesh2D(0.0, 1.0, 0.0, 2.0, 6, 5,
+                     bc_left=OUTFLOW, bc_right=OUTFLOW, bc_bottom=OUTFLOW, bc_top=OUTFLOW)
+    euler = EulerModel()
+    jet = Mesh2D(0.0, 1.0, -0.5, 0.5, 6, 6, bc_left=InflowSegment(euler.conserved(5.0, 30.0, 0.0, 0.4127), -0.1, 0.1),
+                 bc_right=OUTFLOW, bc_bottom=OUTFLOW, bc_top=OUTFLOW)
+    for k in (2, 3):
+        basis = Basis2D(k)
+        coeffs = 0.3 * rng.normal(size=(7, 7, basis.n_modes, 1))
+        yield DGField(coeffs, basis, periodic, AdvectionModel(c=(1.0, -0.7)))
+        coeffs = 0.3 * rng.normal(size=(6, 5, basis.n_modes, 1))
+        yield DGField(coeffs, basis, outflow, BurgersModel(BoxScalar(-2.0, 2.0)))
+        coeffs = 0.01 * rng.normal(size=(6, 6, basis.n_modes, 4))
+        coeffs[:, :, 0, :] = euler.conserved(5.0, 1.0, -2.0, 10.0)
+        yield DGField(coeffs, basis, jet, euler)
+
+
+@pytest.mark.parametrize("field", list(_residual_cases()), ids=lambda f: f"{f.model.name}-k{f.basis.k}")
+def test_residual_matches_einsum_formula(field):
+    alphas = global_max_speeds(field)
+    expect = _einsum_residual(field, alphas)
+    got = semidiscrete_residual(field, alphas)
+    np.testing.assert_allclose(got, expect, rtol=0, atol=1e-13 * np.abs(expect).max())
+    # precomputed point values give the same rate
+    np.testing.assert_array_equal(semidiscrete_residual(field, alphas, point_values(field)), got)
+
+
 def test_constant_field_zero_rate():
     mesh = _periodic_mesh(8)
     basis = Basis2D(2)
@@ -218,6 +309,30 @@ def test_ssp_step_constant_identity():
     for scheme in (SSPRK3, SSPRK4):
         out = ssp_step(field, scheme, 0.01)
         np.testing.assert_allclose(out.coeffs, field.coeffs, atol=1e-13)
+
+
+def test_wave_speeds_evaluated_once_per_rk_state(monkeypatch):
+    mesh = Mesh2D(0.0, 1.0, 0.0, 1.0, 8, 8,
+                  bc_left=OUTFLOW, bc_right=OUTFLOW, bc_bottom=OUTFLOW, bc_top=OUTFLOW)
+    model = BurgersModel(BoxScalar(-2.0, 2.0))
+    field = project(lambda x, y: (0.5 * np.sin(np.pi * (x + y)))[..., None], mesh, Basis2D(2), model)
+    calls = []
+    speed = model.max_wave_speed
+
+    def counted(u, axis):
+        calls.append(axis)
+        return speed(u, axis)
+
+    monkeypatch.setattr(model, "max_wave_speed", counted)
+    plain = ssp_step(field, SSPRK3, 1e-3)
+    # two axes over the stacked values and the four (outflow) ghost sides
+    assert len(calls) <= 3 * 10
+    # speeds the caller already has are not recomputed
+    speeds = global_max_speeds(field)
+    calls.clear()
+    reused = ssp_step(field, SSPRK3, 1e-3, speeds=speeds)
+    assert len(calls) <= 2 * 10
+    np.testing.assert_array_equal(reused.coeffs, plain.coeffs)
 
 
 def test_ssp_step_rejects_nonpositive_dt():

@@ -11,6 +11,7 @@ from bpdg.limiters import (
     build_node_set,
     tvb_minmod_limit,
 )
+from bpdg.quadrature import gauss_rule
 from bpdg.physics import (
     AdmissibilityError,
     AdvectionModel,
@@ -39,6 +40,40 @@ def test_node_set_counts():
     assert len(build_node_set(jiang_liu_2d(2), 2)) == 17
     assert len(build_node_set(zhang_shu_2d(3, EQUAL), 3)) == 24
     assert len(build_node_set(optimal_2d(3, SpeedRatios((2.0, 1.0))), 3)) <= 18
+
+
+def _loop_dedup_node_set(decomp, k, include_volume):
+    """Node offsets as first built: candidates in order, each dropped when
+    within 1e-14 of a point already kept."""
+    g = gauss_rule(k + 1)
+    q = len(g)
+    xi, eta = np.meshgrid(g.nodes, g.nodes, indexing="ij")
+    candidates = [
+        np.column_stack([np.full(q, -0.5), g.nodes]),
+        np.column_stack([np.full(q, 0.5), g.nodes]),
+        np.column_stack([g.nodes, np.full(q, -0.5)]),
+        np.column_stack([g.nodes, np.full(q, 0.5)]),
+    ]
+    if include_volume:
+        candidates.append(np.column_stack([xi.ravel(), eta.ravel()]))
+    candidates.append(decomp.internal_offsets)
+    kept = []
+    for p in np.concatenate([c for c in candidates if len(c)], axis=0):
+        if not any(np.max(np.abs(p - e)) <= 1e-14 for e in kept):
+            kept.append(p)
+    return np.array(kept)
+
+
+@pytest.mark.parametrize("include_volume", [False, True])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("name", ["optimal", "classic", "jiangliu"])
+def test_vectorised_dedup_matches_loop(name, k, include_volume):
+    ratios = SpeedRatios((2.0, 1.0))
+    decomp = {"optimal": optimal_2d(k, ratios), "classic": zhang_shu_2d(k, ratios),
+              "jiangliu": jiang_liu_2d(k)}[name]
+    nodes = build_node_set(decomp, k, include_volume=include_volume)
+    np.testing.assert_array_equal(nodes.offsets, _loop_dedup_node_set(decomp, k, include_volume))
+    np.testing.assert_allclose(nodes.matrix, Basis2D(k).eval_modes(nodes.offsets).T, rtol=0, atol=1e-15)
 
 
 def test_node_set_optional_volume_points():

@@ -23,6 +23,14 @@ def test_gauss_not_exact_beyond_claimed_degree(q):
     assert exactness_defect(gauss_rule(q), 2 * q) > 1e-4 * monomial_mean(2 * q)
 
 
+def test_cached_gauss_rule_is_read_only():
+    rule = gauss_rule(3)
+    assert gauss_rule(3) is rule
+    assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
+    with pytest.raises(ValueError):
+        rule.nodes[0] = 0.0
+
+
 @pytest.mark.parametrize("n", range(2, 9))
 def test_lobatto_exact_to_claimed_degree(n):
     assert exactness_defect(gauss_lobatto_rule(n), 2 * n - 3) <= 1e-13
