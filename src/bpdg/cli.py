@@ -34,6 +34,7 @@ from .dg_core import (
     SCHEMES,
     error_norms,
     global_max_speeds,
+    point_values,
     project,
     ssp_step,
     step_controller,
@@ -82,6 +83,20 @@ def _parse_degree(text: str) -> int:
     if k not in dc.SUPPORTED_K:
         raise ValueError(f"supported degrees are {', '.join(map(str, dc.SUPPORTED_K))}, got {k}")
     return k
+
+
+def _parse_safety(text: str) -> float:
+    safety = float(text)
+    if not 0.0 < safety <= 1.0:
+        raise ValueError(f"expected a value in (0, 1], got {safety} (above 1 voids the BP time-step bound)")
+    return safety
+
+
+def _parse_scheme(text: str) -> str:
+    name = text.lower()
+    if name not in SCHEMES:
+        raise ValueError(f"expected one of {', '.join(SCHEMES)}, got {text!r}")
+    return name
 
 
 def _parse_decomposition(*names: str):
@@ -144,10 +159,10 @@ _KEY_PARSERS = {
     "nx": ("nx", _parse_cell_count),
     "ny": ("ny", _parse_cell_count),
     "k": ("k", _parse_degree),
-    "scheme": ("scheme", str.lower),
+    "scheme": ("scheme", _parse_scheme),
     "dt_policy": ("dt_policy", _parse_decomposition("optimal", "classic", "jiangliu", "linear")),
     "c0": ("c0", float),
-    "safety": ("safety", float),
+    "safety": ("safety", _parse_safety),
     "limiter.bp": ("limiter_bp", _parse_bool),
     "limiter.tvb_M": ("tvb_m", _parse_optional_float),
     "limiter.node_set": ("node_set", _parse_decomposition("optimal", "classic", "jiangliu")),
@@ -166,6 +181,24 @@ _KEY_PARSERS = {
     "inflow_hi": ("inflow_hi", float),
     "fallback_dt": ("fallback_dt", float),
 }
+
+
+# keys whose values are constrained beyond their type; `validate_config`
+# re-checks them on configs that did not come through `parse_config`
+_CHECKED_KEYS = ("nx", "ny", "k", "scheme", "dt_policy", "safety", "limiter.node_set")
+
+
+def validate_config(cfg: RunConfig) -> RunConfig:
+    """`cfg` with names normalised as `parse_config` does (`jiang-liu` is
+    `jiangliu`); ConfigError for any value `parse_config` would reject."""
+    changes = {}
+    for key in _CHECKED_KEYS:
+        attr, parser = _KEY_PARSERS[key]
+        try:
+            changes[attr] = parser(str(getattr(cfg, attr)))
+        except ValueError as exc:
+            raise ConfigError(f"bad value for {key}: {exc}") from exc
+    return replace(cfg, **changes)
 
 
 def parse_config(path: str | Path) -> RunConfig:
@@ -352,11 +385,10 @@ def _write_field_csv(path: Path, field: DGField, t: float) -> None:
 def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
     """Project initial data, time-step to t_end with per-stage limiting,
     write field snapshots and a run report."""
+    cfg = validate_config(cfg)
     model = _build_model(cfg)
     mesh = _build_mesh(cfg, model)
     basis = Basis2D(cfg.k)
-    if cfg.scheme not in SCHEMES:
-        raise ConfigError(f"unknown scheme {cfg.scheme!r}")
     scheme = SCHEMES[cfg.scheme]
     field = project(_build_initial(cfg, model), mesh, basis, model)
     # the node set in use was built for these speeds; the optimal one is
@@ -379,6 +411,9 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
     start = time.perf_counter()
     while t < cfg.t_end * (1.0 - 1e-12):
         try:
+            # evaluated once (or handed on by the last limiting): the speeds
+            # and stage 0 of the step read the same values
+            field.values = point_values(field)
             speeds = global_max_speeds(field)
             if track_speeds and speeds != node_speeds:
                 chain.node_set = _node_set_for(cfg, mesh, *speeds)
@@ -399,16 +434,16 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
         report.max_mean = np.maximum(report.max_mean, field.cell_averages.max(axis=(0, 1)))
         if not _means_in_region(field):
             report.bp_violation = True
-        if chain is not None:
-            diag = chain.last_diagnostics
-            report.cells_limited_total += diag.cells_limited
-            report.min_theta = min(report.min_theta, diag.min_theta)
-            report.troubled_total += diag.troubled_cells
         if write_outputs and t >= next_output - 1e-12:
             _write_field_csv(out_dir / f"field_{t:.6f}.csv", field, t)
             next_output += cfg.output_every
     report.wall_time = time.perf_counter() - start
     report.t_final = t
+    if chain is not None:
+        # every limiting of the run: the initial projection's and each stage's
+        report.cells_limited_total = chain.totals.cells_limited
+        report.min_theta = chain.totals.min_theta
+        report.troubled_total = chain.totals.troubled_cells
 
     if model.exact_solution is not None:
         report.l1, report.l2, report.linf = error_norms(field, model.exact_solution, t)
@@ -524,6 +559,7 @@ def efficiency_compare(cfg_a: RunConfig, cfg_b: RunConfig, write_outputs: bool =
     ratio predicted by the dt formulas at the recorded wave speeds."""
     if (cfg_a.nx, cfg_a.ny, cfg_a.model, cfg_a.t_end) != (cfg_b.nx, cfg_b.ny, cfg_b.model, cfg_b.t_end):
         raise ConfigError("compare requires the same problem and mesh in both configs")
+    cfg_a, cfg_b = validate_config(cfg_a), validate_config(cfg_b)
     rep_a = run(cfg_a, write_outputs=write_outputs)
     rep_b = run(cfg_b, write_outputs=write_outputs)
     dx = (cfg_a.x_hi - cfg_a.x_lo) / cfg_a.nx

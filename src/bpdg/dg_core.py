@@ -200,12 +200,21 @@ class Basis2D:
 
 @dataclass
 class DGField:
-    """Per-cell modal coefficients, shape (nx, ny, n_modes, m)."""
+    """Per-cell modal coefficients, shape (nx, ny, n_modes, m).
+
+    `values`, when set, are the field's point values, handed on by the code
+    that last changed the coefficients (the Euler BP limiter) so that the
+    readers of this state do not evaluate it again.  Only code that will not
+    change `coeffs` in place any more may set it, and code that changes the
+    coefficients of a field carrying values must set it to None; `copy` and
+    `like` drop it.
+    """
 
     coeffs: np.ndarray
     basis: Basis2D
     mesh: Mesh2D
     model: ConservationLawModel
+    values: Optional["PointValues"] = dataclass_field(default=None, repr=False, compare=False)
 
     @property
     def cell_averages(self) -> np.ndarray:
@@ -272,16 +281,14 @@ def _face_coords(mesh: Mesh2D, along_y: bool, q_nodes: np.ndarray) -> np.ndarray
     return (mesh.x_centers[:, None] + q_nodes[None, :] * mesh.dx)
 
 
-def _check_admissible(field: DGField, *point_sets: np.ndarray) -> None:
-    model = field.model
-    for pts in point_sets:
-        ok = model.check_admissible(pts)
-        if not np.all(ok):
-            bad = np.argwhere(~ok)[0]
-            cell = (int(bad[0]), int(bad[1])) if len(bad) >= 2 else None
-            raise AdmissibilityError(
-                f"inadmissible state at quadrature/trace point in cell {cell}", cell=cell
-            )
+def _check_admissible(field: DGField, pts: np.ndarray, p: Optional[np.ndarray]) -> None:
+    ok = field.model.check_admissible(pts, p)
+    if not np.all(ok):
+        bad = np.argwhere(~ok)[0]
+        cell = (int(bad[0]), int(bad[1])) if len(bad) >= 2 else None
+        raise AdmissibilityError(
+            f"inadmissible state at quadrature/trace point in cell {cell}", cell=cell
+        )
 
 
 @dataclass(frozen=True)
@@ -289,16 +296,30 @@ class PointValues:
     """A field evaluated at every point the residual reads.
 
     `stacked` is Basis2D.stacked_values of the coefficients; `ghosts` are the
-    exterior traces along the left, right, bottom and top boundaries."""
+    exterior traces along the left, right, bottom and top boundaries.
+    `pressure` and `ghost_pressures` are the model's pressure of `stacked` and
+    of each ghost (None for models without one, i.e. scalar laws); a periodic
+    ghost's pressure is a slice of `pressure`, as its trace is of `stacked`."""
 
     stacked: np.ndarray
     ghosts: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
+    pressure: Optional[np.ndarray] = None
+    ghost_pressures: tuple[Optional[np.ndarray], ...] = (None, None, None, None)
 
 
-def point_values(field: DGField) -> PointValues:
-    mesh, basis = field.mesh, field.basis
-    u = basis.stacked_values(field.coeffs)
-    uxm, uxp, uym, uyp = (u[:, :, s] for s in (basis.at_xm, basis.at_xp, basis.at_ym, basis.at_yp))
+def _faces(a: np.ndarray, basis: Basis2D) -> tuple[np.ndarray, ...]:
+    """The x-, x+, y- and y+ face traces of the stacked `a`."""
+    return a[:, :, basis.at_xm], a[:, :, basis.at_xp], a[:, :, basis.at_ym], a[:, :, basis.at_yp]
+
+
+def values_of_stacked(field: DGField, u: np.ndarray, p: Optional[np.ndarray] = None) -> PointValues:
+    """PointValues from the stacked values `u` of `field` and their pressure `p`
+    (computed here when the model has a pressure and `p` is not given)."""
+    mesh, basis, model = field.mesh, field.basis, field.model
+    pressure = getattr(model, "pressure", None)
+    if p is None and pressure is not None:
+        p = pressure(u)
+    uxm, uxp, uym, uyp = _faces(u, basis)
     q_nodes = basis.face_rule.nodes
     y_face = _face_coords(mesh, True, q_nodes)
     x_face = _face_coords(mesh, False, q_nodes)
@@ -308,7 +329,20 @@ def point_values(field: DGField) -> PointValues:
         _ghost_trace(mesh.bc_bottom, uym[:, 0], uyp[:, -1], x_face),
         _ghost_trace(mesh.bc_top, uyp[:, -1], uym[:, 0], x_face),
     )
-    return PointValues(u, ghosts)
+    ghost_p = (None,) * 4
+    if p is not None:
+        pxm, pxp, pym, pyp = _faces(p, basis)
+        bcs = (mesh.bc_left, mesh.bc_right, mesh.bc_bottom, mesh.bc_top)
+        wraps = (pxp[-1], pxm[0], pyp[:, -1], pym[:, 0])
+        ghost_p = tuple(w if bc == PERIODIC else pressure(g) for bc, g, w in zip(bcs, ghosts, wraps))
+    return PointValues(u, ghosts, p, ghost_p)
+
+
+def point_values(field: DGField) -> PointValues:
+    """The field's point values: the ones it carries, or one fresh evaluation."""
+    if field.values is not None:
+        return field.values
+    return values_of_stacked(field, field.basis.stacked_values(field.coeffs))
 
 
 def global_max_speeds(field: DGField, values: Optional[PointValues] = None) -> tuple[float, float]:
@@ -321,12 +355,34 @@ def global_max_speeds(field: DGField, values: Optional[PointValues] = None) -> t
     mesh = field.mesh
     bcs = (mesh.bc_left, mesh.bc_right, mesh.bc_bottom, mesh.bc_top)
     # a periodic ghost is an interior trace, already in the stacked values
-    ghosts = tuple(g for g, bc in zip(values.ghosts, bcs) if bc != PERIODIC)
+    sets = [(values.stacked, values.pressure)] + [
+        (g, p) for g, p, bc in zip(values.ghosts, values.ghost_pressures, bcs) if bc != PERIODIC
+    ]
+    speed = field.model.max_wave_speed
     a = [0.0, 0.0]
-    for pts in (values.stacked,) + ghosts:
+    for pts, p in sets:
         for axis in (0, 1):
-            a[axis] = max(a[axis], float(np.max(field.model.max_wave_speed(pts, axis))))
+            # models without a pressure are called as speed(u, axis)
+            s = speed(pts, axis) if p is None else speed(pts, axis, p=p)
+            a[axis] = max(a[axis], float(np.max(s)))
     return a[0], a[1]
+
+
+def _interface_flux(model, values: PointValues, basis: Basis2D, axis: int, alpha: float) -> np.ndarray:
+    """Lax-Friedrichs flux at every face normal to `axis`, shape (nx+1, ny, Q, m)
+    for x and (nx, ny+1, Q, m) for y, with the ghost traces outside the domain."""
+
+    def sides(a, ghosts):
+        left, right, bottom, top = ghosts
+        xm, xp, ym, yp = _faces(a, basis)
+        if axis == 0:
+            return np.concatenate([left[None], xp], axis=0), np.concatenate([xm, right[None]], axis=0)
+        return np.concatenate([bottom[:, None], yp], axis=1), np.concatenate([ym, top[:, None]], axis=1)
+
+    minus, plus = sides(values.stacked, values.ghosts)
+    p = values.pressure
+    p_sides = (None, None) if p is None else sides(p, values.ghost_pressures)
+    return lax_friedrichs_flux(model, minus, plus, axis, alpha, *p_sides)
 
 
 def semidiscrete_residual(
@@ -346,31 +402,23 @@ def semidiscrete_residual(
     mesh, basis, model = field.mesh, field.basis, field.model
     if values is None:
         values = point_values(field)
-    u = values.stacked
-    _check_admissible(field, u)
-    left, right, bottom, top = values.ghosts
+    u, p = values.stacked, values.pressure
+    _check_admissible(field, u, p)
     uvol = u[:, :, basis.at_vol]
-
-    # x-direction interface fluxes, shape (nx+1, ny, Q, m)
-    u_minus = np.concatenate([left[None], u[:, :, basis.at_xp]], axis=0)
-    u_plus = np.concatenate([u[:, :, basis.at_xm], right[None]], axis=0)
-    fx = lax_friedrichs_flux(model, u_minus, u_plus, 0, alphas[0])
-    # y-direction interface fluxes, shape (nx, ny+1, Q, m)
-    u_minus = np.concatenate([bottom[:, None], u[:, :, basis.at_yp]], axis=1)
-    u_plus = np.concatenate([u[:, :, basis.at_ym], top[:, None]], axis=1)
-    fy = lax_friedrichs_flux(model, u_minus, u_plus, 1, alphas[1])
+    pvol = None if p is None else p[:, :, basis.at_vol]
 
     # the terms are combined in this order and scaled after assembly, so the
-    # rate is bit-identical to the per-term quadrature sums
+    # rate is bit-identical to the per-term quadrature sums; one term's flux
+    # array at a time is alive
     rate = (
-        apply_matrix(basis.assemble_vol_x, model.flux(uvol, 0)) / mesh.dx
-        + apply_matrix(basis.assemble_vol_y, model.flux(uvol, 1)) / mesh.dy
+        apply_matrix(basis.assemble_vol_x, model.flux(uvol, 0, pvol)) / mesh.dx
+        + apply_matrix(basis.assemble_vol_y, model.flux(uvol, 1, pvol)) / mesh.dy
     )
+    f = _interface_flux(model, values, basis, 0, alphas[0])
+    rate -= (apply_matrix(basis.assemble_xp, f[1:]) - apply_matrix(basis.assemble_xm, f[:-1])) / mesh.dx
+    f = _interface_flux(model, values, basis, 1, alphas[1])
     rate -= (
-        apply_matrix(basis.assemble_xp, fx[1:]) - apply_matrix(basis.assemble_xm, fx[:-1])
-    ) / mesh.dx
-    rate -= (
-        apply_matrix(basis.assemble_yp, fy[:, 1:]) - apply_matrix(basis.assemble_ym, fy[:, :-1])
+        apply_matrix(basis.assemble_yp, f[:, 1:]) - apply_matrix(basis.assemble_ym, f[:, :-1])
     ) / mesh.dy
     return rate
 
@@ -427,10 +475,13 @@ def ssp_step(
     """One SSP-RK step with the limiter chain applied after every stage.
 
     Each stage state is evaluated once; its wave speeds (the Lax-Friedrichs
-    viscosities) come from those values.  The `speeds` of `field` itself may
-    be passed in when the caller already has them.  Its point values are
-    not: held across the step they raised the peak RSS of a 120x60 Euler run
-    by 5 MB (9%), while evaluating them again costs one matmul."""
+    viscosities) come from those values.  A state's point values are the
+    ones it carries when it has them (`field`'s from the caller or from the
+    last limiting, a stage's from the Euler BP limiter), and each state's
+    values are dropped as soon as its rate is computed, so no stacked array
+    is held across another stage's residual.  The returned field keeps the
+    values its limiting handed on.  The `speeds` of `field` itself may be
+    passed in when the caller already has them."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     states = [field]
@@ -439,6 +490,7 @@ def ssp_step(
     def rate(idx: int) -> np.ndarray:
         state = states[idx]
         v = point_values(state)
+        state.values = None
         a = speeds if idx == 0 and speeds is not None else global_max_speeds(state, v)
         return semidiscrete_residual(state, a, v)
 

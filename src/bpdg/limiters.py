@@ -22,6 +22,7 @@ from .dg_core import (
     PERIODIC,
     apply_matrix,
     mode_values,
+    values_of_stacked,
 )
 from .physics import AdmissibilityError, BoxScalar, EulerPositivity, InvariantRegion
 from .quadrature import gauss_rule
@@ -42,8 +43,18 @@ class LimiterNodeSet:
         return len(self.offsets)
 
     def evaluate(self, field: DGField) -> np.ndarray:
-        """Field values at the nodes of every cell: (nx, ny, P, m)."""
-        return apply_matrix(self.matrix, field.coeffs)
+        """Field values at the nodes of every cell, component-major: (m, P, nx, ny).
+
+        The limiters reduce over a cell's nodes and work one component at a
+        time, so each (nx, ny) plane is contiguous here.  A scalar field's
+        `apply_matrix` result is laid out so already; for a system, one gemm
+        per component gives the same bits as `apply_matrix` and is faster
+        than its batched matmul of many small per-cell products."""
+        nx, ny, n, m = field.coeffs.shape
+        if m == 1:
+            return apply_matrix(self.matrix, field.coeffs).transpose(3, 2, 0, 1)
+        comps = np.ascontiguousarray(field.coeffs.transpose(3, 2, 0, 1)).reshape(m, n, nx * ny)
+        return np.matmul(self.matrix, comps).reshape(m, len(self), nx, ny)
 
 
 @dataclass
@@ -51,6 +62,12 @@ class LimiterDiagnostics:
     cells_limited: int = 0
     min_theta: float = 1.0
     troubled_cells: int = 0
+
+    def add(self, other: "LimiterDiagnostics") -> None:
+        """Fold in another limiting: counts add up, theta keeps the minimum."""
+        self.cells_limited += other.cells_limited
+        self.min_theta = min(self.min_theta, other.min_theta)
+        self.troubled_cells += other.troubled_cells
 
 
 def build_node_set(decomp: ConvexDecomposition, k: int, include_volume: bool = False) -> LimiterNodeSet:
@@ -117,9 +134,9 @@ def _bp_limit_box(field: DGField, region: BoxScalar, nodes: LimiterNodeSet):
     bad = (mean < region.lo - 1e-12) | (mean > region.hi + 1e-12)
     if np.any(bad):
         _precondition_failure(bad, f"[{region.lo}, {region.hi}]")
-    vals = nodes.evaluate(out)[..., 0]  # (nx, ny, P)
-    hi = vals.max(axis=2)
-    lo = vals.min(axis=2)
+    vals = nodes.evaluate(out)[0]  # (P, nx, ny)
+    hi = vals.max(axis=0)
+    lo = vals.min(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         theta_hi = np.where(hi > region.hi, (region.hi - mean) / (hi - mean), 1.0)
         theta_lo = np.where(lo < region.lo, (mean - region.lo) / (mean - lo), 1.0)
@@ -142,8 +159,9 @@ def _bp_limit_euler(field: DGField, region: EulerPositivity, nodes: LimiterNodeS
         _precondition_failure(bad, "Euler positivity")
 
     # stage 1: scale the density modes so nodal rho >= eps_rho
-    vals = nodes.evaluate(out)  # (nx, ny, P, 4)
-    rho_min = vals[..., 0].min(axis=2)
+    vals = nodes.evaluate(out)  # (4, P, nx, ny)
+    rho = vals[0]
+    rho_min = rho.min(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         theta_rho = np.where(
             rho_min < region.eps_rho,
@@ -152,9 +170,10 @@ def _bp_limit_euler(field: DGField, region: EulerPositivity, nodes: LimiterNodeS
         )
     theta_rho = np.clip(theta_rho, 0.0, 1.0)
     _scale_modes(out.coeffs, theta_rho, 0)
-    vals[..., 0] = mean_rho[:, :, None] + theta_rho[:, :, None] * (
-        vals[..., 0] - mean_rho[:, :, None]
-    )
+    # rho <- mean + theta * (rho - mean) at every node, in place
+    rho -= mean_rho
+    rho *= theta_rho
+    rho += mean_rho
 
     # stage 2: one theta per cell so nodal pressure stays positive; the
     # crossing in t of p(mean + t*(node - mean)) = target is bracketed in
@@ -162,26 +181,20 @@ def _bp_limit_euler(field: DGField, region: EulerPositivity, nodes: LimiterNodeS
     # closed-form quadratic).  The target carries a relative component
     # because p is a cancellation of E against the kinetic energy, so the
     # re-evaluated nodal pressure is only accurate to round-off on that scale.
-    p_nodes = model.pressure(vals)
-    p_target = np.maximum(region.eps_p, 1e-12 * np.abs(vals[..., 3]))
+    p_nodes = model.pressure(np.moveaxis(vals, 0, -1))  # (P, nx, ny)
+    p_target = np.maximum(region.eps_p, 1e-12 * np.abs(vals[3]))
     flagged = p_nodes < p_target
     theta_p = np.ones_like(mean_rho)
-    if np.any(flagged):
-        idx = np.argwhere(flagged)
-        u_node = vals[flagged]  # (B, 4)
-        target = p_target[flagged]
-        u_mean = mean[idx[:, 0], idx[:, 1]]
-        t_lo = np.zeros(len(u_node))
-        t_hi = np.ones(len(u_node))
-        for _ in range(60):
-            t_mid = 0.5 * (t_lo + t_hi)
-            p_mid = model.pressure(u_mean + t_mid[:, None] * (u_node - u_mean))
-            good = p_mid >= target
-            t_lo = np.where(good, t_mid, t_lo)
-            t_hi = np.where(good, t_hi, t_mid)
-        np.minimum.at(theta_p, (idx[:, 0], idx[:, 1]), t_lo)
+    cells = flagged.any(axis=0)
+    if np.any(cells):
+        ci, cj = np.nonzero(cells)
+        node, k = np.nonzero(flagged[:, ci, cj])  # flagged nodes of the flagged cells
+        ci, cj = ci[k], cj[k]
+        u_mean = np.ascontiguousarray(mean[ci, cj].T)
+        t = _pressure_crossing(model, u_mean, vals[:, node, ci, cj], p_target[node, ci, cj])
+        np.minimum.at(theta_p, (ci, cj), t)
     _scale_modes(out.coeffs, theta_p)
-    del vals, p_nodes, p_target  # the collapse check evaluates again: free these first
+    del vals, rho, p_nodes, p_target  # the collapse check evaluates the limited field: free these first
 
     theta = np.minimum(theta_rho, theta_p)
     collapsed = _collapse_roundoff_stragglers(out, region)
@@ -193,6 +206,31 @@ def _bp_limit_euler(field: DGField, region: EulerPositivity, nodes: LimiterNodeS
     )
 
 
+def _pressure_crossing(model, u_mean: np.ndarray, u_node: np.ndarray, target: np.ndarray) -> np.ndarray:
+    """Largest t in [0, 1], to 60 bisection steps, with p(mean + t*(node - mean)) >= target.
+
+    `u_mean` and `u_node` are component-major (4, B), so the pressure reads
+    contiguous rows, and `target` is (B,).  The brackets are updated in
+    place; the iterates are those of the plain loop `t_mid = 0.5 * (t_lo +
+    t_hi)` on states `u_mean + t_mid * (u_node - u_mean)`."""
+    diff = u_node - u_mean
+    t_lo = np.zeros(len(target))
+    t_hi = np.ones(len(target))
+    t_mid = np.empty_like(t_lo)
+    state = np.empty_like(diff)
+    good = np.empty(len(target), dtype=bool)
+    for _ in range(60):
+        np.add(t_lo, t_hi, out=t_mid)
+        t_mid *= 0.5
+        np.multiply(t_mid, diff, out=state)
+        state += u_mean
+        np.greater_equal(model.pressure(state.T), target, out=good)
+        np.copyto(t_lo, t_mid, where=good)
+        np.logical_not(good, out=good)
+        np.copyto(t_hi, t_mid, where=good)
+    return t_lo
+
+
 def _collapse_roundoff_stragglers(field: DGField, region: EulerPositivity):
     """Guarantee the floors on the values the residual actually evaluates.
 
@@ -201,19 +239,23 @@ def _collapse_roundoff_stragglers(field: DGField, region: EulerPositivity):
     the two paths can disagree (pressure is a cancellation).  Cells whose
     re-evaluated trace or volume values still sit below the floors are
     collapsed to their cell average, which is admissible by precondition and
-    evaluates exactly.  Returns the collapsed mask, or None if no cell needed
-    it.
+    evaluates exactly (mode 0 is the constant 1).  The evaluation, patched
+    to the averages in collapsed cells, becomes the field's point values, so
+    the next residual does not evaluate the field again.  Returns the
+    collapsed mask, or None if no cell needed it.
     """
     pts = field.basis.stacked_values(field.coeffs)
     p = field.model.pressure(pts)
-    bad = np.any(
-        (pts[..., 0] < region.eps_rho * (1.0 - 1e-10)) | (p < region.eps_p * (1.0 - 1e-10)),
-        axis=2,
-    )
-    if not np.any(bad):
-        return None
-    field.coeffs[bad, 1:, :] = 0.0
-    return bad
+    low = (pts[..., 0] < region.eps_rho * (1.0 - 1e-10)) | (p < region.eps_p * (1.0 - 1e-10))
+    collapsed = None
+    if np.any(low):
+        bad = np.any(low, axis=2)
+        field.coeffs[bad, 1:, :] = 0.0
+        pts[bad] = field.coeffs[bad, 0][:, None, :]
+        p[bad] = field.model.pressure(pts[bad])
+        collapsed = bad
+    field.values = values_of_stacked(field, pts, p)
+    return collapsed
 
 
 def _minmod3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -285,7 +327,10 @@ def tvb_minmod_limit(field: DGField, m_tvb: float) -> tuple[DGField, int]:
 
 
 class LimiterChain:
-    """Per-stage limiter pipeline: TVB minmod first, then the BP limiter."""
+    """Per-stage limiter pipeline: TVB minmod first, then the BP limiter.
+
+    `last_diagnostics` are those of the latest call; `totals` accumulate over
+    every call (every stage of every step, and any initial limiting)."""
 
     def __init__(
         self,
@@ -301,6 +346,7 @@ class LimiterChain:
         self.m_tvb = m_tvb
         self.bp_enabled = bp_enabled
         self.last_diagnostics = LimiterDiagnostics()
+        self.totals = LimiterDiagnostics()
 
     def __call__(self, field: DGField) -> DGField:
         diag = LimiterDiagnostics()
@@ -311,4 +357,5 @@ class LimiterChain:
             diag.cells_limited = bp_diag.cells_limited
             diag.min_theta = bp_diag.min_theta
         self.last_diagnostics = diag
+        self.totals.add(diag)
         return field

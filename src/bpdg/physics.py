@@ -92,13 +92,13 @@ class AdvectionModel:
         self.exact_solution = exact_solution
         self.params = {"c": self.c}
 
-    def flux(self, u: np.ndarray, axis: int) -> np.ndarray:
+    def flux(self, u: np.ndarray, axis: int, p: Optional[np.ndarray] = None) -> np.ndarray:
         return self.c[axis] * u
 
-    def max_wave_speed(self, u: np.ndarray, axis: int) -> np.ndarray:
+    def max_wave_speed(self, u: np.ndarray, axis: int, p: Optional[np.ndarray] = None) -> np.ndarray:
         return np.full(u.shape[:-1], abs(self.c[axis]))
 
-    def check_admissible(self, u: np.ndarray) -> np.ndarray:
+    def check_admissible(self, u: np.ndarray, p: Optional[np.ndarray] = None) -> np.ndarray:
         return np.isfinite(u[..., 0])
 
 
@@ -113,18 +113,22 @@ class BurgersModel:
         self.exact_solution = exact_solution
         self.params = {}
 
-    def flux(self, u: np.ndarray, axis: int) -> np.ndarray:
+    def flux(self, u: np.ndarray, axis: int, p: Optional[np.ndarray] = None) -> np.ndarray:
         return 0.5 * u * u
 
-    def max_wave_speed(self, u: np.ndarray, axis: int) -> np.ndarray:
+    def max_wave_speed(self, u: np.ndarray, axis: int, p: Optional[np.ndarray] = None) -> np.ndarray:
         return np.abs(u[..., 0])
 
-    def check_admissible(self, u: np.ndarray) -> np.ndarray:
+    def check_admissible(self, u: np.ndarray, p: Optional[np.ndarray] = None) -> np.ndarray:
         return np.isfinite(u[..., 0])
 
 
 class EulerModel:
-    """2D compressible Euler equations with ideal-gas closure."""
+    """2D compressible Euler equations with ideal-gas closure.
+
+    `flux`, `max_wave_speed` and `check_admissible` take the pressure `p` of
+    `u` when the caller already has it (the scalar models accept and ignore
+    it), so a state's pressure is computed once for all of them."""
 
     m = 4
     name = "euler2d"
@@ -139,24 +143,28 @@ class EulerModel:
     def pressure(self, u: np.ndarray) -> np.ndarray:
         return _pressure_raw(u, self.gamma)
 
-    def flux(self, u: np.ndarray, axis: int) -> np.ndarray:
+    def flux(self, u: np.ndarray, axis: int, p: Optional[np.ndarray] = None) -> np.ndarray:
         rho = u[..., 0]
         v = u[..., 1 + axis] / rho
-        p = self.pressure(u)
+        if p is None:
+            p = self.pressure(u)
         out = u * v[..., None]
         out[..., 1 + axis] += p
         out[..., 3] += p * v
         return out
 
-    def max_wave_speed(self, u: np.ndarray, axis: int) -> np.ndarray:
+    def max_wave_speed(self, u: np.ndarray, axis: int, p: Optional[np.ndarray] = None) -> np.ndarray:
         rho = u[..., 0]
-        p = self.pressure(u)
+        if p is None:
+            p = self.pressure(u)
         if np.any(rho <= 0.0) or np.any(p <= 0.0):
             raise AdmissibilityError("wave speed requested for inadmissible Euler state")
         return np.abs(u[..., 1 + axis] / rho) + np.sqrt(self.gamma * p / rho)
 
-    def check_admissible(self, u: np.ndarray) -> np.ndarray:
-        return (u[..., 0] > 0.0) & (self.pressure(u) > 0.0)
+    def check_admissible(self, u: np.ndarray, p: Optional[np.ndarray] = None) -> np.ndarray:
+        if p is None:
+            p = self.pressure(u)
+        return (u[..., 0] > 0.0) & (p > 0.0)
 
     def conserved(self, rho: float, v1: float, v2: float, p: float) -> np.ndarray:
         energy = p / (self.gamma - 1.0) + 0.5 * rho * (v1 * v1 + v2 * v2)
@@ -176,8 +184,11 @@ def lax_friedrichs_flux(
     u_right: np.ndarray,
     axis: int,
     alpha: float,
+    p_left: Optional[np.ndarray] = None,
+    p_right: Optional[np.ndarray] = None,
 ) -> np.ndarray:
-    """Global Lax-Friedrichs flux 0.5(f(uL)+f(uR)) - 0.5*alpha*(uR-uL)."""
-    return 0.5 * (model.flux(u_left, axis) + model.flux(u_right, axis)) - 0.5 * alpha * (
+    """Global Lax-Friedrichs flux 0.5(f(uL)+f(uR)) - 0.5*alpha*(uR-uL); `p_left`
+    and `p_right` are the pressures of the two sides when the caller has them."""
+    return 0.5 * (model.flux(u_left, axis, p_left) + model.flux(u_right, axis, p_right)) - 0.5 * alpha * (
         u_right - u_left
     )

@@ -16,6 +16,8 @@ from bpdg.cli import (
     parse_config,
     run,
 )
+from bpdg.dg_core import Basis2D
+from bpdg.limiters import LimiterChain
 
 ADVECTION_SMALL = """
 model = advection2d
@@ -131,6 +133,83 @@ def test_run_rejects_unknown_scheme_and_model():
         run(RunConfig(model="heat"), write_outputs=False)
 
 
+@pytest.mark.parametrize(
+    "changes",
+    [dict(nx=0), dict(ny=-3), dict(k=4), dict(safety=2.0), dict(safety=0.0),
+     dict(dt_policy="jiang_liu"), dict(node_set="bogus")],
+    ids=["zero-cells", "negative-cells", "unsupported-degree", "safety-above-one",
+         "zero-safety", "unknown-policy", "unknown-node-set"],
+)
+def test_run_validates_configs_built_in_code(changes):
+    with pytest.raises(ConfigError):
+        run(RunConfig(**{"nx": 6, "ny": 6, "t_end": 0.01, **changes}), write_outputs=False)
+
+
+def test_run_accepts_jiang_liu_spelling_in_code():
+    spelled = run(RunConfig(nx=6, ny=6, t_end=0.02, dt_policy="jiang-liu", node_set="jiang-liu"),
+                  write_outputs=False)
+    plain = run(RunConfig(nx=6, ny=6, t_end=0.02, dt_policy="jiangliu", node_set="jiangliu"),
+                write_outputs=False)
+    assert spelled.steps == plain.steps and spelled.l1 == plain.l1
+
+
+JET_SMALL = """
+model = euler2d
+x_lo = 0.0
+x_hi = 2.0
+y_lo = -0.5
+y_hi = 0.5
+nx = 16
+ny = 8
+t_end = 0.004
+bc = outflow
+initial = uniform
+ambient = 5.0, 0.0, 0.0, 0.4127
+inflow = 5.0, 30.0, 0.0, 0.4127
+inflow_lo = -0.1
+inflow_hi = 0.1
+limiter.tvb_M = 1.0
+"""
+
+
+def test_report_counts_every_limiting(tmp_path, monkeypatch):
+    calls = []
+    limit = LimiterChain.__call__
+
+    def recorded(self, field):
+        out = limit(self, field)
+        calls.append(self.last_diagnostics)
+        return out
+
+    monkeypatch.setattr(LimiterChain, "__call__", recorded)
+    cfg = parse_config(_write(tmp_path, "jet.cfg", JET_SMALL))
+    report = run(cfg, write_outputs=False)
+    # the initial projection's limiting and three stages per step
+    assert len(calls) == 1 + 3 * report.steps
+    assert report.cells_limited_total == sum(d.cells_limited for d in calls) > 0
+    assert report.troubled_total == sum(d.troubled_cells for d in calls) > 0
+    assert report.min_theta == min(d.min_theta for d in calls) < 1.0
+    # more than the last stage of each step alone would give
+    last_stages = calls[3::3]
+    assert report.cells_limited_total > sum(d.cells_limited for d in last_stages)
+
+
+def test_euler_run_evaluates_each_rk_state_once(tmp_path, monkeypatch):
+    calls = []
+    stacked = Basis2D.stacked_values
+
+    def counted(self, coeffs):
+        calls.append(coeffs.shape)
+        return stacked(self, coeffs)
+
+    monkeypatch.setattr(Basis2D, "stacked_values", counted)
+    report = run(parse_config(_write(tmp_path, "jet.cfg", JET_SMALL)), write_outputs=False)
+    # the projection's, for the first node set's speeds, and one per limited
+    # state (the initial limiting and three stages per step): a state's
+    # speeds and residual reuse the values its limiting handed on
+    assert report.steps > 0 and len(calls) == 2 + 3 * report.steps
+
+
 def test_burgers_means_stay_in_region():
     cfg = RunConfig(model="burgers2d", x_lo=0.0, x_hi=1.0, y_lo=0.0, y_hi=1.0,
                     nx=16, ny=16, t_end=0.2, bc="outflow", initial="riemann4",
@@ -226,6 +305,13 @@ def test_cli_invalid_value_exit_code(tmp_path, capsys, line):
     assert main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith("config error:") and line.split()[0] in err[0]
+
+
+def test_cli_rejects_safety_above_one(tmp_path, capsys):
+    cfg = _write(tmp_path, "bad.cfg", ADVECTION_SMALL + f"safety = 2.0\nout_dir = {tmp_path / 'o'}\n")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and "safety" in err[0] and ":10:" in err[0]
 
 
 def test_cli_accepts_jiang_liu_spelling(tmp_path, capsys):

@@ -14,6 +14,7 @@ from bpdg.dg_core import (
     Mesh2D,
     OUTFLOW,
     PERIODIC,
+    PointValues,
     SSPRK3,
     SSPRK4,
     _face_coords,
@@ -253,6 +254,89 @@ def test_residual_matches_einsum_formula(field):
     np.testing.assert_allclose(got, expect, rtol=0, atol=1e-13 * np.abs(expect).max())
     # precomputed point values give the same rate
     np.testing.assert_array_equal(semidiscrete_residual(field, alphas, point_values(field)), got)
+
+
+def _euler_cases():
+    """Euler fields on an inflow/outflow mesh and a periodic one, k = 2 and 3."""
+    rng = np.random.default_rng(17)
+    euler = EulerModel()
+    jet = Mesh2D(0.0, 1.0, -0.5, 0.5, 6, 6, bc_left=InflowSegment(euler.conserved(5.0, 30.0, 0.0, 0.4127), -0.1, 0.1),
+                 bc_right=OUTFLOW, bc_bottom=OUTFLOW, bc_top=OUTFLOW)
+    for k in (2, 3):
+        basis = Basis2D(k)
+        for mesh in (jet, _periodic_mesh(6)):
+            coeffs = 0.01 * rng.normal(size=(6, 6, basis.n_modes, 4))
+            coeffs[:, :, 0, :] = euler.conserved(5.0, 1.0, -2.0, 10.0)
+            yield DGField(coeffs, basis, mesh, euler)
+
+
+@pytest.mark.parametrize("field", list(_euler_cases()),
+                         ids=lambda f: f"{'periodic' if f.mesh.bc_left == PERIODIC else 'inflow'}-k{f.basis.k}")
+def test_carried_pressure_changes_no_bit(field):
+    values = point_values(field)
+    model = field.model
+    np.testing.assert_array_equal(values.pressure, model.pressure(values.stacked))
+    for ghost, p in zip(values.ghosts, values.ghost_pressures):
+        np.testing.assert_array_equal(p, model.pressure(ghost))
+    # the same points without their pressure: every reader computes its own
+    bare = PointValues(values.stacked, values.ghosts)
+    assert global_max_speeds(field, values) == global_max_speeds(field, bare)
+    alphas = global_max_speeds(field)
+    np.testing.assert_array_equal(semidiscrete_residual(field, alphas, values),
+                                  semidiscrete_residual(field, alphas, bare))
+
+
+def test_copy_and_like_carry_no_values():
+    field = next(_euler_cases())
+    field.values = point_values(field)
+    assert field.copy().values is None
+    assert field.like(field.coeffs.copy()).values is None
+    # a field's carried values are what point_values hands out
+    assert point_values(field) is field.values
+
+
+def _limited_jet(n=(12, 6), k=2):
+    model = EulerModel()
+    inflow = InflowSegment(model.conserved(5.0, 30.0, 0.0, 0.4127), -0.1, 0.1)
+    mesh = Mesh2D(0.0, 2.0, -0.5, 0.5, *n, bc_left=inflow, bc_right=OUTFLOW,
+                  bc_bottom=OUTFLOW, bc_top=OUTFLOW)
+    field = project(lambda x, y: np.broadcast_to(model.conserved(5.0, 0.0, 0.0, 0.4127),
+                                                 np.broadcast_shapes(x.shape, y.shape) + (4,)).copy(),
+                    mesh, Basis2D(k), model)
+    speeds = global_max_speeds(field)
+    ratios = SpeedRatios((speeds[0] / mesh.dx, speeds[1] / mesh.dy))
+    chain = LimiterChain(region=model.region, m_tvb=1.0,
+                         node_set=build_node_set(optimal_2d(k, ratios), k, include_volume=True))
+    return chain(field), chain
+
+
+def test_euler_pressure_computed_once_per_rk_state(monkeypatch):
+    field, chain = _limited_jet()
+    assert field.values is not None  # handed on by the limiter
+    model = field.model
+    stacked_shape = point_values(field).stacked.shape[:3]
+    calls = []
+    pressure = model.pressure
+
+    def counted(u):
+        calls.append(u.shape[:3] == stacked_shape)
+        return pressure(u)
+
+    monkeypatch.setattr(model, "pressure", counted)
+    speeds = global_max_speeds(field)
+    dt = step_controller("optimal", field, SSPRK3, speeds=speeds)
+    limited = ssp_step(field, SSPRK3, dt, chain, speeds=speeds)
+    # one per limited stage state, whose values the next residual reuses;
+    # the step's start state reuses the values of its own limiting
+    assert sum(calls) == 3
+    assert limited.values is not None and field.values is None
+    # without a limiter each of the three evaluated states computes it once
+    smooth = next(_euler_cases())
+    monkeypatch.setattr(smooth.model, "pressure", counted)
+    stacked_shape = point_values(smooth).stacked.shape[:3]
+    calls.clear()
+    plain = ssp_step(smooth, SSPRK3, 1e-5)
+    assert sum(calls) == 3 and plain.values is None
 
 
 def test_constant_field_zero_rate():

@@ -2,11 +2,27 @@
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from bpdg.decomposition import SpeedRatios, jiang_liu_2d, optimal_2d, zhang_shu_2d
-from bpdg.dg_core import Basis2D, DGField, Mesh2D, evaluate_at_offsets, project
+from bpdg.dg_core import (
+    OUTFLOW,
+    SSPRK3,
+    Basis2D,
+    DGField,
+    InflowSegment,
+    Mesh2D,
+    apply_matrix,
+    evaluate_at_offsets,
+    mode_values,
+    point_values,
+    project,
+    ssp_step,
+)
 from bpdg.limiters import (
     LimiterChain,
+    LimiterNodeSet,
+    _pressure_crossing,
     bp_scaling_limit,
     build_node_set,
     tvb_minmod_limit,
@@ -74,6 +90,19 @@ def test_vectorised_dedup_matches_loop(name, k, include_volume):
     nodes = build_node_set(decomp, k, include_volume=include_volume)
     np.testing.assert_array_equal(nodes.offsets, _loop_dedup_node_set(decomp, k, include_volume))
     np.testing.assert_allclose(nodes.matrix, Basis2D(k).eval_modes(nodes.offsets).T, rtol=0, atol=1e-15)
+
+
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("k", [2, 3])
+def test_node_values_component_major_same_bits(k, m):
+    nodes = build_node_set(optimal_2d(k, SpeedRatios((1.0, 0.3))), k, include_volume=True)
+    basis = Basis2D(k)
+    coeffs = np.random.default_rng(k + m).normal(size=(7, 5, basis.n_modes, m))
+    field = DGField(coeffs, basis, Mesh2D(0.0, 1.0, 0.0, 1.0, 7, 5),
+                    AdvectionModel() if m == 1 else EulerModel())
+    vals = nodes.evaluate(field)
+    assert vals.shape == (m, len(nodes), 7, 5)
+    np.testing.assert_array_equal(np.moveaxis(vals, (0, 1), (3, 2)), apply_matrix(nodes.matrix, coeffs))
 
 
 def test_node_set_optional_volume_points():
@@ -200,6 +229,152 @@ def test_euler_limiter_identity_on_admissible_field():
     np.testing.assert_array_equal(out.coeffs, field.coeffs)
 
 
+def _assert_same_values(got, expect):
+    np.testing.assert_array_equal(got.stacked, expect.stacked)
+    np.testing.assert_array_equal(got.pressure, expect.pressure)
+    for g, e in zip(got.ghosts + got.ghost_pressures, expect.ghosts + expect.ghost_pressures):
+        np.testing.assert_array_equal(g, e)
+
+
+def _jet_field(n=4, k=2):
+    model = EulerModel()
+    inflow = InflowSegment(model.conserved(5.0, 30.0, 0.0, 0.4127), 0.3, 0.7)
+    mesh = Mesh2D(0.0, 1.0, 0.0, 1.0, n, n, bc_left=inflow, bc_right=OUTFLOW,
+                  bc_bottom=OUTFLOW, bc_top=OUTFLOW)
+    basis = Basis2D(k)
+    coeffs = np.zeros((n, n, basis.n_modes, 4))
+    coeffs[:, :, 0, :] = model.conserved(1.0, 0.1, -0.2, 1.0)
+    return DGField(coeffs, basis, mesh, model)
+
+
+def test_euler_limiter_hands_on_its_point_values():
+    field = _jet_field()
+    model = field.model
+    ix = field.basis.mode_exps.index((1, 0))
+    p_mean = model.pressure(field.coeffs[1, 1, 0, :])
+    field.coeffs[1, 1, ix, 3] = (-0.1 - p_mean) / (model.gamma - 1.0) / np.sqrt(3.0)
+    nodes = build_node_set(optimal_2d(2, EQUAL), 2, include_volume=True)
+    out, diag = bp_scaling_limit(field, EulerPositivity(), nodes)
+    assert diag.cells_limited == 1 and field.values is None
+    _assert_same_values(out.values, point_values(out.like(out.coeffs)))
+
+
+def test_collapsed_cell_values_are_its_average():
+    # density dips below zero at the cell centre only: with a node set of the
+    # face points alone the scaling leaves the cell as it is, and the
+    # straggler check on the evaluated volume points collapses it
+    field = _jet_field()
+    k, basis = 2, field.basis
+    for mode in ((2, 0), (0, 2)):
+        field.coeffs[0, 0, basis.mode_exps.index(mode), 0] = 0.5
+    g = gauss_rule(k + 1)
+    q = len(g)
+    faces = np.concatenate([
+        np.column_stack([np.full(q, -0.5), g.nodes]), np.column_stack([np.full(q, 0.5), g.nodes]),
+        np.column_stack([g.nodes, np.full(q, -0.5)]), np.column_stack([g.nodes, np.full(q, 0.5)]),
+    ])
+    nodes = LimiterNodeSet(faces, mode_values(k, faces).T)
+    out, diag = bp_scaling_limit(field, EulerPositivity(), nodes)
+    assert diag.cells_limited == 1 and diag.min_theta == 0.0
+    assert np.all(out.coeffs[0, 0, 1:] == 0.0)
+    _assert_same_values(out.values, point_values(out.like(out.coeffs)))
+    # the collapsed boundary cell's ghost trace is the patched one
+    np.testing.assert_array_equal(out.values.ghosts[0][0], np.broadcast_to(out.coeffs[0, 0, 0], (q, 4)))
+
+
+def _bisection_loop(model, u_mean, u_node, target):
+    """The bisection as first written: the oracle for _pressure_crossing."""
+    t_lo = np.zeros(len(u_node))
+    t_hi = np.ones(len(u_node))
+    for _ in range(60):
+        t_mid = 0.5 * (t_lo + t_hi)
+        p_mid = model.pressure(u_mean + t_mid[:, None] * (u_node - u_mean))
+        good = p_mid >= target
+        t_lo = np.where(good, t_mid, t_lo)
+        t_hi = np.where(good, t_hi, t_mid)
+    return t_lo
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pressure_crossing_matches_loop(seed):
+    rng = np.random.default_rng(seed)
+    model = EulerModel()
+    b = 80
+    # admissible means near vacuum, nodes with negative pressure
+    rho = 10.0 ** rng.uniform(-12, 0, b)
+    v = rng.uniform(-30, 30, (b, 2))
+    p = 10.0 ** rng.uniform(-12, 0, b)
+    u_mean = np.stack([model.conserved(*args) for args in zip(rho, v[:, 0], v[:, 1], p)])
+    u_node = u_mean + u_mean * rng.uniform(-3, 3, (b, 4))
+    u_node[:, 0] = np.abs(u_node[:, 0])
+    target = np.maximum(1e-13, 1e-12 * np.abs(u_node[:, 3]))
+    t = _pressure_crossing(model, u_mean.T, u_node.T, target)
+    np.testing.assert_array_equal(t, _bisection_loop(model, u_mean, u_node, target))
+    assert np.all((t >= 0.0) & (t <= 1.0))
+
+
+# ------------------------------------------------- limiter property tests
+
+PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)
+
+
+def _higher_modes(rng, shape, amplitude):
+    return amplitude * rng.normal(size=shape)
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([2, 3]),
+       amplitude=st.floats(0.0, 3.0), lo=st.floats(-2.0, 0.5), width=st.floats(0.01, 3.0))
+def test_box_limiter_properties(seed, k, amplitude, lo, width):
+    rng = np.random.default_rng(seed)
+    region = BoxScalar(lo, lo + width)
+    field = _scalar_field(n=4, k=k, region=region)
+    field.coeffs[:, :, 0, 0] = rng.uniform(region.lo, region.hi, (4, 4))
+    field.coeffs[:, :, 1:, 0] = _higher_modes(rng, (4, 4, field.basis.n_modes - 1), amplitude * width)
+    nodes = build_node_set(optimal_2d(k, SpeedRatios(tuple(rng.uniform(0.1, 1.0, 2)))), k)
+    out, diag = bp_scaling_limit(field, region, nodes)
+    vals = evaluate_at_offsets(out, nodes.offsets)
+    assert np.all(region.contains(vals, slack=1e-14 * max(1.0, abs(region.lo), abs(region.hi))))
+    np.testing.assert_allclose(out.cell_averages, field.cell_averages, rtol=0, atol=1e-14)
+    assert 0.0 <= diag.min_theta <= 1.0
+    # each cell's higher modes are scaled by one theta in [0, 1]
+    before = np.linalg.norm(field.coeffs[:, :, 1:, 0], axis=2)
+    after = np.linalg.norm(out.coeffs[:, :, 1:, 0], axis=2)
+    assert np.all(after <= before * (1.0 + 1e-15))
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([2, 3]),
+       log_rho=st.floats(-10.0, 0.0), log_p=st.floats(-10.0, 0.0), amplitude=st.floats(0.0, 3.0))
+def test_euler_limiter_properties_near_vacuum(seed, k, log_rho, log_p, amplitude):
+    rng = np.random.default_rng(seed)
+    field = _jet_field(n=4, k=k)
+    model, region = field.model, EulerPositivity()
+    rho = 10.0 ** (log_rho + rng.uniform(-1.0, 0.0, (4, 4)))
+    p = 10.0 ** (log_p + rng.uniform(-1.0, 0.0, (4, 4)))
+    v = rng.uniform(-5.0, 5.0, (4, 4, 2))
+    mean = np.stack([rho, rho * v[..., 0], rho * v[..., 1],
+                     p / (model.gamma - 1.0) + 0.5 * rho * (v ** 2).sum(axis=-1)], axis=-1)
+    field.coeffs[:, :, 0, :] = mean
+    field.coeffs[:, :, 1:, :] = _higher_modes(rng, (4, 4, field.basis.n_modes - 1, 4), amplitude) * np.abs(mean)[:, :, None, :]
+    nodes = build_node_set(optimal_2d(k, EQUAL), k, include_volume=True)
+    out, diag = bp_scaling_limit(field, region, nodes)
+    np.testing.assert_allclose(out.cell_averages, field.cell_averages, rtol=0, atol=1e-14)
+    assert 0.0 <= diag.min_theta <= 1.0
+    # every value the residual evaluates is inside the region, on the floors
+    values = out.values
+    floor = 1.0 - 1e-10
+    assert np.all(values.stacked[..., 0] >= region.eps_rho * floor)
+    assert np.all(values.pressure >= region.eps_p * floor)
+    _assert_same_values(values, point_values(out.like(out.coeffs)))
+    # and so is every limiter node, up to the round-off of re-evaluating the
+    # scaled coefficients (pressure cancels E against the kinetic energy)
+    vals = evaluate_at_offsets(out, nodes.offsets)
+    slack = 1e-14 * np.abs(vals[..., 3])
+    assert np.all(vals[..., 0] >= region.eps_rho * floor)
+    assert np.all(model.pressure(vals) >= region.eps_p * floor - slack)
+
+
 # -------------------------------------------------------------- TVB minmod
 
 
@@ -257,3 +432,16 @@ def test_chain_applies_tvb_then_bp_and_records_diagnostics():
     nodes = chain.node_set
     vals = evaluate_at_offsets(out, nodes.offsets)[..., 0]
     assert vals.max() <= 1.0 + 1e-13 and vals.min() >= -1.0 - 1e-13
+
+
+def test_chain_totals_cover_every_stage_of_a_step():
+    field = _scalar_field(n=6)
+    ix = field.basis.mode_exps.index((1, 0))
+    field.coeffs[2, 3, ix, 0] = 1.0  # overshoots to sqrt(3) on the x+ face
+    chain = LimiterChain(region=field.model.region, node_set=build_node_set(optimal_2d(2, EQUAL), 2))
+    ssp_step(field, SSPRK3, 1e-6, chain)
+    # every stage state mixes in the unlimited start state, so cell (2, 3) is
+    # limited at each of the three stages; the last call sees only one
+    assert chain.last_diagnostics.cells_limited == 1
+    assert chain.totals.cells_limited == 3
+    assert chain.totals.min_theta < 1.0
