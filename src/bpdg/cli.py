@@ -67,8 +67,11 @@ def _parse_optional_float(text: str) -> Optional[float]:
     return float(text)
 
 
-def _parse_floats(text: str) -> tuple[float, ...]:
-    return tuple(float(tok) for tok in text.replace(",", " ").split())
+def _parse_four_floats(text: str) -> tuple[float, ...]:
+    values = tuple(float(tok) for tok in text.replace(",", " ").split())
+    if len(values) != 4:
+        raise ValueError(f"expected 4 values, got {len(values)}")
+    return values
 
 
 def _parse_cell_count(text: str) -> int:
@@ -85,11 +88,23 @@ def _parse_degree(text: str) -> int:
     return k
 
 
-def _parse_safety(text: str) -> float:
-    safety = float(text)
-    if not 0.0 < safety <= 1.0:
-        raise ValueError(f"expected a value in (0, 1], got {safety} (above 1 voids the BP time-step bound)")
-    return safety
+def _parse_fraction(text: str) -> float:
+    value = float(text)
+    if not 0.0 < value <= 1.0:
+        raise ValueError(f"expected a value in (0, 1], got {value}")
+    return value
+
+
+def _parse_above(bound: float):
+    """Parser for a float strictly above `bound`."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not value > bound:
+            raise ValueError(f"expected a value above {bound:g}, got {value}")
+        return value
+
+    return parse
 
 
 def _parse_scheme(text: str) -> str:
@@ -149,7 +164,7 @@ class RunConfig:
 
 _KEY_PARSERS = {
     "model": ("model", str),
-    "gamma": ("gamma", float),
+    "gamma": ("gamma", _parse_above(1.0)),
     "advection_cx": ("advection_cx", float),
     "advection_cy": ("advection_cy", float),
     "x_lo": ("x_lo", float),
@@ -161,12 +176,12 @@ _KEY_PARSERS = {
     "k": ("k", _parse_degree),
     "scheme": ("scheme", _parse_scheme),
     "dt_policy": ("dt_policy", _parse_decomposition("optimal", "classic", "jiangliu", "linear")),
-    "c0": ("c0", float),
-    "safety": ("safety", _parse_safety),
+    "c0": ("c0", _parse_fraction),
+    "safety": ("safety", _parse_fraction),
     "limiter.bp": ("limiter_bp", _parse_bool),
     "limiter.tvb_M": ("tvb_m", _parse_optional_float),
     "limiter.node_set": ("node_set", _parse_decomposition("optimal", "classic", "jiangliu")),
-    "t_end": ("t_end", float),
+    "t_end": ("t_end", _parse_above(0.0)),
     "output_every": ("output_every", float),
     "seed": ("seed", int),
     "out_dir": ("out_dir", str),
@@ -174,9 +189,9 @@ _KEY_PARSERS = {
     "initial": ("initial", str.lower),
     "region_lo": ("region_lo", float),
     "region_hi": ("region_hi", float),
-    "riemann_states": ("riemann_states", _parse_floats),
-    "ambient": ("ambient", _parse_floats),
-    "inflow": ("inflow", _parse_floats),
+    "riemann_states": ("riemann_states", _parse_four_floats),
+    "ambient": ("ambient", _parse_four_floats),
+    "inflow": ("inflow", _parse_four_floats),
     "inflow_lo": ("inflow_lo", float),
     "inflow_hi": ("inflow_hi", float),
     "fallback_dt": ("fallback_dt", float),
@@ -185,7 +200,16 @@ _KEY_PARSERS = {
 
 # keys whose values are constrained beyond their type; `validate_config`
 # re-checks them on configs that did not come through `parse_config`
-_CHECKED_KEYS = ("nx", "ny", "k", "scheme", "dt_policy", "safety", "limiter.node_set")
+_CHECKED_KEYS = ("nx", "ny", "k", "scheme", "dt_policy", "c0", "safety", "limiter.node_set", "gamma",
+                 "t_end", "riemann_states", "ambient", "inflow")
+
+
+def _empty_domain(cfg: RunConfig) -> Optional[tuple[tuple[str, str], str]]:
+    """The first pair of domain bounds without lo < hi, and the complaint."""
+    for lo, hi in (("x_lo", "x_hi"), ("y_lo", "y_hi")):
+        if not getattr(cfg, lo) < getattr(cfg, hi):
+            return (lo, hi), f"{lo} = {getattr(cfg, lo)} must be below {hi} = {getattr(cfg, hi)}"
+    return None
 
 
 def validate_config(cfg: RunConfig) -> RunConfig:
@@ -194,15 +218,23 @@ def validate_config(cfg: RunConfig) -> RunConfig:
     changes = {}
     for key in _CHECKED_KEYS:
         attr, parser = _KEY_PARSERS[key]
+        value = getattr(cfg, attr)
+        if value is None and attr == "inflow":
+            continue  # no inflow segment
         try:
-            changes[attr] = parser(str(getattr(cfg, attr)))
+            text = ", ".join(str(float(v)) for v in value) if isinstance(value, (tuple, list)) else str(value)
+            changes[attr] = parser(text)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {exc}") from exc
+    empty = _empty_domain(cfg)
+    if empty is not None:
+        raise ConfigError(empty[1])
     return replace(cfg, **changes)
 
 
 def parse_config(path: str | Path) -> RunConfig:
     cfg = RunConfig()
+    key_lines = {}
     for lineno, raw in enumerate(Path(path).read_text(encoding="utf-8").splitlines(), 1):
         line = raw.split("#", 1)[0].strip()
         if not line:
@@ -217,6 +249,12 @@ def parse_config(path: str | Path) -> RunConfig:
             setattr(cfg, attr, parser(value))
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+        key_lines[key] = lineno
+    empty = _empty_domain(cfg)
+    if empty is not None:
+        # reported at the later of the two bounds' lines
+        lineno = max(key_lines.get(key, 0) for key in empty[0])
+        raise ConfigError(f"{path}:{lineno}: {empty[1]}")
     return cfg
 
 

@@ -117,18 +117,19 @@ def apply_matrix(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     """matrix (a, b) applied along axis 2 of x (nx, ny, b, m) -> (nx, ny, a, m).
 
     Evaluation (coefficients -> point values) and assembly (point terms ->
-    modal rates) both go through here.  Both kernels give the same bits as
-    the einsum contractions they replaced, so no limiter decision moves.
-    For scalar fields the result is a points-major view: the limiter's min and
-    max over a cell's points then run over whole planes, over 10x faster than
-    along a short contiguous axis, and the 2D gemm is over 10x faster than
-    numpy's batched matmul.  For systems the batched matmul is the fastest
-    (about 10% ahead of einsum on a 120x60 Euler field).
+    modal rates) both go through here, as one gemm per component.  The result
+    is a view of component-major, points-major memory (m, a, nx, ny): every
+    component plane `out[:, :, i, c]` is one contiguous (nx, ny) block.  The
+    model's elementwise physics on `u[..., c]` and the limiters' min and max
+    over a cell's points then run over whole planes instead of stride-m
+    reads.  An `x` already laid out so (a flux of such values) is read
+    without a copy.  At k = 2 the gemm gives the same bits as the 2D gemm
+    (scalar fields) and batched matmul (systems) it replaced, so no limiter
+    decision moves; BLAS may round k = 3's 16-term volume sums differently.
     """
     nx, ny, b, m = x.shape
-    if m == 1:
-        return (matrix @ x.reshape(nx * ny, b).T).reshape(-1, nx, ny, 1).transpose(1, 2, 0, 3)
-    return np.matmul(matrix, x)
+    planes = np.ascontiguousarray(x.transpose(3, 2, 0, 1)).reshape(m, b, nx * ny)
+    return np.matmul(matrix, planes).reshape(m, -1, nx, ny).transpose(2, 3, 1, 0)
 
 
 class Basis2D:
@@ -266,7 +267,7 @@ def _ghost_trace(bc: BoundaryCondition, interior: np.ndarray, wrap: np.ndarray,
     along the boundary, shape matching interior[..., 0]."""
     if bc == PERIODIC:
         return wrap
-    ghost = interior.copy()
+    ghost = interior.copy(order="K")  # keep the component-major layout
     if isinstance(bc, InflowSegment):
         inside = (coords >= bc.lo - 1e-12) & (coords <= bc.hi + 1e-12)
         ghost[inside] = bc.state
@@ -296,7 +297,8 @@ class PointValues:
     """A field evaluated at every point the residual reads.
 
     `stacked` is Basis2D.stacked_values of the coefficients; `ghosts` are the
-    exterior traces along the left, right, bottom and top boundaries.
+    exterior traces along the left, right, bottom and top boundaries.  All
+    are component-major in memory, as `apply_matrix` returns them.
     `pressure` and `ghost_pressures` are the model's pressure of `stacked` and
     of each ghost (None for models without one, i.e. scalar laws); a periodic
     ghost's pressure is a slice of `pressure`, as its trace is of `stacked`."""
@@ -358,14 +360,11 @@ def global_max_speeds(field: DGField, values: Optional[PointValues] = None) -> t
     sets = [(values.stacked, values.pressure)] + [
         (g, p) for g, p, bc in zip(values.ghosts, values.ghost_pressures, bcs) if bc != PERIODIC
     ]
-    speed = field.model.max_wave_speed
-    a = [0.0, 0.0]
+    a1 = a2 = 0.0
     for pts, p in sets:
-        for axis in (0, 1):
-            # models without a pressure are called as speed(u, axis)
-            s = speed(pts, axis) if p is None else speed(pts, axis, p=p)
-            a[axis] = max(a[axis], float(np.max(s)))
-    return a[0], a[1]
+        s1, s2 = field.model.max_wave_speeds(pts, p)
+        a1, a2 = max(a1, s1), max(a2, s2)
+    return a1, a2
 
 
 def _interface_flux(model, values: PointValues, basis: Basis2D, axis: int, alpha: float) -> np.ndarray:
@@ -420,7 +419,8 @@ def semidiscrete_residual(
     rate -= (
         apply_matrix(basis.assemble_yp, f[:, 1:]) - apply_matrix(basis.assemble_ym, f[:, :-1])
     ) / mesh.dy
-    return rate
+    # in the coefficients' layout, so that the SSP-RK update adds like to like
+    return np.ascontiguousarray(rate)
 
 
 @dataclass(frozen=True)

@@ -45,16 +45,10 @@ class LimiterNodeSet:
     def evaluate(self, field: DGField) -> np.ndarray:
         """Field values at the nodes of every cell, component-major: (m, P, nx, ny).
 
-        The limiters reduce over a cell's nodes and work one component at a
-        time, so each (nx, ny) plane is contiguous here.  A scalar field's
-        `apply_matrix` result is laid out so already; for a system, one gemm
-        per component gives the same bits as `apply_matrix` and is faster
-        than its batched matmul of many small per-cell products."""
-        nx, ny, n, m = field.coeffs.shape
-        if m == 1:
-            return apply_matrix(self.matrix, field.coeffs).transpose(3, 2, 0, 1)
-        comps = np.ascontiguousarray(field.coeffs.transpose(3, 2, 0, 1)).reshape(m, n, nx * ny)
-        return np.matmul(self.matrix, comps).reshape(m, len(self), nx, ny)
+        This is `apply_matrix`'s result with its memory order made the
+        logical order: a C-contiguous array whose (nx, ny) planes the
+        limiters reduce over, one component at a time."""
+        return apply_matrix(self.matrix, field.coeffs).transpose(3, 2, 0, 1)
 
 
 @dataclass

@@ -2,7 +2,10 @@
 
 States are numpy arrays whose last axis holds the conserved components
 (m=1 for scalar laws, m=4 for 2D Euler: rho, rho*v1, rho*v2, E).  All
-operations are vectorized over any number of leading axes.
+operations are vectorized over any number of leading axes.  A state array
+may be a strided view, components last: the solver's point values keep each
+component in its own contiguous plane, so `u[..., c]` is a contiguous read
+there, and elementwise results inherit that layout.
 """
 
 from __future__ import annotations
@@ -98,6 +101,9 @@ class AdvectionModel:
     def max_wave_speed(self, u: np.ndarray, axis: int, p: Optional[np.ndarray] = None) -> np.ndarray:
         return np.full(u.shape[:-1], abs(self.c[axis]))
 
+    def max_wave_speeds(self, u: np.ndarray, p: Optional[np.ndarray] = None) -> tuple[float, float]:
+        return abs(self.c[0]), abs(self.c[1])
+
     def check_admissible(self, u: np.ndarray, p: Optional[np.ndarray] = None) -> np.ndarray:
         return np.isfinite(u[..., 0])
 
@@ -119,6 +125,10 @@ class BurgersModel:
     def max_wave_speed(self, u: np.ndarray, axis: int, p: Optional[np.ndarray] = None) -> np.ndarray:
         return np.abs(u[..., 0])
 
+    def max_wave_speeds(self, u: np.ndarray, p: Optional[np.ndarray] = None) -> tuple[float, float]:
+        s = float(np.max(np.abs(u[..., 0])))
+        return s, s
+
     def check_admissible(self, u: np.ndarray, p: Optional[np.ndarray] = None) -> np.ndarray:
         return np.isfinite(u[..., 0])
 
@@ -126,9 +136,10 @@ class BurgersModel:
 class EulerModel:
     """2D compressible Euler equations with ideal-gas closure.
 
-    `flux`, `max_wave_speed` and `check_admissible` take the pressure `p` of
-    `u` when the caller already has it (the scalar models accept and ignore
-    it), so a state's pressure is computed once for all of them."""
+    `flux`, `max_wave_speed`, `max_wave_speeds` and `check_admissible` take
+    the pressure `p` of `u` when the caller already has it (the scalar models
+    accept and ignore it), so a state's pressure is computed once for all of
+    them."""
 
     m = 4
     name = "euler2d"
@@ -153,13 +164,23 @@ class EulerModel:
         out[..., 3] += p * v
         return out
 
-    def max_wave_speed(self, u: np.ndarray, axis: int, p: Optional[np.ndarray] = None) -> np.ndarray:
+    def _sound_speed(self, u: np.ndarray, p: Optional[np.ndarray]) -> np.ndarray:
         rho = u[..., 0]
         if p is None:
             p = self.pressure(u)
         if np.any(rho <= 0.0) or np.any(p <= 0.0):
             raise AdmissibilityError("wave speed requested for inadmissible Euler state")
-        return np.abs(u[..., 1 + axis] / rho) + np.sqrt(self.gamma * p / rho)
+        return np.sqrt(self.gamma * p / rho)
+
+    def max_wave_speed(self, u: np.ndarray, axis: int, p: Optional[np.ndarray] = None) -> np.ndarray:
+        c = self._sound_speed(u, p)
+        return np.abs(u[..., 1 + axis] / u[..., 0]) + c
+
+    def max_wave_speeds(self, u: np.ndarray, p: Optional[np.ndarray] = None) -> tuple[float, float]:
+        """The maxima over `u` of `max_wave_speed` along x and along y, from
+        one admissibility scan and one sound-speed pass."""
+        c = self._sound_speed(u, p)
+        return tuple(float(np.max(np.abs(u[..., 1 + axis] / u[..., 0]) + c)) for axis in (0, 1))
 
     def check_admissible(self, u: np.ndarray, p: Optional[np.ndarray] = None) -> np.ndarray:
         if p is None:

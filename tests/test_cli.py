@@ -136,9 +136,14 @@ def test_run_rejects_unknown_scheme_and_model():
 @pytest.mark.parametrize(
     "changes",
     [dict(nx=0), dict(ny=-3), dict(k=4), dict(safety=2.0), dict(safety=0.0),
-     dict(dt_policy="jiang_liu"), dict(node_set="bogus")],
+     dict(dt_policy="jiang_liu"), dict(node_set="bogus"), dict(x_hi=-2.0), dict(y_lo=1.0),
+     dict(gamma=1.0), dict(c0=0.0), dict(c0=5.0), dict(t_end=-1.0),
+     dict(model="euler2d", initial="uniform", inflow=(1.0, 2.0)), dict(ambient=(5.0, 0.0, 0.4127)),
+     dict(riemann_states=(0.1, 0.2, 0.3, 0.4, 0.5))],
     ids=["zero-cells", "negative-cells", "unsupported-degree", "safety-above-one",
-         "zero-safety", "unknown-policy", "unknown-node-set"],
+         "zero-safety", "unknown-policy", "unknown-node-set", "x-bounds-reversed", "empty-y-range",
+         "gamma-one", "zero-c0", "c0-above-one", "negative-t-end", "two-inflow-values",
+         "three-ambient-values", "five-riemann-states"],
 )
 def test_run_validates_configs_built_in_code(changes):
     with pytest.raises(ConfigError):
@@ -297,14 +302,25 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
 
 @pytest.mark.parametrize(
     "line",
-    ["nx = 0", "k = 4", "dt_policy = jiang_liu"],
-    ids=["zero-cells", "unsupported-degree", "unknown-policy"],
+    ["nx = 0", "k = 4", "dt_policy = jiang_liu", "x_hi = -2.0", "y_lo = 1.0", "gamma = 1.0",
+     "c0 = 0", "c0 = 5", "t_end = -1", "inflow = 1, 2", "ambient = 5.0, 0.0, 0.4127",
+     "riemann_states = 0.1 0.2 0.3 0.4 0.5"],
+    ids=["zero-cells", "unsupported-degree", "unknown-policy", "x-bounds-reversed", "empty-y-range",
+         "gamma-one", "zero-c0", "c0-above-one", "negative-t-end", "two-inflow-values",
+         "three-ambient-values", "five-riemann-states"],
 )
 def test_cli_invalid_value_exit_code(tmp_path, capsys, line):
     cfg = _write(tmp_path, "bad.cfg", ADVECTION_SMALL + f"{line}\nout_dir = {tmp_path / 'o'}\n")
     assert main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    assert len(err) == 1 and err[0].startswith("config error:") and line.split()[0] in err[0]
+    # one line, naming the file, the offending line (the 10th) and its key
+    assert len(err) == 1 and err[0].startswith(f"config error: {cfg}:10:") and line.split()[0] in err[0]
+
+
+def test_domain_bounds_error_cites_the_later_line(tmp_path):
+    cfg = _write(tmp_path, "bad.cfg", "x_hi = 0.5\nnx = 4\nx_lo = 0.5\n")
+    with pytest.raises(ConfigError, match=r"bad\.cfg:3: x_lo = 0\.5 must be below x_hi = 0\.5"):
+        parse_config(cfg)
 
 
 def test_cli_rejects_safety_above_one(tmp_path, capsys):

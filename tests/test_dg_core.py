@@ -19,6 +19,8 @@ from bpdg.dg_core import (
     SSPRK4,
     _face_coords,
     _ghost_trace,
+    _interface_flux,
+    apply_matrix,
     error_norms,
     evaluate,
     global_max_speeds,
@@ -256,6 +258,68 @@ def test_residual_matches_einsum_formula(field):
     np.testing.assert_array_equal(semidiscrete_residual(field, alphas, point_values(field)), got)
 
 
+def _planes_contiguous(a):
+    """Whether every component plane of `a` (cells..., points, m) is one
+    C-contiguous block, i.e. the memory is component-major, points-major."""
+    return np.moveaxis(a, (-1, -2), (0, 1)).flags.c_contiguous
+
+
+@pytest.mark.parametrize("m", [1, 4])
+@pytest.mark.parametrize("k", [2, 3])
+def test_apply_matrix_matches_former_kernels(k, m):
+    """The kernels apply_matrix had before its single layout, bit for bit
+    (k = 3's volume sums to round-off): a 2D gemm with a points-major result
+    for scalar fields, numpy's batched matmul of per-cell products for
+    systems."""
+    basis = Basis2D(k)
+    coeffs = np.random.default_rng(10 * k + m).normal(size=(12, 7, basis.n_modes, m))
+    stacked = apply_matrix(basis.eval_matrix, coeffs)
+    flux = stacked[:, :, basis.at_vol] ** 2  # component-major, as the model's fluxes are
+    terms = {
+        "evaluation": (basis.eval_matrix, coeffs),
+        "volume": (basis.assemble_vol_x, flux),
+        "face": (basis.assemble_xp, stacked[:, :, basis.at_xp]),
+        "C-ordered": (basis.assemble_vol_y, np.ascontiguousarray(flux)),
+    }
+    for name, (matrix, x) in terms.items():
+        got = apply_matrix(matrix, x)
+        assert _planes_contiguous(got), name
+        if m == 1:
+            nx, ny, b, _ = x.shape
+            former = (matrix @ x.reshape(nx * ny, b).T).reshape(-1, nx, ny, 1).transpose(1, 2, 0, 3)
+        else:
+            former = np.matmul(matrix, x)
+        if k == 3 and name in ("volume", "C-ordered"):
+            # the 16-term volume sums are not bit-stable across BLAS calls:
+            # at some grid sizes OpenBLAS accumulates a per-cell product, a
+            # transposed operand and one large gemm differently in the last
+            # bit, so k = 3 moves by round-off (within the dot-product bound)
+            bound = x.shape[2] * np.finfo(float).eps * np.matmul(np.abs(matrix), np.abs(x)).max()
+            np.testing.assert_allclose(got, former, rtol=0, atol=bound, err_msg=name)
+        else:
+            np.testing.assert_array_equal(got, former, err_msg=name)
+
+
+@pytest.mark.parametrize("field", [f for f in _residual_cases() if not isinstance(f.model, AdvectionModel)],
+                         ids=lambda f: f"{f.model.name}-k{f.basis.k}")
+def test_point_values_keep_component_planes_contiguous(field):
+    """Stacked values, ghost traces (outflow and inflow sides) and both
+    interface-flux arrays hold each component plane in one block."""
+    basis, model = field.basis, field.model
+    values = point_values(field)
+    assert _planes_contiguous(values.stacked)
+    assert all(_planes_contiguous(g) for g in values.ghosts)
+    if isinstance(model, EulerModel):
+        assert isinstance(field.mesh.bc_left, InflowSegment)
+        assert _planes_contiguous(values.pressure[..., None])
+    alphas = global_max_speeds(field, values)
+    for axis in (0, 1):
+        assert _planes_contiguous(_interface_flux(model, values, basis, axis, alphas[axis]))
+    assert _planes_contiguous(model.flux(values.stacked[:, :, basis.at_vol], 0, None))
+    # the rate comes back in the coefficients' layout
+    assert semidiscrete_residual(field, alphas, values).flags.c_contiguous
+
+
 def _euler_cases():
     """Euler fields on an inflow/outflow mesh and a periodic one, k = 2 and 3."""
     rng = np.random.default_rng(17)
@@ -401,21 +465,21 @@ def test_wave_speeds_evaluated_once_per_rk_state(monkeypatch):
     model = BurgersModel(BoxScalar(-2.0, 2.0))
     field = project(lambda x, y: (0.5 * np.sin(np.pi * (x + y)))[..., None], mesh, Basis2D(2), model)
     calls = []
-    speed = model.max_wave_speed
+    speeds_of = model.max_wave_speeds
 
-    def counted(u, axis):
-        calls.append(axis)
-        return speed(u, axis)
+    def counted(u, p=None):
+        calls.append(u.shape)
+        return speeds_of(u, p)
 
-    monkeypatch.setattr(model, "max_wave_speed", counted)
+    monkeypatch.setattr(model, "max_wave_speeds", counted)
     plain = ssp_step(field, SSPRK3, 1e-3)
-    # two axes over the stacked values and the four (outflow) ghost sides
-    assert len(calls) <= 3 * 10
+    # one two-axis pass over the stacked values and each (outflow) ghost side
+    assert len(calls) <= 3 * 5
     # speeds the caller already has are not recomputed
     speeds = global_max_speeds(field)
     calls.clear()
     reused = ssp_step(field, SSPRK3, 1e-3, speeds=speeds)
-    assert len(calls) <= 2 * 10
+    assert len(calls) <= 2 * 5
     np.testing.assert_array_equal(reused.coeffs, plain.coeffs)
 
 

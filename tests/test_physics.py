@@ -89,6 +89,24 @@ def test_euler_wave_speed_rejects_inadmissible():
     model = EulerModel()
     with pytest.raises(AdmissibilityError):
         model.max_wave_speed(np.array([1.0, 10.0, 0.0, 1.0]), 0)  # negative pressure
+    with pytest.raises(AdmissibilityError):
+        model.max_wave_speeds(np.array([[1.0, 10.0, 0.0, 1.0]]))
+
+
+def test_two_axis_speeds_equal_per_axis_maxima():
+    """`max_wave_speeds` gives the bits of the per-axis `max_wave_speed` maxima,
+    also on component-major views and with the pressure passed in."""
+    rng = np.random.default_rng(5)
+    euler = EulerModel()
+    u = _random_admissible_euler(rng, 60).reshape(6, 10, 4)
+    u = np.ascontiguousarray(u.transpose(2, 0, 1)).transpose(1, 2, 0)  # component-major view
+    cases = [(AdvectionModel(c=(2.0, -0.5)), rng.uniform(-1.0, 1.0, (6, 10, 1))),
+             (BurgersModel(BoxScalar(-1.0, 1.0)), rng.uniform(-1.0, 1.0, (6, 10, 1))),
+             (euler, u)]
+    for model, states in cases:
+        per_axis = tuple(float(np.max(model.max_wave_speed(states, axis))) for axis in (0, 1))
+        assert model.max_wave_speeds(states) == per_axis
+    assert euler.max_wave_speeds(u, euler.pressure(u)) == euler.max_wave_speeds(u)
 
 
 @pytest.mark.parametrize("axis", [0, 1])
