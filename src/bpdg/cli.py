@@ -96,12 +96,12 @@ def _parse_fraction(text: str) -> float:
 
 
 def _parse_above(bound: float):
-    """Parser for a float strictly above `bound`."""
+    """Parser for a finite float strictly above `bound`."""
 
     def parse(text: str) -> float:
         value = float(text)
-        if not value > bound:
-            raise ValueError(f"expected a value above {bound:g}, got {value}")
+        if not bound < value < math.inf:
+            raise ValueError(f"expected a finite value above {bound:g}, got {value}")
         return value
 
     return parse
@@ -148,7 +148,6 @@ class RunConfig:
     node_set: str = "optimal"
     t_end: float = 0.5
     output_every: float = 0.0
-    seed: int = 0
     out_dir: str = "out"
     bc: str = "periodic"
     initial: str = "sine"
@@ -175,15 +174,14 @@ _KEY_PARSERS = {
     "ny": ("ny", _parse_cell_count),
     "k": ("k", _parse_degree),
     "scheme": ("scheme", _parse_scheme),
-    "dt_policy": ("dt_policy", _parse_decomposition("optimal", "classic", "jiangliu", "linear")),
+    "dt_policy": ("dt_policy", _parse_decomposition(*dc.POLICIES, "linear")),
     "c0": ("c0", _parse_fraction),
     "safety": ("safety", _parse_fraction),
     "limiter.bp": ("limiter_bp", _parse_bool),
     "limiter.tvb_M": ("tvb_m", _parse_optional_float),
-    "limiter.node_set": ("node_set", _parse_decomposition("optimal", "classic", "jiangliu")),
+    "limiter.node_set": ("node_set", _parse_decomposition(*dc.POLICIES)),
     "t_end": ("t_end", _parse_above(0.0)),
     "output_every": ("output_every", float),
-    "seed": ("seed", int),
     "out_dir": ("out_dir", str),
     "bc": ("bc", str.lower),
     "initial": ("initial", str.lower),
@@ -194,19 +192,20 @@ _KEY_PARSERS = {
     "inflow": ("inflow", _parse_four_floats),
     "inflow_lo": ("inflow_lo", float),
     "inflow_hi": ("inflow_hi", float),
-    "fallback_dt": ("fallback_dt", float),
+    "fallback_dt": ("fallback_dt", _parse_above(0.0)),
 }
 
 
 # keys whose values are constrained beyond their type; `validate_config`
 # re-checks them on configs that did not come through `parse_config`
 _CHECKED_KEYS = ("nx", "ny", "k", "scheme", "dt_policy", "c0", "safety", "limiter.node_set", "gamma",
-                 "t_end", "riemann_states", "ambient", "inflow")
+                 "t_end", "riemann_states", "ambient", "inflow", "fallback_dt")
 
 
-def _empty_domain(cfg: RunConfig) -> Optional[tuple[tuple[str, str], str]]:
-    """The first pair of domain bounds without lo < hi, and the complaint."""
-    for lo, hi in (("x_lo", "x_hi"), ("y_lo", "y_hi")):
+def _empty_interval(cfg: RunConfig) -> Optional[tuple[tuple[str, str], str]]:
+    """The first pair of bounds (domain, then scalar region) without lo < hi,
+    and the complaint."""
+    for lo, hi in (("x_lo", "x_hi"), ("y_lo", "y_hi"), ("region_lo", "region_hi")):
         if not getattr(cfg, lo) < getattr(cfg, hi):
             return (lo, hi), f"{lo} = {getattr(cfg, lo)} must be below {hi} = {getattr(cfg, hi)}"
     return None
@@ -226,7 +225,7 @@ def validate_config(cfg: RunConfig) -> RunConfig:
             changes[attr] = parser(text)
         except ValueError as exc:
             raise ConfigError(f"bad value for {key}: {exc}") from exc
-    empty = _empty_domain(cfg)
+    empty = _empty_interval(cfg)
     if empty is not None:
         raise ConfigError(empty[1])
     return replace(cfg, **changes)
@@ -250,7 +249,7 @@ def parse_config(path: str | Path) -> RunConfig:
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
         key_lines[key] = lineno
-    empty = _empty_domain(cfg)
+    empty = _empty_interval(cfg)
     if empty is not None:
         # reported at the later of the two bounds' lines
         lineno = max(key_lines.get(key, 0) for key in empty[0])
@@ -320,17 +319,8 @@ def _build_initial(cfg: RunConfig, model):
     raise ConfigError(f"unknown model {cfg.model!r}")
 
 
-def _node_set_for(cfg: RunConfig, mesh: Mesh2D, a1: float, a2: float):
-    floor = 1e-12 * max(a1 / mesh.dx, a2 / mesh.dy, 1.0)
-    ratios = dc.SpeedRatios((max(a1 / mesh.dx, floor), max(a2 / mesh.dy, floor)))
-    if cfg.node_set == "optimal":
-        decomp = dc.optimal_2d(cfg.k, ratios)
-    elif cfg.node_set == "classic":
-        decomp = dc.zhang_shu_2d(cfg.k, ratios)
-    elif cfg.node_set == "jiangliu":
-        decomp = dc.jiang_liu_2d(cfg.k)
-    else:
-        raise ConfigError(f"unknown node_set {cfg.node_set!r}")
+def _node_set_for(cfg: RunConfig, mesh: Mesh2D, speeds: tuple[float, float]):
+    decomp = dc.decomposition_for(cfg.node_set, cfg.k, dc.speed_ratios(speeds, (mesh.dx, mesh.dy)))
     return build_node_set(decomp, cfg.k, include_volume=cfg.model == "euler2d")
 
 
@@ -340,7 +330,7 @@ def _build_limiter_chain(cfg: RunConfig, model, mesh: Mesh2D,
         return None
     node_set = None
     if cfg.limiter_bp:
-        node_set = _node_set_for(cfg, mesh, *speeds)
+        node_set = _node_set_for(cfg, mesh, speeds)
     return LimiterChain(
         region=model.region if cfg.limiter_bp else None,
         node_set=node_set,
@@ -454,10 +444,10 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
             field.values = point_values(field)
             speeds = global_max_speeds(field)
             if track_speeds and speeds != node_speeds:
-                chain.node_set = _node_set_for(cfg, mesh, *speeds)
+                chain.node_set = _node_set_for(cfg, mesh, speeds)
                 node_speeds = speeds
-            dt = step_controller(cfg.dt_policy, field, scheme, cfg.c0, cfg.safety, cfg.fallback_dt,
-                                 speeds=speeds)
+            dt = step_controller(cfg.dt_policy, cfg.k, scheme, speeds, (mesh.dx, mesh.dy), cfg.c0,
+                                 cfg.safety, cfg.fallback_dt)
             if t + dt > cfg.t_end:
                 dt = cfg.t_end - t  # clip the final step to land exactly on t_end
             field = ssp_step(field, scheme, dt, chain, speeds=speeds)
@@ -516,30 +506,16 @@ def convergence_study(cfg: RunConfig, grids: list[int], write_outputs: bool = Tr
 
 
 def _decomp_rows(k: int, phi: tuple[float, ...], c0: float):
-    dim = len(phi)
-    ratios = dc.SpeedRatios(phi)
-    equal = dc.SpeedRatios((1.0,) * dim)
-    if dim == 2:
-        builders = [
-            ("optimal", lambda r: dc.optimal_2d(k, r)),
-            ("zhang-shu", lambda r: dc.zhang_shu_2d(k, r)),
-            ("jiang-liu", lambda r: dc.jiang_liu_2d(k)),
-        ]
-    else:
-        builders = [
-            ("optimal", lambda r: dc.optimal_3d(k, r)),
-            ("zhang-shu", lambda r: dc.zhang_shu_3d(k, r)),
-            ("jiang-liu", lambda r: dc.jiang_liu_3d(k)),
-        ]
+    """(name, dt, dt at equal ratios, internal nodes, exactness defect) per
+    policy, named by its decomposition without the dimension suffix."""
+    ones = (1.0,) * len(phi)
     rows = []
-    for name, build in builders:
-        d = build(ratios)
-        d_eq = build(equal)
-        dt = dc.bp_max_dt(d, phi, (1.0,) * dim, c0).max_dt
-        dt_eq = dc.bp_max_dt(d_eq, (1.0,) * dim, (1.0,) * dim, c0).max_dt
-        rows.append(
-            (name, dt, dt_eq, d.internal_node_count, dc.verify_exactness(d))
-        )
+    for policy in dc.POLICIES:
+        d = dc.decomposition_for(policy, k, dc.speed_ratios(phi, ones))
+        d_eq = dc.decomposition_for(policy, k, dc.speed_ratios(ones, ones))
+        dt = dc.bp_max_dt(d, phi, ones, c0).max_dt
+        dt_eq = dc.bp_max_dt(d_eq, ones, ones, c0).max_dt
+        rows.append((d.name.rsplit("-", 1)[0], dt, dt_eq, d.internal_node_count, dc.verify_exactness(d)))
     return rows
 
 
@@ -562,24 +538,6 @@ def decomp_report(k: int, phi: tuple[float, ...], c0: float, out=None) -> str:
     return "\n".join(csv_lines) + "\n"
 
 
-def _policy_dt(policy: str, k: int, scheme_name: str, c0: float, safety: float,
-               a1: float, a2: float, dx: float, dy: float) -> float:
-    scheme = SCHEMES[scheme_name]
-    floor = 1e-12 * max(a1 / dx, a2 / dy)
-    ratios = dc.SpeedRatios((max(a1 / dx, floor), max(a2 / dy, floor)))
-    if policy == "linear":
-        base = dc.linear_stability_dt(k, (a1, a2), (dx, dy))
-    elif policy == "optimal":
-        base = dc.bp_max_dt(dc.optimal_2d(k, ratios), (a1, a2), (dx, dy), c0).max_dt
-    elif policy == "classic":
-        base = dc.bp_max_dt(dc.zhang_shu_2d(k, ratios), (a1, a2), (dx, dy), c0).max_dt
-    elif policy == "jiangliu":
-        base = dc.bp_max_dt(dc.jiang_liu_2d(k), (a1, a2), (dx, dy), c0).max_dt
-    else:
-        raise ConfigError(f"unknown dt policy {policy!r}")
-    return scheme.ssp_coefficient * base * safety
-
-
 @dataclass
 class CompareReport:
     steps_a: int
@@ -600,13 +558,17 @@ def efficiency_compare(cfg_a: RunConfig, cfg_b: RunConfig, write_outputs: bool =
     cfg_a, cfg_b = validate_config(cfg_a), validate_config(cfg_b)
     rep_a = run(cfg_a, write_outputs=write_outputs)
     rep_b = run(cfg_b, write_outputs=write_outputs)
-    dx = (cfg_a.x_hi - cfg_a.x_lo) / cfg_a.nx
-    dy = (cfg_a.y_hi - cfg_a.y_lo) / cfg_a.ny
+    spacings = ((cfg_a.x_hi - cfg_a.x_lo) / cfg_a.nx, (cfg_a.y_hi - cfg_a.y_lo) / cfg_a.ny)
+
+    def policy_dt(cfg: RunConfig, speeds: tuple[float, float]) -> float:
+        return step_controller(cfg.dt_policy, cfg.k, SCHEMES[cfg.scheme], speeds, spacings, cfg.c0,
+                               cfg.safety, cfg.fallback_dt)
+
     # integrate 1/tau over run A's recorded speed history for both policies
     n_a = n_b = 0.0
-    for dt, a1, a2 in rep_a.speed_history:
-        n_a += dt / _policy_dt(cfg_a.dt_policy, cfg_a.k, cfg_a.scheme, cfg_a.c0, cfg_a.safety, a1, a2, dx, dy)
-        n_b += dt / _policy_dt(cfg_b.dt_policy, cfg_b.k, cfg_b.scheme, cfg_b.c0, cfg_b.safety, a1, a2, dx, dy)
+    for dt, *speeds in rep_a.speed_history:
+        n_a += dt / policy_dt(cfg_a, speeds)
+        n_b += dt / policy_dt(cfg_b, speeds)
     return CompareReport(
         steps_a=rep_a.steps,
         steps_b=rep_b.steps,

@@ -16,7 +16,7 @@ from __future__ import annotations
 
 import itertools
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -251,6 +251,34 @@ def optimal_3d(k: int, ratios: SpeedRatios) -> ConvexDecomposition:
         internal_offsets=off,
         internal_weights=w,
     )
+
+
+# dt policy and node-set names -> (2D, 3D) constructors, each called as
+# build(k, ratios).  The lambdas look the constructors up at call time, so a
+# wrapper put on the module attribute (perfbench's tracer) sees the calls.
+POLICIES = {
+    "optimal": (lambda k, r: optimal_2d(k, r), lambda k, r: optimal_3d(k, r)),
+    "classic": (lambda k, r: zhang_shu_2d(k, r), lambda k, r: zhang_shu_3d(k, r)),
+    "jiangliu": (lambda k, r: jiang_liu_2d(k), lambda k, r: jiang_liu_3d(k)),
+}
+
+
+def speed_ratios(speeds: tuple[float, ...], spacings: tuple[float, ...]) -> SpeedRatios:
+    """Ratios a_i / delta_i for the constructors.  An axis without speed
+    imposes no dt constraint; it is floored at 1e-12 of the largest ratio to
+    keep the ratios positive, and all-zero speeds give equal ratios."""
+    phi = [a / delta for a, delta in zip(speeds, spacings)]
+    top = max(phi)
+    if top == 0.0:
+        return SpeedRatios((1.0,) * len(phi))
+    return SpeedRatios(tuple(max(p, 1e-12 * top) for p in phi))
+
+
+def decomposition_for(policy: str, k: int, ratios: SpeedRatios) -> ConvexDecomposition:
+    """The decomposition a policy name stands for, at the given ratios."""
+    if policy not in POLICIES:
+        raise ValueError(f"unknown policy {policy!r}; expected one of {', '.join(POLICIES)}")
+    return POLICIES[policy][ratios.dim - 2](k, ratios)
 
 
 def verify_exactness(d: ConvexDecomposition) -> float:

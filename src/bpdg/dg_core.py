@@ -15,16 +15,9 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .decomposition import (
-    SpeedRatios,
-    bp_max_dt,
-    jiang_liu_2d,
-    linear_stability_dt,
-    optimal_2d,
-    zhang_shu_2d,
-)
+from .decomposition import bp_max_dt, decomposition_for, linear_stability_dt, speed_ratios
 from .physics import AdmissibilityError, ConservationLawModel, lax_friedrichs_flux
-from .quadrature import gauss_rule
+from .quadrature import gauss_rule, legendre_table
 
 PERIODIC = "periodic"
 OUTFLOW = "outflow"
@@ -79,28 +72,12 @@ class Mesh2D:
         return self.y_lo + (np.arange(self.ny) + 0.5) * self.dy
 
 
-def _legendre_table(k: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """P_n and P_n' for n=0..k at t in [-1,1]; shapes (k+1, len(t))."""
-    t = np.asarray(t, dtype=float)
-    vals = np.empty((k + 1,) + t.shape)
-    ders = np.empty_like(vals)
-    vals[0] = 1.0
-    ders[0] = 0.0
-    if k >= 1:
-        vals[1] = t
-        ders[1] = 1.0
-    for n in range(2, k + 1):
-        vals[n] = ((2 * n - 1) * t * vals[n - 1] - (n - 1) * vals[n - 2]) / n
-        ders[n] = ders[n - 2] + (2 * n - 1) * vals[n - 1]
-    return vals, ders
-
-
 def _mode_exps(k: int) -> list[tuple[int, int]]:
     return [(d - b, b) for d in range(k + 1) for b in range(d + 1)]
 
 
 def _phi1d(k: int, offsets_1d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    vals, ders = _legendre_table(k, 2.0 * np.asarray(offsets_1d))
+    vals, ders = legendre_table(k, 2.0 * np.asarray(offsets_1d))
     scale = np.sqrt(2.0 * np.arange(k + 1) + 1.0)[:, None]
     return scale * vals, 2.0 * scale * ders
 
@@ -159,10 +136,10 @@ class Basis2D:
         self.vol_weights = np.outer(g.weights, g.weights).ravel()
         self.phi_vol, self.dphi_dxi_vol, self.dphi_deta_vol = self.eval_with_grads(self.vol_offsets)
         q = len(g)
-        self.phi_xm = self.eval_modes(np.column_stack([np.full(q, -0.5), g.nodes]))
-        self.phi_xp = self.eval_modes(np.column_stack([np.full(q, 0.5), g.nodes]))
-        self.phi_ym = self.eval_modes(np.column_stack([g.nodes, np.full(q, -0.5)]))
-        self.phi_yp = self.eval_modes(np.column_stack([g.nodes, np.full(q, 0.5)]))
+        self.phi_xm = mode_values(k, np.column_stack([np.full(q, -0.5), g.nodes]))
+        self.phi_xp = mode_values(k, np.column_stack([np.full(q, 0.5), g.nodes]))
+        self.phi_ym = mode_values(k, np.column_stack([g.nodes, np.full(q, -0.5)]))
+        self.phi_yp = mode_values(k, np.column_stack([g.nodes, np.full(q, 0.5)]))
 
         nv = len(self.vol_weights)
         self.at_vol = slice(0, nv)
@@ -180,10 +157,6 @@ class Basis2D:
         self.assemble_xm, self.assemble_xp, self.assemble_ym, self.assemble_yp = (
             phi * wq for phi in (self.phi_xm, self.phi_xp, self.phi_ym, self.phi_yp)
         )
-
-    def eval_modes(self, offsets: np.ndarray) -> np.ndarray:
-        """Basis values at reference offsets (P, 2) -> (n_modes, P)."""
-        return mode_values(self.k, offsets)
 
     def eval_with_grads(self, offsets: np.ndarray):
         offsets = np.atleast_2d(np.asarray(offsets, dtype=float))
@@ -239,7 +212,7 @@ def project(
     xi, eta = np.meshgrid(g.nodes, g.nodes, indexing="ij")
     offsets = np.column_stack([xi.ravel(), eta.ravel()])
     weights = np.outer(g.weights, g.weights).ravel()
-    phi = basis.eval_modes(offsets)  # (n, G)
+    phi = mode_values(basis.k, offsets)  # (n, G)
     x = mesh.x_centers[:, None, None] + offsets[None, None, :, 0] * mesh.dx
     y = mesh.y_centers[None, :, None] + offsets[None, None, :, 1] * mesh.dy
     vals = np.asarray(u0(x, y), dtype=float)
@@ -249,22 +222,18 @@ def project(
     return DGField(coeffs, basis, mesh, model)
 
 
-def evaluate(field: DGField, i: int, j: int, offset: tuple[float, float]) -> np.ndarray:
-    if not (0 <= i < field.mesh.nx and 0 <= j < field.mesh.ny):
-        raise IndexError(f"cell index ({i}, {j}) out of range")
-    phi = field.basis.eval_modes(np.array([offset]))[:, 0]
-    return field.coeffs[i, j] .T @ phi
-
-
 def evaluate_at_offsets(field: DGField, offsets: np.ndarray) -> np.ndarray:
     """Field values at the same reference offsets in every cell: (nx, ny, P, m)."""
-    return apply_matrix(field.basis.eval_modes(offsets).T, field.coeffs)
+    return apply_matrix(mode_values(field.basis.k, offsets).T, field.coeffs)
 
 
-def _ghost_trace(bc: BoundaryCondition, interior: np.ndarray, wrap: np.ndarray,
-                 coords: np.ndarray) -> np.ndarray:
-    """Exterior trace along one boundary; `coords` are face-point positions
-    along the boundary, shape matching interior[..., 0]."""
+def ghost_trace(bc: BoundaryCondition, interior: np.ndarray, wrap: np.ndarray,
+                coords: np.ndarray) -> np.ndarray:
+    """Exterior states along one boundary, for face traces and cell means
+    alike: `wrap` (the opposite side's states) if periodic, else a copy of
+    the `interior` states with the inflow state wherever `coords`, the
+    positions along the boundary (shape of interior[..., 0]), lie in the
+    inflow segment."""
     if bc == PERIODIC:
         return wrap
     ghost = interior.copy(order="K")  # keep the component-major layout
@@ -326,10 +295,10 @@ def values_of_stacked(field: DGField, u: np.ndarray, p: Optional[np.ndarray] = N
     y_face = _face_coords(mesh, True, q_nodes)
     x_face = _face_coords(mesh, False, q_nodes)
     ghosts = (
-        _ghost_trace(mesh.bc_left, uxm[0], uxp[-1], y_face),
-        _ghost_trace(mesh.bc_right, uxp[-1], uxm[0], y_face),
-        _ghost_trace(mesh.bc_bottom, uym[:, 0], uyp[:, -1], x_face),
-        _ghost_trace(mesh.bc_top, uyp[:, -1], uym[:, 0], x_face),
+        ghost_trace(mesh.bc_left, uxm[0], uxp[-1], y_face),
+        ghost_trace(mesh.bc_right, uxp[-1], uxm[0], y_face),
+        ghost_trace(mesh.bc_bottom, uym[:, 0], uyp[:, -1], x_face),
+        ghost_trace(mesh.bc_top, uyp[:, -1], uym[:, 0], x_face),
     )
     ghost_p = (None,) * 4
     if p is not None:
@@ -419,8 +388,7 @@ def semidiscrete_residual(
     rate -= (
         apply_matrix(basis.assemble_yp, f[:, 1:]) - apply_matrix(basis.assemble_ym, f[:, :-1])
     ) / mesh.dy
-    # in the coefficients' layout, so that the SSP-RK update adds like to like
-    return np.ascontiguousarray(rate)
+    return rate
 
 
 @dataclass(frozen=True)
@@ -509,46 +477,29 @@ def ssp_step(
     return states[-1]
 
 
-OPTIMAL_BP = "optimal"
-CLASSIC_BP = "classic"
-JIANG_LIU_BP = "jiangliu"
-LINEAR_STABILITY = "linear"
-
-
 def step_controller(
     policy: str,
-    field: DGField,
+    k: int,
     scheme: SspScheme,
+    speeds: tuple[float, ...],
+    spacings: tuple[float, ...],
     c0: float = 1.0,
     safety: float = 1.0,
     fallback_dt: Optional[float] = None,
-    speeds: Optional[tuple[float, float]] = None,
 ) -> float:
-    """Time step C_SSP * (policy's CFL bound) * safety from the current field,
-    or from its wave `speeds` when the caller already has them."""
-    a1, a2 = global_max_speeds(field) if speeds is None else speeds
-    mesh = field.mesh
-    k = field.basis.k
-    if a1 == 0.0 and a2 == 0.0:
+    """Time step C_SSP * (CFL bound) * safety for degree-k cells of the given
+    `spacings` at the per-axis wave `speeds`.  The bound is the BP one of the
+    decomposition `policy` names, or the linear-stability one for "linear";
+    `fallback_dt` is the step when every speed is zero."""
+    if max(speeds) == 0.0:
         if fallback_dt is None:
             raise ValueError("zero wave speeds and no fallback dt configured")
         return fallback_dt
-    # a degenerate axis imposes no constraint; keep ratios positive for the
-    # decomposition constructors
-    floor = 1e-12 * max(a1 / mesh.dx, a2 / mesh.dy)
-    ratios = SpeedRatios((max(a1 / mesh.dx, floor), max(a2 / mesh.dy, floor)))
-    if policy == LINEAR_STABILITY:
-        base = linear_stability_dt(k, (a1, a2), (mesh.dx, mesh.dy))
+    if policy == "linear":
+        base = linear_stability_dt(k, speeds, spacings)
     else:
-        if policy == OPTIMAL_BP:
-            decomp = optimal_2d(k, ratios)
-        elif policy == CLASSIC_BP:
-            decomp = zhang_shu_2d(k, ratios)
-        elif policy == JIANG_LIU_BP:
-            decomp = jiang_liu_2d(k)
-        else:
-            raise ValueError(f"unknown dt policy {policy!r}")
-        base = bp_max_dt(decomp, (a1, a2), (mesh.dx, mesh.dy), c0).max_dt
+        decomp = decomposition_for(policy, k, speed_ratios(speeds, spacings))
+        base = bp_max_dt(decomp, speeds, spacings, c0).max_dt
     return scheme.ssp_coefficient * base * safety
 
 

@@ -15,15 +15,7 @@ from typing import Optional
 import numpy as np
 
 from .decomposition import ConvexDecomposition
-from .dg_core import (
-    DGField,
-    InflowSegment,
-    OUTFLOW,
-    PERIODIC,
-    apply_matrix,
-    mode_values,
-    values_of_stacked,
-)
+from .dg_core import DGField, apply_matrix, ghost_trace, mode_values, values_of_stacked
 from .physics import AdmissibilityError, BoxScalar, EulerPositivity, InvariantRegion
 from .quadrature import gauss_rule
 
@@ -262,23 +254,11 @@ def _ghost_means(field: DGField):
     """Cell averages padded by one ghost layer per boundary condition."""
     mesh = field.mesh
     mean = field.cell_averages  # (nx, ny, m)
-
-    def pad(bc, edge, wrap, centers):
-        if bc == PERIODIC:
-            return wrap
-        ghost = edge.copy()
-        if isinstance(bc, InflowSegment):
-            inside = (centers >= bc.lo - 1e-12) & (centers <= bc.hi + 1e-12)
-            ghost[inside] = bc.state
-        elif bc != OUTFLOW:
-            raise ValueError(f"unknown boundary condition {bc!r}")
-        return ghost
-
-    left = pad(mesh.bc_left, mean[0], mean[-1], mesh.y_centers)
-    right = pad(mesh.bc_right, mean[-1], mean[0], mesh.y_centers)
+    left = ghost_trace(mesh.bc_left, mean[0], mean[-1], mesh.y_centers)
+    right = ghost_trace(mesh.bc_right, mean[-1], mean[0], mesh.y_centers)
     ext_x = np.concatenate([left[None], mean, right[None]], axis=0)
-    bottom = pad(mesh.bc_bottom, mean[:, 0], mean[:, -1], mesh.x_centers)
-    top = pad(mesh.bc_top, mean[:, -1], mean[:, 0], mesh.x_centers)
+    bottom = ghost_trace(mesh.bc_bottom, mean[:, 0], mean[:, -1], mesh.x_centers)
+    top = ghost_trace(mesh.bc_top, mean[:, -1], mean[:, 0], mesh.x_centers)
     ext_y = np.concatenate([bottom[:, None], mean, top[:, None]], axis=1)
     return ext_x, ext_y
 

@@ -62,24 +62,12 @@ class EulerPositivity:
 InvariantRegion = BoxScalar | EulerPositivity
 
 
-def in_region(region: InvariantRegion, u: np.ndarray) -> np.ndarray:
-    return region.contains(np.asarray(u, dtype=float))
-
-
 def _pressure_raw(u: np.ndarray, gamma: float) -> np.ndarray:
     """p = (gamma-1)(E - (m1^2+m2^2)/(2 rho)); no admissibility checks."""
     rho = u[..., 0]
     with np.errstate(divide="ignore", invalid="ignore"):
         kinetic = (u[..., 1] ** 2 + u[..., 2] ** 2) / (2.0 * rho)
     return (gamma - 1.0) * (u[..., 3] - kinetic)
-
-
-def euler_pressure(u: np.ndarray, gamma: float) -> np.ndarray | float:
-    u = np.asarray(u, dtype=float)
-    if np.any(u[..., 0] <= 0.0):
-        raise AdmissibilityError("nonpositive density in euler_pressure")
-    p = _pressure_raw(u, gamma)
-    return float(p) if p.ndim == 0 else p
 
 
 class AdvectionModel:
@@ -93,7 +81,6 @@ class AdvectionModel:
         self.c = (float(c[0]), float(c[1]))
         self.region = region
         self.exact_solution = exact_solution
-        self.params = {"c": self.c}
 
     def flux(self, u: np.ndarray, axis: int, p: Optional[np.ndarray] = None) -> np.ndarray:
         return self.c[axis] * u
@@ -117,7 +104,6 @@ class BurgersModel:
     def __init__(self, region: BoxScalar, exact_solution: Optional[Callable] = None):
         self.region = region
         self.exact_solution = exact_solution
-        self.params = {}
 
     def flux(self, u: np.ndarray, axis: int, p: Optional[np.ndarray] = None) -> np.ndarray:
         return 0.5 * u * u
@@ -149,7 +135,6 @@ class EulerModel:
         self.gamma = float(gamma)
         self.region = region if region is not None else EulerPositivity(gamma=self.gamma)
         self.exact_solution = exact_solution
-        self.params = {"gamma": self.gamma}
 
     def pressure(self, u: np.ndarray) -> np.ndarray:
         return _pressure_raw(u, self.gamma)
@@ -193,10 +178,6 @@ class EulerModel:
 
 
 ConservationLawModel = AdvectionModel | BurgersModel | EulerModel
-
-
-def max_wave_speed(model: ConservationLawModel, u: np.ndarray, axis: int) -> np.ndarray:
-    return model.max_wave_speed(np.asarray(u, dtype=float), axis)
 
 
 def lax_friedrichs_flux(

@@ -13,9 +13,6 @@ from functools import lru_cache
 
 import numpy as np
 
-GAUSS = "gauss"
-GAUSS_LOBATTO = "gauss_lobatto"
-
 _NEWTON_TOL = 1e-15
 _MAX_ORDER = 16
 
@@ -24,7 +21,6 @@ _MAX_ORDER = 16
 class QuadratureRule1D:
     """Nodes/weights on [-1/2, 1/2]; weights sum to 1, nodes increasing."""
 
-    kind: str
     nodes: np.ndarray
     weights: np.ndarray
 
@@ -32,18 +28,29 @@ class QuadratureRule1D:
         return len(self.nodes)
 
 
+def legendre_table(k: int, t: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """P_n and P_n' for n=0..k at t in [-1,1] by the three-term recurrence;
+    shapes (k+1,) + t.shape."""
+    t = np.asarray(t, dtype=float)
+    vals = np.empty((k + 1,) + t.shape)
+    ders = np.empty_like(vals)
+    vals[0] = 1.0
+    ders[0] = 0.0
+    if k >= 1:
+        vals[1] = t
+        ders[1] = 1.0
+    for n in range(2, k + 1):
+        vals[n] = ((2 * n - 1) * t * vals[n - 1] - (n - 1) * vals[n - 2]) / n
+        ders[n] = ders[n - 2] + (2 * n - 1) * vals[n - 1]
+    return vals, ders
+
+
 def _legendre(n: int, x: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Evaluate P_n and P_n' at x (on [-1,1]) via the three-term recurrence."""
-    x = np.asarray(x, dtype=float)
-    p_prev = np.ones_like(x)
-    if n == 0:
-        return p_prev, np.zeros_like(x)
-    p = x.copy()
-    for j in range(2, n + 1):
-        p_prev, p = p, ((2 * j - 1) * x * p - (j - 1) * p_prev) / j
+    """P_n and P_n' at x (n >= 1), P_n' in closed form from P_n and P_{n-1}."""
+    vals, _ = legendre_table(n, x)
     with np.errstate(divide="ignore", invalid="ignore"):
-        dp = n * (x * p - p_prev) / (x * x - 1.0)
-    return p, dp
+        dp = n * (x * vals[n] - vals[n - 1]) / (x * x - 1.0)
+    return vals[n], dp
 
 
 def _symmetrize(nodes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -56,10 +63,10 @@ def _symmetrize(nodes: np.ndarray, weights: np.ndarray) -> tuple[np.ndarray, np.
     return nodes, weights
 
 
-def _frozen_rule(kind: str, nodes: np.ndarray, weights: np.ndarray) -> QuadratureRule1D:
+def _frozen_rule(nodes: np.ndarray, weights: np.ndarray) -> QuadratureRule1D:
     nodes.flags.writeable = False
     weights.flags.writeable = False
-    return QuadratureRule1D(kind, nodes, weights)
+    return QuadratureRule1D(nodes, weights)
 
 
 @lru_cache(maxsize=_MAX_ORDER)
@@ -71,7 +78,7 @@ def gauss_rule(q: int) -> QuadratureRule1D:
     if not 1 <= q <= _MAX_ORDER:
         raise ValueError(f"Gauss point count must be in 1..{_MAX_ORDER}, got {q}")
     if q == 1:
-        return _frozen_rule(GAUSS, np.array([0.0]), np.array([1.0]))
+        return _frozen_rule(np.array([0.0]), np.array([1.0]))
     # Chebyshev initial guesses, then Newton on P_q
     x = -np.cos(np.pi * (np.arange(1, q + 1) - 0.25) / (q + 0.5))
     for _ in range(100):
@@ -83,7 +90,7 @@ def gauss_rule(q: int) -> QuadratureRule1D:
     _, dp = _legendre(q, x)
     w = 2.0 / ((1.0 - x * x) * dp * dp)
     nodes, weights = _symmetrize(x / 2.0, w)
-    return _frozen_rule(GAUSS, nodes, weights)
+    return _frozen_rule(nodes, weights)
 
 
 def gauss_lobatto_rule(n: int) -> QuadratureRule1D:
@@ -94,7 +101,7 @@ def gauss_lobatto_rule(n: int) -> QuadratureRule1D:
     if not 2 <= n <= _MAX_ORDER:
         raise ValueError(f"Gauss-Lobatto point count must be in 2..{_MAX_ORDER}, got {n}")
     if n == 2:
-        return QuadratureRule1D(GAUSS_LOBATTO, np.array([-0.5, 0.5]), np.array([0.5, 0.5]))
+        return QuadratureRule1D(np.array([-0.5, 0.5]), np.array([0.5, 0.5]))
     # interior nodes are the roots of P'_{n-1}; Newton on dp with second
     # derivative from the Legendre ODE
     m = n - 2
@@ -110,7 +117,7 @@ def gauss_lobatto_rule(n: int) -> QuadratureRule1D:
     p, _ = _legendre(n - 1, x)
     w = 2.0 / (n * (n - 1) * p * p)
     nodes, weights = _symmetrize(x / 2.0, w)
-    return QuadratureRule1D(GAUSS_LOBATTO, nodes, weights)
+    return QuadratureRule1D(nodes, weights)
 
 
 def monomial_mean(m: int) -> float:

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from bpdg.cli import (
+    _KEY_PARSERS,
     ConfigError,
     RunConfig,
     convergence_study,
@@ -139,11 +140,13 @@ def test_run_rejects_unknown_scheme_and_model():
      dict(dt_policy="jiang_liu"), dict(node_set="bogus"), dict(x_hi=-2.0), dict(y_lo=1.0),
      dict(gamma=1.0), dict(c0=0.0), dict(c0=5.0), dict(t_end=-1.0),
      dict(model="euler2d", initial="uniform", inflow=(1.0, 2.0)), dict(ambient=(5.0, 0.0, 0.4127)),
-     dict(riemann_states=(0.1, 0.2, 0.3, 0.4, 0.5))],
+     dict(riemann_states=(0.1, 0.2, 0.3, 0.4, 0.5)), dict(region_lo=1.0), dict(fallback_dt=0.0),
+     dict(t_end=float("inf"))],
     ids=["zero-cells", "negative-cells", "unsupported-degree", "safety-above-one",
          "zero-safety", "unknown-policy", "unknown-node-set", "x-bounds-reversed", "empty-y-range",
          "gamma-one", "zero-c0", "c0-above-one", "negative-t-end", "two-inflow-values",
-         "three-ambient-values", "five-riemann-states"],
+         "three-ambient-values", "five-riemann-states", "empty-region", "zero-fallback-dt",
+         "infinite-t-end"],
 )
 def test_run_validates_configs_built_in_code(changes):
     with pytest.raises(ConfigError):
@@ -304,10 +307,11 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     "line",
     ["nx = 0", "k = 4", "dt_policy = jiang_liu", "x_hi = -2.0", "y_lo = 1.0", "gamma = 1.0",
      "c0 = 0", "c0 = 5", "t_end = -1", "inflow = 1, 2", "ambient = 5.0, 0.0, 0.4127",
-     "riemann_states = 0.1 0.2 0.3 0.4 0.5"],
+     "riemann_states = 0.1 0.2 0.3 0.4 0.5", "region_lo = 1.0", "fallback_dt = 0", "t_end = inf"],
     ids=["zero-cells", "unsupported-degree", "unknown-policy", "x-bounds-reversed", "empty-y-range",
          "gamma-one", "zero-c0", "c0-above-one", "negative-t-end", "two-inflow-values",
-         "three-ambient-values", "five-riemann-states"],
+         "three-ambient-values", "five-riemann-states", "empty-region", "zero-fallback-dt",
+         "infinite-t-end"],
 )
 def test_cli_invalid_value_exit_code(tmp_path, capsys, line):
     cfg = _write(tmp_path, "bad.cfg", ADVECTION_SMALL + f"{line}\nout_dir = {tmp_path / 'o'}\n")
@@ -371,6 +375,23 @@ def test_cli_converge(tmp_path, capsys):
                  f"out_dir = {tmp_path / 'o'}\n")
     assert main(["converge", str(cfg), "--grids", "8", "16"]) == 0
     assert "order" in capsys.readouterr().out.splitlines()[0]
+
+
+def test_cli_compare_zero_velocity(tmp_path, capsys):
+    # every step takes fallback_dt under both policies: a predicted ratio of 1
+    text = "model = advection2d\nadvection_cx = 0\nadvection_cy = 0\nnx = 8\nny = 8\nt_end = 0.01\n"
+    a = _write(tmp_path, "a.cfg", text + f"dt_policy = optimal\nout_dir = {tmp_path / 'oa'}\n")
+    b = _write(tmp_path, "b.cfg", text + f"dt_policy = classic\nout_dir = {tmp_path / 'ob'}\n")
+    assert main(["compare", str(a), str(b)]) == 0
+    steps_a, steps_b, step_ratio, predicted = capsys.readouterr().out.splitlines()[1].split(",")[:4]
+    assert steps_a == steps_b == "10" and float(step_ratio) == float(predicted) == 1.0
+
+
+def test_readme_config_table_lists_the_parsed_keys():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    section = readme.split("### Config keys", 1)[1].split("\n#", 1)[0]
+    cells = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
+    assert {key.strip(" `") for cell in cells for key in cell.split(",")} == set(_KEY_PARSERS)
 
 
 def test_cli_compare(tmp_path, capsys):

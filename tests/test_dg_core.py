@@ -18,12 +18,13 @@ from bpdg.dg_core import (
     SSPRK3,
     SSPRK4,
     _face_coords,
-    _ghost_trace,
     _interface_flux,
     apply_matrix,
     error_norms,
-    evaluate,
+    evaluate_at_offsets,
+    ghost_trace,
     global_max_speeds,
+    mode_values,
     point_values,
     project,
     semidiscrete_residual,
@@ -43,6 +44,11 @@ def _sine(x, y):
     return np.sin(np.pi * (x + y))[..., None]
 
 
+def _value_at(field, i, j, offset):
+    """The field in cell (i, j) at one reference offset, straight from the modes."""
+    return field.coeffs[i, j].T @ mode_values(field.basis.k, np.array([offset]))[:, 0]
+
+
 # ------------------------------------------------------------------- basis
 
 
@@ -53,7 +59,7 @@ def test_gram_matrix_is_identity(k):
     xi, eta = np.meshgrid(g.nodes, g.nodes, indexing="ij")
     offsets = np.column_stack([xi.ravel(), eta.ravel()])
     weights = np.outer(g.weights, g.weights).ravel()
-    phi = basis.eval_modes(offsets)
+    phi = mode_values(basis.k, offsets)
     gram = np.einsum("ag,bg,g->ab", phi, phi, weights)
     np.testing.assert_allclose(gram, np.eye(basis.n_modes), atol=1e-13)
 
@@ -76,7 +82,7 @@ def test_stacked_values_match_per_set_evaluation(k, m):
     stacked = basis.stacked_values(coeffs)
     assert stacked.shape == (5, 4, (k + 1) ** 2 + 4 * q, m)
     for name, offsets in point_sets.items():
-        expect = np.einsum("ijnc,np->ijpc", coeffs, basis.eval_modes(offsets))
+        expect = np.einsum("ijnc,np->ijpc", coeffs, mode_values(basis.k, offsets))
         np.testing.assert_allclose(stacked[:, :, getattr(basis, name)], expect, rtol=0, atol=1e-14)
 
 
@@ -84,7 +90,7 @@ def test_mode_zero_is_constant_one():
     basis = Basis2D(3)
     rng = np.random.default_rng(0)
     pts = rng.uniform(-0.5, 0.5, (20, 2))
-    np.testing.assert_allclose(basis.eval_modes(pts)[0], 1.0, atol=1e-15)
+    np.testing.assert_allclose(mode_values(basis.k, pts)[0], 1.0, atol=1e-15)
 
 
 # -------------------------------------------------------------- projection
@@ -115,7 +121,7 @@ def test_project_polynomial_round_trip():
     for i, j, xi, eta in [(0, 0, 0.13, -0.41), (2, 1, -0.5, 0.5), (1, 2, 0.0, 0.27)]:
         x = mesh.x_centers[i] + xi * mesh.dx
         y = mesh.y_centers[j] + eta * mesh.dy
-        got = evaluate(field, i, j, (xi, eta))[0]
+        got = evaluate_at_offsets(field, np.array([(xi, eta)]))[i, j, 0, 0]
         assert got == pytest.approx(poly(np.array(x), np.array(y))[0], abs=1e-12)
 
 
@@ -126,13 +132,12 @@ def test_project_sine_averages_in_bounds():
     assert means.min() >= -1.0 and means.max() <= 1.0
 
 
-def test_evaluate_affine_reproduction_and_bounds_check():
+def test_evaluate_affine_reproduction():
     mesh = _periodic_mesh(5, 0.0, 1.0)
     field = project(lambda x, y: (x + 0.0 * y)[..., None], mesh, Basis2D(2), AdvectionModel())
-    val = evaluate(field, 2, 3, (0.25, -0.1))[0]
-    assert val == pytest.approx(mesh.x_centers[2] + 0.25 * mesh.dx, abs=1e-13)
-    with pytest.raises(IndexError):
-        evaluate(field, 5, 0, (0.0, 0.0))
+    vals = evaluate_at_offsets(field, np.array([(0.25, -0.1)]))[..., 0, 0]
+    expect = mesh.x_centers[:, None] + 0.25 * mesh.dx + 0.0 * mesh.y_centers[None, :]
+    np.testing.assert_allclose(vals, expect, rtol=0, atol=1e-13)
 
 
 # ---------------------------------------------- residual vs mean-update oracle
@@ -140,7 +145,7 @@ def test_evaluate_affine_reproduction_and_bounds_check():
 
 def _mean_rate_oracle(field, alphas):
     """Flux-difference evolution of the cell averages, built only from
-    evaluate() and the face Gauss rule: an independent check on the mode-0
+    point values taken straight from the modes and the face Gauss rule: an independent check on the mode-0
     row of the weak-form residual."""
     from bpdg.physics import lax_friedrichs_flux
 
@@ -152,19 +157,19 @@ def _mean_rate_oracle(field, alphas):
         for j in range(ny):
             for q, (node, w) in enumerate(zip(g.nodes, g.weights)):
                 # x faces (periodic neighbors)
-                u_m = evaluate(field, i, j, (0.5, node))
-                u_p = evaluate(field, (i + 1) % nx, j, (-0.5, node))
+                u_m = _value_at(field, i, j, (0.5, node))
+                u_p = _value_at(field, (i + 1) % nx, j, (-0.5, node))
                 f_right = lax_friedrichs_flux(model, u_m, u_p, 0, alphas[0])
-                u_m = evaluate(field, (i - 1) % nx, j, (0.5, node))
-                u_p = evaluate(field, i, j, (-0.5, node))
+                u_m = _value_at(field, (i - 1) % nx, j, (0.5, node))
+                u_p = _value_at(field, i, j, (-0.5, node))
                 f_left = lax_friedrichs_flux(model, u_m, u_p, 0, alphas[0])
                 rate[i, j] -= w * (f_right - f_left) / mesh.dx
                 # y faces
-                u_m = evaluate(field, i, j, (node, 0.5))
-                u_p = evaluate(field, i, (j + 1) % ny, (node, -0.5))
+                u_m = _value_at(field, i, j, (node, 0.5))
+                u_p = _value_at(field, i, (j + 1) % ny, (node, -0.5))
                 f_top = lax_friedrichs_flux(model, u_m, u_p, 1, alphas[1])
-                u_m = evaluate(field, i, (j - 1) % ny, (node, 0.5))
-                u_p = evaluate(field, i, j, (node, -0.5))
+                u_m = _value_at(field, i, (j - 1) % ny, (node, 0.5))
+                u_p = _value_at(field, i, j, (node, -0.5))
                 f_bot = lax_friedrichs_flux(model, u_m, u_p, 1, alphas[1])
                 rate[i, j] -= w * (f_top - f_bot) / mesh.dy
     return rate
@@ -212,15 +217,15 @@ def _einsum_residual(field, alphas):
     )
     y_face = _face_coords(mesh, True, basis.face_rule.nodes)
     x_face = _face_coords(mesh, False, basis.face_rule.nodes)
-    u_minus = np.concatenate([_ghost_trace(mesh.bc_left, uxm[0], uxp[-1], y_face)[None], uxp], axis=0)
-    u_plus = np.concatenate([uxm, _ghost_trace(mesh.bc_right, uxp[-1], uxm[0], y_face)[None]], axis=0)
+    u_minus = np.concatenate([ghost_trace(mesh.bc_left, uxm[0], uxp[-1], y_face)[None], uxp], axis=0)
+    u_plus = np.concatenate([uxm, ghost_trace(mesh.bc_right, uxp[-1], uxm[0], y_face)[None]], axis=0)
     fx = lax_friedrichs_flux(model, u_minus, u_plus, 0, alphas[0])
     rate -= (
         np.einsum("ijqc,nq,q->ijnc", fx[1:], basis.phi_xp, wq, optimize=True)
         - np.einsum("ijqc,nq,q->ijnc", fx[:-1], basis.phi_xm, wq, optimize=True)
     ) / mesh.dx
-    u_minus = np.concatenate([_ghost_trace(mesh.bc_bottom, uym[:, 0], uyp[:, -1], x_face)[:, None], uyp], axis=1)
-    u_plus = np.concatenate([uym, _ghost_trace(mesh.bc_top, uyp[:, -1], uym[:, 0], x_face)[:, None]], axis=1)
+    u_minus = np.concatenate([ghost_trace(mesh.bc_bottom, uym[:, 0], uyp[:, -1], x_face)[:, None], uyp], axis=1)
+    u_plus = np.concatenate([uym, ghost_trace(mesh.bc_top, uyp[:, -1], uym[:, 0], x_face)[:, None]], axis=1)
     fy = lax_friedrichs_flux(model, u_minus, u_plus, 1, alphas[1])
     rate -= (
         np.einsum("ijqc,nq,q->ijnc", fy[:, 1:], basis.phi_yp, wq, optimize=True)
@@ -316,8 +321,6 @@ def test_point_values_keep_component_planes_contiguous(field):
     for axis in (0, 1):
         assert _planes_contiguous(_interface_flux(model, values, basis, axis, alphas[axis]))
     assert _planes_contiguous(model.flux(values.stacked[:, :, basis.at_vol], 0, None))
-    # the rate comes back in the coefficients' layout
-    assert semidiscrete_residual(field, alphas, values).flags.c_contiguous
 
 
 def _euler_cases():
@@ -388,7 +391,7 @@ def test_euler_pressure_computed_once_per_rk_state(monkeypatch):
 
     monkeypatch.setattr(model, "pressure", counted)
     speeds = global_max_speeds(field)
-    dt = step_controller("optimal", field, SSPRK3, speeds=speeds)
+    dt = step_controller("optimal", 2, SSPRK3, speeds, (field.mesh.dx, field.mesh.dy))
     limited = ssp_step(field, SSPRK3, dt, chain, speeds=speeds)
     # one per limited stage state, whose values the next residual reuses;
     # the step's start state reuses the values of its own limiting
@@ -499,7 +502,7 @@ def test_bp_means_stay_in_box_under_optimal_policy():
                          node_set=build_node_set(optimal_2d(2, ratios), 2))
     field = chain(field)
     for _ in range(20):
-        dt = step_controller("optimal", field, SSPRK3)
+        dt = step_controller("optimal", 2, SSPRK3, global_max_speeds(field), (mesh.dx, mesh.dy))
         field = ssp_step(field, SSPRK3, dt, chain)
         means = field.cell_averages
         assert means.min() >= -1.0 - 1e-12 and means.max() <= 1.0 + 1e-12
@@ -508,27 +511,23 @@ def test_bp_means_stay_in_box_under_optimal_policy():
 # ---------------------------------------------------------- step controller
 
 
-def _unit_advection_field(n=10):
-    mesh = Mesh2D(0.0, 1.0, 0.0, 1.0, n, n)
-    return project(_sine, mesh, Basis2D(2), AdvectionModel(c=(1.0, 1.0)))
+UNIT_SPEEDS, H = (1.0, 1.0), (0.1, 0.1)
 
 
 def test_step_controller_policies_match_table():
-    field = _unit_advection_field(10)
-    h = 0.1
-    assert step_controller("optimal", field, SSPRK3) == pytest.approx(h / 8, rel=1e-13)
-    assert step_controller("classic", field, SSPRK3) == pytest.approx(h / 12, rel=1e-13)
-    assert step_controller("jiangliu", field, SSPRK3) == pytest.approx(h / 12, rel=1e-13)
-    assert step_controller("linear", field, SSPRK3) == pytest.approx(h / 10, rel=1e-13)
+    h = H[0]
+    assert step_controller("optimal", 2, SSPRK3, UNIT_SPEEDS, H) == pytest.approx(h / 8, rel=1e-13)
+    assert step_controller("classic", 2, SSPRK3, UNIT_SPEEDS, H) == pytest.approx(h / 12, rel=1e-13)
+    assert step_controller("jiangliu", 2, SSPRK3, UNIT_SPEEDS, H) == pytest.approx(h / 12, rel=1e-13)
+    assert step_controller("linear", 2, SSPRK3, UNIT_SPEEDS, H) == pytest.approx(h / 10, rel=1e-13)
 
 
 def test_step_controller_scales_with_ssp_coefficient_and_safety():
-    field = _unit_advection_field(10)
-    base = step_controller("optimal", field, SSPRK3)
-    assert step_controller("optimal", field, SSPRK4) == pytest.approx(
+    base = step_controller("optimal", 2, SSPRK3, UNIT_SPEEDS, H)
+    assert step_controller("optimal", 2, SSPRK4, UNIT_SPEEDS, H) == pytest.approx(
         SSPRK4.ssp_coefficient * base, rel=1e-13
     )
-    assert step_controller("optimal", field, SSPRK3, safety=0.5) == pytest.approx(
+    assert step_controller("optimal", 2, SSPRK3, UNIT_SPEEDS, H, safety=0.5) == pytest.approx(
         0.5 * base, rel=1e-13
     )
 
@@ -538,15 +537,15 @@ def test_step_controller_zero_speed_fallback():
     basis = Basis2D(2)
     coeffs = np.zeros((4, 4, basis.n_modes, 1))
     field = DGField(coeffs, basis, mesh, BurgersModel(BoxScalar(-1.0, 1.0)))
-    assert step_controller("optimal", field, SSPRK3, fallback_dt=0.01) == 0.01
+    speeds, spacings = global_max_speeds(field), (mesh.dx, mesh.dy)
+    assert step_controller("optimal", 2, SSPRK3, speeds, spacings, fallback_dt=0.01) == 0.01
     with pytest.raises(ValueError):
-        step_controller("optimal", field, SSPRK3)
+        step_controller("optimal", 2, SSPRK3, speeds, spacings)
 
 
 def test_step_controller_unknown_policy():
-    field = _unit_advection_field(4)
     with pytest.raises(ValueError):
-        step_controller("bogus", field, SSPRK3)
+        step_controller("bogus", 2, SSPRK3, UNIT_SPEEDS, H)
 
 
 # ------------------------------------------------------ boundary conditions
@@ -601,6 +600,6 @@ def test_error_norms_exact_field_is_zero():
 
 
 def test_error_norms_requires_exact():
-    field = _unit_advection_field(4)
+    field = project(_sine, _periodic_mesh(4), Basis2D(2), AdvectionModel())
     with pytest.raises(ValueError):
         error_norms(field, None, 0.0)

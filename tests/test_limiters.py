@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from bpdg.decomposition import SpeedRatios, jiang_liu_2d, optimal_2d, zhang_shu_2d
+from bpdg.decomposition import SpeedRatios, decomposition_for, jiang_liu_2d, optimal_2d, zhang_shu_2d
 from bpdg.dg_core import (
     OUTFLOW,
     SSPRK3,
@@ -85,11 +85,10 @@ def _loop_dedup_node_set(decomp, k, include_volume):
 @pytest.mark.parametrize("name", ["optimal", "classic", "jiangliu"])
 def test_vectorised_dedup_matches_loop(name, k, include_volume):
     ratios = SpeedRatios((2.0, 1.0))
-    decomp = {"optimal": optimal_2d(k, ratios), "classic": zhang_shu_2d(k, ratios),
-              "jiangliu": jiang_liu_2d(k)}[name]
+    decomp = decomposition_for(name, k, ratios)
     nodes = build_node_set(decomp, k, include_volume=include_volume)
     np.testing.assert_array_equal(nodes.offsets, _loop_dedup_node_set(decomp, k, include_volume))
-    np.testing.assert_allclose(nodes.matrix, Basis2D(k).eval_modes(nodes.offsets).T, rtol=0, atol=1e-15)
+    np.testing.assert_allclose(nodes.matrix, mode_values(k, nodes.offsets).T, rtol=0, atol=1e-15)
 
 
 @pytest.mark.parametrize("m", [1, 4])
