@@ -136,7 +136,7 @@ def test_evaluate_affine_reproduction():
     mesh = _periodic_mesh(5, 0.0, 1.0)
     field = project(lambda x, y: (x + 0.0 * y)[..., None], mesh, Basis2D(2), AdvectionModel())
     vals = evaluate_at_offsets(field, np.array([(0.25, -0.1)]))[..., 0, 0]
-    expect = mesh.x_centers[:, None] + 0.25 * mesh.dx + 0.0 * mesh.y_centers[None, :]
+    expect = np.repeat((mesh.x_centers + 0.25 * mesh.dx)[:, None], mesh.ny, axis=1)
     np.testing.assert_allclose(vals, expect, rtol=0, atol=1e-13)
 
 
@@ -144,9 +144,9 @@ def test_evaluate_affine_reproduction():
 
 
 def _mean_rate_oracle(field, alphas):
-    """Flux-difference evolution of the cell averages, built only from
-    point values taken straight from the modes and the face Gauss rule: an independent check on the mode-0
-    row of the weak-form residual."""
+    """Flux-difference evolution of the cell averages, built only from point
+    values taken straight from the modes and the face Gauss rule: an
+    independent check on the mode-0 row of the weak-form residual."""
     from bpdg.physics import lax_friedrichs_flux
 
     mesh, basis, model = field.mesh, field.basis, field.model
