@@ -521,7 +521,16 @@ def _decomp_rows(k: int, phi: tuple[float, ...], c0: float):
 
 def decomp_report(k: int, phi: tuple[float, ...], c0: float, out=None) -> str:
     """Print per-scheme CFL steps, equal-ratio special cases, node counts, and
-    exactness defects for 2D (and 3D when three ratios are given); returns CSV."""
+    exactness defects for 2D (and 3D when three ratios are given); returns CSV.
+    ConfigError for a degree, ratios or c0 the tables are not defined for."""
+    if k not in dc.SUPPORTED_K:
+        raise ConfigError(f"k: supported degrees are {', '.join(map(str, dc.SUPPORTED_K))}, got {k}")
+    if len(phi) not in (2, 3):
+        raise ConfigError("phi takes 2 or 3 values")
+    if not all(math.isfinite(v) and v >= 0.0 for v in phi):
+        raise ConfigError(f"phi: expected finite nonnegative ratios, got {' '.join(map(str, phi))}")
+    if not 0.0 < c0 <= 1.0:
+        raise ConfigError(f"c0: expected a value in (0, 1], got {c0}")
     if out is None:
         out = sys.stdout
     csv_lines = ["dim,scheme,dt,dt_equal_ratio,internal_nodes,exactness_defect"]
@@ -615,8 +624,6 @@ def main(argv: Optional[list[str]] = None) -> int:
             for n, l1, l2, linf, order in rows:
                 print(f"{n},{l1:.6e},{l2:.6e},{linf:.6e},{order:.3f}")
         elif args.command == "decomp-report":
-            if len(args.phi) not in (2, 3):
-                raise ConfigError("--phi takes 2 or 3 values")
             csv = decomp_report(args.k, tuple(args.phi), args.c0)
             if args.csv:
                 Path(args.csv).write_text(csv, encoding="utf-8")

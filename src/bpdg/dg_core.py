@@ -177,11 +177,16 @@ class DGField:
     """Per-cell modal coefficients, shape (nx, ny, n_modes, m).
 
     `values`, when set, are the field's point values, handed on by the code
-    that last changed the coefficients (the Euler BP limiter) so that the
-    readers of this state do not evaluate it again.  Only code that will not
-    change `coeffs` in place any more may set it, and code that changes the
-    coefficients of a field carrying values must set it to None; `copy` and
-    `like` drop it.
+    that last changed the coefficients so that the readers of this state do
+    not evaluate it again.  The Euler BP limiter hands on the stacked rows of
+    its node evaluation: in the cells it limits they are mean + theta*(v -
+    mean), which matches an evaluation of the scaled coefficients up to
+    round-off, and they and their pressure are the values it certified.
+    `cli.run` attaches each step's start values, which its speeds and first
+    stage share.
+    Only code that will not change `coeffs` in place any more may set it, and
+    code that changes the coefficients of a field carrying values must set
+    it to None; `copy` and `like` drop it.
     """
 
     coeffs: np.ndarray

@@ -5,6 +5,16 @@ cell average so that its values at the face-trace Gauss points and at the
 active decomposition's internal nodes land inside the invariant region.  The
 TVB limiter knocks cells with non-smooth linear modes down to a limited
 linear reconstruction; both limiters preserve cell averages exactly.
+
+The Euler BP limiter (Zhang & Shu, JCP 229, 2010) evaluates each field once,
+at a node set whose first rows are the residual's volume and face points.
+Density and pressure each get one theta per cell, aimed a stated round-off
+margin above the floors; the pressure crossing is the closed-form root of a
+quadratic, checked where it is used.  The limited values
+`mean + theta*(v - mean)` and their pressure are handed on as the field's
+point values, and those are what is certified: a changed cell whose values
+still miss a floor is collapsed to its average and counted
+(`LimiterDiagnostics.collapsed_cells`).
 """
 
 from __future__ import annotations
@@ -20,13 +30,22 @@ from .physics import AdmissibilityError, BoxScalar, EulerPositivity, InvariantRe
 from .quadrature import gauss_rule
 
 _DEDUP_TOL = 1e-14
+# round-off bound of evaluating a scaled state, per unit of the magnitudes it sums
+_MARGIN = 16.0 * np.finfo(float).eps
+# bisection steps where the closed-form pressure crossing fails its check
+_BACKOFF_STEPS = 20
 
 
 @dataclass(frozen=True)
 class LimiterNodeSet:
-    """Reference offsets where bounds are enforced: 4Q face-trace Gauss points
-    plus the decomposition's internal nodes, deduplicated, with the basis
-    values there."""
+    """Reference offsets where bounds are enforced, with the basis values there.
+
+    Rows, deduplicated: with volume points, first `Basis2D`'s stacked points
+    in their order (the (k+1)^2 volume Gauss points, then the Q face-trace
+    Gauss points of the x-, x+, y- and y+ faces), so the first nv + 4Q rows
+    of an evaluation are the values the residual reads; without, the face
+    points alone.  Then the decomposition's internal nodes that are not
+    among those points."""
 
     offsets: np.ndarray  # (P, 2)
     matrix: np.ndarray  # (P, n_modes)
@@ -48,15 +67,21 @@ class LimiterDiagnostics:
     cells_limited: int = 0
     min_theta: float = 1.0
     troubled_cells: int = 0
+    collapsed_cells: int = 0  # Euler cells the floor check sent to their average
 
     def add(self, other: "LimiterDiagnostics") -> None:
         """Fold in another limiting: counts add up, theta keeps the minimum."""
         self.cells_limited += other.cells_limited
         self.min_theta = min(self.min_theta, other.min_theta)
         self.troubled_cells += other.troubled_cells
+        self.collapsed_cells += other.collapsed_cells
 
 
 def build_node_set(decomp: ConvexDecomposition, k: int, include_volume: bool = False) -> LimiterNodeSet:
+    """The limiter nodes of `decomp` at degree k, rows as `LimiterNodeSet`
+    lists them.  `include_volume` adds the volume Gauss points, so every
+    state the residual evaluates is limited (Euler needs it: its flux
+    itself requires positivity)."""
     if decomp.dim != 2:
         raise ValueError("limiter node sets are 2D")
     g = gauss_rule(k + 1)
@@ -69,11 +94,8 @@ def build_node_set(decomp: ConvexDecomposition, k: int, include_volume: bool = F
         decomp.internal_offsets,
     ]
     if include_volume:
-        # cover the volume quadrature points too, so every state the
-        # residual evaluates is admissible (needed for Euler, where the
-        # flux itself requires positivity)
         xi, eta = np.meshgrid(g.nodes, g.nodes, indexing="ij")
-        pts.insert(4, np.column_stack([xi.ravel(), eta.ravel()]))
+        pts.insert(0, np.column_stack([xi.ravel(), eta.ravel()]))
     allpts = np.concatenate([p for p in pts if len(p)], axis=0)
     # keep each point unless it lies within the tolerance of an earlier one
     near = np.abs(allpts[:, None, :] - allpts[None, :, :]).max(axis=2) <= _DEDUP_TOL
@@ -81,13 +103,10 @@ def build_node_set(decomp: ConvexDecomposition, k: int, include_volume: bool = F
     return LimiterNodeSet(offsets, mode_values(k, offsets).T)
 
 
-def _scale_modes(coeffs: np.ndarray, theta: np.ndarray, component: int | None = None) -> None:
+def _scale_modes(coeffs: np.ndarray, theta: np.ndarray) -> None:
     if np.all(theta == 1.0):
         return  # nothing limited: skip a strided multiply by ones
-    if component is None:
-        coeffs[:, :, 1:, :] *= theta[:, :, None, None]
-    else:
-        coeffs[:, :, 1:, component] *= theta[:, :, None]
+    coeffs[:, :, 1:, :] *= theta[:, :, None, None]
 
 
 def bp_scaling_limit(
@@ -135,7 +154,11 @@ def _bp_limit_box(field: DGField, region: BoxScalar, nodes: LimiterNodeSet):
 
 
 def _bp_limit_euler(field: DGField, region: EulerPositivity, nodes: LimiterNodeSet):
-    model = field.model
+    model, basis = field.model, field.basis
+    n_stacked = len(basis.eval_matrix)
+    if len(nodes) < n_stacked or not np.array_equal(nodes.matrix[:n_stacked], basis.eval_matrix):
+        raise ValueError("the Euler BP limiter needs a node set whose first rows are the "
+                         "basis's stacked points (build_node_set(..., include_volume=True))")
     out = field.copy()
     mean = out.coeffs[:, :, 0, :]  # (nx, ny, 4)
     mean_rho = mean[..., 0]
@@ -144,104 +167,122 @@ def _bp_limit_euler(field: DGField, region: EulerPositivity, nodes: LimiterNodeS
     if np.any(bad):
         _precondition_failure(bad, "Euler positivity")
 
-    # stage 1: scale the density modes so nodal rho >= eps_rho
+    # the one evaluation: its stacked rows are the values the next residual
+    # reads, so the limited ones are handed on rather than evaluated again
     vals = nodes.evaluate(out)  # (4, P, nx, ny)
+
+    # stage 1: scale the density modes so nodal rho >= eps_rho, aiming a
+    # round-off margin above the floor; re-centre the limited cells' nodes
     rho = vals[0]
     rho_min = rho.min(axis=0)
-    with np.errstate(divide="ignore", invalid="ignore"):
-        theta_rho = np.where(
-            rho_min < region.eps_rho,
-            (mean_rho - region.eps_rho) / (mean_rho - rho_min),
-            1.0,
-        )
-    theta_rho = np.clip(theta_rho, 0.0, 1.0)
-    _scale_modes(out.coeffs, theta_rho, 0)
-    # rho <- mean + theta * (rho - mean) at every node, in place
-    rho -= mean_rho
-    rho *= theta_rho
-    rho += mean_rho
+    theta_rho = np.ones_like(mean_rho)
+    low = rho_min < region.eps_rho
+    if np.any(low):
+        m, r = mean_rho[low], rho_min[low]
+        aim = region.eps_rho + _MARGIN * (np.abs(m) + np.abs(r))
+        th = theta_rho[low] = np.clip((m - aim) / (m - r), 0.0, 1.0)
+        out.coeffs[low, 1:, 0] *= th[:, None]
+        rho[:, low] = m + th * (rho[:, low] - m)
 
-    # stage 2: one theta per cell so nodal pressure stays positive; the
-    # crossing in t of p(mean + t*(node - mean)) = target is bracketed in
-    # [0, 1] and found by bisection (robust near vacuum, unlike the
-    # closed-form quadratic).  The target carries a relative component
-    # because p is a cancellation of E against the kinetic energy, so the
-    # re-evaluated nodal pressure is only accurate to round-off on that scale.
+    # stage 2: one theta per cell so nodal pressure stays above eps_p; in the
+    # cells with a node below the floor every node short of floor + margin
+    # gets its own crossing, and the cell takes the smallest
     p_nodes = model.pressure(np.moveaxis(vals, 0, -1))  # (P, nx, ny)
-    p_target = np.maximum(region.eps_p, 1e-12 * np.abs(vals[3]))
-    flagged = p_nodes < p_target
     theta_p = np.ones_like(mean_rho)
-    cells = flagged.any(axis=0)
+    cells = np.any(~(p_nodes >= region.eps_p), axis=0)
     if np.any(cells):
         ci, cj = np.nonzero(cells)
-        node, k = np.nonzero(flagged[:, ci, cj])  # flagged nodes of the flagged cells
+        aim = _pressure_aim(model.gamma, region.eps_p, mean[ci, cj, 3], vals[3][:, ci, cj])
+        node, k = np.nonzero(~(p_nodes[:, ci, cj] >= aim))
         ci, cj = ci[k], cj[k]
         u_mean = np.ascontiguousarray(mean[ci, cj].T)
-        t = _pressure_crossing(model, u_mean, vals[:, node, ci, cj], p_target[node, ci, cj])
+        t = _pressure_crossing(model, u_mean, vals[:, node, ci, cj], region.eps_p)
         np.minimum.at(theta_p, (ci, cj), t)
-    _scale_modes(out.coeffs, theta_p)
-    del vals, rho, p_nodes, p_target  # the collapse check evaluates the limited field: free these first
+    scaled = theta_p < 1.0
+    if np.any(scaled):
+        th = theta_p[scaled]
+        out.coeffs[scaled, 1:, :] *= th[:, None, None]
+        # the limited values, by the crossing's own expression, and their pressure
+        m = mean[scaled].T[:, None, :]  # (4, 1, cells)
+        v = th * (vals[:, :, scaled] - m)
+        v += m
+        vals[:, :, scaled] = v
+        p_nodes[:, scaled] = model.pressure(np.moveaxis(v, 0, -1))
 
+    # the one counted fallback: a changed cell whose values still miss a
+    # floor is collapsed to its average (admissible by precondition, and
+    # exact: mode 0 is the constant 1)
     theta = np.minimum(theta_rho, theta_p)
-    collapsed = _collapse_roundoff_stragglers(out, region)
-    if collapsed is not None:
-        theta = np.where(collapsed, 0.0, theta)
+    changed = theta < 1.0
+    collapsed = np.zeros_like(changed)
+    if np.any(changed):
+        floor = 1.0 - 1e-10
+        miss = (vals[0][:, changed] < region.eps_rho * floor) | ~(p_nodes[:, changed] >= region.eps_p * floor)
+        collapsed[changed] = np.any(miss, axis=0)
+    if np.any(collapsed):
+        out.coeffs[collapsed, 1:, :] = 0.0
+        vals[:, :, collapsed] = mean[collapsed].T[:, None, :]
+        p_nodes[:, collapsed] = mean_p[collapsed]
+        theta[collapsed] = 0.0
+    out.values = values_of_stacked(out, vals[:, :n_stacked].transpose(2, 3, 1, 0),
+                                   p_nodes[:n_stacked].transpose(1, 2, 0))
     return out, LimiterDiagnostics(
-        cells_limited=int(np.count_nonzero(theta < 1.0)),
+        cells_limited=int(np.count_nonzero(changed)),
         min_theta=float(theta.min()),
+        collapsed_cells=int(np.count_nonzero(collapsed)),
     )
 
 
-def _pressure_crossing(model, u_mean: np.ndarray, u_node: np.ndarray, target: np.ndarray) -> np.ndarray:
-    """Largest t in [0, 1], to 60 bisection steps, with p(mean + t*(node - mean)) >= target.
+def _pressure_aim(gamma: float, target, e_mean: np.ndarray, e_node: np.ndarray) -> np.ndarray:
+    """`target` plus a bound on the round-off of a pressure computed at a
+    state between a mean and a node with these energies."""
+    return target + _MARGIN * (gamma - 1.0) * (np.abs(e_mean) + np.abs(e_node))
 
-    `u_mean` and `u_node` are component-major (4, B), so the pressure reads
-    contiguous rows, and `target` is (B,).  The brackets are updated in
-    place; the iterates are those of the plain loop `t_mid = 0.5 * (t_lo +
-    t_hi)` on states `u_mean + t_mid * (u_node - u_mean)`."""
+
+def _pressure_crossing(model, u_mean: np.ndarray, u_node: np.ndarray, target) -> np.ndarray:
+    """Largest t in [0, 1], up to a round-off margin, with p(mean + t*(node - mean)) >= target.
+
+    `u_mean` and `u_node` are component-major (4, B) and `target` a scalar or
+    (B,); every mean's pressure must be at least its target.  Along the
+    segment rho*p/(gamma - 1) = rho*E - |m|^2/2 is a quadratic in t, and the
+    root of rho*(p - aim) that is in (0, 1] (p's superlevel sets are convex,
+    so there is one) is taken by the cancellation-free formula, with `aim`
+    from `_pressure_aim`: target + 16*eps*(gamma - 1)*(|E_mean| + |E_node|),
+    a round-off margin.  The pressure at the root,
+    computed as the limiter forms the scaled state, is checked against
+    `target`; where the check fails (near vacuum, where the quadratic's
+    coefficients cancel), t is bisected on [0, root] _BACKOFF_STEPS times,
+    the failing nodes only.  So p is computed 1 + _BACKOFF_STEPS times at
+    most, and the returned t is certified: at t = 0 the state is the mean."""
+    gm1 = model.gamma - 1.0
     diff = u_node - u_mean
-    t_lo = np.zeros(len(target))
-    t_hi = np.ones(len(target))
-    t_mid = np.empty_like(t_lo)
-    state = np.empty_like(diff)
-    good = np.empty(len(target), dtype=bool)
-    for _ in range(60):
-        np.add(t_lo, t_hi, out=t_mid)
-        t_mid *= 0.5
-        np.multiply(t_mid, diff, out=state)
-        state += u_mean
-        np.greater_equal(model.pressure(state.T), target, out=good)
-        np.copyto(t_lo, t_mid, where=good)
-        np.logical_not(good, out=good)
-        np.copyto(t_hi, t_mid, where=good)
-    return t_lo
+    rho, m1, m2, e = u_mean
+    drho, dm1, dm2, de = diff
+    target = np.broadcast_to(target, rho.shape)
+    e_aim = e - _pressure_aim(model.gamma, target, e, u_node[3]) / gm1
+    c = rho * e_aim - 0.5 * (m1 * m1 + m2 * m2)
+    b = rho * de + drho * e_aim - (m1 * dm1 + m2 * dm2)
+    a = drho * de - 0.5 * (dm1 * dm1 + dm2 * dm2)
+    sq = np.sqrt(np.maximum(b * b - 4.0 * a * c, 0.0))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        t = np.where(b < 0.0, 2.0 * c / (sq - b), (b + sq) / (-2.0 * a))
+    t[c <= 0.0] = 0.0  # the mean itself is short of the aim
+    t[a + b + c >= 0.0] = 1.0  # the node is not
+    np.clip(t, 0.0, 1.0, out=t)
 
+    def certified(s, at):
+        return model.pressure((s * diff[:, at] + u_mean[:, at]).T) >= target[at]
 
-def _collapse_roundoff_stragglers(field: DGField, region: EulerPositivity):
-    """Guarantee the floors on the values the residual actually evaluates.
-
-    The bisection works along segments in state space, but the stepped field
-    is re-evaluated from the scaled coefficients, and near machine precision
-    the two paths can disagree (pressure is a cancellation).  Cells whose
-    re-evaluated trace or volume values still sit below the floors are
-    collapsed to their cell average, which is admissible by precondition and
-    evaluates exactly (mode 0 is the constant 1).  The evaluation, patched
-    to the averages in collapsed cells, becomes the field's point values, so
-    the next residual does not evaluate the field again.  Returns the
-    collapsed mask, or None if no cell needed it.
-    """
-    pts = field.basis.stacked_values(field.coeffs)
-    p = field.model.pressure(pts)
-    low = (pts[..., 0] < region.eps_rho * (1.0 - 1e-10)) | (p < region.eps_p * (1.0 - 1e-10))
-    collapsed = None
-    if np.any(low):
-        bad = np.any(low, axis=2)
-        field.coeffs[bad, 1:, :] = 0.0
-        pts[bad] = field.coeffs[bad, 0][:, None, :]
-        p[bad] = field.model.pressure(pts[bad])
-        collapsed = bad
-    field.values = values_of_stacked(field, pts, p)
-    return collapsed
+    fail = np.flatnonzero(~certified(t, slice(None)))
+    if len(fail):
+        lo, hi = np.zeros(len(fail)), t[fail]
+        for _ in range(_BACKOFF_STEPS):
+            mid = 0.5 * (lo + hi)
+            good = certified(mid, fail)
+            lo = np.where(good, mid, lo)
+            hi = np.where(good, hi, mid)
+        t[fail] = lo
+    return t
 
 
 def _minmod3(a: np.ndarray, b: np.ndarray, c: np.ndarray) -> np.ndarray:
@@ -330,6 +371,7 @@ class LimiterChain:
             field, bp_diag = bp_scaling_limit(field, self.region, self.node_set)
             diag.cells_limited = bp_diag.cells_limited
             diag.min_theta = bp_diag.min_theta
+            diag.collapsed_cells = bp_diag.collapsed_cells
         self.last_diagnostics = diag
         self.totals.add(diag)
         return field

@@ -93,15 +93,17 @@ def gauss_rule(q: int) -> QuadratureRule1D:
     return _frozen_rule(nodes, weights)
 
 
+@lru_cache(maxsize=_MAX_ORDER)
 def gauss_lobatto_rule(n: int) -> QuadratureRule1D:
     """L-point Gauss-Lobatto rule, exact for degree <= 2L-3; endpoints included.
 
-    Endpoint weights are 1/(L(L-1)) under the unit-sum convention.
+    Endpoint weights are 1/(L(L-1)) under the unit-sum convention.  Rules
+    are cached and shared between callers, so their arrays are read-only.
     """
     if not 2 <= n <= _MAX_ORDER:
         raise ValueError(f"Gauss-Lobatto point count must be in 2..{_MAX_ORDER}, got {n}")
     if n == 2:
-        return QuadratureRule1D(np.array([-0.5, 0.5]), np.array([0.5, 0.5]))
+        return _frozen_rule(np.array([-0.5, 0.5]), np.array([0.5, 0.5]))
     # interior nodes are the roots of P'_{n-1}; Newton on dp with second
     # derivative from the Legendre ODE
     m = n - 2
@@ -117,7 +119,7 @@ def gauss_lobatto_rule(n: int) -> QuadratureRule1D:
     p, _ = _legendre(n - 1, x)
     w = 2.0 / (n * (n - 1) * p * p)
     nodes, weights = _symmetrize(x / 2.0, w)
-    return QuadratureRule1D(nodes, weights)
+    return _frozen_rule(nodes, weights)
 
 
 def monomial_mean(m: int) -> float:

@@ -18,7 +18,7 @@ from bpdg.cli import (
     run,
 )
 from bpdg.dg_core import Basis2D
-from bpdg.limiters import LimiterChain
+from bpdg.limiters import LimiterChain, LimiterNodeSet
 
 ADVECTION_SMALL = """
 model = advection2d
@@ -204,18 +204,25 @@ def test_report_counts_every_limiting(tmp_path, monkeypatch):
 
 def test_euler_run_evaluates_each_rk_state_once(tmp_path, monkeypatch):
     calls = []
-    stacked = Basis2D.stacked_values
+    stacked, at_nodes = Basis2D.stacked_values, LimiterNodeSet.evaluate
 
-    def counted(self, coeffs):
-        calls.append(coeffs.shape)
+    def counted_stacked(self, coeffs):
+        calls.append("stacked")
         return stacked(self, coeffs)
 
-    monkeypatch.setattr(Basis2D, "stacked_values", counted)
+    def counted_nodes(self, field):
+        calls.append("nodes")
+        return at_nodes(self, field)
+
+    monkeypatch.setattr(Basis2D, "stacked_values", counted_stacked)
+    monkeypatch.setattr(LimiterNodeSet, "evaluate", counted_nodes)
     report = run(parse_config(_write(tmp_path, "jet.cfg", JET_SMALL)), write_outputs=False)
     # the projection's, for the first node set's speeds, and one per limited
-    # state (the initial limiting and three stages per step): a state's
-    # speeds and residual reuse the values its limiting handed on
+    # state (the initial limiting and three stages per step), at the limiter
+    # nodes: a state's speeds and residual reuse the stacked rows its
+    # limiting handed on
     assert report.steps > 0 and len(calls) == 2 + 3 * report.steps
+    assert calls.count("stacked") == 1
 
 
 def test_burgers_means_stay_in_region():
@@ -367,6 +374,18 @@ def test_cli_decomp_report(tmp_path, capsys):
     assert main(["decomp-report", "--k", "2", "--phi", "1", "1", "--csv", str(out_csv)]) == 0
     capsys.readouterr()
     assert out_csv.read_text().startswith("dim,scheme,")
+
+
+@pytest.mark.parametrize(
+    "flags, key",
+    [(["--k", "4"], "k:"), (["--phi", "1", "-1"], "phi:"), (["--c0", "0"], "c0:"), (["--c0", "-1"], "c0:"),
+     (["--phi", "1"], "phi takes")],
+    ids=["unsupported-degree", "negative-phi", "zero-c0", "negative-c0", "one-phi"],
+)
+def test_cli_decomp_report_config_error_exit_code(capsys, flags, key):
+    assert main(["decomp-report", *flags]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: " + key)
 
 
 def test_cli_converge(tmp_path, capsys):

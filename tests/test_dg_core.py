@@ -381,21 +381,27 @@ def test_euler_pressure_computed_once_per_rk_state(monkeypatch):
     field, chain = _limited_jet()
     assert field.values is not None  # handed on by the limiter
     model = field.model
+    nx, ny = field.mesh.nx, field.mesh.ny
+    at_nodes = (len(chain.node_set), nx, ny)
     stacked_shape = point_values(field).stacked.shape[:3]
     calls = []
     pressure = model.pressure
 
     def counted(u):
-        calls.append(u.shape[:3] == stacked_shape)
+        calls.append(u.shape[:-1])
         return pressure(u)
 
     monkeypatch.setattr(model, "pressure", counted)
     speeds = global_max_speeds(field)
     dt = step_controller("optimal", 2, SSPRK3, speeds, (field.mesh.dx, field.mesh.dy))
     limited = ssp_step(field, SSPRK3, dt, chain, speeds=speeds)
-    # one per limited stage state, whose values the next residual reuses;
-    # the step's start state reuses the values of its own limiting
-    assert sum(calls) == 3
+    # one full pass per limited stage state, at its limiter nodes, whose
+    # stacked rows the next residual reuses; the step's start state reuses
+    # the values of its own limiting
+    assert calls.count(at_nodes) == 3 and stacked_shape not in calls
+    # the others cover one state per cell at most: the limiter's check of
+    # the cell means and the boundary traces (no stage is BP-limited here)
+    assert all(np.prod(c) <= nx * ny for c in calls if c != at_nodes)
     assert limited.values is not None and field.values is None
     # without a limiter each of the three evaluated states computes it once
     smooth = next(_euler_cases())
@@ -403,7 +409,7 @@ def test_euler_pressure_computed_once_per_rk_state(monkeypatch):
     stacked_shape = point_values(smooth).stacked.shape[:3]
     calls.clear()
     plain = ssp_step(smooth, SSPRK3, 1e-5)
-    assert sum(calls) == 3 and plain.values is None
+    assert calls.count(stacked_shape) == 3 and plain.values is None
 
 
 def test_constant_field_zero_rate():

@@ -18,10 +18,13 @@ from bpdg.dg_core import (
     point_values,
     project,
     ssp_step,
+    values_of_stacked,
 )
+from bpdg import limiters
 from bpdg.limiters import (
     LimiterChain,
     LimiterNodeSet,
+    _BACKOFF_STEPS,
     _pressure_crossing,
     bp_scaling_limit,
     build_node_set,
@@ -59,20 +62,20 @@ def test_node_set_counts():
 
 
 def _loop_dedup_node_set(decomp, k, include_volume):
-    """Node offsets as first built: candidates in order, each dropped when
-    within 1e-14 of a point already kept."""
+    """Node offsets by a loop: candidates in order (volume points first when
+    included, then faces, then internal nodes), each dropped when within
+    1e-14 of a point already kept."""
     g = gauss_rule(k + 1)
     q = len(g)
     xi, eta = np.meshgrid(g.nodes, g.nodes, indexing="ij")
-    candidates = [
+    candidates = [np.column_stack([xi.ravel(), eta.ravel()])] if include_volume else []
+    candidates += [
         np.column_stack([np.full(q, -0.5), g.nodes]),
         np.column_stack([np.full(q, 0.5), g.nodes]),
         np.column_stack([g.nodes, np.full(q, -0.5)]),
         np.column_stack([g.nodes, np.full(q, 0.5)]),
+        decomp.internal_offsets,
     ]
-    if include_volume:
-        candidates.append(np.column_stack([xi.ravel(), eta.ravel()]))
-    candidates.append(decomp.internal_offsets)
     kept = []
     for p in np.concatenate([c for c in candidates if len(c)], axis=0):
         if not any(np.max(np.abs(p - e)) <= 1e-14 for e in kept):
@@ -89,6 +92,10 @@ def test_vectorised_dedup_matches_loop(name, k, include_volume):
     nodes = build_node_set(decomp, k, include_volume=include_volume)
     np.testing.assert_array_equal(nodes.offsets, _loop_dedup_node_set(decomp, k, include_volume))
     np.testing.assert_allclose(nodes.matrix, mode_values(k, nodes.offsets).T, rtol=0, atol=1e-15)
+    if include_volume:
+        # the first rows are the basis's stacked evaluation rows, bit for bit
+        stacked = Basis2D(k).eval_matrix
+        np.testing.assert_array_equal(nodes.matrix[:len(stacked)], stacked)
 
 
 @pytest.mark.parametrize("m", [1, 4])
@@ -190,7 +197,7 @@ def test_euler_limiter_restores_positive_pressure():
     target_p = -0.1
     delta_e = (target_p - p_mean) / (model.gamma - 1.0)
     field.coeffs[1, 1, ix, 3] = delta_e / np.sqrt(3.0)  # face value offset = sqrt(3)*coef
-    nodes = build_node_set(optimal_2d(2, EQUAL), 2)
+    nodes = build_node_set(optimal_2d(2, EQUAL), 2, include_volume=True)
     pre = evaluate_at_offsets(field, nodes.offsets)
     assert model.pressure(pre[1, 1]).min() < 0.0
     out, diag = bp_scaling_limit(field, EulerPositivity(), nodes)
@@ -205,7 +212,7 @@ def test_euler_limiter_density_stage():
     field = _euler_field()
     ix = field.basis.mode_exps.index((0, 1))
     field.coeffs[0, 0, ix, 0] = 1.0  # density dips negative on the y- face
-    nodes = build_node_set(optimal_2d(2, EQUAL), 2)
+    nodes = build_node_set(optimal_2d(2, EQUAL), 2, include_volume=True)
     out, _ = bp_scaling_limit(field, EulerPositivity(), nodes)
     post = evaluate_at_offsets(out, nodes.offsets)
     assert post[..., 0].min() >= 1e-13 * (1 - 1e-10)
@@ -214,7 +221,7 @@ def test_euler_limiter_density_stage():
 def test_euler_limiter_precondition_violation():
     field = _euler_field()
     field.coeffs[0, 1, 0, 3] = 0.0  # mean energy below kinetic -> p_mean < 0
-    nodes = build_node_set(optimal_2d(2, EQUAL), 2)
+    nodes = build_node_set(optimal_2d(2, EQUAL), 2, include_volume=True)
     with pytest.raises(AdmissibilityError) as err:
         bp_scaling_limit(field, EulerPositivity(), nodes)
     assert err.value.cell == (0, 1)
@@ -222,7 +229,7 @@ def test_euler_limiter_precondition_violation():
 
 def test_euler_limiter_identity_on_admissible_field():
     field = _euler_field()
-    nodes = build_node_set(optimal_2d(2, EQUAL), 2)
+    nodes = build_node_set(optimal_2d(2, EQUAL), 2, include_volume=True)
     out, diag = bp_scaling_limit(field, EulerPositivity(), nodes)
     assert diag.min_theta == 1.0
     np.testing.assert_array_equal(out.coeffs, field.coeffs)
@@ -246,6 +253,16 @@ def _jet_field(n=4, k=2):
     return DGField(coeffs, basis, mesh, model)
 
 
+def _assert_hands_on(out, atol):
+    """`out`'s handed-on values are within `atol` of a fresh evaluation of its
+    coefficients (limited cells carry mean + theta*(v - mean), which differs
+    from that evaluation by round-off), and their pressure and ghost traces
+    are exactly those of the values themselves."""
+    got = out.values
+    np.testing.assert_allclose(got.stacked, point_values(out.like(out.coeffs)).stacked, rtol=0, atol=atol)
+    _assert_same_values(got, values_of_stacked(out, got.stacked))
+
+
 def test_euler_limiter_hands_on_its_point_values():
     field = _jet_field()
     model = field.model
@@ -254,35 +271,87 @@ def test_euler_limiter_hands_on_its_point_values():
     field.coeffs[1, 1, ix, 3] = (-0.1 - p_mean) / (model.gamma - 1.0) / np.sqrt(3.0)
     nodes = build_node_set(optimal_2d(2, EQUAL), 2, include_volume=True)
     out, diag = bp_scaling_limit(field, EulerPositivity(), nodes)
-    assert diag.cells_limited == 1 and field.values is None
-    _assert_same_values(out.values, point_values(out.like(out.coeffs)))
+    assert diag.cells_limited == 1 and diag.collapsed_cells == 0 and field.values is None
+    _assert_hands_on(out, atol=1e-14)
 
 
-def test_collapsed_cell_values_are_its_average():
-    # density dips below zero at the cell centre only: with a node set of the
-    # face points alone the scaling leaves the cell as it is, and the
-    # straggler check on the evaluated volume points collapses it
+def test_collapsed_cell_values_are_its_average(monkeypatch):
+    # the counted fallback: a crossing that stops short of the floor (here a
+    # stand-in returning t just below 1) leaves the changed cell's values
+    # below it, so the cell is collapsed to its average, and so are its
+    # handed-on values and its boundary ghost trace
     field = _jet_field()
-    k, basis = 2, field.basis
-    for mode in ((2, 0), (0, 2)):
-        field.coeffs[0, 0, basis.mode_exps.index(mode), 0] = 0.5
+    model = field.model
+    ix = field.basis.mode_exps.index((1, 0))
+    p_mean = model.pressure(field.coeffs[0, 0, 0, :])
+    field.coeffs[0, 0, ix, 3] = (-0.1 - p_mean) / (model.gamma - 1.0) / np.sqrt(3.0)
+    monkeypatch.setattr(limiters, "_pressure_crossing", lambda m, um, un, target: np.full(um.shape[1], 0.999))
+    chain = LimiterChain(region=EulerPositivity(), node_set=build_node_set(optimal_2d(2, EQUAL), 2, include_volume=True))
+    out = chain(field)
+    diag = chain.last_diagnostics
+    assert diag.cells_limited == 1 and diag.collapsed_cells == 1 and diag.min_theta == 0.0
+    assert chain.totals.collapsed_cells == 1
+    assert np.all(out.coeffs[0, 0, 1:] == 0.0)
+    np.testing.assert_array_equal(out.values.stacked[0, 0], np.broadcast_to(out.coeffs[0, 0, 0], (21, 4)))
+    _assert_hands_on(out, atol=1e-14)
+    # the collapsed boundary cell's ghost trace is its average too
+    np.testing.assert_array_equal(out.values.ghosts[0][0], np.broadcast_to(out.coeffs[0, 0, 0], (3, 4)))
+
+
+def _face_points(k):
     g = gauss_rule(k + 1)
     q = len(g)
-    faces = np.concatenate([
+    return np.concatenate([
         np.column_stack([np.full(q, -0.5), g.nodes]), np.column_stack([np.full(q, 0.5), g.nodes]),
         np.column_stack([g.nodes, np.full(q, -0.5)]), np.column_stack([g.nodes, np.full(q, 0.5)]),
     ])
-    nodes = LimiterNodeSet(faces, mode_values(k, faces).T)
+
+
+@pytest.mark.parametrize("rows", ["faces", "faces-then-volume"])
+def test_euler_limiter_needs_the_stacked_rows(rows):
+    # the limiter hands on the first rows of its evaluation as the values the
+    # residual reads, so a node set without the volume points, or with the
+    # stacked points in another order, is refused
+    field = _jet_field()
+    offsets = _face_points(2)
+    if rows == "faces-then-volume":
+        offsets = np.concatenate([offsets, field.basis.vol_offsets])
+    nodes = LimiterNodeSet(offsets, mode_values(2, offsets).T)
+    with pytest.raises(ValueError, match="include_volume=True"):
+        bp_scaling_limit(field, EulerPositivity(), nodes)
+
+
+def test_euler_limiter_computes_pressure_once_at_full_size(monkeypatch):
+    field = _jet_field(n=6)
+    rng = np.random.default_rng(3)
+    field.coeffs[:, :, 1:, :] = (_higher_modes(rng, (6, 6, field.basis.n_modes - 1, 4), 0.6)
+                                 * np.abs(field.coeffs[:, :, :1, :]))
+    nodes = build_node_set(optimal_2d(2, EQUAL), 2, include_volume=True)
+    model, calls = field.model, []
+    pressure = model.pressure
+
+    def counted(u):
+        calls.append(u.shape[:-1])
+        return pressure(u)
+
+    monkeypatch.setattr(model, "pressure", counted)
     out, diag = bp_scaling_limit(field, EulerPositivity(), nodes)
-    assert diag.cells_limited == 1 and diag.min_theta == 0.0
-    assert np.all(out.coeffs[0, 0, 1:] == 0.0)
-    _assert_same_values(out.values, point_values(out.like(out.coeffs)))
-    # the collapsed boundary cell's ghost trace is the patched one
-    np.testing.assert_array_equal(out.values.ghosts[0][0], np.broadcast_to(out.coeffs[0, 0, 0], (q, 4)))
+    assert diag.cells_limited > 0 and diag.collapsed_cells == 0
+    at_nodes = [c for c in calls if len(c) == 3]
+    crossing = [c for c in calls if len(c) == 1]
+    handed_on = [c for c in calls if len(c) == 2 and c[0] == len(nodes)]
+    # one pass at every node of every cell; the crossing's check on the
+    # flagged nodes and its back-off on the failing ones; one pass over the
+    # limited cells' nodes; the rest are the cell means and boundary traces
+    assert at_nodes == [(len(nodes), 6, 6)]
+    assert 1 < len(crossing) <= 1 + _BACKOFF_STEPS
+    assert all(c[0] < crossing[0][0] for c in crossing[1:])
+    assert len(handed_on) == 1 and handed_on[0][1] <= diag.cells_limited
+    assert all(np.prod(c) <= 36 for c in calls if len(c) == 2 and c not in handed_on)
 
 
 def _bisection_loop(model, u_mean, u_node, target):
-    """The bisection as first written: the oracle for _pressure_crossing."""
+    """The 60-step bisection the limiter once used: the oracle for _pressure_crossing."""
     t_lo = np.zeros(len(u_node))
     t_hi = np.ones(len(u_node))
     for _ in range(60):
@@ -294,22 +363,52 @@ def _bisection_loop(model, u_mean, u_node, target):
     return t_lo
 
 
-@pytest.mark.parametrize("seed", range(5))
-def test_pressure_crossing_matches_loop(seed):
-    rng = np.random.default_rng(seed)
+def _segments(rng, b, speed, node_rho_scale=0.0):
+    """Admissible means near vacuum and nodes off them, mostly at negative
+    pressure; node densities scaled down by up to 10^node_rho_scale."""
     model = EulerModel()
-    b = 80
-    # admissible means near vacuum, nodes with negative pressure
     rho = 10.0 ** rng.uniform(-12, 0, b)
-    v = rng.uniform(-30, 30, (b, 2))
+    v = rng.uniform(-speed, speed, (b, 2))
     p = 10.0 ** rng.uniform(-12, 0, b)
     u_mean = np.stack([model.conserved(*args) for args in zip(rho, v[:, 0], v[:, 1], p)])
     u_node = u_mean + u_mean * rng.uniform(-3, 3, (b, 4))
-    u_node[:, 0] = np.abs(u_node[:, 0])
-    target = np.maximum(1e-13, 1e-12 * np.abs(u_node[:, 3]))
+    u_node[:, 0] = np.abs(u_node[:, 0]) * 10.0 ** rng.uniform(node_rho_scale, 0, b)
+    return model, u_mean, u_node
+
+
+@pytest.mark.parametrize("seed", range(5))
+def test_pressure_crossing_matches_loop(seed):
+    model, u_mean, u_node = _segments(np.random.default_rng(seed), 80, 30.0)
+    target = EulerPositivity().eps_p
+    assert np.all(model.pressure(u_mean) >= target)  # the crossing's precondition
     t = _pressure_crossing(model, u_mean.T, u_node.T, target)
-    np.testing.assert_array_equal(t, _bisection_loop(model, u_mean, u_node, target))
+    t_loop = _bisection_loop(model, u_mean, u_node, target)
     assert np.all((t >= 0.0) & (t <= 1.0))
+    # certified: the pressure at t, of the state formed as the limiter forms it
+    assert np.all(model.pressure(t[:, None] * (u_node - u_mean) + u_mean) >= target)
+    # and short of the loop's crossing by the round-off margin only
+    assert np.all((t <= t_loop) & (t >= t_loop - 1e-11))
+
+
+def test_pressure_crossing_backs_off_where_its_check_fails(monkeypatch):
+    # fast means and nodes far thinner than them: the quadratic's coefficients
+    # cancel, some roots fail the check, and those nodes are bisected
+    model, u_mean, u_node = _segments(np.random.default_rng(7), 4000, 1000.0, node_rho_scale=-10.0)
+    target = EulerPositivity().eps_p
+    keep = model.pressure(u_mean) >= target
+    u_mean, u_node = u_mean[keep], u_node[keep]
+    passes = []
+    pressure = model.pressure
+
+    def counted(u):
+        passes.append(len(u))
+        return pressure(u)
+
+    monkeypatch.setattr(model, "pressure", counted)
+    t = _pressure_crossing(model, u_mean.T, u_node.T, target)
+    assert passes[0] == len(t) and 1 < len(passes) <= 1 + _BACKOFF_STEPS
+    assert all(n < len(t) for n in passes[1:])  # the failing nodes only
+    assert np.all(pressure(t[:, None] * (u_node - u_mean) + u_mean) >= target)
 
 
 # ------------------------------------------------- limiter property tests
@@ -360,12 +459,14 @@ def test_euler_limiter_properties_near_vacuum(seed, k, log_rho, log_p, amplitude
     out, diag = bp_scaling_limit(field, region, nodes)
     np.testing.assert_allclose(out.cell_averages, field.cell_averages, rtol=0, atol=1e-14)
     assert 0.0 <= diag.min_theta <= 1.0
+    assert diag.collapsed_cells == 0  # the counted fallback is never taken
     # every value the residual evaluates is inside the region, on the floors
     values = out.values
     floor = 1.0 - 1e-10
     assert np.all(values.stacked[..., 0] >= region.eps_rho * floor)
     assert np.all(values.pressure >= region.eps_p * floor)
-    _assert_same_values(values, point_values(out.like(out.coeffs)))
+    # and is the limited coefficients' evaluation up to round-off
+    _assert_hands_on(out, atol=1e-14 * max(1.0, np.abs(values.stacked).max()))
     # and so is every limiter node, up to the round-off of re-evaluating the
     # scaled coefficients (pressure cancels E against the kinetic energy)
     vals = evaluate_at_offsets(out, nodes.offsets)

@@ -24,11 +24,13 @@ def test_gauss_not_exact_beyond_claimed_degree(q):
 
 
 def test_cached_gauss_rule_is_read_only():
-    rule = gauss_rule(3)
-    assert gauss_rule(3) is rule
-    assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
-    with pytest.raises(ValueError):
-        rule.nodes[0] = 0.0
+    # Gauss-Lobatto rules too, the two-point one included
+    for rule_fn, n in ((gauss_rule, 3), (gauss_lobatto_rule, 3), (gauss_lobatto_rule, 2)):
+        rule = rule_fn(n)
+        assert rule_fn(n) is rule
+        assert not rule.nodes.flags.writeable and not rule.weights.flags.writeable
+        with pytest.raises(ValueError):
+            rule.nodes[0] = 0.0
 
 
 @pytest.mark.parametrize("n", range(2, 9))
