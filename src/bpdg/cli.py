@@ -142,10 +142,8 @@ class RunConfig:
     scheme: str = "ssprk3"
     dt_policy: str = "optimal"
     c0: float = 1.0
-    safety: float = 1.0
     limiter_bp: bool = True
     tvb_m: Optional[float] = None
-    node_set: str = "optimal"
     t_end: float = 0.5
     output_every: float = 0.0
     out_dir: str = "out"
@@ -158,7 +156,6 @@ class RunConfig:
     inflow: Optional[tuple[float, ...]] = None
     inflow_lo: float = -0.05
     inflow_hi: float = 0.05
-    fallback_dt: float = 1e-3
 
 
 _KEY_PARSERS = {
@@ -174,12 +171,10 @@ _KEY_PARSERS = {
     "ny": ("ny", _parse_cell_count),
     "k": ("k", _parse_degree),
     "scheme": ("scheme", _parse_scheme),
-    "dt_policy": ("dt_policy", _parse_decomposition(*dc.POLICIES, "linear")),
+    "dt_policy": ("dt_policy", _parse_decomposition(*dc.POLICIES)),
     "c0": ("c0", _parse_fraction),
-    "safety": ("safety", _parse_fraction),
     "limiter.bp": ("limiter_bp", _parse_bool),
     "limiter.tvb_M": ("tvb_m", _parse_optional_float),
-    "limiter.node_set": ("node_set", _parse_decomposition(*dc.POLICIES)),
     "t_end": ("t_end", _parse_above(0.0)),
     "output_every": ("output_every", float),
     "out_dir": ("out_dir", str),
@@ -192,14 +187,7 @@ _KEY_PARSERS = {
     "inflow": ("inflow", _parse_four_floats),
     "inflow_lo": ("inflow_lo", float),
     "inflow_hi": ("inflow_hi", float),
-    "fallback_dt": ("fallback_dt", _parse_above(0.0)),
 }
-
-
-# keys whose values are constrained beyond their type; `validate_config`
-# re-checks them on configs that did not come through `parse_config`
-_CHECKED_KEYS = ("nx", "ny", "k", "scheme", "dt_policy", "c0", "safety", "limiter.node_set", "gamma",
-                 "t_end", "riemann_states", "ambient", "inflow", "fallback_dt")
 
 
 def _empty_interval(cfg: RunConfig) -> Optional[tuple[tuple[str, str], str]]:
@@ -212,11 +200,12 @@ def _empty_interval(cfg: RunConfig) -> Optional[tuple[tuple[str, str], str]]:
 
 
 def validate_config(cfg: RunConfig) -> RunConfig:
-    """`cfg` with names normalised as `parse_config` does (`jiang-liu` is
-    `jiangliu`); ConfigError for any value `parse_config` would reject."""
+    """`cfg` with every value run through its key's parser, as `parse_config`
+    reads it (so `jiang-liu` becomes `jiangliu`); ConfigError for any value
+    `parse_config` would reject.  Each parser reads back the text of its own
+    type: `str` of a float is exact and bools print as True/False."""
     changes = {}
-    for key in _CHECKED_KEYS:
-        attr, parser = _KEY_PARSERS[key]
+    for key, (attr, parser) in _KEY_PARSERS.items():
         value = getattr(cfg, attr)
         if value is None and attr == "inflow":
             continue  # no inflow segment
@@ -319,24 +308,11 @@ def _build_initial(cfg: RunConfig, model):
     raise ConfigError(f"unknown model {cfg.model!r}")
 
 
-def _node_set_for(cfg: RunConfig, mesh: Mesh2D, speeds: tuple[float, float]):
-    decomp = dc.decomposition_for(cfg.node_set, cfg.k, dc.speed_ratios(speeds, (mesh.dx, mesh.dy)))
-    return build_node_set(decomp, cfg.k, include_volume=cfg.model == "euler2d")
-
-
-def _build_limiter_chain(cfg: RunConfig, model, mesh: Mesh2D,
-                         speeds: Optional[tuple[float, float]]) -> Optional[LimiterChain]:
-    if not cfg.limiter_bp and cfg.tvb_m is None:
-        return None
-    node_set = None
-    if cfg.limiter_bp:
-        node_set = _node_set_for(cfg, mesh, speeds)
-    return LimiterChain(
-        region=model.region if cfg.limiter_bp else None,
-        node_set=node_set,
-        m_tvb=cfg.tvb_m,
-        bp_enabled=cfg.limiter_bp,
-    )
+def _decomposition(cfg: RunConfig, speeds: tuple[float, float],
+                   spacings: tuple[float, float]) -> dc.ConvexDecomposition:
+    """The decomposition `cfg.dt_policy` names at these wave speeds: the one
+    source of both a step's dt and the BP limiter's nodes."""
+    return dc.decomposition_for(cfg.dt_policy, cfg.k, dc.speed_ratios(speeds, spacings))
 
 
 @dataclass
@@ -416,16 +392,25 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
     cfg = validate_config(cfg)
     model = _build_model(cfg)
     mesh = _build_mesh(cfg, model)
+    spacings = (mesh.dx, mesh.dy)
     basis = Basis2D(cfg.k)
     scheme = SCHEMES[cfg.scheme]
     field = project(_build_initial(cfg, model), mesh, basis, model)
-    # the node set in use was built for these speeds; the optimal one is
-    # rebuilt only when they change, since its internal nodes follow them
-    node_speeds = global_max_speeds(field) if cfg.limiter_bp else None
-    chain = _build_limiter_chain(cfg, model, mesh, node_speeds)
+    chain = LimiterChain(m_tvb=cfg.tvb_m) if cfg.limiter_bp or cfg.tvb_m is not None else None
+    node_offsets = None  # internal offsets of the decomposition the BP nodes were built from
+
+    def limit_at(decomp: dc.ConvexDecomposition) -> None:
+        """Give BP limiting the nodes of `decomp`, rebuilt only when its
+        internal nodes moved (the optimal ones follow the speed ratio)."""
+        nonlocal node_offsets
+        if cfg.limiter_bp and not np.array_equal(decomp.internal_offsets, node_offsets):
+            chain.node_set = build_node_set(decomp, cfg.k, include_volume=cfg.model == "euler2d")
+            node_offsets = decomp.internal_offsets
+
+    if cfg.limiter_bp:
+        limit_at(_decomposition(cfg, global_max_speeds(field), spacings))
     if chain is not None:
         field = chain(field)
-    track_speeds = cfg.limiter_bp and cfg.node_set == "optimal"
 
     out_dir = Path(cfg.out_dir)
     if write_outputs:
@@ -443,13 +428,15 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
             # and stage 0 of the step read the same values
             field.values = point_values(field)
             speeds = global_max_speeds(field)
-            if track_speeds and speeds != node_speeds:
-                chain.node_set = _node_set_for(cfg, mesh, speeds)
-                node_speeds = speeds
-            dt = step_controller(cfg.dt_policy, cfg.k, scheme, speeds, (mesh.dx, mesh.dy), cfg.c0,
-                                 cfg.safety, cfg.fallback_dt)
+            # one decomposition per step: its dt is the step's, its nodes
+            # are where every stage of the step is limited
+            decomp = _decomposition(cfg, speeds, spacings)
+            limit_at(decomp)
+            dt = step_controller(decomp, scheme, speeds, spacings, cfg.c0)
             if t + dt > cfg.t_end:
-                dt = cfg.t_end - t  # clip the final step to land exactly on t_end
+                # clip the final step to land exactly on t_end; an unbounded
+                # step (every speed zero) lands there at once
+                dt = cfg.t_end - t
             field = ssp_step(field, scheme, dt, chain, speeds=speeds)
         except AdmissibilityError as exc:
             raise AdmissibilityError(
@@ -570,10 +557,11 @@ def efficiency_compare(cfg_a: RunConfig, cfg_b: RunConfig, write_outputs: bool =
     spacings = ((cfg_a.x_hi - cfg_a.x_lo) / cfg_a.nx, (cfg_a.y_hi - cfg_a.y_lo) / cfg_a.ny)
 
     def policy_dt(cfg: RunConfig, speeds: tuple[float, float]) -> float:
-        return step_controller(cfg.dt_policy, cfg.k, SCHEMES[cfg.scheme], speeds, spacings, cfg.c0,
-                               cfg.safety, cfg.fallback_dt)
+        return step_controller(_decomposition(cfg, speeds, spacings), SCHEMES[cfg.scheme], speeds,
+                               spacings, cfg.c0)
 
-    # integrate 1/tau over run A's recorded speed history for both policies
+    # integrate 1/tau over run A's recorded speed history for both policies;
+    # an unbounded step (zero speeds) counts as none under either
     n_a = n_b = 0.0
     for dt, *speeds in rep_a.speed_history:
         n_a += dt / policy_dt(cfg_a, speeds)
@@ -584,7 +572,7 @@ def efficiency_compare(cfg_a: RunConfig, cfg_b: RunConfig, write_outputs: bool =
         wall_a=rep_a.wall_time,
         wall_b=rep_b.wall_time,
         step_ratio=rep_b.steps / rep_a.steps,
-        predicted_ratio=n_b / n_a,
+        predicted_ratio=n_b / n_a if n_a > 0.0 else 1.0,
         report_a=rep_a,
         report_b=rep_b,
     )

@@ -253,7 +253,7 @@ def optimal_3d(k: int, ratios: SpeedRatios) -> ConvexDecomposition:
     )
 
 
-# dt policy and node-set names -> (2D, 3D) constructors, each called as
+# dt policy names -> (2D, 3D) constructors, each called as
 # build(k, ratios).  The lambdas look the constructors up at call time, so a
 # wrapper put on the module attribute (perfbench's tracer) sees the calls.
 POLICIES = {

@@ -15,7 +15,7 @@ from typing import Callable, Optional
 
 import numpy as np
 
-from .decomposition import bp_max_dt, decomposition_for, linear_stability_dt, speed_ratios
+from .decomposition import ConvexDecomposition, bp_max_dt
 from .physics import AdmissibilityError, ConservationLawModel, lax_friedrichs_flux
 from .quadrature import gauss_rule, legendre_table
 
@@ -483,29 +483,16 @@ def ssp_step(
 
 
 def step_controller(
-    policy: str,
-    k: int,
+    decomp: ConvexDecomposition,
     scheme: SspScheme,
     speeds: tuple[float, ...],
     spacings: tuple[float, ...],
     c0: float = 1.0,
-    safety: float = 1.0,
-    fallback_dt: Optional[float] = None,
 ) -> float:
-    """Time step C_SSP * (CFL bound) * safety for degree-k cells of the given
-    `spacings` at the per-axis wave `speeds`.  The bound is the BP one of the
-    decomposition `policy` names, or the linear-stability one for "linear";
-    `fallback_dt` is the step when every speed is zero."""
-    if max(speeds) == 0.0:
-        if fallback_dt is None:
-            raise ValueError("zero wave speeds and no fallback dt configured")
-        return fallback_dt
-    if policy == "linear":
-        base = linear_stability_dt(k, speeds, spacings)
-    else:
-        decomp = decomposition_for(policy, k, speed_ratios(speeds, spacings))
-        base = bp_max_dt(decomp, speeds, spacings, c0).max_dt
-    return scheme.ssp_coefficient * base * safety
+    """Time step C_SSP * (BP bound of `decomp`) for cells of the given
+    `spacings` at the per-axis wave `speeds`, `c0` the fraction of the bound
+    taken.  `inf` when every speed is zero: a stationary field."""
+    return scheme.ssp_coefficient * bp_max_dt(decomp, speeds, spacings, c0).max_dt
 
 
 def error_norms(

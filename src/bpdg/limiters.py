@@ -344,22 +344,14 @@ def tvb_minmod_limit(field: DGField, m_tvb: float) -> tuple[DGField, int]:
 class LimiterChain:
     """Per-stage limiter pipeline: TVB minmod first, then the BP limiter.
 
+    BP limiting is on exactly when a node set is given, and enforces the
+    field's own invariant region (`field.model.region`) at those nodes.
     `last_diagnostics` are those of the latest call; `totals` accumulate over
     every call (every stage of every step, and any initial limiting)."""
 
-    def __init__(
-        self,
-        region: Optional[InvariantRegion] = None,
-        node_set: Optional[LimiterNodeSet] = None,
-        m_tvb: Optional[float] = None,
-        bp_enabled: bool = True,
-    ):
-        if bp_enabled and (region is None or node_set is None):
-            raise ValueError("BP limiting needs a region and a node set")
-        self.region = region
+    def __init__(self, node_set: Optional[LimiterNodeSet] = None, m_tvb: Optional[float] = None):
         self.node_set = node_set
         self.m_tvb = m_tvb
-        self.bp_enabled = bp_enabled
         self.last_diagnostics = LimiterDiagnostics()
         self.totals = LimiterDiagnostics()
 
@@ -367,8 +359,8 @@ class LimiterChain:
         diag = LimiterDiagnostics()
         if self.m_tvb is not None:
             field, diag.troubled_cells = tvb_minmod_limit(field, self.m_tvb)
-        if self.bp_enabled:
-            field, bp_diag = bp_scaling_limit(field, self.region, self.node_set)
+        if self.node_set is not None:
+            field, bp_diag = bp_scaling_limit(field, field.model.region, self.node_set)
             diag.cells_limited = bp_diag.cells_limited
             diag.min_theta = bp_diag.min_theta
             diag.collapsed_cells = bp_diag.collapsed_cells

@@ -6,6 +6,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+from bpdg import cli, decomposition, dg_core
 from bpdg.cli import (
     _KEY_PARSERS,
     ConfigError,
@@ -16,9 +17,12 @@ from bpdg.cli import (
     main,
     parse_config,
     run,
+    validate_config,
 )
 from bpdg.dg_core import Basis2D
 from bpdg.limiters import LimiterChain, LimiterNodeSet
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 ADVECTION_SMALL = """
 model = advection2d
@@ -28,7 +32,7 @@ k = 2
 t_end = 0.1
 dt_policy = optimal
 limiter.bp = on
-limiter.node_set = optimal
+scheme = ssprk3
 """
 
 
@@ -75,10 +79,10 @@ def test_parse_missing_equals(tmp_path):
 def test_parse_limiter_keys(tmp_path):
     path = _write(
         tmp_path, "a.cfg",
-        "limiter.bp = off\nlimiter.tvb_M = 2.5\nlimiter.node_set = classic\n",
+        "limiter.bp = off\nlimiter.tvb_M = 2.5\n",
     )
     cfg = parse_config(path)
-    assert cfg.limiter_bp is False and cfg.tvb_m == 2.5 and cfg.node_set == "classic"
+    assert cfg.limiter_bp is False and cfg.tvb_m == 2.5
     path = _write(tmp_path, "b.cfg", "limiter.tvb_M = off\n")
     assert parse_config(path).tvb_m is None
 
@@ -136,17 +140,15 @@ def test_run_rejects_unknown_scheme_and_model():
 
 @pytest.mark.parametrize(
     "changes",
-    [dict(nx=0), dict(ny=-3), dict(k=4), dict(safety=2.0), dict(safety=0.0),
-     dict(dt_policy="jiang_liu"), dict(node_set="bogus"), dict(x_hi=-2.0), dict(y_lo=1.0),
-     dict(gamma=1.0), dict(c0=0.0), dict(c0=5.0), dict(t_end=-1.0),
+    [dict(nx=0), dict(ny=-3), dict(k=4), dict(dt_policy="jiang_liu"), dict(dt_policy="linear"),
+     dict(x_hi=-2.0), dict(y_lo=1.0), dict(gamma=1.0), dict(c0=0.0), dict(c0=5.0), dict(t_end=-1.0),
      dict(model="euler2d", initial="uniform", inflow=(1.0, 2.0)), dict(ambient=(5.0, 0.0, 0.4127)),
-     dict(riemann_states=(0.1, 0.2, 0.3, 0.4, 0.5)), dict(region_lo=1.0), dict(fallback_dt=0.0),
-     dict(t_end=float("inf"))],
-    ids=["zero-cells", "negative-cells", "unsupported-degree", "safety-above-one",
-         "zero-safety", "unknown-policy", "unknown-node-set", "x-bounds-reversed", "empty-y-range",
-         "gamma-one", "zero-c0", "c0-above-one", "negative-t-end", "two-inflow-values",
-         "three-ambient-values", "five-riemann-states", "empty-region", "zero-fallback-dt",
-         "infinite-t-end"],
+     dict(riemann_states=(0.1, 0.2, 0.3, 0.4, 0.5)), dict(region_lo=1.0), dict(t_end=float("inf")),
+     dict(limiter_bp="maybe"), dict(tvb_m="M")],
+    ids=["zero-cells", "negative-cells", "unsupported-degree", "unknown-policy", "linear-policy",
+         "x-bounds-reversed", "empty-y-range", "gamma-one", "zero-c0", "c0-above-one", "negative-t-end",
+         "two-inflow-values", "three-ambient-values", "five-riemann-states", "empty-region",
+         "infinite-t-end", "bp-not-a-bool", "tvb-not-a-number"],
 )
 def test_run_validates_configs_built_in_code(changes):
     with pytest.raises(ConfigError):
@@ -154,10 +156,8 @@ def test_run_validates_configs_built_in_code(changes):
 
 
 def test_run_accepts_jiang_liu_spelling_in_code():
-    spelled = run(RunConfig(nx=6, ny=6, t_end=0.02, dt_policy="jiang-liu", node_set="jiang-liu"),
-                  write_outputs=False)
-    plain = run(RunConfig(nx=6, ny=6, t_end=0.02, dt_policy="jiangliu", node_set="jiangliu"),
-                write_outputs=False)
+    spelled = run(RunConfig(nx=6, ny=6, t_end=0.02, dt_policy="jiang-liu"), write_outputs=False)
+    plain = run(RunConfig(nx=6, ny=6, t_end=0.02, dt_policy="jiangliu"), write_outputs=False)
     assert spelled.steps == plain.steps and spelled.l1 == plain.l1
 
 
@@ -225,6 +225,76 @@ def test_euler_run_evaluates_each_rk_state_once(tmp_path, monkeypatch):
     assert calls.count("stacked") == 1
 
 
+def _record_decompositions(monkeypatch):
+    """Record, in order, each node set the run builds (with its
+    decomposition), each step's dt decomposition and each limiting's nodes."""
+    events = []
+    build, bound, limit = cli.build_node_set, dg_core.bp_max_dt, LimiterChain.__call__
+
+    def recorded_build(decomp, k, include_volume=False):
+        nodes = build(decomp, k, include_volume)
+        events.append(("build", decomp, nodes))
+        return nodes
+
+    def recorded_bound(decomp, *args, **kwargs):
+        events.append(("dt", decomp, None))
+        return bound(decomp, *args, **kwargs)
+
+    def recorded_limit(self, field):
+        events.append(("limit", None, self.node_set))
+        return limit(self, field)
+
+    monkeypatch.setattr(cli, "build_node_set", recorded_build)
+    monkeypatch.setattr(dg_core, "bp_max_dt", recorded_bound)
+    monkeypatch.setattr(LimiterChain, "__call__", recorded_limit)
+    return events, build
+
+
+@pytest.mark.parametrize(
+    "model, policy",
+    [("advection", "optimal"), ("advection", "classic"), ("jet", "optimal"), ("jet", "jiangliu")],
+)
+def test_limiter_nodes_come_from_the_decomposition_of_the_step_dt(tmp_path, monkeypatch, model, policy):
+    events, build = _record_decompositions(monkeypatch)
+    if model == "jet":
+        cfg = parse_config(_write(tmp_path, "jet.cfg", JET_SMALL + f"dt_policy = {policy}\n"))
+    else:
+        cfg = RunConfig(nx=8, ny=8, t_end=0.1, advection_cx=1.0, advection_cy=0.5, dt_policy=policy)
+    report = run(cfg, write_outputs=False)
+    euler = cfg.model == "euler2d"
+    steps = [i for i, (kind, _, _) in enumerate(events) if kind == "dt"]
+    assert len(steps) == report.steps > 0
+    built_from = {id(nodes): decomp for kind, decomp, nodes in events if kind == "build"}
+    for start, end in zip(steps, steps[1:] + [len(events)]):
+        decomp = events[start][1]
+        assert decomp.name.startswith({"optimal": "optimal", "classic": "zhang-shu",
+                                       "jiangliu": "jiang-liu"}[policy])
+        limited = [nodes for kind, _, nodes in events[start:end] if kind == "limit"]
+        assert len(limited) == 3  # every stage of the step
+        for nodes in limited:
+            np.testing.assert_array_equal(built_from[id(nodes)].internal_offsets, decomp.internal_offsets)
+            np.testing.assert_array_equal(nodes.offsets, build(decomp, cfg.k, euler).offsets)
+    builds = sum(kind == "build" for kind, _, _ in events)
+    if euler:
+        assert 1 <= builds <= 1 + report.steps
+    else:
+        assert builds == 1  # constant speeds: the nodes never move
+
+
+def test_jet_builds_one_optimal_decomposition_per_step(tmp_path, monkeypatch):
+    calls = []
+    optimal = decomposition.optimal_2d
+
+    def counted(k, ratios):
+        calls.append(ratios)
+        return optimal(k, ratios)
+
+    monkeypatch.setattr(decomposition, "optimal_2d", counted)
+    report = run(parse_config(_write(tmp_path, "jet.cfg", JET_SMALL)), write_outputs=False)
+    # the initial limiting's, then one per step for both its dt and its nodes
+    assert report.steps > 0 and len(calls) == 1 + report.steps
+
+
 def test_burgers_means_stay_in_region():
     cfg = RunConfig(model="burgers2d", x_lo=0.0, x_hi=1.0, y_lo=0.0, y_hi=1.0,
                     nx=16, ny=16, t_end=0.2, bc="outflow", initial="riemann4",
@@ -249,11 +319,14 @@ def test_convergence_study_orders(tmp_path):
 
 
 def test_node_set_choice_changes_little():
+    # the policy sets both dt and the node set; at c0 = 2/3 the optimal step
+    # is the classic one (h/12 at equal speeds), so only the nodes differ
     base = RunConfig(model="advection2d", nx=40, ny=40, k=2, t_end=0.2)
-    l1 = {}
-    for ns in ("optimal", "classic"):
-        cfg = RunConfig(**{**base.__dict__, "node_set": ns})
-        l1[ns] = run(cfg, write_outputs=False).l1
+    l1, steps = {}, {}
+    for ns, c0 in (("optimal", 2.0 / 3.0), ("classic", 1.0)):
+        report = run(RunConfig(**{**base.__dict__, "dt_policy": ns, "c0": c0}), write_outputs=False)
+        l1[ns], steps[ns] = report.l1, report.steps
+    assert steps["optimal"] == steps["classic"]
     assert abs(l1["optimal"] - l1["classic"]) <= 0.1 * max(l1.values())
 
 
@@ -314,11 +387,12 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     "line",
     ["nx = 0", "k = 4", "dt_policy = jiang_liu", "x_hi = -2.0", "y_lo = 1.0", "gamma = 1.0",
      "c0 = 0", "c0 = 5", "t_end = -1", "inflow = 1, 2", "ambient = 5.0, 0.0, 0.4127",
-     "riemann_states = 0.1 0.2 0.3 0.4 0.5", "region_lo = 1.0", "fallback_dt = 0", "t_end = inf"],
+     "riemann_states = 0.1 0.2 0.3 0.4 0.5", "region_lo = 1.0", "fallback_dt = 0", "t_end = inf",
+     "dt_policy = linear"],
     ids=["zero-cells", "unsupported-degree", "unknown-policy", "x-bounds-reversed", "empty-y-range",
          "gamma-one", "zero-c0", "c0-above-one", "negative-t-end", "two-inflow-values",
          "three-ambient-values", "five-riemann-states", "empty-region", "zero-fallback-dt",
-         "infinite-t-end"],
+         "infinite-t-end", "linear-policy"],
 )
 def test_cli_invalid_value_exit_code(tmp_path, capsys, line):
     cfg = _write(tmp_path, "bad.cfg", ADVECTION_SMALL + f"{line}\nout_dir = {tmp_path / 'o'}\n")
@@ -341,10 +415,31 @@ def test_cli_rejects_safety_above_one(tmp_path, capsys):
     assert len(err) == 1 and "safety" in err[0] and ":10:" in err[0]
 
 
+@pytest.mark.parametrize(
+    "line",
+    ["limiter.node_set = optimal", "safety = 1.0", "fallback_dt = 0.001"],
+    ids=["node-set", "safety", "fallback-dt"],
+)
+def test_cli_rejects_deleted_keys(tmp_path, capsys, line):
+    # values these keys used to accept: dt_policy alone names the
+    # decomposition, c0 is the one dt fraction, a zero-speed step is unbounded
+    cfg = _write(tmp_path, "old.cfg", ADVECTION_SMALL + f"{line}\nout_dir = {tmp_path / 'o'}\n")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    key = line.split()[0]
+    assert len(err) == 1 and err[0] == f"config error: {cfg}:10: unknown key {key!r}"
+
+
+@pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
+def test_shipped_configs_parse_and_validate(path):
+    cfg = parse_config(path)
+    assert validate_config(cfg) == cfg
+
+
 def test_cli_accepts_jiang_liu_spelling(tmp_path, capsys):
-    text = ADVECTION_SMALL + "dt_policy = jiang-liu\nlimiter.node_set = jiang-liu\n"
+    text = ADVECTION_SMALL + "dt_policy = jiang-liu\n"
     cfg = _write(tmp_path, "jl.cfg", text + f"out_dir = {tmp_path / 'o'}\n")
-    assert parse_config(cfg).dt_policy == parse_config(cfg).node_set == "jiangliu"
+    assert parse_config(cfg).dt_policy == "jiangliu"
     assert main(["run", str(cfg)]) == 0
 
 
@@ -397,13 +492,13 @@ def test_cli_converge(tmp_path, capsys):
 
 
 def test_cli_compare_zero_velocity(tmp_path, capsys):
-    # every step takes fallback_dt under both policies: a predicted ratio of 1
+    # a stationary field bounds no step: one step to t_end under both policies
     text = "model = advection2d\nadvection_cx = 0\nadvection_cy = 0\nnx = 8\nny = 8\nt_end = 0.01\n"
     a = _write(tmp_path, "a.cfg", text + f"dt_policy = optimal\nout_dir = {tmp_path / 'oa'}\n")
     b = _write(tmp_path, "b.cfg", text + f"dt_policy = classic\nout_dir = {tmp_path / 'ob'}\n")
     assert main(["compare", str(a), str(b)]) == 0
     steps_a, steps_b, step_ratio, predicted = capsys.readouterr().out.splitlines()[1].split(",")[:4]
-    assert steps_a == steps_b == "10" and float(step_ratio) == float(predicted) == 1.0
+    assert steps_a == steps_b == "1" and float(step_ratio) == float(predicted) == 1.0
 
 
 def test_readme_config_table_lists_the_parsed_keys():

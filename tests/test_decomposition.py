@@ -8,6 +8,7 @@ import pytest
 from bpdg.decomposition import (
     SpeedRatios,
     bp_max_dt,
+    decomposition_for,
     jiang_liu_2d,
     jiang_liu_3d,
     linear_stability_dt,
@@ -260,3 +261,10 @@ def test_dimension_mismatch_rejected():
         optimal_2d(2, EQUAL3)
     with pytest.raises(ValueError):
         optimal_3d(2, EQUAL2)
+
+
+def test_decomposition_for_unknown_policy():
+    # `linear` names no decomposition: it bounds no limiter nodes
+    for name in ("bogus", "linear"):
+        with pytest.raises(ValueError, match="unknown policy"):
+            decomposition_for(name, 2, EQUAL2)

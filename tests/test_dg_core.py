@@ -6,7 +6,7 @@ import math
 import numpy as np
 import pytest
 
-from bpdg.decomposition import SpeedRatios, optimal_2d
+from bpdg.decomposition import SpeedRatios, decomposition_for, optimal_2d, speed_ratios
 from bpdg.dg_core import (
     Basis2D,
     DGField,
@@ -372,8 +372,7 @@ def _limited_jet(n=(12, 6), k=2):
                     mesh, Basis2D(k), model)
     speeds = global_max_speeds(field)
     ratios = SpeedRatios((speeds[0] / mesh.dx, speeds[1] / mesh.dy))
-    chain = LimiterChain(region=model.region, m_tvb=1.0,
-                         node_set=build_node_set(optimal_2d(k, ratios), k, include_volume=True))
+    chain = LimiterChain(build_node_set(optimal_2d(k, ratios), k, include_volume=True), m_tvb=1.0)
     return chain(field), chain
 
 
@@ -392,8 +391,8 @@ def test_euler_pressure_computed_once_per_rk_state(monkeypatch):
         return pressure(u)
 
     monkeypatch.setattr(model, "pressure", counted)
-    speeds = global_max_speeds(field)
-    dt = step_controller("optimal", 2, SSPRK3, speeds, (field.mesh.dx, field.mesh.dy))
+    speeds, spacings = global_max_speeds(field), (field.mesh.dx, field.mesh.dy)
+    dt = step_controller(optimal_2d(2, speed_ratios(speeds, spacings)), SSPRK3, speeds, spacings)
     limited = ssp_step(field, SSPRK3, dt, chain, speeds=speeds)
     # one full pass per limited stage state, at its limiter nodes, whose
     # stacked rows the next residual reuses; the step's start state reuses
@@ -504,11 +503,12 @@ def test_bp_means_stay_in_box_under_optimal_policy():
     model = AdvectionModel(region=BoxScalar(-1.0, 1.0))
     field = project(_sine, mesh, Basis2D(2), model)
     ratios = SpeedRatios((1.0 / mesh.dx, 1.0 / mesh.dy))
-    chain = LimiterChain(region=model.region,
-                         node_set=build_node_set(optimal_2d(2, ratios), 2))
+    decomp = optimal_2d(2, ratios)
+    chain = LimiterChain(build_node_set(decomp, 2))
     field = chain(field)
     for _ in range(20):
-        dt = step_controller("optimal", 2, SSPRK3, global_max_speeds(field), (mesh.dx, mesh.dy))
+        # advection speeds are constant: the nodes' decomposition is the step's
+        dt = step_controller(decomp, SSPRK3, global_max_speeds(field), (mesh.dx, mesh.dy))
         field = ssp_step(field, SSPRK3, dt, chain)
         means = field.cell_averages
         assert means.min() >= -1.0 - 1e-12 and means.max() <= 1.0 + 1e-12
@@ -520,38 +520,36 @@ def test_bp_means_stay_in_box_under_optimal_policy():
 UNIT_SPEEDS, H = (1.0, 1.0), (0.1, 0.1)
 
 
+def _at_unit_speeds(policy, k=2):
+    return decomposition_for(policy, k, speed_ratios(UNIT_SPEEDS, H))
+
+
 def test_step_controller_policies_match_table():
     h = H[0]
-    assert step_controller("optimal", 2, SSPRK3, UNIT_SPEEDS, H) == pytest.approx(h / 8, rel=1e-13)
-    assert step_controller("classic", 2, SSPRK3, UNIT_SPEEDS, H) == pytest.approx(h / 12, rel=1e-13)
-    assert step_controller("jiangliu", 2, SSPRK3, UNIT_SPEEDS, H) == pytest.approx(h / 12, rel=1e-13)
-    assert step_controller("linear", 2, SSPRK3, UNIT_SPEEDS, H) == pytest.approx(h / 10, rel=1e-13)
+    assert step_controller(_at_unit_speeds("optimal"), SSPRK3, UNIT_SPEEDS, H) == pytest.approx(h / 8, rel=1e-13)
+    assert step_controller(_at_unit_speeds("classic"), SSPRK3, UNIT_SPEEDS, H) == pytest.approx(h / 12, rel=1e-13)
+    assert step_controller(_at_unit_speeds("jiangliu"), SSPRK3, UNIT_SPEEDS, H) == pytest.approx(h / 12, rel=1e-13)
 
 
-def test_step_controller_scales_with_ssp_coefficient_and_safety():
-    base = step_controller("optimal", 2, SSPRK3, UNIT_SPEEDS, H)
-    assert step_controller("optimal", 2, SSPRK4, UNIT_SPEEDS, H) == pytest.approx(
+def test_step_controller_scales_with_ssp_coefficient_and_c0():
+    decomp = _at_unit_speeds("optimal")
+    base = step_controller(decomp, SSPRK3, UNIT_SPEEDS, H)
+    assert step_controller(decomp, SSPRK4, UNIT_SPEEDS, H) == pytest.approx(
         SSPRK4.ssp_coefficient * base, rel=1e-13
     )
-    assert step_controller("optimal", 2, SSPRK3, UNIT_SPEEDS, H, safety=0.5) == pytest.approx(
-        0.5 * base, rel=1e-13
-    )
+    assert step_controller(decomp, SSPRK3, UNIT_SPEEDS, H, c0=0.5) == pytest.approx(0.5 * base, rel=1e-13)
 
 
 def test_step_controller_zero_speed_fallback():
+    # a field with zero speed at every point is stationary: no step bound
     mesh = _periodic_mesh(4)
     basis = Basis2D(2)
     coeffs = np.zeros((4, 4, basis.n_modes, 1))
     field = DGField(coeffs, basis, mesh, BurgersModel(BoxScalar(-1.0, 1.0)))
     speeds, spacings = global_max_speeds(field), (mesh.dx, mesh.dy)
-    assert step_controller("optimal", 2, SSPRK3, speeds, spacings, fallback_dt=0.01) == 0.01
-    with pytest.raises(ValueError):
-        step_controller("optimal", 2, SSPRK3, speeds, spacings)
-
-
-def test_step_controller_unknown_policy():
-    with pytest.raises(ValueError):
-        step_controller("bogus", 2, SSPRK3, UNIT_SPEEDS, H)
+    assert speeds == (0.0, 0.0)
+    decomp = decomposition_for("optimal", 2, speed_ratios(speeds, spacings))
+    assert step_controller(decomp, SSPRK3, speeds, spacings) == math.inf
 
 
 # ------------------------------------------------------ boundary conditions

@@ -23,6 +23,7 @@ from bpdg.dg_core import (
 from bpdg import limiters
 from bpdg.limiters import (
     LimiterChain,
+    LimiterDiagnostics,
     LimiterNodeSet,
     _BACKOFF_STEPS,
     _pressure_crossing,
@@ -286,7 +287,7 @@ def test_collapsed_cell_values_are_its_average(monkeypatch):
     p_mean = model.pressure(field.coeffs[0, 0, 0, :])
     field.coeffs[0, 0, ix, 3] = (-0.1 - p_mean) / (model.gamma - 1.0) / np.sqrt(3.0)
     monkeypatch.setattr(limiters, "_pressure_crossing", lambda m, um, un, target: np.full(um.shape[1], 0.999))
-    chain = LimiterChain(region=EulerPositivity(), node_set=build_node_set(optimal_2d(2, EQUAL), 2, include_volume=True))
+    chain = LimiterChain(build_node_set(optimal_2d(2, EQUAL), 2, include_volume=True))
     out = chain(field)
     diag = chain.last_diagnostics
     assert diag.cells_limited == 1 and diag.collapsed_cells == 1 and diag.min_theta == 0.0
@@ -513,19 +514,24 @@ def test_tvb_noop_for_piecewise_constant_space():
 
 
 def test_chain_requires_region_and_nodes_for_bp():
-    with pytest.raises(ValueError):
-        LimiterChain(bp_enabled=True)
+    # BP limiting is on exactly when a node set is given, in the field's own region
+    field = _scalar_field(n=6)
+    ix = field.basis.mode_exps.index((1, 0))
+    field.coeffs[2, 3, ix, 0] = 1.0  # overshoots to sqrt(3) on the x+ face
+    off = LimiterChain()
+    np.testing.assert_array_equal(off(field).coeffs, field.coeffs)
+    assert off.last_diagnostics == LimiterDiagnostics()
+    on = LimiterChain(build_node_set(optimal_2d(2, EQUAL), 2))
+    limited = on(field)
+    assert on.last_diagnostics.cells_limited == 1
+    assert evaluate_at_offsets(limited, on.node_set.offsets)[2, 3].max() <= field.model.region.hi + 1e-13
 
 
 def test_chain_applies_tvb_then_bp_and_records_diagnostics():
     field = _scalar_field(n=6)
     ix = field.basis.mode_exps.index((1, 0))
     field.coeffs[:, :, ix, 0] = 1.0
-    chain = LimiterChain(
-        region=field.model.region,
-        node_set=build_node_set(optimal_2d(2, EQUAL), 2),
-        m_tvb=0.1,
-    )
+    chain = LimiterChain(build_node_set(optimal_2d(2, EQUAL), 2), m_tvb=0.1)
     out = chain(field)
     diag = chain.last_diagnostics
     assert diag.min_theta <= 1.0
@@ -538,7 +544,7 @@ def test_chain_totals_cover_every_stage_of_a_step():
     field = _scalar_field(n=6)
     ix = field.basis.mode_exps.index((1, 0))
     field.coeffs[2, 3, ix, 0] = 1.0  # overshoots to sqrt(3) on the x+ face
-    chain = LimiterChain(region=field.model.region, node_set=build_node_set(optimal_2d(2, EQUAL), 2))
+    chain = LimiterChain(build_node_set(optimal_2d(2, EQUAL), 2))
     ssp_step(field, SSPRK3, 1e-6, chain)
     # every stage state mixes in the unlimited start state, so cell (2, 3) is
     # limited at each of the three stages; the last call sees only one
