@@ -546,15 +546,25 @@ class CompareReport:
     report_b: RunReport
 
 
+# the keys two compared configs may set differently: the scheme under test
+# and where its outputs go; every other key defines the problem
+_COMPARE_MAY_DIFFER = ("dt_policy", "scheme", "c0", "out_dir", "output_every")
+
+
 def efficiency_compare(cfg_a: RunConfig, cfg_b: RunConfig, write_outputs: bool = True) -> CompareReport:
     """Run both configs on the same problem and compare step counts against the
-    ratio predicted by the dt formulas at the recorded wave speeds."""
-    if (cfg_a.nx, cfg_a.ny, cfg_a.model, cfg_a.t_end) != (cfg_b.nx, cfg_b.ny, cfg_b.model, cfg_b.t_end):
-        raise ConfigError("compare requires the same problem and mesh in both configs")
+    ratio predicted by the dt formulas at the recorded wave speeds.
+    ConfigError naming the first key outside `_COMPARE_MAY_DIFFER` whose
+    values differ."""
     cfg_a, cfg_b = validate_config(cfg_a), validate_config(cfg_b)
+    for key, (attr, _) in _KEY_PARSERS.items():
+        a, b = getattr(cfg_a, attr), getattr(cfg_b, attr)
+        if key not in _COMPARE_MAY_DIFFER and a != b:
+            raise ConfigError(f"compare requires the same problem in both configs: {key} is {a} vs {b}")
     rep_a = run(cfg_a, write_outputs=write_outputs)
     rep_b = run(cfg_b, write_outputs=write_outputs)
-    spacings = ((cfg_a.x_hi - cfg_a.x_lo) / cfg_a.nx, (cfg_a.y_hi - cfg_a.y_lo) / cfg_a.ny)
+    mesh = _build_mesh(cfg_a, _build_model(cfg_a))
+    spacings = (mesh.dx, mesh.dy)
 
     def policy_dt(cfg: RunConfig, speeds: tuple[float, float]) -> float:
         return step_controller(_decomposition(cfg, speeds, spacings), SCHEMES[cfg.scheme], speeds,

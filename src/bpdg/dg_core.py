@@ -99,10 +99,12 @@ def apply_matrix(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     component plane `out[:, :, i, c]` is one contiguous (nx, ny) block.  The
     model's elementwise physics on `u[..., c]` and the limiters' min and max
     over a cell's points then run over whole planes instead of stride-m
-    reads.  An `x` already laid out so (a flux of such values) is read
-    without a copy.  At k = 2 the gemm gives the same bits as the 2D gemm
-    (scalar fields) and batched matmul (systems) it replaced, so no limiter
-    decision moves; BLAS may round k = 3's 16-term volume sums differently.
+    reads.  An `x` already laid out so is read without a copy: every
+    coefficient array is (see `DGField`), and so are the fluxes of such
+    values; any other layout is copied into it first.  At k = 2 the gemm
+    gives the same bits as the 2D gemm (scalar fields) and batched matmul
+    (systems) it replaced, so no limiter decision moves; BLAS may round
+    k = 3's 16-term volume sums differently.
     """
     nx, ny, b, m = x.shape
     planes = np.ascontiguousarray(x.transpose(3, 2, 0, 1)).reshape(m, b, nx * ny)
@@ -176,6 +178,13 @@ class Basis2D:
 class DGField:
     """Per-cell modal coefficients, shape (nx, ny, n_modes, m).
 
+    `coeffs` is held component-major in memory: a view of an (m, n_modes,
+    nx, ny) C-array, the layout `apply_matrix` reads without a copy and
+    returns its rates in.  `project` creates it so, `copy` and `zeros_like`
+    (the SSP-RK stages) keep it, and the rates and the limiters' in-place
+    scalings preserve it; a field built from other memory is still correct,
+    it only costs a copy per evaluation.
+
     `values`, when set, are the field's point values, handed on by the code
     that last changed the coefficients so that the readers of this state do
     not evaluate it again.  The Euler BP limiter hands on the stacked rows of
@@ -200,7 +209,7 @@ class DGField:
         return self.coeffs[:, :, 0, :]
 
     def copy(self) -> "DGField":
-        return DGField(self.coeffs.copy(), self.basis, self.mesh, self.model)
+        return DGField(self.coeffs.copy(order="K"), self.basis, self.mesh, self.model)
 
     def like(self, coeffs: np.ndarray) -> "DGField":
         return DGField(coeffs, self.basis, self.mesh, self.model)
@@ -223,7 +232,8 @@ def project(
     vals = np.asarray(u0(x, y), dtype=float)
     if vals.shape != (mesh.nx, mesh.ny, len(weights), model.m):
         raise ValueError("initial-data callable returned the wrong shape")
-    coeffs = np.einsum("ijgc,ng,g->ijnc", vals, phi, weights, optimize=True)
+    coeffs = np.empty((model.m, basis.n_modes, mesh.nx, mesh.ny)).transpose(2, 3, 1, 0)
+    np.einsum("ijgc,ng,g->ijnc", vals, phi, weights, optimize=True, out=coeffs)
     return DGField(coeffs, basis, mesh, model)
 
 
@@ -233,18 +243,20 @@ def evaluate_at_offsets(field: DGField, offsets: np.ndarray) -> np.ndarray:
 
 
 def ghost_trace(bc: BoundaryCondition, interior: np.ndarray, wrap: np.ndarray,
-                coords: np.ndarray) -> np.ndarray:
+                coords: np.ndarray, of_state: Optional[Callable] = None) -> np.ndarray:
     """Exterior states along one boundary, for face traces and cell means
     alike: `wrap` (the opposite side's states) if periodic, else a copy of
     the `interior` states with the inflow state wherever `coords`, the
     positions along the boundary (shape of interior[..., 0]), lie in the
-    inflow segment."""
+    inflow segment.  With `of_state` the arrays hold a pointwise function of
+    the states (e.g. the pressure) and the inflow points get
+    `of_state(state)`."""
     if bc == PERIODIC:
         return wrap
     ghost = interior.copy(order="K")  # keep the component-major layout
     if isinstance(bc, InflowSegment):
         inside = (coords >= bc.lo - 1e-12) & (coords <= bc.hi + 1e-12)
-        ghost[inside] = bc.state
+        ghost[inside] = bc.state if of_state is None else of_state(bc.state)
     elif bc != OUTFLOW:
         raise ValueError(f"unknown boundary condition {bc!r}")
     return ghost
@@ -274,8 +286,10 @@ class PointValues:
     exterior traces along the left, right, bottom and top boundaries.  All
     are component-major in memory, as `apply_matrix` returns them.
     `pressure` and `ghost_pressures` are the model's pressure of `stacked` and
-    of each ghost (None for models without one, i.e. scalar laws); a periodic
-    ghost's pressure is a slice of `pressure`, as its trace is of `stacked`."""
+    of each ghost (None for models without one, i.e. scalar laws), formed as
+    the ghosts are: a periodic ghost's is a slice of `pressure`, an outflow
+    ghost's a copy of the interior face slice, and an inflow ghost's is that
+    copy with the inflow state's pressure at the inflow points."""
 
     stacked: np.ndarray
     ghosts: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
@@ -295,23 +309,23 @@ def values_of_stacked(field: DGField, u: np.ndarray, p: Optional[np.ndarray] = N
     pressure = getattr(model, "pressure", None)
     if p is None and pressure is not None:
         p = pressure(u)
-    uxm, uxp, uym, uyp = _faces(u, basis)
     q_nodes = basis.face_rule.nodes
     y_face = _face_coords(mesh, True, q_nodes)
     x_face = _face_coords(mesh, False, q_nodes)
-    ghosts = (
-        ghost_trace(mesh.bc_left, uxm[0], uxp[-1], y_face),
-        ghost_trace(mesh.bc_right, uxp[-1], uxm[0], y_face),
-        ghost_trace(mesh.bc_bottom, uym[:, 0], uyp[:, -1], x_face),
-        ghost_trace(mesh.bc_top, uyp[:, -1], uym[:, 0], x_face),
-    )
-    ghost_p = (None,) * 4
-    if p is not None:
-        pxm, pxp, pym, pyp = _faces(p, basis)
-        bcs = (mesh.bc_left, mesh.bc_right, mesh.bc_bottom, mesh.bc_top)
-        wraps = (pxp[-1], pxm[0], pyp[:, -1], pym[:, 0])
-        ghost_p = tuple(w if bc == PERIODIC else pressure(g) for bc, g, w in zip(bcs, ghosts, wraps))
-    return PointValues(u, ghosts, p, ghost_p)
+
+    def ghosts_of(a, of_state=None):
+        # per side: the interior face trace and the opposite side's (its wrap)
+        xm, xp, ym, yp = _faces(a, basis)
+        return (
+            ghost_trace(mesh.bc_left, xm[0], xp[-1], y_face, of_state),
+            ghost_trace(mesh.bc_right, xp[-1], xm[0], y_face, of_state),
+            ghost_trace(mesh.bc_bottom, ym[:, 0], yp[:, -1], x_face, of_state),
+            ghost_trace(mesh.bc_top, yp[:, -1], ym[:, 0], x_face, of_state),
+        )
+
+    # the pressure is pointwise, so a ghost's is the ghost formed from `p`
+    ghost_p = (None,) * 4 if p is None else ghosts_of(p, pressure)
+    return PointValues(u, ghosts_of(u), p, ghost_p)
 
 
 def point_values(field: DGField) -> PointValues:
@@ -330,9 +344,11 @@ def global_max_speeds(field: DGField, values: Optional[PointValues] = None) -> t
         values = point_values(field)
     mesh = field.mesh
     bcs = (mesh.bc_left, mesh.bc_right, mesh.bc_bottom, mesh.bc_top)
-    # a periodic ghost is an interior trace, already in the stacked values
+    # a periodic or outflow ghost holds only interior face traces, whose
+    # speeds are already in the stacked values' maximum
     sets = [(values.stacked, values.pressure)] + [
-        (g, p) for g, p, bc in zip(values.ghosts, values.ghost_pressures, bcs) if bc != PERIODIC
+        (g, p) for g, p, bc in zip(values.ghosts, values.ghost_pressures, bcs)
+        if isinstance(bc, InflowSegment)
     ]
     a1 = a2 = 0.0
     for pts, p in sets:
@@ -380,19 +396,27 @@ def semidiscrete_residual(
     uvol = u[:, :, basis.at_vol]
     pvol = None if p is None else p[:, :, basis.at_vol]
 
-    # the terms are combined in this order and scaled after assembly, so the
-    # rate is bit-identical to the per-term quadrature sums; one term's flux
-    # array at a time is alive
-    rate = (
-        apply_matrix(basis.assemble_vol_x, model.flux(uvol, 0, pvol)) / mesh.dx
-        + apply_matrix(basis.assemble_vol_y, model.flux(uvol, 1, pvol)) / mesh.dy
-    )
-    f = _interface_flux(model, values, basis, 0, alphas[0])
-    rate -= (apply_matrix(basis.assemble_xp, f[1:]) - apply_matrix(basis.assemble_xm, f[:-1])) / mesh.dx
-    f = _interface_flux(model, values, basis, 1, alphas[1])
-    rate -= (
-        apply_matrix(basis.assemble_yp, f[:, 1:]) - apply_matrix(basis.assemble_ym, f[:, :-1])
-    ) / mesh.dy
+    def volume(axis: int, h: float) -> np.ndarray:
+        t = apply_matrix((basis.assemble_vol_x, basis.assemble_vol_y)[axis], model.flux(uvol, axis, pvol))
+        t /= h
+        return t
+
+    def faces(axis: int, h: float) -> np.ndarray:
+        f = _interface_flux(model, values, basis, axis, alphas[axis])
+        lo, hi = (f[:-1], f[1:]) if axis == 0 else (f[:, :-1], f[:, 1:])
+        t = apply_matrix((basis.assemble_xp, basis.assemble_yp)[axis], hi)
+        t -= apply_matrix((basis.assemble_xm, basis.assemble_ym)[axis], lo)
+        t /= h
+        return t
+
+    # vol_x/dx + vol_y/dy - (xp - xm)/dx - (yp - ym)/dy, combined in this
+    # order and scaled after assembly, so the rate is bit-identical to the
+    # per-term quadrature sums; accumulated in place, so besides the rate
+    # one term and its flux array at a time are alive
+    rate = volume(0, mesh.dx)
+    rate += volume(1, mesh.dy)
+    rate -= faces(0, mesh.dx)
+    rate -= faces(1, mesh.dy)
     return rate
 
 
@@ -452,13 +476,15 @@ def ssp_step(
     ones it carries when it has them (`field`'s from the caller or from the
     last limiting, a stage's from the Euler BP limiter), and each state's
     values are dropped as soon as its rate is computed, so no stacked array
-    is held across another stage's residual.  The returned field keeps the
+    is held across another stage's residual.  A stage state and its rate are
+    dropped once no later stage reads them.  The returned field keeps the
     values its limiting handed on.  The `speeds` of `field` itself may be
     passed in when the caller already has them."""
     if dt <= 0:
         raise ValueError("dt must be positive")
-    states = [field]
+    states: list[Optional[DGField]] = [field]
     rates: dict[int, np.ndarray] = {}
+    last_read = {idx: s for s, stage in enumerate(scheme.stages) for _, _, idx in stage}
 
     def rate(idx: int) -> np.ndarray:
         state = states[idx]
@@ -467,7 +493,7 @@ def ssp_step(
         a = speeds if idx == 0 and speeds is not None else global_max_speeds(state, v)
         return semidiscrete_residual(state, a, v)
 
-    for stage in scheme.stages:
+    for s, stage in enumerate(scheme.stages):
         new = np.zeros_like(field.coeffs)
         for alpha, beta, idx in stage:
             new += alpha * states[idx].coeffs
@@ -475,6 +501,10 @@ def ssp_step(
                 if idx not in rates:
                     rates[idx] = rate(idx)
                 new += dt * beta * rates[idx]
+        for idx, s_last in last_read.items():
+            if s_last == s:
+                states[idx] = None
+                rates.pop(idx, None)
         stage_field = field.like(new)
         if limiter_chain is not None:
             stage_field = limiter_chain(stage_field)

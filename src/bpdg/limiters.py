@@ -309,36 +309,54 @@ def tvb_minmod_limit(field: DGField, m_tvb: float) -> tuple[DGField, int]:
 
     Troubled cells keep their average, get minmod-limited linear modes, and
     lose everything above linear.  Applied componentwise on conserved
-    variables.
+    variables.  Minmod runs only where a linear mode leaves the dead zone
+    (elsewhere the mode is kept as it is), so most cells cost one comparison.
     """
     basis = field.basis
     if basis.k < 1:
         return field.copy(), 0
     mesh = field.mesh
-    ix = basis.mode_exps.index((1, 0))
-    iy = basis.mode_exps.index((0, 1))
+    modes = (basis.mode_exps.index((1, 0)), basis.mode_exps.index((0, 1)))
     sqrt3 = np.sqrt(3.0)
     out = field.copy()
-    ext_x, ext_y = _ghost_means(field)
-
-    # face deviation carried by the linear mode: phi_(1,0)(1/2, .) = sqrt(3)
-    dx_mode = sqrt3 * out.coeffs[:, :, ix, :]
-    dy_mode = sqrt3 * out.coeffs[:, :, iy, :]
-    fwd_x = ext_x[2:] - ext_x[1:-1]
-    bwd_x = ext_x[1:-1] - ext_x[:-2]
-    fwd_y = ext_y[:, 2:] - ext_y[:, 1:-1]
-    bwd_y = ext_y[:, 1:-1] - ext_y[:, :-2]
-
-    lim_x = np.where(np.abs(dx_mode) <= m_tvb * mesh.dx**2, dx_mode, _minmod3(dx_mode, fwd_x, bwd_x))
-    lim_y = np.where(np.abs(dy_mode) <= m_tvb * mesh.dy**2, dy_mode, _minmod3(dy_mode, fwd_y, bwd_y))
-    troubled = np.any((lim_x != dx_mode) | (lim_y != dy_mode), axis=-1)
+    ext = _ghost_means(field)
+    troubled = np.zeros((mesh.nx, mesh.ny), dtype=bool)
+    lim = []
+    for axis, mode, h in ((0, modes[0], mesh.dx), (1, modes[1], mesh.dy)):
+        # face deviation carried by the linear mode: phi_(1,0)(1/2, .) = sqrt(3),
+        # (m, nx, ny) as the coefficients are held, so the scan below is in memory order
+        dev = sqrt3 * out.coeffs[:, :, mode, :].transpose(2, 0, 1)
+        # the slopes outside the dead zone, a NaN slope too; flatnonzero, as
+        # np.nonzero of a 3D mask took 8x longer on the jet
+        outside = ~(np.abs(dev) <= m_tvb * h**2)
+        comp, i, j = np.unravel_index(np.flatnonzero(outside), dev.shape)
+        if len(comp):
+            d = dev[comp, i, j]
+            limited = _minmod3(d, *_neighbour_differences(ext[axis], (i, j, comp), axis))
+            dev[comp, i, j] = limited
+            moved = limited != d
+            troubled[i[moved], j[moved]] = True
+        lim.append(dev)
     if np.any(troubled):
-        new = np.zeros_like(out.coeffs[troubled])
-        new[:, 0, :] = out.coeffs[troubled][:, 0, :]
-        new[:, ix, :] = lim_x[troubled] / sqrt3
-        new[:, iy, :] = lim_y[troubled] / sqrt3
+        kept = out.coeffs[troubled]
+        new = np.zeros_like(kept)
+        new[:, 0, :] = kept[:, 0, :]
+        for mode, dev in zip(modes, lim):
+            new[:, mode, :] = dev[:, troubled].T / sqrt3
         out.coeffs[troubled] = new
     return out, int(np.count_nonzero(troubled))
+
+
+def _neighbour_differences(ext: np.ndarray, at: tuple[np.ndarray, ...], axis: int):
+    """Forward and backward differences along `axis` of the cell means padded
+    by one ghost layer on that axis (`ext`), at the cells and components `at`."""
+    index = list(at)
+    index[axis] = at[axis] + 1
+    mid = ext[tuple(index)]
+    index[axis] = at[axis] + 2
+    fwd = ext[tuple(index)] - mid
+    index[axis] = at[axis]
+    return fwd, mid - ext[tuple(index)]
 
 
 class LimiterChain:

@@ -1,6 +1,7 @@
 """Config parsing, run reports, CSV outputs, CLI exit codes, determinism."""
 
 import filecmp
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -358,6 +359,25 @@ def test_efficiency_compare_requires_matching_problem():
         efficiency_compare(a, b, write_outputs=False)
 
 
+def test_efficiency_compare_names_the_first_differing_key():
+    # another domain and velocity are another problem: its step ratio says
+    # nothing about the policies
+    a = RunConfig(model="advection2d", nx=8, ny=8, t_end=0.05)
+    b = replace(a, x_hi=3.0, advection_cx=4.0, dt_policy="classic")
+    with pytest.raises(ConfigError, match="advection_cx is 1.0 vs 4.0"):
+        efficiency_compare(a, b, write_outputs=False)
+    with pytest.raises(ConfigError, match="limiter.bp"):
+        efficiency_compare(a, replace(a, limiter_bp=False), write_outputs=False)
+
+
+def test_efficiency_compare_allows_the_scheme_keys_to_differ(tmp_path):
+    a = RunConfig(model="advection2d", nx=8, ny=8, t_end=0.05, out_dir=str(tmp_path / "a"))
+    b = replace(a, dt_policy="classic", scheme="ssprk4", c0=0.5, output_every=0.01,
+                out_dir=str(tmp_path / "b"))
+    cmp_report = efficiency_compare(a, b, write_outputs=False)
+    assert cmp_report.steps_b > cmp_report.steps_a
+
+
 def test_efficiency_compare_advection_ratio():
     a = RunConfig(model="advection2d", nx=20, ny=20, t_end=0.2, dt_policy="optimal")
     b = RunConfig(model="advection2d", nx=20, ny=20, t_end=0.2, dt_policy="classic")
@@ -499,6 +519,14 @@ def test_cli_compare_zero_velocity(tmp_path, capsys):
     assert main(["compare", str(a), str(b)]) == 0
     steps_a, steps_b, step_ratio, predicted = capsys.readouterr().out.splitlines()[1].split(",")[:4]
     assert steps_a == steps_b == "1" and float(step_ratio) == float(predicted) == 1.0
+
+
+def test_cli_compare_different_problems_exit_code(tmp_path, capsys):
+    text = "model = advection2d\nnx = 8\nny = 8\nt_end = 0.05\n"
+    a = _write(tmp_path, "a.cfg", text + "dt_policy = optimal\n")
+    b = _write(tmp_path, "b.cfg", text + "dt_policy = classic\nx_hi = 3\nadvection_cx = 4\n")
+    assert main(["compare", str(a), str(b)]) == 2
+    assert "advection_cx" in capsys.readouterr().err
 
 
 def test_readme_config_table_lists_the_parsed_keys():

@@ -2,6 +2,7 @@
 oracle), SSP stepping, and the step controller."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -31,8 +32,8 @@ from bpdg.dg_core import (
     ssp_step,
     step_controller,
 )
-from bpdg.limiters import LimiterChain, build_node_set
-from bpdg.physics import AdvectionModel, BoxScalar, BurgersModel, EulerModel
+from bpdg.limiters import LimiterChain, bp_scaling_limit, build_node_set, tvb_minmod_limit
+from bpdg.physics import AdvectionModel, BoxScalar, BurgersModel, EulerModel, EulerPositivity
 from bpdg.quadrature import gauss_rule
 
 
@@ -398,6 +399,12 @@ def test_euler_pressure_computed_once_per_rk_state(monkeypatch):
     # stacked rows the next residual reuses; the step's start state reuses
     # the values of its own limiting
     assert calls.count(at_nodes) == 3 and stacked_shape not in calls
+    # no pass over a whole ghost trace: an outflow ghost's pressure is copied
+    # from the interior face slice, and the inflow ghost's takes the inflow
+    # state's pressure at its inflow points
+    q = len(field.basis.face_rule)
+    assert (ny, q) not in calls and (nx, q) not in calls
+    assert () in calls
     # the others cover one state per cell at most: the limiter's check of
     # the cell means and the boundary traces (no stage is BP-limited here)
     assert all(np.prod(c) <= nx * ny for c in calls if c != at_nodes)
@@ -409,6 +416,59 @@ def test_euler_pressure_computed_once_per_rk_state(monkeypatch):
     calls.clear()
     plain = ssp_step(smooth, SSPRK3, 1e-5)
     assert calls.count(stacked_shape) == 3 and plain.values is None
+
+
+def _step_data(x, y):
+    # jump placed inside a cell so the projection carries a steep slope
+    return np.where(np.broadcast_to(x, np.broadcast_shapes(x.shape, y.shape)) < 0.47, 0.8, -1.0)[..., None]
+
+
+def test_coefficients_stay_component_major():
+    """Every coefficient array is a view of (m, n_modes, nx, ny) C memory,
+    the layout apply_matrix reads without a copy: after projection, copy,
+    SSP-RK steps, and limiting that changes cells."""
+    field = project(_sine, _periodic_mesh(8), Basis2D(2), AdvectionModel())
+    assert _planes_contiguous(field.coeffs) and _planes_contiguous(field.copy().coeffs)
+    assert _planes_contiguous(semidiscrete_residual(field, (1.0, 1.0)))
+    for scheme in (SSPRK3, SSPRK4):
+        assert _planes_contiguous(ssp_step(field, scheme, 1e-3).coeffs), scheme.name
+    # TVB with troubled cells, box BP limiting that limits
+    outflow = Mesh2D(0.0, 1.0, 0.0, 1.0, 16, 16,
+                     bc_left=OUTFLOW, bc_right=OUTFLOW, bc_bottom=OUTFLOW, bc_top=OUTFLOW)
+    region = BoxScalar(-1.0, 0.8)
+    shock = project(_step_data, outflow, Basis2D(2), BurgersModel(region))
+    tvb, troubled = tvb_minmod_limit(shock, 1.0)
+    assert troubled > 0 and _planes_contiguous(tvb.coeffs)
+    box, diag = bp_scaling_limit(shock, region, build_node_set(optimal_2d(2, SpeedRatios((1.0, 1.0))), 2))
+    assert diag.cells_limited > 0 and _planes_contiguous(box.coeffs)
+    # Euler BP limiting that limits, and a jet step through the whole chain
+    jet, chain = _limited_jet()
+    speeds = global_max_speeds(jet)
+    assert _planes_contiguous(ssp_step(jet, SSPRK3, 1e-5, chain, speeds=speeds).coeffs)
+    rough = jet.copy()
+    rough.coeffs[:, :, 1:, :] = 0.6 * np.random.default_rng(3).normal(size=rough.coeffs[:, :, 1:, :].shape)
+    rough.coeffs[:, :, 1:, :] *= np.abs(rough.coeffs[:, :, :1, :])
+    limited, diag = bp_scaling_limit(rough, EulerPositivity(), chain.node_set)
+    assert diag.cells_limited > 0 and _planes_contiguous(limited.coeffs)
+
+
+def test_small_jet_step_memory_budget():
+    """tracemalloc peak of one limited SSPRK3 step on a 24x12 jet.  The
+    budget is the peak measured before the coefficients were held
+    component-major and dead stage states and rates dropped (840,800 bytes
+    with numpy 2.4; 730,520 since): an extra array of stacked values or a
+    stacked flux buffer held through a stage shows here."""
+    field, chain = _limited_jet((24, 12))
+    speeds, spacings = global_max_speeds(field), (field.mesh.dx, field.mesh.dy)
+    dt = step_controller(optimal_2d(2, speed_ratios(speeds, spacings)), SSPRK3, speeds, spacings)
+    ssp_step(field.copy(), SSPRK3, dt, chain, speeds=speeds)  # fill the caches first
+    tracemalloc.start()
+    try:
+        ssp_step(field, SSPRK3, dt, chain, speeds=speeds)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 840_800, peak
 
 
 def test_constant_field_zero_rate():
@@ -481,13 +541,15 @@ def test_wave_speeds_evaluated_once_per_rk_state(monkeypatch):
 
     monkeypatch.setattr(model, "max_wave_speeds", counted)
     plain = ssp_step(field, SSPRK3, 1e-3)
-    # one two-axis pass over the stacked values and each (outflow) ghost side
-    assert len(calls) <= 3 * 5
+    # one two-axis pass per RK state, over its stacked values: an outflow
+    # ghost is a copy of stacked face rows, already in their maximum
+    stacked_shape = point_values(field).stacked.shape
+    assert calls == [stacked_shape] * 3
     # speeds the caller already has are not recomputed
     speeds = global_max_speeds(field)
     calls.clear()
     reused = ssp_step(field, SSPRK3, 1e-3, speeds=speeds)
-    assert len(calls) <= 2 * 5
+    assert calls == [stacked_shape] * 2
     np.testing.assert_array_equal(reused.coeffs, plain.coeffs)
 
 

@@ -2,11 +2,12 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from bpdg.decomposition import SpeedRatios, decomposition_for, jiang_liu_2d, optimal_2d, zhang_shu_2d
 from bpdg.dg_core import (
     OUTFLOW,
+    PERIODIC,
     SSPRK3,
     Basis2D,
     DGField,
@@ -501,6 +502,72 @@ def test_tvb_flags_discontinuity_and_preserves_means():
     out, troubled = tvb_minmod_limit(field, 1.0)
     assert troubled > 0
     assert abs(out.cell_averages.sum() - field.cell_averages.sum()) <= 1e-14 * 16 * 16
+
+
+def _tvb_all_cells(field, m_tvb):
+    """The TVB limiter with minmod taken at every cell and component: the
+    oracle for `tvb_minmod_limit`.  Returns the limited coefficients and the
+    troubled count."""
+    basis, mesh = field.basis, field.mesh
+    ix, iy = basis.mode_exps.index((1, 0)), basis.mode_exps.index((0, 1))
+    sqrt3 = np.sqrt(3.0)
+    coeffs = field.coeffs.copy()
+    ext_x, ext_y = limiters._ghost_means(field)
+
+    def minmod(a, b, c):
+        sign = np.sign(a)
+        agree = (sign == np.sign(b)) & (sign == np.sign(c))
+        return np.where(agree, sign * np.minimum(np.abs(a), np.minimum(np.abs(b), np.abs(c))), 0.0)
+
+    dx_mode = sqrt3 * coeffs[:, :, ix, :]
+    dy_mode = sqrt3 * coeffs[:, :, iy, :]
+    lim_x = np.where(np.abs(dx_mode) <= m_tvb * mesh.dx**2, dx_mode,
+                     minmod(dx_mode, ext_x[2:] - ext_x[1:-1], ext_x[1:-1] - ext_x[:-2]))
+    lim_y = np.where(np.abs(dy_mode) <= m_tvb * mesh.dy**2, dy_mode,
+                     minmod(dy_mode, ext_y[:, 2:] - ext_y[:, 1:-1], ext_y[:, 1:-1] - ext_y[:, :-2]))
+    troubled = np.any((lim_x != dx_mode) | (lim_y != dy_mode), axis=-1)
+    new = np.zeros_like(coeffs[troubled])
+    new[:, 0, :] = coeffs[troubled][:, 0, :]
+    new[:, ix, :] = lim_x[troubled] / sqrt3
+    new[:, iy, :] = lim_y[troubled] / sqrt3
+    coeffs[troubled] = new
+    return coeffs, int(np.count_nonzero(troubled))
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([1, 2, 3]), m=st.sampled_from([1, 4]),
+       periodic=st.booleans(), m_tvb=st.one_of(st.just(0.0), st.floats(0.0, 200.0)),
+       amplitude=st.floats(0.0, 2.0), checkerboard=st.booleans())
+@example(seed=0, k=2, m=4, periodic=True, m_tvb=0.0, amplitude=1.0, checkerboard=True)
+@example(seed=1, k=2, m=1, periodic=False, m_tvb=0.0, amplitude=1.0, checkerboard=True)
+def test_tvb_candidates_only_equal_all_cells(seed, k, m, periodic, m_tvb, amplitude, checkerboard):
+    """Minmod on the dead-zone leavers only gives the all-cells formula's
+    coefficients and troubled count bit for bit: with M = 0 (every nonzero
+    slope a candidate), with a field where every cell is troubled, and on
+    periodic and outflow meshes."""
+    rng = np.random.default_rng(seed)
+    bc = PERIODIC if periodic else OUTFLOW
+    nx, ny = 5, 4
+    mesh = Mesh2D(0.0, 1.0, 0.0, 0.8, nx, ny, bc_left=bc, bc_right=bc, bc_bottom=bc, bc_top=bc)
+    basis = Basis2D(k)
+    model = AdvectionModel() if m == 1 else EulerModel()
+    coeffs = np.empty((m, basis.n_modes, nx, ny)).transpose(2, 3, 1, 0)  # component-major
+    coeffs[...] = amplitude * rng.normal(size=coeffs.shape)
+    if checkerboard:
+        # neighbouring means alternate in sign, so minmod gives 0 everywhere
+        i, j = np.indices((nx, ny))
+        coeffs[:, :, 0, :] = np.where((i + j) % 2 == 0, 1.0, -1.0)[..., None]
+    field = DGField(coeffs, basis, mesh, model)
+    before = coeffs.copy()
+    expect, expect_troubled = _tvb_all_cells(field, m_tvb)
+    out, troubled = tvb_minmod_limit(field, m_tvb)
+    np.testing.assert_array_equal(out.coeffs, expect)
+    assert troubled == expect_troubled
+    np.testing.assert_array_equal(field.coeffs, before)  # the input is left as it was
+    ix, iy = basis.mode_exps.index((1, 0)), basis.mode_exps.index((0, 1))
+    sloped = np.any((coeffs[:, :, ix, :] != 0.0) | (coeffs[:, :, iy, :] != 0.0), axis=-1)
+    if checkerboard and m_tvb == 0.0 and sloped.all():
+        assert troubled == nx * ny
 
 
 def test_tvb_noop_for_piecewise_constant_space():
