@@ -6,6 +6,8 @@ Runs, from the `src/` next to this script:
 
 - `advection_desk.cfg`, `advection_classic.cfg`, `burgers_riemann_desk.cfg`
   and `mach80_jet_desk.cfg` (the jet with `t_end` 0.0075);
+- `mach80_jet_desk.cfg` under the classic policy to `t_end` 0.002, the one
+  desk run whose limiter nodes include internal nodes on volume Gauss points;
 - `advection_desk.cfg` at k = 3 with SSPRK4 on 100x100 cells to `t_end` 0.2;
 - `decomp-report` at k = 2 and k = 3 for phi = (1, 2, 3);
 - `compare` of `advection_desk.cfg` against `advection_classic.cfg`.
@@ -38,6 +40,7 @@ DESK = {
     "advection_classic": ("advection_classic.cfg", {}),
     "burgers_riemann_desk": ("burgers_riemann_desk.cfg", {}),
     "mach80_jet_desk": ("mach80_jet_desk.cfg", {"t_end": 0.0075}),
+    "mach80_jet_classic": ("mach80_jet_desk.cfg", {"dt_policy": "classic", "t_end": 0.002}),
     "advection_k3_ssprk4": (
         "advection_desk.cfg", {"k": 3, "scheme": "ssprk4", "nx": 100, "ny": 100, "t_end": 0.2}
     ),
