@@ -61,16 +61,36 @@ def _parse_bool(text: str) -> bool:
     raise ValueError(f"expected on/off, got {text!r}")
 
 
-def _parse_optional_float(text: str) -> Optional[float]:
-    if text.lower() in ("off", "none"):
-        return None
-    return float(text)
+def _parse_finite(lo: float = -math.inf, strict: bool = False):
+    """Parser for a finite float at least `lo` (above it if `strict`)."""
+
+    def parse(text: str) -> float:
+        value = float(text)
+        if not (math.isfinite(value) and (value > lo if strict else value >= lo)):
+            bound = "" if lo == -math.inf else f" {'above' if strict else 'at least'} {lo:g}"
+            raise ValueError(f"expected a finite value{bound}, got {value}")
+        return value
+
+    return parse
+
+
+def _parse_optional(parse):
+    """`parse`, or None for `off`/`none`."""
+    return lambda text: None if text.lower() in ("off", "none") else parse(text)
 
 
 def _parse_four_floats(text: str) -> tuple[float, ...]:
-    values = tuple(float(tok) for tok in text.replace(",", " ").split())
+    values = tuple(_parse_finite()(tok) for tok in text.replace(",", " ").split())
     if len(values) != 4:
         raise ValueError(f"expected 4 values, got {len(values)}")
+    return values
+
+
+def _parse_euler_state(text: str) -> tuple[float, ...]:
+    """rho, v1, v2, p of an admissible Euler state: finite, rho > 0 and p > 0."""
+    values = _parse_four_floats(text)
+    if not (values[0] > 0.0 and values[3] > 0.0):
+        raise ValueError(f"expected density and pressure above 0, got {values[0]} and {values[3]}")
     return values
 
 
@@ -95,27 +115,9 @@ def _parse_fraction(text: str) -> float:
     return value
 
 
-def _parse_above(bound: float):
-    """Parser for a finite float strictly above `bound`."""
-
-    def parse(text: str) -> float:
-        value = float(text)
-        if not bound < value < math.inf:
-            raise ValueError(f"expected a finite value above {bound:g}, got {value}")
-        return value
-
-    return parse
-
-
-def _parse_scheme(text: str) -> str:
-    name = text.lower()
-    if name not in SCHEMES:
-        raise ValueError(f"expected one of {', '.join(SCHEMES)}, got {text!r}")
-    return name
-
-
-def _parse_decomposition(*names: str):
-    """Parser for a decomposition name; `jiang-liu` is the spelled-out `jiangliu`."""
+def _parse_choice(*names: str):
+    """Parser for one of `names`, case-insensitive; `jiang-liu` is the
+    spelled-out `jiangliu` policy."""
 
     def parse(text: str) -> str:
         name = text.lower().replace("jiang-liu", "jiangliu")
@@ -159,34 +161,34 @@ class RunConfig:
 
 
 _KEY_PARSERS = {
-    "model": ("model", str),
-    "gamma": ("gamma", _parse_above(1.0)),
-    "advection_cx": ("advection_cx", float),
-    "advection_cy": ("advection_cy", float),
-    "x_lo": ("x_lo", float),
-    "x_hi": ("x_hi", float),
-    "y_lo": ("y_lo", float),
-    "y_hi": ("y_hi", float),
+    "model": ("model", _parse_choice(AdvectionModel.name, BurgersModel.name, EulerModel.name)),
+    "gamma": ("gamma", _parse_finite(1.0, strict=True)),
+    "advection_cx": ("advection_cx", _parse_finite()),
+    "advection_cy": ("advection_cy", _parse_finite()),
+    "x_lo": ("x_lo", _parse_finite()),
+    "x_hi": ("x_hi", _parse_finite()),
+    "y_lo": ("y_lo", _parse_finite()),
+    "y_hi": ("y_hi", _parse_finite()),
     "nx": ("nx", _parse_cell_count),
     "ny": ("ny", _parse_cell_count),
     "k": ("k", _parse_degree),
-    "scheme": ("scheme", _parse_scheme),
-    "dt_policy": ("dt_policy", _parse_decomposition(*dc.POLICIES)),
+    "scheme": ("scheme", _parse_choice(*SCHEMES)),
+    "dt_policy": ("dt_policy", _parse_choice(*dc.POLICIES)),
     "c0": ("c0", _parse_fraction),
     "limiter.bp": ("limiter_bp", _parse_bool),
-    "limiter.tvb_M": ("tvb_m", _parse_optional_float),
-    "t_end": ("t_end", _parse_above(0.0)),
-    "output_every": ("output_every", float),
+    "limiter.tvb_M": ("tvb_m", _parse_optional(_parse_finite(0.0))),
+    "t_end": ("t_end", _parse_finite(0.0, strict=True)),
+    "output_every": ("output_every", _parse_finite(0.0)),
     "out_dir": ("out_dir", str),
-    "bc": ("bc", str.lower),
-    "initial": ("initial", str.lower),
+    "bc": ("bc", _parse_choice(PERIODIC, OUTFLOW)),
+    "initial": ("initial", _parse_choice("sine", "riemann4", "uniform")),
     "region_lo": ("region_lo", float),
     "region_hi": ("region_hi", float),
     "riemann_states": ("riemann_states", _parse_four_floats),
-    "ambient": ("ambient", _parse_four_floats),
-    "inflow": ("inflow", _parse_four_floats),
-    "inflow_lo": ("inflow_lo", float),
-    "inflow_hi": ("inflow_hi", float),
+    "ambient": ("ambient", _parse_euler_state),
+    "inflow": ("inflow", _parse_euler_state),
+    "inflow_lo": ("inflow_lo", _parse_finite()),
+    "inflow_hi": ("inflow_hi", _parse_finite()),
 }
 
 
@@ -247,7 +249,7 @@ def parse_config(path: str | Path) -> RunConfig:
 
 
 def _build_model(cfg: RunConfig):
-    if cfg.model == "advection2d":
+    if cfg.model == AdvectionModel.name:
         c = (cfg.advection_cx, cfg.advection_cy)
         region = BoxScalar(cfg.region_lo, cfg.region_hi)
         if cfg.initial == "sine":
@@ -256,22 +258,16 @@ def _build_model(cfg: RunConfig):
         else:
             exact = None
         return AdvectionModel(c, region, exact)
-    if cfg.model == "burgers2d":
+    if cfg.model == BurgersModel.name:
         return BurgersModel(BoxScalar(cfg.region_lo, cfg.region_hi))
-    if cfg.model == "euler2d":
-        return EulerModel(cfg.gamma)
-    raise ConfigError(f"unknown model {cfg.model!r}")
+    return EulerModel(cfg.gamma)
 
 
 def _build_mesh(cfg: RunConfig, model) -> Mesh2D:
-    if cfg.bc == "periodic":
-        bcs = dict(bc_left=PERIODIC, bc_right=PERIODIC, bc_bottom=PERIODIC, bc_top=PERIODIC)
-    elif cfg.bc == "outflow":
-        bcs = dict(bc_left=OUTFLOW, bc_right=OUTFLOW, bc_bottom=OUTFLOW, bc_top=OUTFLOW)
-    else:
-        raise ConfigError(f"unknown bc {cfg.bc!r}")
+    # the bc names are the boundary kinds PERIODIC and OUTFLOW
+    bcs = dict.fromkeys(("bc_left", "bc_right", "bc_bottom", "bc_top"), cfg.bc)
     if cfg.inflow is not None:
-        if cfg.model != "euler2d":
+        if cfg.model != EulerModel.name:
             raise ConfigError("inflow segments are only supported for euler2d")
         state = model.conserved(*cfg.inflow)
         bcs["bc_left"] = InflowSegment(state, cfg.inflow_lo, cfg.inflow_hi)
@@ -279,33 +275,29 @@ def _build_mesh(cfg: RunConfig, model) -> Mesh2D:
 
 
 def _build_initial(cfg: RunConfig, model):
-    if cfg.model in ("advection2d", "burgers2d"):
-        if cfg.initial == "sine":
-            return lambda x, y: np.sin(np.pi * (x + y))[..., None]
-        if cfg.initial == "riemann4":
-            ul, ur, ll, lr = cfg.riemann_states
-
-            def u0(x, y):
-                left = x < 0.5
-                lower = y < 0.5
-                vals = np.where(
-                    lower, np.where(left, ll, lr), np.where(left, ul, ur)
-                )
-                return vals[..., None]
-
-            return u0
-        raise ConfigError(f"unknown initial {cfg.initial!r} for {cfg.model}")
-    if cfg.model == "euler2d":
-        if cfg.initial != "uniform":
-            raise ConfigError(f"unknown initial {cfg.initial!r} for euler2d")
-        state = model.conserved(*cfg.ambient)
+    if (cfg.model == EulerModel.name) != (cfg.initial == "uniform"):
+        raise ConfigError(f"initial {cfg.initial!r} is not defined for {cfg.model}")
+    if cfg.initial == "sine":
+        return lambda x, y: np.sin(np.pi * (x + y))[..., None]
+    if cfg.initial == "riemann4":
+        ul, ur, ll, lr = cfg.riemann_states
 
         def u0(x, y):
-            shape = np.broadcast_shapes(x.shape, y.shape)
-            return np.broadcast_to(state, shape + (4,)).copy()
+            left = x < 0.5
+            lower = y < 0.5
+            vals = np.where(
+                lower, np.where(left, ll, lr), np.where(left, ul, ur)
+            )
+            return vals[..., None]
 
         return u0
-    raise ConfigError(f"unknown model {cfg.model!r}")
+    state = model.conserved(*cfg.ambient)
+
+    def u0(x, y):
+        shape = np.broadcast_shapes(x.shape, y.shape)
+        return np.broadcast_to(state, shape + (4,)).copy()
+
+    return u0
 
 
 def _decomposition(cfg: RunConfig, speeds: tuple[float, float],
@@ -404,7 +396,7 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
         internal nodes moved (the optimal ones follow the speed ratio)."""
         nonlocal node_offsets
         if cfg.limiter_bp and not np.array_equal(decomp.internal_offsets, node_offsets):
-            chain.node_set = build_node_set(decomp, cfg.k, include_volume=cfg.model == "euler2d")
+            chain.node_set = build_node_set(decomp, basis)
             node_offsets = decomp.internal_offsets
 
     if cfg.limiter_bp:

@@ -16,8 +16,8 @@ from typing import Callable, Optional
 import numpy as np
 
 from .decomposition import ConvexDecomposition, bp_max_dt
-from .physics import AdmissibilityError, ConservationLawModel, lax_friedrichs_flux
-from .quadrature import gauss_rule, legendre_table
+from .physics import ConservationLawModel, lax_friedrichs_flux
+from .quadrature import gauss_rule, legendre_table, tensor_gauss_rule
 
 PERIODIC = "periodic"
 OUTFLOW = "outflow"
@@ -90,6 +90,15 @@ def mode_values(k: int, offsets: np.ndarray) -> np.ndarray:
     return np.stack([px[a] * py[b] for a, b in _mode_exps(k)])
 
 
+def _mode_gradients(k: int, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """d/dxi and d/deta of the degree-k basis at reference offsets (P, 2),
+    each (n_modes, P)."""
+    px, dpx = _phi1d(k, offsets[:, 0])
+    py, dpy = _phi1d(k, offsets[:, 1])
+    exps = _mode_exps(k)
+    return np.stack([dpx[a] * py[b] for a, b in exps]), np.stack([px[a] * dpy[b] for a, b in exps])
+
+
 def apply_matrix(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     """matrix (a, b) applied along axis 2 of x (nx, ny, b, m) -> (nx, ny, a, m).
 
@@ -118,10 +127,11 @@ class Basis2D:
     and the remaining modes average to zero over the cell.
 
     Every point value the residual reads comes from one stacked evaluation
-    matrix: rows are the (k+1)^2 volume Gauss points, then the Q face-trace
-    Gauss points of the x-, x+, y- and y+ faces (slices `at_vol`, `at_xm`,
-    `at_xp`, `at_ym`, `at_yp`).  The residual's assembly matrices carry the
-    quadrature weights.
+    matrix, `mode_values` at the stacked `offsets`: the (k+1)^2 volume Gauss
+    points, then the Q face-trace Gauss points of the x-, x+, y- and y+
+    faces (slices `at_vol`, `at_xm`, `at_xp`, `at_ym`, `at_yp`).  The BP
+    limiters' node sets take their rows from it too.  The residual's
+    assembly matrices carry the quadrature weights.
     """
 
     def __init__(self, k: int):
@@ -130,27 +140,24 @@ class Basis2D:
         self.k = k
         self.mode_exps = _mode_exps(k)
         self.n_modes = len(self.mode_exps)  # (k+1)(k+2)/2
-        self.face_rule = gauss_rule(k + 1)
-        # volume quadrature: (k+1)^2 tensor Gauss
-        g = self.face_rule
-        xi, eta = np.meshgrid(g.nodes, g.nodes, indexing="ij")
-        self.vol_offsets = np.column_stack([xi.ravel(), eta.ravel()])
-        self.vol_weights = np.outer(g.weights, g.weights).ravel()
-        self.phi_vol, self.dphi_dxi_vol, self.dphi_deta_vol = self.eval_with_grads(self.vol_offsets)
-        q = len(g)
-        self.phi_xm = mode_values(k, np.column_stack([np.full(q, -0.5), g.nodes]))
-        self.phi_xp = mode_values(k, np.column_stack([np.full(q, 0.5), g.nodes]))
-        self.phi_ym = mode_values(k, np.column_stack([g.nodes, np.full(q, -0.5)]))
-        self.phi_yp = mode_values(k, np.column_stack([g.nodes, np.full(q, 0.5)]))
-
-        nv = len(self.vol_weights)
+        self.face_rule = g = gauss_rule(k + 1)
+        self.vol_offsets, self.vol_weights = tensor_gauss_rule(k + 1)
+        q, nv = len(g), len(self.vol_weights)
+        lo, hi = np.full(q, -0.5), np.full(q, 0.5)
+        self.offsets = np.concatenate([
+            self.vol_offsets,
+            np.column_stack([lo, g.nodes]), np.column_stack([hi, g.nodes]),
+            np.column_stack([g.nodes, lo]), np.column_stack([g.nodes, hi]),
+        ])  # (nv + 4q, 2)
         self.at_vol = slice(0, nv)
         self.at_xm, self.at_xp, self.at_ym, self.at_yp = (
             slice(nv + f * q, nv + (f + 1) * q) for f in range(4)
         )
-        self.eval_matrix = np.concatenate(
-            [self.phi_vol, self.phi_xm, self.phi_xp, self.phi_ym, self.phi_yp], axis=1
-        ).T  # (nv + 4q, n_modes)
+        self.eval_matrix = mode_values(k, self.offsets).T  # (nv + 4q, n_modes)
+        self.phi_vol, self.phi_xm, self.phi_xp, self.phi_ym, self.phi_yp = (
+            self.eval_matrix[at].T for at in (self.at_vol, self.at_xm, self.at_xp, self.at_ym, self.at_yp)
+        )
+        self.dphi_dxi_vol, self.dphi_deta_vol = _mode_gradients(k, self.vol_offsets)
         # assembly matrices (n_modes, points) with the quadrature weights
         # folded in; semidiscrete_residual applies one per flux term
         wv, wq = self.vol_weights, g.weights
@@ -159,15 +166,6 @@ class Basis2D:
         self.assemble_xm, self.assemble_xp, self.assemble_ym, self.assemble_yp = (
             phi * wq for phi in (self.phi_xm, self.phi_xp, self.phi_ym, self.phi_yp)
         )
-
-    def eval_with_grads(self, offsets: np.ndarray):
-        offsets = np.atleast_2d(np.asarray(offsets, dtype=float))
-        px, dpx = _phi1d(self.k, offsets[:, 0])
-        py, dpy = _phi1d(self.k, offsets[:, 1])
-        phi = np.stack([px[a] * py[b] for a, b in self.mode_exps])
-        dxi = np.stack([dpx[a] * py[b] for a, b in self.mode_exps])
-        deta = np.stack([px[a] * dpy[b] for a, b in self.mode_exps])
-        return phi, dxi, deta
 
     def stacked_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Values at the volume and face-trace points: (nx, ny, nv + 4q, m)."""
@@ -222,10 +220,7 @@ def project(
     model: ConservationLawModel,
 ) -> DGField:
     """L2 projection of u0(x, y) -> (..., m) using a (k+2)^2 tensor Gauss rule."""
-    g = gauss_rule(basis.k + 2)
-    xi, eta = np.meshgrid(g.nodes, g.nodes, indexing="ij")
-    offsets = np.column_stack([xi.ravel(), eta.ravel()])
-    weights = np.outer(g.weights, g.weights).ravel()
+    offsets, weights = tensor_gauss_rule(basis.k + 2)
     phi = mode_values(basis.k, offsets)  # (n, G)
     x = mesh.x_centers[:, None, None] + offsets[None, None, :, 0] * mesh.dx
     y = mesh.y_centers[None, :, None] + offsets[None, None, :, 1] * mesh.dy
@@ -266,16 +261,6 @@ def _face_coords(mesh: Mesh2D, along_y: bool, q_nodes: np.ndarray) -> np.ndarray
     if along_y:
         return (mesh.y_centers[:, None] + q_nodes[None, :] * mesh.dy)
     return (mesh.x_centers[:, None] + q_nodes[None, :] * mesh.dx)
-
-
-def _check_admissible(field: DGField, pts: np.ndarray, p: Optional[np.ndarray]) -> None:
-    ok = field.model.check_admissible(pts, p)
-    if not np.all(ok):
-        bad = np.argwhere(~ok)[0]
-        cell = (int(bad[0]), int(bad[1])) if len(bad) >= 2 else None
-        raise AdmissibilityError(
-            f"inadmissible state at quadrature/trace point in cell {cell}", cell=cell
-        )
 
 
 @dataclass(frozen=True)
@@ -339,7 +324,10 @@ def global_max_speeds(field: DGField, values: Optional[PointValues] = None) -> t
     """Global per-axis max wave speed over volume and face quadrature points,
     including the exterior boundary trace states (e.g. inflow data).
 
-    `values` are the field's point values when the caller already has them."""
+    This pass is a state's one admissibility check: the model raises
+    AdmissibilityError, naming the first cell, for an inadmissible or
+    non-finite point value (a missing or failed limiter).  `values` are the
+    field's point values when the caller already has them."""
     if values is None:
         values = point_values(field)
     mesh = field.mesh
@@ -383,8 +371,8 @@ def semidiscrete_residual(
 
     `alphas` are the global Lax-Friedrichs viscosities per axis (a scalar is
     used for both); `values` are the field's point values when the caller
-    already has them.  Raises AdmissibilityError if any quadrature or trace
-    state is inadmissible, which signals a missing or failed limiter.
+    already has them.  The states are not checked here: the speed pass that
+    gives the viscosities (`global_max_speeds`) checks them.
     """
     if np.isscalar(alphas):
         alphas = (float(alphas), float(alphas))
@@ -392,7 +380,6 @@ def semidiscrete_residual(
     if values is None:
         values = point_values(field)
     u, p = values.stacked, values.pressure
-    _check_admissible(field, u, p)
     uvol = u[:, :, basis.at_vol]
     pvol = None if p is None else p[:, :, basis.at_vol]
 
@@ -534,11 +521,8 @@ def error_norms(
     measured with a (k+3)^2 tensor Gauss rule per cell."""
     if exact is None:
         raise ValueError("model has no exact solution")
-    mesh, basis = field.mesh, field.basis
-    g = gauss_rule(basis.k + 3)
-    xi, eta = np.meshgrid(g.nodes, g.nodes, indexing="ij")
-    offsets = np.column_stack([xi.ravel(), eta.ravel()])
-    weights = np.outer(g.weights, g.weights).ravel()
+    mesh = field.mesh
+    offsets, weights = tensor_gauss_rule(field.basis.k + 3)
     vals = evaluate_at_offsets(field, offsets)
     x = mesh.x_centers[:, None, None] + offsets[None, None, :, 0] * mesh.dx
     y = mesh.y_centers[None, :, None] + offsets[None, None, :, 1] * mesh.dy

@@ -4,10 +4,12 @@ The BP limiter rescales each cell polynomial about its (already admissible)
 cell average so that its values at the face-trace Gauss points and at the
 active decomposition's internal nodes land inside the invariant region.  The
 TVB limiter knocks cells with non-smooth linear modes down to a limited
-linear reconstruction; both limiters preserve cell averages exactly.
+linear reconstruction; both limiters preserve cell averages exactly, and
+both change the field they are given.
 
 The Euler BP limiter (Zhang & Shu, JCP 229, 2010) evaluates each field once,
-at a node set whose first rows are the residual's volume and face points.
+at its view of the node set, whose first rows are the residual's volume and
+face points.
 Density and pressure each get one theta per cell, aimed a stated round-off
 margin above the floors; the pressure crossing is the closed-form root of a
 quadratic, checked where it is used.  The limited values
@@ -25,11 +27,9 @@ from typing import Optional
 import numpy as np
 
 from .decomposition import ConvexDecomposition
-from .dg_core import DGField, apply_matrix, ghost_trace, mode_values, values_of_stacked
+from .dg_core import Basis2D, DGField, apply_matrix, ghost_trace, mode_values, values_of_stacked
 from .physics import AdmissibilityError, BoxScalar, EulerPositivity, InvariantRegion
-from .quadrature import gauss_rule
 
-_DEDUP_TOL = 1e-14
 # round-off bound of evaluating a scaled state, per unit of the magnitudes it sums
 _MARGIN = 16.0 * np.finfo(float).eps
 # bisection steps where the closed-form pressure crossing fails its check
@@ -37,15 +37,9 @@ _BACKOFF_STEPS = 20
 
 
 @dataclass(frozen=True)
-class LimiterNodeSet:
-    """Reference offsets where bounds are enforced, with the basis values there.
-
-    Rows, deduplicated: with volume points, first `Basis2D`'s stacked points
-    in their order (the (k+1)^2 volume Gauss points, then the Q face-trace
-    Gauss points of the x-, x+, y- and y+ faces), so the first nv + 4Q rows
-    of an evaluation are the values the residual reads; without, the face
-    points alone.  Then the decomposition's internal nodes that are not
-    among those points."""
+class NodeRows:
+    """Reference offsets where a BP limiter enforces its bounds, with the
+    basis values there."""
 
     offsets: np.ndarray  # (P, 2)
     matrix: np.ndarray  # (P, n_modes)
@@ -60,6 +54,21 @@ class LimiterNodeSet:
         logical order: a C-contiguous array whose (nx, ny) planes the
         limiters reduce over, one component at a time."""
         return apply_matrix(self.matrix, field.coeffs).transpose(3, 2, 0, 1)
+
+
+@dataclass(frozen=True)
+class LimiterNodeSet:
+    """The BP limiters' nodes for one decomposition, one view per limiter.
+
+    `box`: the face-trace rows of `Basis2D`'s stacked points, then every
+    internal node of the decomposition: exactly the decomposition's points.
+    `euler`: all the stacked rows (volume, then faces), so the first rows of
+    an evaluation are the values the residual reads (the Euler flux itself
+    needs positivity), then the internal nodes that are not volume Gauss
+    points."""
+
+    box: NodeRows
+    euler: NodeRows
 
 
 @dataclass
@@ -77,36 +86,31 @@ class LimiterDiagnostics:
         self.collapsed_cells += other.collapsed_cells
 
 
-def build_node_set(decomp: ConvexDecomposition, k: int, include_volume: bool = False) -> LimiterNodeSet:
-    """The limiter nodes of `decomp` at degree k, rows as `LimiterNodeSet`
-    lists them.  `include_volume` adds the volume Gauss points, so every
-    state the residual evaluates is limited (Euler needs it: its flux
-    itself requires positivity)."""
+def build_node_set(decomp: ConvexDecomposition, basis: Basis2D) -> LimiterNodeSet:
+    """The limiter nodes of `decomp` for `basis`, in the views `LimiterNodeSet` lists."""
     if decomp.dim != 2:
         raise ValueError("limiter node sets are 2D")
-    g = gauss_rule(k + 1)
-    q = len(g)
-    pts = [
-        np.column_stack([np.full(q, -0.5), g.nodes]),
-        np.column_stack([np.full(q, 0.5), g.nodes]),
-        np.column_stack([g.nodes, np.full(q, -0.5)]),
-        np.column_stack([g.nodes, np.full(q, 0.5)]),
-        decomp.internal_offsets,
-    ]
-    if include_volume:
-        xi, eta = np.meshgrid(g.nodes, g.nodes, indexing="ij")
-        pts.insert(0, np.column_stack([xi.ravel(), eta.ravel()]))
-    allpts = np.concatenate([p for p in pts if len(p)], axis=0)
-    # keep each point unless it lies within the tolerance of an earlier one
-    near = np.abs(allpts[:, None, :] - allpts[None, :, :]).max(axis=2) <= _DEDUP_TOL
-    offsets = allpts[np.argmax(near, axis=1) == np.arange(len(allpts))]
-    return LimiterNodeSet(offsets, mode_values(k, offsets).T)
+    internal = decomp.internal_offsets
+    stacked, at_nodes = basis.eval_matrix.T, mode_values(basis.k, internal)  # (n_modes, points)
+    faces = slice(basis.at_vol.stop, None)
+    # both coordinates Gauss nodes: a volume point, already a stacked row
+    new = ~(internal[:, :, None] == basis.face_rule.nodes).any(axis=2).all(axis=1)
+
+    def rows(offsets, *matrices):
+        return NodeRows(np.concatenate(offsets), np.concatenate(matrices, axis=1).T)
+
+    return LimiterNodeSet(
+        box=rows((basis.offsets[faces], internal), stacked[:, faces], at_nodes),
+        euler=rows((basis.offsets, internal[new]), stacked, at_nodes[:, new]),
+    )
 
 
-def _scale_modes(coeffs: np.ndarray, theta: np.ndarray) -> None:
+def _scale_modes(field: DGField, theta: np.ndarray) -> None:
+    """Scale each cell's higher modes by its theta, in place."""
     if np.all(theta == 1.0):
         return  # nothing limited: skip a strided multiply by ones
-    coeffs[:, :, 1:, :] *= theta[:, :, None, None]
+    field.coeffs[:, :, 1:, :] *= theta[:, :, None, None]
+    field.values = None
 
 
 def bp_scaling_limit(
@@ -115,11 +119,13 @@ def bp_scaling_limit(
     nodes: LimiterNodeSet,
 ) -> tuple[DGField, LimiterDiagnostics]:
     """Largest-theta scaling p -> mean + theta*(p - mean) making all node
-    values admissible.  Requires every cell average in the region already."""
+    values admissible, in `field` itself, which is returned.  Requires every
+    cell average in the region already.  Each region's limiter reads its own
+    view of `nodes`."""
     if isinstance(region, BoxScalar):
-        return _bp_limit_box(field, region, nodes)
+        return _bp_limit_box(field, region, nodes.box)
     if isinstance(region, EulerPositivity):
-        return _bp_limit_euler(field, region, nodes)
+        return _bp_limit_euler(field, region, nodes.euler)
     raise TypeError(f"unsupported region {region!r}")
 
 
@@ -133,34 +139,29 @@ def _precondition_failure(mask: np.ndarray, what: str) -> None:
     )
 
 
-def _bp_limit_box(field: DGField, region: BoxScalar, nodes: LimiterNodeSet):
-    out = field.copy()
-    mean = out.coeffs[:, :, 0, 0]
+def _bp_limit_box(field: DGField, region: BoxScalar, nodes: NodeRows):
+    mean = field.coeffs[:, :, 0, 0]
     bad = (mean < region.lo - 1e-12) | (mean > region.hi + 1e-12)
     if np.any(bad):
         _precondition_failure(bad, f"[{region.lo}, {region.hi}]")
-    vals = nodes.evaluate(out)[0]  # (P, nx, ny)
+    vals = nodes.evaluate(field)[0]  # (P, nx, ny)
     hi = vals.max(axis=0)
     lo = vals.min(axis=0)
     with np.errstate(divide="ignore", invalid="ignore"):
         theta_hi = np.where(hi > region.hi, (region.hi - mean) / (hi - mean), 1.0)
         theta_lo = np.where(lo < region.lo, (mean - region.lo) / (mean - lo), 1.0)
     theta = np.clip(np.minimum(theta_hi, theta_lo), 0.0, 1.0)
-    _scale_modes(out.coeffs, theta)
-    return out, LimiterDiagnostics(
+    _scale_modes(field, theta)
+    return field, LimiterDiagnostics(
         cells_limited=int(np.count_nonzero(theta < 1.0)),
         min_theta=float(theta.min()),
     )
 
 
-def _bp_limit_euler(field: DGField, region: EulerPositivity, nodes: LimiterNodeSet):
-    model, basis = field.model, field.basis
-    n_stacked = len(basis.eval_matrix)
-    if len(nodes) < n_stacked or not np.array_equal(nodes.matrix[:n_stacked], basis.eval_matrix):
-        raise ValueError("the Euler BP limiter needs a node set whose first rows are the "
-                         "basis's stacked points (build_node_set(..., include_volume=True))")
-    out = field.copy()
-    mean = out.coeffs[:, :, 0, :]  # (nx, ny, 4)
+def _bp_limit_euler(field: DGField, region: EulerPositivity, nodes: NodeRows):
+    model = field.model
+    n_stacked = len(field.basis.eval_matrix)
+    mean = field.coeffs[:, :, 0, :]  # (nx, ny, 4)
     mean_rho = mean[..., 0]
     mean_p = model.pressure(mean)
     bad = (mean_rho < region.eps_rho) | (mean_p < region.eps_p)
@@ -169,7 +170,7 @@ def _bp_limit_euler(field: DGField, region: EulerPositivity, nodes: LimiterNodeS
 
     # the one evaluation: its stacked rows are the values the next residual
     # reads, so the limited ones are handed on rather than evaluated again
-    vals = nodes.evaluate(out)  # (4, P, nx, ny)
+    vals = nodes.evaluate(field)  # (4, P, nx, ny)
 
     # stage 1: scale the density modes so nodal rho >= eps_rho, aiming a
     # round-off margin above the floor; re-centre the limited cells' nodes
@@ -181,7 +182,7 @@ def _bp_limit_euler(field: DGField, region: EulerPositivity, nodes: LimiterNodeS
         m, r = mean_rho[low], rho_min[low]
         aim = region.eps_rho + _MARGIN * (np.abs(m) + np.abs(r))
         th = theta_rho[low] = np.clip((m - aim) / (m - r), 0.0, 1.0)
-        out.coeffs[low, 1:, 0] *= th[:, None]
+        field.coeffs[low, 1:, 0] *= th[:, None]
         rho[:, low] = m + th * (rho[:, low] - m)
 
     # stage 2: one theta per cell so nodal pressure stays above eps_p; in the
@@ -201,7 +202,7 @@ def _bp_limit_euler(field: DGField, region: EulerPositivity, nodes: LimiterNodeS
     scaled = theta_p < 1.0
     if np.any(scaled):
         th = theta_p[scaled]
-        out.coeffs[scaled, 1:, :] *= th[:, None, None]
+        field.coeffs[scaled, 1:, :] *= th[:, None, None]
         # the limited values, by the crossing's own expression, and their pressure
         m = mean[scaled].T[:, None, :]  # (4, 1, cells)
         v = th * (vals[:, :, scaled] - m)
@@ -220,13 +221,13 @@ def _bp_limit_euler(field: DGField, region: EulerPositivity, nodes: LimiterNodeS
         miss = (vals[0][:, changed] < region.eps_rho * floor) | ~(p_nodes[:, changed] >= region.eps_p * floor)
         collapsed[changed] = np.any(miss, axis=0)
     if np.any(collapsed):
-        out.coeffs[collapsed, 1:, :] = 0.0
+        field.coeffs[collapsed, 1:, :] = 0.0
         vals[:, :, collapsed] = mean[collapsed].T[:, None, :]
         p_nodes[:, collapsed] = mean_p[collapsed]
         theta[collapsed] = 0.0
-    out.values = values_of_stacked(out, vals[:, :n_stacked].transpose(2, 3, 1, 0),
-                                   p_nodes[:n_stacked].transpose(1, 2, 0))
-    return out, LimiterDiagnostics(
+    field.values = values_of_stacked(field, vals[:, :n_stacked].transpose(2, 3, 1, 0),
+                                     p_nodes[:n_stacked].transpose(1, 2, 0))
+    return field, LimiterDiagnostics(
         cells_limited=int(np.count_nonzero(changed)),
         min_theta=float(theta.min()),
         collapsed_cells=int(np.count_nonzero(collapsed)),
@@ -308,24 +309,23 @@ def tvb_minmod_limit(field: DGField, m_tvb: float) -> tuple[DGField, int]:
     """TVB minmod limiter on the linear modes with an M*dx^2 dead zone.
 
     Troubled cells keep their average, get minmod-limited linear modes, and
-    lose everything above linear.  Applied componentwise on conserved
-    variables.  Minmod runs only where a linear mode leaves the dead zone
+    lose everything above linear, in `field` itself, which is returned.
+    Applied componentwise on conserved variables.  Minmod runs only where a linear mode leaves the dead zone
     (elsewhere the mode is kept as it is), so most cells cost one comparison.
     """
     basis = field.basis
     if basis.k < 1:
-        return field.copy(), 0
+        return field, 0
     mesh = field.mesh
     modes = (basis.mode_exps.index((1, 0)), basis.mode_exps.index((0, 1)))
     sqrt3 = np.sqrt(3.0)
-    out = field.copy()
     ext = _ghost_means(field)
     troubled = np.zeros((mesh.nx, mesh.ny), dtype=bool)
     lim = []
     for axis, mode, h in ((0, modes[0], mesh.dx), (1, modes[1], mesh.dy)):
         # face deviation carried by the linear mode: phi_(1,0)(1/2, .) = sqrt(3),
         # (m, nx, ny) as the coefficients are held, so the scan below is in memory order
-        dev = sqrt3 * out.coeffs[:, :, mode, :].transpose(2, 0, 1)
+        dev = sqrt3 * field.coeffs[:, :, mode, :].transpose(2, 0, 1)
         # the slopes outside the dead zone, a NaN slope too; flatnonzero, as
         # np.nonzero of a 3D mask took 8x longer on the jet
         outside = ~(np.abs(dev) <= m_tvb * h**2)
@@ -338,13 +338,14 @@ def tvb_minmod_limit(field: DGField, m_tvb: float) -> tuple[DGField, int]:
             troubled[i[moved], j[moved]] = True
         lim.append(dev)
     if np.any(troubled):
-        kept = out.coeffs[troubled]
+        kept = field.coeffs[troubled]
         new = np.zeros_like(kept)
         new[:, 0, :] = kept[:, 0, :]
         for mode, dev in zip(modes, lim):
             new[:, mode, :] = dev[:, troubled].T / sqrt3
-        out.coeffs[troubled] = new
-    return out, int(np.count_nonzero(troubled))
+        field.coeffs[troubled] = new
+        field.values = None
+    return field, int(np.count_nonzero(troubled))
 
 
 def _neighbour_differences(ext: np.ndarray, at: tuple[np.ndarray, ...], axis: int):
@@ -363,7 +364,9 @@ class LimiterChain:
     """Per-stage limiter pipeline: TVB minmod first, then the BP limiter.
 
     BP limiting is on exactly when a node set is given, and enforces the
-    field's own invariant region (`field.model.region`) at those nodes.
+    field's own invariant region (`field.model.region`) at those nodes.  Both
+    limiters change the field they are given, so a caller passes a field it
+    owns (as `ssp_step` passes each new stage).
     `last_diagnostics` are those of the latest call; `totals` accumulate over
     every call (every stage of every step, and any initial limiting)."""
 
@@ -379,9 +382,7 @@ class LimiterChain:
             field, diag.troubled_cells = tvb_minmod_limit(field, self.m_tvb)
         if self.node_set is not None:
             field, bp_diag = bp_scaling_limit(field, field.model.region, self.node_set)
-            diag.cells_limited = bp_diag.cells_limited
-            diag.min_theta = bp_diag.min_theta
-            diag.collapsed_cells = bp_diag.collapsed_cells
+            diag.add(bp_diag)
         self.last_diagnostics = diag
         self.totals.add(diag)
         return field

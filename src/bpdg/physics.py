@@ -6,10 +6,15 @@ operations are vectorized over any number of leading axes.  A state array
 may be a strided view, components last: the solver's point values keep each
 component in its own contiguous plane, so `u[..., c]` is a contiguous read
 there, and elementwise results inherit that layout.
+
+Each model's `max_wave_speeds` is the solver's one admissibility check of a
+state: it raises AdmissibilityError, naming the first bad cell, where a
+value is inadmissible or not finite.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -22,6 +27,14 @@ class AdmissibilityError(RuntimeError):
     def __init__(self, message: str, cell: tuple[int, int] | None = None):
         super().__init__(message)
         self.cell = cell
+
+
+def _inadmissible(ok: np.ndarray) -> AdmissibilityError:
+    """The error for the first False of an admissibility mask; its first two
+    indices name the cell when the mask is laid out (nx, ny, points)."""
+    bad = np.argwhere(~ok)[0]
+    cell = (int(bad[0]), int(bad[1])) if ok.ndim >= 3 else None
+    return AdmissibilityError(f"inadmissible state at quadrature/trace point in cell {cell}", cell=cell)
 
 
 @dataclass(frozen=True)
@@ -89,6 +102,9 @@ class AdvectionModel:
         return np.full(u.shape[:-1], abs(self.c[axis]))
 
     def max_wave_speeds(self, u: np.ndarray, p: Optional[np.ndarray] = None) -> tuple[float, float]:
+        ok = self.check_admissible(u)
+        if not ok.all():
+            raise _inadmissible(ok)
         return abs(self.c[0]), abs(self.c[1])
 
     def check_admissible(self, u: np.ndarray, p: Optional[np.ndarray] = None) -> np.ndarray:
@@ -113,6 +129,8 @@ class BurgersModel:
 
     def max_wave_speeds(self, u: np.ndarray, p: Optional[np.ndarray] = None) -> tuple[float, float]:
         s = float(np.max(np.abs(u[..., 0])))
+        if not math.isfinite(s):  # a NaN or infinite value is in the maximum
+            raise _inadmissible(self.check_admissible(u))
         return s, s
 
     def check_admissible(self, u: np.ndarray, p: Optional[np.ndarray] = None) -> np.ndarray:
@@ -150,12 +168,12 @@ class EulerModel:
         return out
 
     def _sound_speed(self, u: np.ndarray, p: Optional[np.ndarray]) -> np.ndarray:
-        rho = u[..., 0]
         if p is None:
             p = self.pressure(u)
-        if np.any(rho <= 0.0) or np.any(p <= 0.0):
-            raise AdmissibilityError("wave speed requested for inadmissible Euler state")
-        return np.sqrt(self.gamma * p / rho)
+        ok = self.check_admissible(u, p)
+        if not ok.all():
+            raise _inadmissible(ok)
+        return np.sqrt(self.gamma * p / u[..., 0])
 
     def max_wave_speed(self, u: np.ndarray, axis: int, p: Optional[np.ndarray] = None) -> np.ndarray:
         c = self._sound_speed(u, p)
@@ -163,7 +181,7 @@ class EulerModel:
 
     def max_wave_speeds(self, u: np.ndarray, p: Optional[np.ndarray] = None) -> tuple[float, float]:
         """The maxima over `u` of `max_wave_speed` along x and along y, from
-        one admissibility scan and one sound-speed pass."""
+        one admissibility mask and one sound-speed pass."""
         c = self._sound_speed(u, p)
         return tuple(float(np.max(np.abs(u[..., 1 + axis] / u[..., 0]) + c)) for axis in (0, 1))
 

@@ -122,6 +122,14 @@ def gauss_lobatto_rule(n: int) -> QuadratureRule1D:
     return _frozen_rule(nodes, weights)
 
 
+def tensor_gauss_rule(q: int) -> tuple[np.ndarray, np.ndarray]:
+    """The q x q tensor Gauss rule on [-1/2, 1/2]^2: offsets (q^2, 2), the
+    first coordinate varying slowest, and weights (q^2,) summing to 1."""
+    g = gauss_rule(q)
+    xi, eta = np.meshgrid(g.nodes, g.nodes, indexing="ij")
+    return np.column_stack([xi.ravel(), eta.ravel()]), np.outer(g.weights, g.weights).ravel()
+
+
 def monomial_mean(m: int) -> float:
     """Exact mean of x^m over [-1/2, 1/2]: 0 for odd m, (1/2)^m/(m+1) for even."""
     if m % 2 == 1:

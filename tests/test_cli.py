@@ -21,7 +21,7 @@ from bpdg.cli import (
     validate_config,
 )
 from bpdg.dg_core import Basis2D
-from bpdg.limiters import LimiterChain, LimiterNodeSet
+from bpdg.limiters import LimiterChain, NodeRows
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -145,11 +145,14 @@ def test_run_rejects_unknown_scheme_and_model():
      dict(x_hi=-2.0), dict(y_lo=1.0), dict(gamma=1.0), dict(c0=0.0), dict(c0=5.0), dict(t_end=-1.0),
      dict(model="euler2d", initial="uniform", inflow=(1.0, 2.0)), dict(ambient=(5.0, 0.0, 0.4127)),
      dict(riemann_states=(0.1, 0.2, 0.3, 0.4, 0.5)), dict(region_lo=1.0), dict(t_end=float("inf")),
-     dict(limiter_bp="maybe"), dict(tvb_m="M")],
+     dict(limiter_bp="maybe"), dict(tvb_m="M"),
+     dict(model="euler2d", initial="uniform", ambient=(5.0, 0.0, 0.0, -0.4)),
+     dict(advection_cx=float("nan")), dict(tvb_m=-1.0), dict(output_every=float("nan"))],
     ids=["zero-cells", "negative-cells", "unsupported-degree", "unknown-policy", "linear-policy",
          "x-bounds-reversed", "empty-y-range", "gamma-one", "zero-c0", "c0-above-one", "negative-t-end",
          "two-inflow-values", "three-ambient-values", "five-riemann-states", "empty-region",
-         "infinite-t-end", "bp-not-a-bool", "tvb-not-a-number"],
+         "infinite-t-end", "bp-not-a-bool", "tvb-not-a-number", "negative-ambient-pressure",
+         "nan-velocity", "negative-tvb", "nan-output-every"],
 )
 def test_run_validates_configs_built_in_code(changes):
     with pytest.raises(ConfigError):
@@ -205,7 +208,7 @@ def test_report_counts_every_limiting(tmp_path, monkeypatch):
 
 def test_euler_run_evaluates_each_rk_state_once(tmp_path, monkeypatch):
     calls = []
-    stacked, at_nodes = Basis2D.stacked_values, LimiterNodeSet.evaluate
+    stacked, at_nodes = Basis2D.stacked_values, NodeRows.evaluate
 
     def counted_stacked(self, coeffs):
         calls.append("stacked")
@@ -216,7 +219,7 @@ def test_euler_run_evaluates_each_rk_state_once(tmp_path, monkeypatch):
         return at_nodes(self, field)
 
     monkeypatch.setattr(Basis2D, "stacked_values", counted_stacked)
-    monkeypatch.setattr(LimiterNodeSet, "evaluate", counted_nodes)
+    monkeypatch.setattr(NodeRows, "evaluate", counted_nodes)
     report = run(parse_config(_write(tmp_path, "jet.cfg", JET_SMALL)), write_outputs=False)
     # the projection's, for the first node set's speeds, and one per limited
     # state (the initial limiting and three stages per step), at the limiter
@@ -232,8 +235,8 @@ def _record_decompositions(monkeypatch):
     events = []
     build, bound, limit = cli.build_node_set, dg_core.bp_max_dt, LimiterChain.__call__
 
-    def recorded_build(decomp, k, include_volume=False):
-        nodes = build(decomp, k, include_volume)
+    def recorded_build(decomp, basis):
+        nodes = build(decomp, basis)
         events.append(("build", decomp, nodes))
         return nodes
 
@@ -263,6 +266,7 @@ def test_limiter_nodes_come_from_the_decomposition_of_the_step_dt(tmp_path, monk
         cfg = RunConfig(nx=8, ny=8, t_end=0.1, advection_cx=1.0, advection_cy=0.5, dt_policy=policy)
     report = run(cfg, write_outputs=False)
     euler = cfg.model == "euler2d"
+    basis = Basis2D(cfg.k)
     steps = [i for i, (kind, _, _) in enumerate(events) if kind == "dt"]
     assert len(steps) == report.steps > 0
     built_from = {id(nodes): decomp for kind, decomp, nodes in events if kind == "build"}
@@ -274,7 +278,8 @@ def test_limiter_nodes_come_from_the_decomposition_of_the_step_dt(tmp_path, monk
         assert len(limited) == 3  # every stage of the step
         for nodes in limited:
             np.testing.assert_array_equal(built_from[id(nodes)].internal_offsets, decomp.internal_offsets)
-            np.testing.assert_array_equal(nodes.offsets, build(decomp, cfg.k, euler).offsets)
+            np.testing.assert_array_equal(nodes.box.offsets, build(decomp, basis).box.offsets)
+            np.testing.assert_array_equal(nodes.euler.offsets, build(decomp, basis).euler.offsets)
     builds = sum(kind == "build" for kind, _, _ in events)
     if euler:
         assert 1 <= builds <= 1 + report.steps
@@ -408,11 +413,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
     ["nx = 0", "k = 4", "dt_policy = jiang_liu", "x_hi = -2.0", "y_lo = 1.0", "gamma = 1.0",
      "c0 = 0", "c0 = 5", "t_end = -1", "inflow = 1, 2", "ambient = 5.0, 0.0, 0.4127",
      "riemann_states = 0.1 0.2 0.3 0.4 0.5", "region_lo = 1.0", "fallback_dt = 0", "t_end = inf",
-     "dt_policy = linear"],
+     "dt_policy = linear", "ambient = 5, 0, 0, -0.4", "inflow = 5, 30, 0, -0.4", "inflow = 0, 30, 0, 0.4",
+     "ambient = nan, 0, 0, 1", "advection_cx = nan", "advection_cy = inf", "x_hi = inf",
+     "inflow_lo = nan", "limiter.tvb_M = -1", "limiter.tvb_M = nan", "output_every = -1",
+     "output_every = nan", "model = foo", "bc = wall", "initial = gauss"],
     ids=["zero-cells", "unsupported-degree", "unknown-policy", "x-bounds-reversed", "empty-y-range",
          "gamma-one", "zero-c0", "c0-above-one", "negative-t-end", "two-inflow-values",
          "three-ambient-values", "five-riemann-states", "empty-region", "zero-fallback-dt",
-         "infinite-t-end", "linear-policy"],
+         "infinite-t-end", "linear-policy", "negative-ambient-pressure", "negative-inflow-pressure",
+         "zero-inflow-density", "nan-ambient", "nan-velocity", "infinite-velocity", "infinite-domain",
+         "nan-inflow-bound", "negative-tvb", "nan-tvb", "negative-output-every", "nan-output-every",
+         "unknown-model", "unknown-bc", "unknown-initial"],
 )
 def test_cli_invalid_value_exit_code(tmp_path, capsys, line):
     cfg = _write(tmp_path, "bad.cfg", ADVECTION_SMALL + f"{line}\nout_dir = {tmp_path / 'o'}\n")

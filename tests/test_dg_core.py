@@ -33,7 +33,14 @@ from bpdg.dg_core import (
     step_controller,
 )
 from bpdg.limiters import LimiterChain, bp_scaling_limit, build_node_set, tvb_minmod_limit
-from bpdg.physics import AdvectionModel, BoxScalar, BurgersModel, EulerModel, EulerPositivity
+from bpdg.physics import (
+    AdmissibilityError,
+    AdvectionModel,
+    BoxScalar,
+    BurgersModel,
+    EulerModel,
+    EulerPositivity,
+)
 from bpdg.quadrature import gauss_rule
 
 
@@ -373,7 +380,7 @@ def _limited_jet(n=(12, 6), k=2):
                     mesh, Basis2D(k), model)
     speeds = global_max_speeds(field)
     ratios = SpeedRatios((speeds[0] / mesh.dx, speeds[1] / mesh.dy))
-    chain = LimiterChain(build_node_set(optimal_2d(k, ratios), k, include_volume=True), m_tvb=1.0)
+    chain = LimiterChain(build_node_set(optimal_2d(k, ratios), field.basis), m_tvb=1.0)
     return chain(field), chain
 
 
@@ -382,7 +389,7 @@ def test_euler_pressure_computed_once_per_rk_state(monkeypatch):
     assert field.values is not None  # handed on by the limiter
     model = field.model
     nx, ny = field.mesh.nx, field.mesh.ny
-    at_nodes = (len(chain.node_set), nx, ny)
+    at_nodes = (len(chain.node_set.euler), nx, ny)
     stacked_shape = point_values(field).stacked.shape[:3]
     calls = []
     pressure = model.pressure
@@ -437,9 +444,9 @@ def test_coefficients_stay_component_major():
                      bc_left=OUTFLOW, bc_right=OUTFLOW, bc_bottom=OUTFLOW, bc_top=OUTFLOW)
     region = BoxScalar(-1.0, 0.8)
     shock = project(_step_data, outflow, Basis2D(2), BurgersModel(region))
-    tvb, troubled = tvb_minmod_limit(shock, 1.0)
+    tvb, troubled = tvb_minmod_limit(shock.copy(), 1.0)
     assert troubled > 0 and _planes_contiguous(tvb.coeffs)
-    box, diag = bp_scaling_limit(shock, region, build_node_set(optimal_2d(2, SpeedRatios((1.0, 1.0))), 2))
+    box, diag = bp_scaling_limit(shock, region, build_node_set(optimal_2d(2, SpeedRatios((1.0, 1.0))), shock.basis))
     assert diag.cells_limited > 0 and _planes_contiguous(box.coeffs)
     # Euler BP limiting that limits, and a jet step through the whole chain
     jet, chain = _limited_jet()
@@ -553,6 +560,53 @@ def test_wave_speeds_evaluated_once_per_rk_state(monkeypatch):
     np.testing.assert_array_equal(reused.coeffs, plain.coeffs)
 
 
+def _smooth_field(model, n=6):
+    """A smooth admissible field of `model` on a periodic mesh."""
+    if model.m == 1:
+        return project(lambda x, y: (0.5 * _sine(x, y)), _periodic_mesh(n), Basis2D(2), model)
+
+    def u0(x, y):
+        rho = 1.0 + 0.2 * np.sin(np.pi * (x + y))
+        return np.stack(np.broadcast_arrays(rho, 0.1 * rho, -0.2 * rho, 2.0 + 0 * rho), axis=-1)
+
+    return project(u0, _periodic_mesh(n), Basis2D(2), model)
+
+
+@pytest.mark.parametrize(
+    "model, bad",
+    [(AdvectionModel(), "nan"), (BurgersModel(BoxScalar(-1.0, 1.0)), "nan"), (EulerModel(), "nan"),
+     (EulerModel(), "negative-pressure")],
+    ids=["advection-nan", "burgers-nan", "euler-nan", "euler-negative-pressure"],
+)
+def test_inadmissible_state_raises_through_ssp_step(model, bad):
+    field = _smooth_field(model)
+    if bad == "nan":
+        field.coeffs[2, 3, 1, 0] = np.nan
+    else:
+        field.coeffs[2, 3, 0, 3] = 0.0  # E below the kinetic energy: p < 0 at every point
+    with pytest.raises(AdmissibilityError, match=r"in cell \(2, 3\)") as err:
+        ssp_step(field, SSPRK3, 1e-4)
+    assert err.value.cell == (2, 3)
+
+
+@pytest.mark.parametrize("model", [AdvectionModel(), BurgersModel(BoxScalar(-1.0, 1.0)), EulerModel()],
+                         ids=["advection", "burgers", "euler"])
+def test_one_admissibility_mask_per_rk_state(model, monkeypatch):
+    # the speed pass is the one check; Burgers checks its maximum instead
+    field = _smooth_field(model)
+    masks = []
+    check = model.check_admissible
+
+    def counted(u, p=None):
+        masks.append(u.shape)
+        return check(u, p)
+
+    monkeypatch.setattr(model, "check_admissible", counted)
+    ssp_step(field, SSPRK3, 1e-4)
+    stacked_shape = point_values(field).stacked.shape
+    assert masks == ([] if model.name == "burgers2d" else [stacked_shape] * 3)
+
+
 def test_ssp_step_rejects_nonpositive_dt():
     mesh = _periodic_mesh(4)
     field = project(_sine, mesh, Basis2D(2), AdvectionModel())
@@ -566,7 +620,7 @@ def test_bp_means_stay_in_box_under_optimal_policy():
     field = project(_sine, mesh, Basis2D(2), model)
     ratios = SpeedRatios((1.0 / mesh.dx, 1.0 / mesh.dy))
     decomp = optimal_2d(2, ratios)
-    chain = LimiterChain(build_node_set(decomp, 2))
+    chain = LimiterChain(build_node_set(decomp, field.basis))
     field = chain(field)
     for _ in range(20):
         # advection speeds are constant: the nodes' decomposition is the step's
