@@ -90,15 +90,6 @@ def mode_values(k: int, offsets: np.ndarray) -> np.ndarray:
     return np.stack([px[a] * py[b] for a, b in _mode_exps(k)])
 
 
-def _mode_gradients(k: int, offsets: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """d/dxi and d/deta of the degree-k basis at reference offsets (P, 2),
-    each (n_modes, P)."""
-    px, dpx = _phi1d(k, offsets[:, 0])
-    py, dpy = _phi1d(k, offsets[:, 1])
-    exps = _mode_exps(k)
-    return np.stack([dpx[a] * py[b] for a, b in exps]), np.stack([px[a] * dpy[b] for a, b in exps])
-
-
 def apply_matrix(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:
     """matrix (a, b) applied along axis 2 of x (nx, ny, b, m) -> (nx, ny, a, m).
 
@@ -157,7 +148,9 @@ class Basis2D:
         self.phi_vol, self.phi_xm, self.phi_xp, self.phi_ym, self.phi_yp = (
             self.eval_matrix[at].T for at in (self.at_vol, self.at_xm, self.at_xp, self.at_ym, self.at_yp)
         )
-        self.dphi_dxi_vol, self.dphi_deta_vol = _mode_gradients(k, self.vol_offsets)
+        (px, dpx), (py, dpy) = (_phi1d(k, self.vol_offsets[:, axis]) for axis in (0, 1))
+        self.dphi_dxi_vol = np.stack([dpx[a] * py[b] for a, b in self.mode_exps])
+        self.dphi_deta_vol = np.stack([px[a] * dpy[b] for a, b in self.mode_exps])
         # assembly matrices (n_modes, points) with the quadrature weights
         # folded in; semidiscrete_residual applies one per flux term
         wv, wq = self.vol_weights, g.weights

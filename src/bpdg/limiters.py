@@ -310,8 +310,9 @@ def tvb_minmod_limit(field: DGField, m_tvb: float) -> tuple[DGField, int]:
 
     Troubled cells keep their average, get minmod-limited linear modes, and
     lose everything above linear, in `field` itself, which is returned.
-    Applied componentwise on conserved variables.  Minmod runs only where a linear mode leaves the dead zone
-    (elsewhere the mode is kept as it is), so most cells cost one comparison.
+    Applied componentwise on conserved variables.  Minmod runs only where a
+    linear mode leaves the dead zone (elsewhere the mode is kept as it is),
+    so most cells cost one comparison.
     """
     basis = field.basis
     if basis.k < 1:

@@ -6,15 +6,10 @@ operations are vectorized over any number of leading axes.  A state array
 may be a strided view, components last: the solver's point values keep each
 component in its own contiguous plane, so `u[..., c]` is a contiguous read
 there, and elementwise results inherit that layout.
-
-Each model's `max_wave_speeds` is the solver's one admissibility check of a
-state: it raises AdmissibilityError, naming the first bad cell, where a
-value is inadmissible or not finite.
 """
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Callable, Optional
 
@@ -29,12 +24,13 @@ class AdmissibilityError(RuntimeError):
         self.cell = cell
 
 
-def _inadmissible(ok: np.ndarray) -> AdmissibilityError:
-    """The error for the first False of an admissibility mask; its first two
-    indices name the cell when the mask is laid out (nx, ny, points)."""
-    bad = np.argwhere(~ok)[0]
-    cell = (int(bad[0]), int(bad[1])) if ok.ndim >= 3 else None
-    return AdmissibilityError(f"inadmissible state at quadrature/trace point in cell {cell}", cell=cell)
+def _require(ok: np.ndarray) -> None:
+    """AdmissibilityError at the first False of an admissibility mask, whose
+    first two indices name the cell when it is laid out (nx, ny, points)."""
+    if not ok.all():
+        bad = np.argwhere(~ok)[0]
+        cell = (int(bad[0]), int(bad[1])) if ok.ndim >= 3 else None
+        raise AdmissibilityError(f"inadmissible state at quadrature/trace point in cell {cell}", cell=cell)
 
 
 @dataclass(frozen=True)
@@ -102,9 +98,7 @@ class AdvectionModel:
         return np.full(u.shape[:-1], abs(self.c[axis]))
 
     def max_wave_speeds(self, u: np.ndarray, p: Optional[np.ndarray] = None) -> tuple[float, float]:
-        ok = self.check_admissible(u)
-        if not ok.all():
-            raise _inadmissible(ok)
+        _require(self.check_admissible(u))
         return abs(self.c[0]), abs(self.c[1])
 
     def check_admissible(self, u: np.ndarray, p: Optional[np.ndarray] = None) -> np.ndarray:
@@ -129,8 +123,8 @@ class BurgersModel:
 
     def max_wave_speeds(self, u: np.ndarray, p: Optional[np.ndarray] = None) -> tuple[float, float]:
         s = float(np.max(np.abs(u[..., 0])))
-        if not math.isfinite(s):  # a NaN or infinite value is in the maximum
-            raise _inadmissible(self.check_admissible(u))
+        if not np.isfinite(s):  # a NaN or infinite value is in the maximum
+            _require(self.check_admissible(u))
         return s, s
 
     def check_admissible(self, u: np.ndarray, p: Optional[np.ndarray] = None) -> np.ndarray:
@@ -170,9 +164,7 @@ class EulerModel:
     def _sound_speed(self, u: np.ndarray, p: Optional[np.ndarray]) -> np.ndarray:
         if p is None:
             p = self.pressure(u)
-        ok = self.check_admissible(u, p)
-        if not ok.all():
-            raise _inadmissible(ok)
+        _require(self.check_admissible(u, p))
         return np.sqrt(self.gamma * p / u[..., 0])
 
     def max_wave_speed(self, u: np.ndarray, axis: int, p: Optional[np.ndarray] = None) -> np.ndarray:
