@@ -5,7 +5,7 @@ cell average so that its values at the face-trace Gauss points and at the
 active decomposition's internal nodes land inside the invariant region.  The
 TVB limiter knocks cells with non-smooth linear modes down to a limited
 linear reconstruction; both limiters preserve cell averages exactly, and
-both change the field they are given.
+both change the field they are given.  Membership is the region's `contains`.
 
 The Euler BP limiter (Zhang & Shu, JCP 229, 2010) evaluates each field once,
 at its view of the node set, whose first rows are the residual's volume and
@@ -14,8 +14,8 @@ Density and pressure each get one theta per cell, aimed a stated round-off
 margin above the floors; the pressure crossing is the closed-form root of a
 quadratic, checked where it is used.  The limited values
 `mean + theta*(v - mean)` and their pressure are handed on as the field's
-point values, and those are what is certified: a changed cell whose values
-still miss a floor is collapsed to its average and counted
+point values, and those are what is certified: a changed cell with a value
+still outside the region is collapsed to its average and counted
 (`LimiterDiagnostics.collapsed_cells`).
 """
 
@@ -129,21 +129,18 @@ def bp_scaling_limit(
     raise TypeError(f"unsupported region {region!r}")
 
 
-def _precondition_failure(mask: np.ndarray, what: str) -> None:
-    bad = np.argwhere(mask)
-    i, j = int(bad[0][0]), int(bad[0][1])
-    raise AdmissibilityError(
-        f"cell average violates {what} in cell ({i}, {j}) before BP limiting "
-        "(BP dt policy violated upstream?)",
-        cell=(i, j),
-    )
+def _require_means(region: InvariantRegion, mean: np.ndarray, p: Optional[np.ndarray] = None) -> None:
+    """The BP limiters' precondition: every cell average (pressure `p`) in `region`."""
+    inside = region.contains(mean, p)
+    if not inside.all():
+        i, j = (int(v) for v in np.argwhere(~inside)[0])
+        raise AdmissibilityError(f"cell average outside {region} in cell ({i}, {j}) before BP "
+                                 "limiting (BP dt policy violated upstream?)", cell=(i, j))
 
 
 def _bp_limit_box(field: DGField, region: BoxScalar, nodes: NodeRows):
+    _require_means(region, field.coeffs[:, :, 0, :])
     mean = field.coeffs[:, :, 0, 0]
-    bad = (mean < region.lo - 1e-12) | (mean > region.hi + 1e-12)
-    if np.any(bad):
-        _precondition_failure(bad, f"[{region.lo}, {region.hi}]")
     vals = nodes.evaluate(field)[0]  # (P, nx, ny)
     hi = vals.max(axis=0)
     lo = vals.min(axis=0)
@@ -164,9 +161,7 @@ def _bp_limit_euler(field: DGField, region: EulerPositivity, nodes: NodeRows):
     mean = field.coeffs[:, :, 0, :]  # (nx, ny, 4)
     mean_rho = mean[..., 0]
     mean_p = model.pressure(mean)
-    bad = (mean_rho < region.eps_rho) | (mean_p < region.eps_p)
-    if np.any(bad):
-        _precondition_failure(bad, "Euler positivity")
+    _require_means(region, mean, mean_p)
 
     # the one evaluation: its stacked rows are the values the next residual
     # reads, so the limited ones are handed on rather than evaluated again
@@ -181,7 +176,8 @@ def _bp_limit_euler(field: DGField, region: EulerPositivity, nodes: NodeRows):
     if np.any(low):
         m, r = mean_rho[low], rho_min[low]
         aim = region.eps_rho + _MARGIN * (np.abs(m) + np.abs(r))
-        th = theta_rho[low] = np.clip((m - aim) / (m - r), 0.0, 1.0)
+        with np.errstate(divide="ignore"):  # a flat cell (r = m below the floor) gets theta 0
+            th = theta_rho[low] = np.clip((m - aim) / (m - r), 0.0, 1.0)
         field.coeffs[low, 1:, 0] *= th[:, None]
         rho[:, low] = m + th * (rho[:, low] - m)
 
@@ -210,16 +206,15 @@ def _bp_limit_euler(field: DGField, region: EulerPositivity, nodes: NodeRows):
         vals[:, :, scaled] = v
         p_nodes[:, scaled] = model.pressure(np.moveaxis(v, 0, -1))
 
-    # the one counted fallback: a changed cell whose values still miss a
-    # floor is collapsed to its average (admissible by precondition, and
+    # the one counted fallback: a changed cell with a value still outside the
+    # region is collapsed to its average (admissible by precondition, and
     # exact: mode 0 is the constant 1)
     theta = np.minimum(theta_rho, theta_p)
     changed = theta < 1.0
     collapsed = np.zeros_like(changed)
     if np.any(changed):
-        floor = 1.0 - 1e-10
-        miss = (vals[0][:, changed] < region.eps_rho * floor) | ~(p_nodes[:, changed] >= region.eps_p * floor)
-        collapsed[changed] = np.any(miss, axis=0)
+        inside = region.contains(np.moveaxis(vals[:, :, changed], 0, -1), p_nodes[:, changed])
+        collapsed[changed] = ~np.all(inside, axis=0)
     if np.any(collapsed):
         field.coeffs[collapsed, 1:, :] = 0.0
         vals[:, :, collapsed] = mean[collapsed].T[:, None, :]

@@ -6,6 +6,11 @@ operations are vectorized over any number of leading axes.  A state array
 may be a strided view, components last: the solver's point values keep each
 component in its own contiguous plane, so `u[..., c]` is a contiguous read
 there, and elementwise results inherit that layout.
+
+Each invariant region is stated once, by its `contains(u, p=None)` mask (`p`
+is the pressure of `u`, if known) with one named round-off slack: the scalar
+box widened by `BOX_SLACK`, the Euler floors scaled by `EULER_FLOOR`.  A
+mask is true only where its comparisons hold, so NaN is outside every region.
 """
 
 from __future__ import annotations
@@ -14,6 +19,9 @@ from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
+
+BOX_SLACK = 1e-12
+EULER_FLOOR = 1.0 - 1e-10
 
 
 class AdmissibilityError(RuntimeError):
@@ -44,9 +52,9 @@ class BoxScalar:
         if not self.lo < self.hi:
             raise ValueError("box region needs lo < hi")
 
-    def contains(self, u: np.ndarray, slack: float = 0.0) -> np.ndarray:
+    def contains(self, u: np.ndarray, p: Optional[np.ndarray] = None) -> np.ndarray:
         v = u[..., 0]
-        return (v >= self.lo - slack) & (v <= self.hi + slack)
+        return (v >= self.lo - BOX_SLACK) & (v <= self.hi + BOX_SLACK)
 
 
 @dataclass(frozen=True)
@@ -61,11 +69,10 @@ class EulerPositivity:
         if not (0.0 < self.eps_rho <= 1e-10 and 0.0 < self.eps_p <= 1e-10):
             raise ValueError("positivity floors must lie in (0, 1e-10]")
 
-    def contains(self, u: np.ndarray, slack: float = 0.0) -> np.ndarray:
-        rho = u[..., 0]
-        ok_rho = rho >= self.eps_rho * (1.0 - 1e-10) - slack
-        p = _pressure_raw(u, self.gamma)
-        return ok_rho & (p >= self.eps_p * (1.0 - 1e-10) - slack)
+    def contains(self, u: np.ndarray, p: Optional[np.ndarray] = None) -> np.ndarray:
+        if p is None:
+            p = _pressure_raw(u, self.gamma)
+        return (u[..., 0] >= self.eps_rho * EULER_FLOOR) & (p >= self.eps_p * EULER_FLOOR)
 
 
 InvariantRegion = BoxScalar | EulerPositivity

@@ -22,6 +22,7 @@ from bpdg.cli import (
 )
 from bpdg.dg_core import Basis2D
 from bpdg.limiters import LimiterChain, NodeRows
+from bpdg.physics import EULER_FLOOR
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -147,12 +148,15 @@ def test_run_rejects_unknown_scheme_and_model():
      dict(riemann_states=(0.1, 0.2, 0.3, 0.4, 0.5)), dict(region_lo=1.0), dict(t_end=float("inf")),
      dict(limiter_bp="maybe"), dict(tvb_m="M"),
      dict(model="euler2d", initial="uniform", ambient=(5.0, 0.0, 0.0, -0.4)),
-     dict(advection_cx=float("nan")), dict(tvb_m=-1.0), dict(output_every=float("nan"))],
+     dict(advection_cx=float("nan")), dict(tvb_m=-1.0), dict(output_every=float("nan")),
+     dict(region_hi=float("inf")), dict(region_lo=float("nan")), dict(region_hi=0.5), dict(initial="uniform"),
+     dict(model="burgers2d", inflow=(5.0, 30.0, 0.0, 0.4127))],
     ids=["zero-cells", "negative-cells", "unsupported-degree", "unknown-policy", "linear-policy",
          "x-bounds-reversed", "empty-y-range", "gamma-one", "zero-c0", "c0-above-one", "negative-t-end",
          "two-inflow-values", "three-ambient-values", "five-riemann-states", "empty-region",
          "infinite-t-end", "bp-not-a-bool", "tvb-not-a-number", "negative-ambient-pressure",
-         "nan-velocity", "negative-tvb", "nan-output-every"],
+         "nan-velocity", "negative-tvb", "nan-output-every", "infinite-region", "nan-region",
+         "sine-outside-region", "uniform-advection", "scalar-inflow"],
 )
 def test_run_validates_configs_built_in_code(changes):
     with pytest.raises(ConfigError):
@@ -301,6 +305,28 @@ def test_jet_builds_one_optimal_decomposition_per_step(tmp_path, monkeypatch):
     assert report.steps > 0 and len(calls) == 1 + report.steps
 
 
+def test_bp_violation_uses_the_region_floor(monkeypatch):
+    # BP limiting off, a state at rest whose density lies in [eps/2,
+    # eps*EULER_FLOOR): outflow keeps every mean there, inside the old
+    # check's eps/2 floor but outside the region the BP limiter requires
+    rho = 0.75e-13
+    project = cli.project
+
+    def thinned(u0, mesh, basis, model):
+        field = project(u0, mesh, basis, model)
+        field.coeffs[..., 0] *= rho
+        field.values = None
+        return field
+
+    monkeypatch.setattr(cli, "project", thinned)
+    cfg = RunConfig(model="euler2d", initial="uniform", ambient=(1.0, 0.0, 0.0, 1.0), bc="outflow",
+                    nx=4, ny=4, limiter_bp=False, t_end=1e-9)
+    report = run(cfg, write_outputs=False)
+    assert report.steps >= 1
+    assert 1e-13 / 2 <= report.min_mean[0] <= report.max_mean[0] < 1e-13 * EULER_FLOOR
+    assert report.bp_violation
+
+
 def test_burgers_means_stay_in_region():
     cfg = RunConfig(model="burgers2d", x_lo=0.0, x_hi=1.0, y_lo=0.0, y_hi=1.0,
                     nx=16, ny=16, t_end=0.2, bc="outflow", initial="riemann4",
@@ -416,14 +442,16 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
      "dt_policy = linear", "ambient = 5, 0, 0, -0.4", "inflow = 5, 30, 0, -0.4", "inflow = 0, 30, 0, 0.4",
      "ambient = nan, 0, 0, 1", "advection_cx = nan", "advection_cy = inf", "x_hi = inf",
      "inflow_lo = nan", "limiter.tvb_M = -1", "limiter.tvb_M = nan", "output_every = -1",
-     "output_every = nan", "model = foo", "bc = wall", "initial = gauss"],
+     "output_every = nan", "model = foo", "bc = wall", "initial = gauss", "region_hi = inf",
+     "region_lo = -inf", "region_hi = nan", "region_hi = 0.5", "initial = uniform", "inflow = 5, 30, 0, 0.4127"],
     ids=["zero-cells", "unsupported-degree", "unknown-policy", "x-bounds-reversed", "empty-y-range",
          "gamma-one", "zero-c0", "c0-above-one", "negative-t-end", "two-inflow-values",
          "three-ambient-values", "five-riemann-states", "empty-region", "zero-fallback-dt",
          "infinite-t-end", "linear-policy", "negative-ambient-pressure", "negative-inflow-pressure",
          "zero-inflow-density", "nan-ambient", "nan-velocity", "infinite-velocity", "infinite-domain",
          "nan-inflow-bound", "negative-tvb", "nan-tvb", "negative-output-every", "nan-output-every",
-         "unknown-model", "unknown-bc", "unknown-initial"],
+         "unknown-model", "unknown-bc", "unknown-initial", "infinite-region", "negative-infinite-region",
+         "nan-region", "sine-outside-region", "uniform-advection", "scalar-inflow"],
 )
 def test_cli_invalid_value_exit_code(tmp_path, capsys, line):
     cfg = _write(tmp_path, "bad.cfg", ADVECTION_SMALL + f"{line}\nout_dir = {tmp_path / 'o'}\n")
@@ -437,6 +465,53 @@ def test_domain_bounds_error_cites_the_later_line(tmp_path):
     cfg = _write(tmp_path, "bad.cfg", "x_hi = 0.5\nnx = 4\nx_lo = 0.5\n")
     with pytest.raises(ConfigError, match=r"bad\.cfg:3: x_lo = 0\.5 must be below x_hi = 0\.5"):
         parse_config(cfg)
+
+
+BURGERS_OUTSIDE = "model = burgers2d\ninitial = riemann4\nregion_hi = 0.5\n"
+
+
+@pytest.mark.parametrize(
+    "text, line, complaint",
+    [(BURGERS_OUTSIDE, 3, "region_lo, region_hi, riemann_states: initial riemann4 data"),
+     (BURGERS_OUTSIDE + "riemann_states = 0.1, 0.2, 0.3, 0.6\n", 4, "initial riemann4 data"),
+     ("region_lo = -0.5\nmodel = burgers2d\n", 1, "region_lo, region_hi: initial sine data"),
+     ("initial = uniform\nnx = 4\nmodel = euler2d\nambient = 5e-14, 0, 0, 0.4\n", 4,
+      "gamma, ambient: initial uniform data"),
+     ("ambient = 5e-14, 0, 0, 0.4\nmodel = euler2d\ninitial = uniform\n", 3, "initial uniform data"),
+     ("model = euler2d\nbc = outflow\n", 1, "initial 'sine' is not defined for euler2d"),
+     ("inflow = 5, 30, 0, 0.4\nmodel = burgers2d\n", 2, "inflow segments are only supported for euler2d")],
+    ids=["riemann-region", "riemann-states", "sine-region", "ambient-below-floor", "ambient-initial",
+         "euler-sine", "scalar-inflow"],
+)
+def test_cross_key_error_cites_the_latest_line(tmp_path, text, line, complaint):
+    path = _write(tmp_path, "bad.cfg", text)
+    with pytest.raises(ConfigError, match=rf"bad\.cfg:{line}: .*") as err:
+        parse_config(path)
+    assert complaint in str(err.value)
+    # the same complaint, without a line, for a config built in code
+    cfg = RunConfig()
+    for raw in text.splitlines():
+        key, value = (part.strip() for part in raw.split("="))
+        attr, parser = _KEY_PARSERS[key]
+        cfg = replace(cfg, **{attr: parser(value)})
+    with pytest.raises(ConfigError) as err_in_code:
+        validate_config(cfg)
+    assert str(err_in_code.value) == str(err.value).split(": ", 1)[1]
+
+
+def test_riemann_states_inside_a_narrow_region_are_accepted(tmp_path):
+    # the sine's range is not asked of riemann4 data
+    cfg = parse_config(_write(tmp_path, "ok.cfg", BURGERS_OUTSIDE + "riemann_states = 0.1, 0.2, 0.3, 0.4\n"))
+    assert validate_config(cfg) == cfg
+
+
+def test_burgers_desk_with_a_narrower_region_is_a_config_error(tmp_path, capsys):
+    # its riemann_states reach 0.8: this used to fail at step 1 as a BP dt violation (exit 3)
+    text = (CONFIG_DIR / "burgers_riemann_desk.cfg").read_text(encoding="utf-8")
+    cfg = _write(tmp_path, "narrow.cfg", text.replace("region_hi = 0.8", "region_hi = 0.5"))
+    assert main(["run", str(cfg)]) == 2
+    lineno = text.splitlines().index("region_hi = 0.8") + 1
+    assert capsys.readouterr().err.startswith(f"config error: {cfg}:{lineno}: region_lo, region_hi, riemann_states")
 
 
 def test_cli_rejects_safety_above_one(tmp_path, capsys):

@@ -4,6 +4,8 @@ import numpy as np
 import pytest
 
 from bpdg.physics import (
+    BOX_SLACK,
+    EULER_FLOOR,
     AdmissibilityError,
     AdvectionModel,
     BoxScalar,
@@ -124,8 +126,12 @@ def test_lax_friedrichs_dissipation_sign():
 
 def test_box_region():
     box = BoxScalar(-1.0, 0.8)
-    u = np.array([[-1.0], [0.0], [0.8], [0.81], [-1.1]])
-    np.testing.assert_array_equal(box.contains(u), [True, True, True, False, False])
+    u = np.array([[-1.0], [0.0], [0.8], [0.81], [-1.1], [np.nan]])
+    np.testing.assert_array_equal(box.contains(u), [True, True, True, False, False, False])
+    # the slack is the one round-off allowance, at both ends
+    edge = np.array([[-1.0 - BOX_SLACK], [0.8 + BOX_SLACK]])
+    assert np.all(box.contains(edge))
+    assert not np.any(box.contains(np.nextafter(edge, [[-np.inf], [np.inf]])))
     with pytest.raises(ValueError):
         BoxScalar(1.0, 1.0)
 
@@ -139,6 +145,20 @@ def test_euler_region():
     assert region.contains(good)
     assert not region.contains(bad_p)
     assert not region.contains(bad_rho)
+    for component in range(4):  # a NaN in any component
+        nan = good.copy()
+        nan[component] = np.nan
+        assert not region.contains(nan)
+    assert not region.contains(good, p=np.nan)
+    # each floor may be missed by its EULER_FLOOR factor, not by one ulp more
+    rho_edge = region.eps_rho * EULER_FLOOR
+    assert region.contains(model.conserved(rho_edge, 0.0, 0.0, 1.0))
+    assert not region.contains(model.conserved(np.nextafter(rho_edge, 0.0), 0.0, 0.0, 1.0))
+    p_edge = region.eps_p * EULER_FLOOR
+    assert region.contains(good, p=p_edge)
+    assert not region.contains(good, p=np.nextafter(p_edge, 0.0))
+    # a given pressure is used as it is
+    assert region.contains(bad_p, p=1.0)
     with pytest.raises(ValueError):
         EulerPositivity(eps_rho=0.0)
     with pytest.raises(ValueError):
