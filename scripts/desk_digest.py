@@ -9,7 +9,9 @@ Runs, from the `src/` next to this script:
 - `mach80_jet_desk.cfg` under the classic policy to `t_end` 0.002, the one
   desk run whose limiter nodes include internal nodes on volume Gauss points;
 - `advection_desk.cfg` at k = 3 with SSPRK4 on 100x100 cells to `t_end` 0.2;
-- `decomp-report` at k = 2 and k = 3 for phi = (1, 2, 3);
+- `decomp-report` at k = 2 and k = 3 for phi = (1, 2, 3), and again for
+  phi = (1, 1, 1): equal ratios are the paper's headline case and the one
+  place where the optimal internal nodes merge;
 - `compare` of `advection_desk.cfg` against `advection_classic.cfg`.
 
 Runs write into a temporary directory (or DIR with `--keep`).  It prints one
@@ -45,7 +47,8 @@ DESK = {
         "advection_desk.cfg", {"k": 3, "scheme": "ssprk4", "nx": 100, "ny": 100, "t_end": 0.2}
     ),
 }
-DECOMP_PHI = (1.0, 2.0, 3.0)
+# phi -> name suffix of the decomp-report digest lines
+DECOMP_PHI = {(1.0, 2.0, 3.0): "", (1.0, 1.0, 1.0): "_equal"}
 
 
 def _sha(data: bytes) -> str:
@@ -59,9 +62,10 @@ def digest_desk(out_root: Path) -> list[str]:
         run(replace(parse_config(ROOT / "configs" / config), out_dir=str(out_dir), **overrides))
         for path in sorted(out_dir.glob("*.csv")):
             lines.append(f"{_sha(path.read_bytes())}  {name}/{path.name}")
-    for k in (2, 3):
-        csv = decomp_report(k, DECOMP_PHI, 1.0, out=io.StringIO())
-        lines.append(f"{_sha(csv.encode('utf-8'))}  decomp_report/k{k}.csv")
+    for phi, suffix in DECOMP_PHI.items():
+        for k in (2, 3):
+            csv = decomp_report(k, phi, 1.0, out=io.StringIO())
+            lines.append(f"{_sha(csv.encode('utf-8'))}  decomp_report/k{k}{suffix}.csv")
     cmp = efficiency_compare(
         parse_config(ROOT / "configs" / "advection_desk.cfg"),
         parse_config(ROOT / "configs" / "advection_classic.cfg"),
