@@ -195,8 +195,8 @@ _KEY_PARSERS = {
 def _cross_key_issue(cfg: RunConfig) -> Optional[tuple[tuple[str, ...], str]]:
     """The first complaint, with its keys, about values valid alone but not
     together: an empty interval (domain, then scalar region), an initial
-    condition the model lacks, an inflow on a scalar model, initial data
-    outside the model's invariant region."""
+    condition the model lacks, an inflow on a scalar model, initial data or
+    an inflow state outside the model's invariant region."""
     for lo, hi in (("x_lo", "x_hi"), ("y_lo", "y_hi"), ("region_lo", "region_hi")):
         if not getattr(cfg, lo) < getattr(cfg, hi):
             return (lo, hi), f"{lo} = {getattr(cfg, lo)} must be below {hi} = {getattr(cfg, hi)}"
@@ -212,6 +212,9 @@ def _cross_key_issue(cfg: RunConfig) -> Optional[tuple[tuple[str, ...], str]]:
     if not np.all(model.region.contains(states)):
         return ("initial", *keys), (f"{', '.join(keys)}: initial {cfg.initial} data {data} lie outside "
                                     f"the invariant region {model.region}")
+    if cfg.inflow is not None and not np.all(model.region.contains(model.conserved(*cfg.inflow))):
+        return ("gamma", "inflow"), (f"gamma, inflow: inflow state {cfg.inflow} lies outside "
+                                     f"the invariant region {model.region}")
     return None
 
 

@@ -4,18 +4,25 @@ A decomposition writes the cell average of a degree-k polynomial as a
 positive-weight combination of face-trace values (averaged by a transverse
 Gauss rule) and values at a small set of internal nodes.  The minimum face
 weight controls the bound-preserving time step, so different decompositions
-of the same average yield different CFL conditions.  This module builds the
-classic tensor-product decompositions, the optimal ones for total degree
-2 and 3 (in 2D and 3D), and certifies feasibility/optimality numerically.
+of the same average yield different CFL conditions.  The module builds two
+families for k = 2 and 3, each by one function for 2D and 3D alike, and
+certifies feasibility/optimality numerically:
 
-All node coordinates are cell-local offsets in cell-width units, i.e. they
-live in [-1/2, 1/2]^dim.
+- classic (`_classic`; Zhang & Shu, JCP 229, 2010): along each axis in turn
+  (axis-major node order), its interior Gauss-Lobatto nodes times the
+  transverse Gauss tensor;
+- optimal (`_optimal`): face weights phi_i / psi / 2, and internal nodes at
+  +delta_i, then -delta_i, on every axis but the first maximal one.
+
+Nodes within 1e-14 of each other merge into the first.  Node coordinates are
+cell-local offsets in cell-width units, in [-1/2, 1/2]^dim.
 """
 
 from __future__ import annotations
 
 import itertools
 import math
+import operator
 from dataclasses import dataclass
 
 import numpy as np
@@ -91,166 +98,122 @@ class CertificateResult:
     detail: str = ""
 
 
-def _merge_nodes(offsets: list[tuple[float, ...]], weights: list[float]) -> tuple[np.ndarray, np.ndarray]:
+def _decomposition(name: str, k: int, face_weights: list[tuple[float, float]],
+                   offsets: list[tuple[float, ...]], weights: list[float]) -> ConvexDecomposition:
+    """The decomposition with these face weights, one pair per axis, and
+    internal nodes.  A node within _MERGE_TOL of an earlier kept node (in
+    every coordinate) adds its weight to it; the first occurrence keeps its
+    place."""
     merged_off: list[tuple[float, ...]] = []
     merged_w: list[float] = []
     for off, w in zip(offsets, weights):
         for idx, existing in enumerate(merged_off):
-            if max(abs(a - b) for a, b in zip(off, existing)) <= _MERGE_TOL:
+            if max(map(abs, map(operator.sub, off, existing))) <= _MERGE_TOL:
                 merged_w[idx] += w
                 break
         else:
             merged_off.append(off)
             merged_w.append(w)
-    return np.array(merged_off, dtype=float), np.array(merged_w, dtype=float)
-
-
-def _check_k(k: int) -> None:
-    if k not in SUPPORTED_K:
-        raise ValueError(f"unsupported polynomial degree k={k}; only k in {SUPPORTED_K}")
-
-
-def _classic_2d(k: int, kappa1: float, kappa2: float, name: str) -> ConvexDecomposition:
-    ell = math.ceil((k + 3) / 2)
-    gl = gauss_lobatto_rule(ell)
-    gauss = gauss_rule(k + 1)
-    w_end = gl.weights[0]
-    offsets: list[tuple[float, float]] = []
-    weights: list[float] = []
-    for s in range(1, ell - 1):  # interior Gauss-Lobatto nodes
-        for q in range(len(gauss)):
-            offsets.append((gl.nodes[s], gauss.nodes[q]))
-            weights.append(kappa1 * gl.weights[s] * gauss.weights[q])
-            offsets.append((gauss.nodes[q], gl.nodes[s]))
-            weights.append(kappa2 * gl.weights[s] * gauss.weights[q])
-    off, w = _merge_nodes(offsets, weights)
     return ConvexDecomposition(
         name=name,
-        dim=2,
+        dim=len(face_weights),
         poly_degree_k=k,
-        face_weights=((kappa1 * w_end, kappa1 * w_end), (kappa2 * w_end, kappa2 * w_end)),
-        transverse_rule=gauss,
-        internal_offsets=off,
-        internal_weights=w,
+        face_weights=tuple(face_weights),
+        transverse_rule=gauss_rule(k + 1),
+        internal_offsets=np.array(merged_off),
+        internal_weights=np.array(merged_w),
     )
+
+
+def _check(k: int, want_dim: int, *dims: int) -> None:
+    """ValueError unless k is supported and each of `dims` is `want_dim`."""
+    if k not in SUPPORTED_K:
+        raise ValueError(f"unsupported polynomial degree k={k}; only k in {SUPPORTED_K}")
+    for dim in dims:
+        if dim != want_dim:
+            raise ValueError(f"expected {want_dim}D input, got {dim}D")
+
+
+def _classic(k: int, shares: tuple[float, ...], name: str) -> ConvexDecomposition:
+    """The classic decomposition with axis weights kappa_i proportional to
+    `shares`; node weights are kappa_i * w_gl * w_q [* w_r], left to right."""
+    total = sum(shares)
+    gl = gauss_lobatto_rule(math.ceil((k + 3) / 2))
+    gauss = gauss_rule(k + 1)
+    w_end = float(gl.weights[0])
+    # (nodes, weights) of each point of the transverse Gauss tensor
+    transverse = [tuple(zip(*pts)) for pts in itertools.product(
+        zip(gauss.nodes.tolist(), gauss.weights.tolist()), repeat=len(shares) - 1)]
+    face_weights: list[tuple[float, float]] = []
+    offsets: list[tuple[float, ...]] = []
+    weights: list[float] = []
+    for axis, share in enumerate(shares):
+        kappa = share / total
+        face_weights.append((kappa * w_end, kappa * w_end))
+        for x, w_gl in zip(gl.nodes[1:-1].tolist(), gl.weights[1:-1].tolist()):
+            for nodes, ws in transverse:
+                offsets.append(nodes[:axis] + (x,) + nodes[axis:])
+                weights.append(math.prod(ws, start=kappa * w_gl))
+    return _decomposition(name, k, face_weights, offsets, weights)
+
+
+# c_d in the optimal node offsets delta_i = sqrt((phi* - phi_i) / phi*) / c_d
+_OPTIMAL_SCALE = {2: 2.0 * math.sqrt(3.0), 3: math.sqrt(6.0)}
+
+
+def _optimal(k: int, ratios: SpeedRatios, name: str) -> ConvexDecomposition:
+    """The optimal decomposition; each internal node weighs phi* / psi / (dim - 1)."""
+    phi, phi_star, psi = ratios.phi, ratios.phi_star, ratios.psi
+    dim = len(phi)
+    max_axis = phi.index(phi_star)
+    face_weights: list[tuple[float, float]] = []
+    offsets: list[tuple[float, ...]] = []
+    for axis, p in enumerate(phi):
+        face_weights.append((p / psi / 2.0, p / psi / 2.0))
+        if axis != max_axis:
+            delta = math.sqrt((phi_star - p) / phi_star) / _OPTIMAL_SCALE[dim]
+            pt = [0.0] * dim
+            pt[axis] = delta
+            offsets.append(tuple(pt))
+            pt[axis] = -delta
+            offsets.append(tuple(pt))
+    return _decomposition(name, k, face_weights, offsets, [phi_star / psi / (dim - 1)] * len(offsets))
 
 
 def zhang_shu_2d(k: int, ratios: SpeedRatios) -> ConvexDecomposition:
     """Classic tensor-product decomposition with speed-proportional split."""
-    _check_k(k)
-    if ratios.dim != 2:
-        raise ValueError("zhang_shu_2d needs 2D speed ratios")
-    total = ratios.phi[0] + ratios.phi[1]
-    return _classic_2d(k, ratios.phi[0] / total, ratios.phi[1] / total, "zhang-shu-2d")
+    _check(k, 2, ratios.dim)
+    return _classic(k, ratios.phi, "zhang-shu-2d")
+
+
+def zhang_shu_3d(k: int, ratios: SpeedRatios) -> ConvexDecomposition:
+    """Classic tensor-product decomposition with speed-proportional split."""
+    _check(k, 3, ratios.dim)
+    return _classic(k, ratios.phi, "zhang-shu-3d")
 
 
 def jiang_liu_2d(k: int) -> ConvexDecomposition:
     """Classic tensor-product decomposition with an even 1/2-1/2 split."""
-    _check_k(k)
-    return _classic_2d(k, 0.5, 0.5, "jiang-liu-2d")
+    _check(k, 2)
+    return _classic(k, (1.0, 1.0), "jiang-liu-2d")
+
+
+def jiang_liu_3d(k: int) -> ConvexDecomposition:
+    """Classic tensor-product decomposition with an even 1/3 split."""
+    _check(k, 3)
+    return _classic(k, (1.0, 1.0, 1.0), "jiang-liu-3d")
 
 
 def optimal_2d(k: int, ratios: SpeedRatios) -> ConvexDecomposition:
     """Optimal 2D decomposition: per-face weights mu_i/2 and <= 2 internal nodes."""
-    _check_k(k)
-    if ratios.dim != 2:
-        raise ValueError("optimal_2d needs 2D speed ratios")
-    phi1, phi2 = ratios.phi
-    phi_star, psi = ratios.phi_star, ratios.psi
-    mu1, mu2 = phi1 / psi, phi2 / psi
-    omega = phi_star / psi
-    if phi1 >= phi2:
-        delta = math.sqrt((phi_star - phi2) / phi_star) / (2.0 * math.sqrt(3.0))
-        offsets = [(0.0, delta), (0.0, -delta)]
-    else:
-        delta = math.sqrt((phi_star - phi1) / phi_star) / (2.0 * math.sqrt(3.0))
-        offsets = [(delta, 0.0), (-delta, 0.0)]
-    off, w = _merge_nodes(offsets, [omega, omega])
-    return ConvexDecomposition(
-        name="optimal-2d",
-        dim=2,
-        poly_degree_k=k,
-        face_weights=((mu1 / 2.0, mu1 / 2.0), (mu2 / 2.0, mu2 / 2.0)),
-        transverse_rule=gauss_rule(k + 1),
-        internal_offsets=off,
-        internal_weights=w,
-    )
-
-
-def _classic_3d(k: int, kappas: tuple[float, float, float], name: str) -> ConvexDecomposition:
-    ell = math.ceil((k + 3) / 2)
-    gl = gauss_lobatto_rule(ell)
-    gauss = gauss_rule(k + 1)
-    w_end = gl.weights[0]
-    offsets: list[tuple[float, float, float]] = []
-    weights: list[float] = []
-    for axis in range(3):
-        others = [a for a in range(3) if a != axis]
-        for s in range(1, ell - 1):
-            for q in range(len(gauss)):
-                for r in range(len(gauss)):
-                    pt = [0.0, 0.0, 0.0]
-                    pt[axis] = gl.nodes[s]
-                    pt[others[0]] = gauss.nodes[q]
-                    pt[others[1]] = gauss.nodes[r]
-                    offsets.append(tuple(pt))
-                    weights.append(kappas[axis] * gl.weights[s] * gauss.weights[q] * gauss.weights[r])
-    off, w = _merge_nodes(offsets, weights)
-    fw = tuple((kap * w_end, kap * w_end) for kap in kappas)
-    return ConvexDecomposition(
-        name=name,
-        dim=3,
-        poly_degree_k=k,
-        face_weights=fw,
-        transverse_rule=gauss,
-        internal_offsets=off,
-        internal_weights=w,
-    )
-
-
-def zhang_shu_3d(k: int, ratios: SpeedRatios) -> ConvexDecomposition:
-    _check_k(k)
-    if ratios.dim != 3:
-        raise ValueError("zhang_shu_3d needs 3D speed ratios")
-    total = sum(ratios.phi)
-    kappas = tuple(p / total for p in ratios.phi)
-    return _classic_3d(k, kappas, "zhang-shu-3d")
-
-
-def jiang_liu_3d(k: int) -> ConvexDecomposition:
-    _check_k(k)
-    return _classic_3d(k, (1 / 3, 1 / 3, 1 / 3), "jiang-liu-3d")
+    _check(k, 2, ratios.dim)
+    return _optimal(k, ratios, "optimal-2d")
 
 
 def optimal_3d(k: int, ratios: SpeedRatios) -> ConvexDecomposition:
     """Optimal 3D decomposition: per-face weights mu_i/2 and <= 4 internal nodes."""
-    _check_k(k)
-    if ratios.dim != 3:
-        raise ValueError("optimal_3d needs 3D speed ratios")
-    phi = ratios.phi
-    phi_star, psi = ratios.phi_star, ratios.psi
-    omega = phi_star / psi
-    # first maximal axis wins ties; the two non-maximal axes carry the offsets
-    max_axis = phi.index(phi_star)
-    others = [a for a in range(3) if a != max_axis]
-    offsets: list[tuple[float, float, float]] = []
-    for axis in others:
-        delta = math.sqrt((phi_star - phi[axis]) / phi_star) / math.sqrt(6.0)
-        for sign in (+1.0, -1.0):
-            pt = [0.0, 0.0, 0.0]
-            pt[axis] = sign * delta
-            offsets.append(tuple(pt))
-    off, w = _merge_nodes(offsets, [omega / 2.0] * 4)
-    fw = tuple((p / psi / 2.0, p / psi / 2.0) for p in phi)
-    return ConvexDecomposition(
-        name="optimal-3d",
-        dim=3,
-        poly_degree_k=k,
-        face_weights=fw,
-        transverse_rule=gauss_rule(k + 1),
-        internal_offsets=off,
-        internal_weights=w,
-    )
+    _check(k, 3, ratios.dim)
+    return _optimal(k, ratios, "optimal-3d")
 
 
 # dt policy names -> (2D, 3D) constructors, each called as
@@ -352,18 +315,14 @@ def linear_stability_dt(k: int, speeds: tuple[float, ...], spacings: tuple[float
     return (1.0 / (2 * k + 1)) / total
 
 
-def _feasibility_issue(d: ConvexDecomposition, exact_tol: float = 1e-12) -> str | None:
+def _sign_issue(d: ConvexDecomposition) -> str | None:
+    """Why `d` is no convex combination of cell values, or None."""
     if any(w <= 0 for pair in d.face_weights for w in pair):
         return "nonpositive face weight"
     if d.internal_node_count and np.any(d.internal_weights <= 0):
         return "nonpositive internal weight"
     if d.internal_node_count and np.any(np.abs(d.internal_offsets) > 0.5 + _MERGE_TOL):
         return "internal node outside the cell"
-    if abs(d.total_weight() - 1.0) > 1e-12:
-        return "weights do not sum to 1"
-    defect = verify_exactness(d)
-    if defect > exact_tol:
-        return f"exactness defect {defect:.3e}"
     return None
 
 
@@ -376,16 +335,10 @@ def optimality_certificate(k: int, ratios: SpeedRatios, candidate: ConvexDecompo
     face weights of axis i) are reported as such; they admit no exact
     completion on the quadratic monomials.
     """
-    _check_k(k)
-    if candidate.dim != 2:
-        raise ValueError("optimality_certificate expects a 2D candidate")
-    if any(w <= 0 for pair in candidate.face_weights for w in pair):
-        return CertificateResult("infeasible", detail="nonpositive face weight")
-    if candidate.internal_node_count and (
-        np.any(candidate.internal_weights <= 0)
-        or np.any(np.abs(candidate.internal_offsets) > 0.5 + _MERGE_TOL)
-    ):
-        return CertificateResult("infeasible", detail="bad internal node")
+    _check(k, 2, ratios.dim, candidate.dim)
+    issue = _sign_issue(candidate)
+    if issue is not None:
+        return CertificateResult("infeasible", detail=issue)
     s1 = sum(candidate.face_weights[0])
     s2 = sum(candidate.face_weights[1])
     if 3 * s1 + s2 > 1 + 1e-12 or s1 + 3 * s2 > 1 + 1e-12:
@@ -393,9 +346,11 @@ def optimality_certificate(k: int, ratios: SpeedRatios, candidate: ConvexDecompo
             "violates_moments",
             detail=f"3*s1+s2={3 * s1 + s2:.6g}, s1+3*s2={s1 + 3 * s2:.6g}",
         )
-    issue = _feasibility_issue(candidate)
-    if issue is not None:
-        return CertificateResult("infeasible", detail=issue)
+    if abs(candidate.total_weight() - 1.0) > 1e-12:
+        return CertificateResult("infeasible", detail="weights do not sum to 1")
+    defect = verify_exactness(candidate)
+    if defect > 1e-12:
+        return CertificateResult("infeasible", detail=f"exactness defect {defect:.3e}")
     speeds = ratios.phi  # unit spacings: phi doubles as speed per unit cell
     spacings = (1.0,) * ratios.dim
     dt_cand = bp_max_dt(candidate, speeds, spacings).max_dt
@@ -412,16 +367,7 @@ def _candidate_from_sample(
 ) -> ConvexDecomposition:
     offsets = [(dx, 0.0), (-dx, 0.0), (0.0, dy), (0.0, -dy)]
     weights = [wx / 2.0, wx / 2.0, wy / 2.0, wy / 2.0]
-    off, w = _merge_nodes(offsets, weights)
-    return ConvexDecomposition(
-        name="sampled",
-        dim=2,
-        poly_degree_k=k,
-        face_weights=((s1 / 2.0, s1 / 2.0), (s2 / 2.0, s2 / 2.0)),
-        transverse_rule=gauss_rule(k + 1),
-        internal_offsets=off,
-        internal_weights=w,
-    )
+    return _decomposition("sampled", k, [(s1 / 2.0, s1 / 2.0), (s2 / 2.0, s2 / 2.0)], offsets, weights)
 
 
 def random_feasible_search(
@@ -438,11 +384,9 @@ def random_feasible_search(
     moments.  Returns None if no sampled candidate is feasible.  By the
     optimality theorem the result never exceeds the optimal step.
     """
-    _check_k(k)
+    _check(k, 2, ratios.dim)
     if trials < 1:
         raise ValueError("trials must be >= 1")
-    if ratios.dim != 2:
-        raise ValueError("random_feasible_search expects 2D ratios")
     rng = np.random.default_rng(rng_seed)
     s1 = rng.uniform(0.0, 1.0 / 3.0, trials)
     s2 = rng.uniform(0.0, 1.0 / 3.0, trials)

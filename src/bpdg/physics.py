@@ -117,10 +117,10 @@ class BurgersModel:
 
     m = 1
     name = "burgers2d"
+    exact_solution = None
 
-    def __init__(self, region: BoxScalar, exact_solution: Optional[Callable] = None):
+    def __init__(self, region: BoxScalar):
         self.region = region
-        self.exact_solution = exact_solution
 
     def flux(self, u: np.ndarray, axis: int, p: Optional[np.ndarray] = None) -> np.ndarray:
         return 0.5 * u * u
@@ -148,12 +148,11 @@ class EulerModel:
 
     m = 4
     name = "euler2d"
+    exact_solution = None
 
-    def __init__(self, gamma: float = 5.0 / 3.0, region: EulerPositivity | None = None,
-                 exact_solution: Optional[Callable] = None):
+    def __init__(self, gamma: float = 5.0 / 3.0):
         self.gamma = float(gamma)
-        self.region = region if region is not None else EulerPositivity(gamma=self.gamma)
-        self.exact_solution = exact_solution
+        self.region = EulerPositivity(gamma=self.gamma)
 
     def pressure(self, u: np.ndarray) -> np.ndarray:
         return _pressure_raw(u, self.gamma)

@@ -479,9 +479,12 @@ BURGERS_OUTSIDE = "model = burgers2d\ninitial = riemann4\nregion_hi = 0.5\n"
       "gamma, ambient: initial uniform data"),
      ("ambient = 5e-14, 0, 0, 0.4\nmodel = euler2d\ninitial = uniform\n", 3, "initial uniform data"),
      ("model = euler2d\nbc = outflow\n", 1, "initial 'sine' is not defined for euler2d"),
-     ("inflow = 5, 30, 0, 0.4\nmodel = burgers2d\n", 2, "inflow segments are only supported for euler2d")],
+     ("inflow = 5, 30, 0, 0.4\nmodel = burgers2d\n", 2, "inflow segments are only supported for euler2d"),
+     ("model = euler2d\ninitial = uniform\ninflow = 5e-14, 30, 0, 0.4127\n", 3,
+      "gamma, inflow: inflow state (5e-14, 30.0, 0.0, 0.4127) lies outside"),
+     ("inflow = 5, 30, 0, 1e-14\nmodel = euler2d\ninitial = uniform\ngamma = 1.4\n", 4, "inflow state")],
     ids=["riemann-region", "riemann-states", "sine-region", "ambient-below-floor", "ambient-initial",
-         "euler-sine", "scalar-inflow"],
+         "euler-sine", "scalar-inflow", "inflow-below-floor", "inflow-gamma"],
 )
 def test_cross_key_error_cites_the_latest_line(tmp_path, text, line, complaint):
     path = _write(tmp_path, "bad.cfg", text)
@@ -512,6 +515,15 @@ def test_burgers_desk_with_a_narrower_region_is_a_config_error(tmp_path, capsys)
     assert main(["run", str(cfg)]) == 2
     lineno = text.splitlines().index("region_hi = 0.8") + 1
     assert capsys.readouterr().err.startswith(f"config error: {cfg}:{lineno}: region_lo, region_hi, riemann_states")
+
+
+def test_jet_desk_with_inflow_below_the_floor_is_a_config_error(tmp_path, capsys):
+    # it used to parse and then crawl at a dt set by a sound speed near 4e6
+    text = (CONFIG_DIR / "mach80_jet_desk.cfg").read_text(encoding="utf-8")
+    cfg = _write(tmp_path, "thin.cfg", text.replace("inflow = 5.0,", "inflow = 5e-14,"))
+    assert main(["run", str(cfg)]) == 2
+    lineno = text.splitlines().index("inflow = 5.0, 30.0, 0.0, 0.4127") + 1
+    assert capsys.readouterr().err.startswith(f"config error: {cfg}:{lineno}: gamma, inflow: inflow state")
 
 
 def test_cli_rejects_safety_above_one(tmp_path, capsys):

@@ -248,19 +248,40 @@ def test_speed_ratios_validation():
         SpeedRatios((1.0, 2.0, 3.0, 4.0))
 
 
+# every builder, called with ratios of its own dimension
+BUILDERS = {
+    "optimal_2d": lambda k, r=EQUAL2: optimal_2d(k, r),
+    "zhang_shu_2d": lambda k, r=EQUAL2: zhang_shu_2d(k, r),
+    "jiang_liu_2d": jiang_liu_2d,
+    "optimal_3d": lambda k, r=EQUAL3: optimal_3d(k, r),
+    "zhang_shu_3d": lambda k, r=EQUAL3: zhang_shu_3d(k, r),
+    "jiang_liu_3d": jiang_liu_3d,
+}
+
+
 @pytest.mark.parametrize("k", [0, 1, 4])
 def test_unsupported_degree_rejected(k):
-    with pytest.raises(ValueError):
-        optimal_2d(k, EQUAL2)
-    with pytest.raises(ValueError):
-        zhang_shu_3d(k, EQUAL3)
+    for build in BUILDERS.values():
+        with pytest.raises(ValueError, match=f"unsupported polynomial degree k={k}"):
+            build(k)
 
 
 def test_dimension_mismatch_rejected():
-    with pytest.raises(ValueError):
-        optimal_2d(2, EQUAL3)
-    with pytest.raises(ValueError):
-        optimal_3d(2, EQUAL2)
+    for name in ("optimal_2d", "zhang_shu_2d", "optimal_3d", "zhang_shu_3d"):
+        other = EQUAL3 if name.endswith("2d") else EQUAL2
+        with pytest.raises(ValueError, match=f"expected {name[-2]}D input, got {other.dim}D"):
+            BUILDERS[name](2, other)
+
+
+def test_certificate_and_search_reject_other_dimensions():
+    with pytest.raises(ValueError, match="expected 2D input, got 3D"):
+        optimality_certificate(2, EQUAL2, optimal_3d(2, EQUAL3))
+    with pytest.raises(ValueError, match="expected 2D input, got 3D"):
+        optimality_certificate(2, EQUAL3, optimal_2d(2, EQUAL2))
+    with pytest.raises(ValueError, match="expected 2D input, got 3D"):
+        random_feasible_search(2, EQUAL3, trials=10, rng_seed=0)
+    with pytest.raises(ValueError, match="unsupported polynomial degree"):
+        random_feasible_search(4, EQUAL2, trials=10, rng_seed=0)
 
 
 def test_decomposition_for_unknown_policy():

@@ -25,6 +25,8 @@ from bpdg import limiters
 from bpdg.limiters import (
     LimiterChain,
     LimiterDiagnostics,
+    LimiterNodeSet,
+    NodeRows,
     _BACKOFF_STEPS,
     _pressure_crossing,
     bp_scaling_limit,
@@ -350,6 +352,48 @@ def test_euler_limiter_hands_on_its_point_values():
     out, diag = bp_scaling_limit(field.copy(), EulerPositivity(), nodes)
     assert diag.cells_limited == 1 and diag.collapsed_cells == 0 and field.values is None
     _assert_hands_on(out, atol=1e-14)
+
+
+def _reverse_from(rows, start):
+    """`rows` with the rows from `start` on in reverse order."""
+    order = np.r_[np.arange(start), np.arange(len(rows) - 1, start - 1, -1)]
+    return NodeRows(rows.offsets[order], rows.matrix[order])
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("build", [optimal_2d, zhang_shu_2d])
+def test_bp_limiting_ignores_the_order_of_internal_nodes(k, build):
+    """Both BP limiters reduce over the nodes with max and min, so reordering
+    a decomposition's internal nodes in either view changes no bit of the
+    coefficients, the handed-on values or the diagnostics."""
+    decomp = build(k, SpeedRatios((1.0, 1.3)))
+    nodes = _node_set(decomp)
+    n_stacked = len(Basis2D(k).eval_matrix)
+    reordered = LimiterNodeSet(box=_reverse_from(nodes.box, len(nodes.box) - decomp.internal_node_count),
+                               euler=_reverse_from(nodes.euler, n_stacked))
+    assert not np.array_equal(reordered.box.offsets, nodes.box.offsets)
+    rng = np.random.default_rng(k)
+
+    scalar = _scalar_field(n=6, k=k)
+    scalar.coeffs[:, :, 0, 0] = rng.uniform(-0.9, 0.9, (6, 6))
+    scalar.coeffs[:, :, 1:, 0] = 0.4 * rng.normal(size=(6, 6, scalar.basis.n_modes - 1))
+
+    euler = _euler_field(n=6, k=k)
+    model = euler.model
+    for i, j in np.ndindex(6, 6):
+        rho, p = rng.uniform(0.01, 1.0, 2)
+        mean = model.conserved(rho, *rng.uniform(-2.0, 2.0, 2), p)
+        euler.coeffs[i, j, 0] = mean
+        euler.coeffs[i, j, 1:] = 0.3 * np.abs(mean) * rng.normal(size=(euler.basis.n_modes - 1, 4))
+
+    for field, region in ((scalar, scalar.model.region), (euler, EulerPositivity())):
+        out, diag = bp_scaling_limit(field.copy(), region, nodes)
+        out_r, diag_r = bp_scaling_limit(field.copy(), region, reordered)
+        assert diag.cells_limited > 0
+        assert diag_r == diag
+        np.testing.assert_array_equal(out_r.coeffs, out.coeffs)
+        if field is euler:
+            _assert_same_values(out_r.values, out.values)
 
 
 def test_collapsed_cell_values_are_its_average(monkeypatch):
