@@ -33,6 +33,7 @@ from .dg_core import (
     PERIODIC,
     SCHEMES,
     error_norms,
+    face_coords,
     global_max_speeds,
     point_values,
     project,
@@ -196,7 +197,8 @@ def _cross_key_issue(cfg: RunConfig) -> Optional[tuple[tuple[str, ...], str]]:
     """The first complaint, with its keys, about values valid alone but not
     together: an empty interval (domain, then scalar region), an initial
     condition the model lacks, an inflow on a scalar model, initial data or
-    an inflow state outside the model's invariant region."""
+    an inflow state outside the model's invariant region, an inflow without
+    outflow boundaries or whose segment meets no left-face quadrature point."""
     for lo, hi in (("x_lo", "x_hi"), ("y_lo", "y_hi"), ("region_lo", "region_hi")):
         if not getattr(cfg, lo) < getattr(cfg, hi):
             return (lo, hi), f"{lo} = {getattr(cfg, lo)} must be below {hi} = {getattr(cfg, hi)}"
@@ -215,6 +217,14 @@ def _cross_key_issue(cfg: RunConfig) -> Optional[tuple[tuple[str, ...], str]]:
     if cfg.inflow is not None and not np.all(model.region.contains(model.conserved(*cfg.inflow))):
         return ("gamma", "inflow"), (f"gamma, inflow: inflow state {cfg.inflow} lies outside "
                                      f"the invariant region {model.region}")
+    if cfg.inflow is not None and cfg.bc != OUTFLOW:
+        return ("bc", "inflow"), f"bc, inflow: an inflow segment needs bc = {OUTFLOW}, got {cfg.bc}"
+    if cfg.inflow is not None:
+        mesh = _build_mesh(cfg, model)
+        if not mesh.bc_left.covers(face_coords(mesh, True, Basis2D(cfg.k).face_rule.nodes)).any():
+            return ("inflow", "inflow_lo", "inflow_hi"), (
+                f"inflow_lo, inflow_hi: the inflow segment [{cfg.inflow_lo}, {cfg.inflow_hi}] meets "
+                "none of the left boundary's face quadrature points")
     return None
 
 

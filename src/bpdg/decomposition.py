@@ -42,8 +42,8 @@ class SpeedRatios:
     def __post_init__(self):
         if len(self.phi) not in (2, 3):
             raise ValueError("SpeedRatios supports 2 or 3 axes")
-        if any(p <= 0 for p in self.phi):
-            raise ValueError("all speed ratios must be positive")
+        if not all(math.isfinite(p) and p > 0 for p in self.phi):
+            raise ValueError(f"all speed ratios must be finite and positive, got {self.phi}")
 
     @property
     def dim(self) -> int:

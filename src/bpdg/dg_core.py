@@ -31,6 +31,10 @@ class InflowSegment:
     lo: float
     hi: float
 
+    def covers(self, coords: np.ndarray) -> np.ndarray:
+        """Whether each boundary position in `coords` lies in [lo, hi], up to 1e-12."""
+        return (coords >= self.lo - 1e-12) & (coords <= self.hi + 1e-12)
+
 
 BoundaryCondition = str | InflowSegment
 
@@ -176,12 +180,13 @@ class DGField:
     scalings preserve it; a field built from other memory is still correct,
     it only costs a copy per evaluation.
 
-    `values`, when set, are the field's point values, handed on by the code
-    that last changed the coefficients so that the readers of this state do
-    not evaluate it again.  The Euler BP limiter hands on the stacked rows of
-    its node evaluation: in the cells it limits they are mean + theta*(v -
-    mean), which matches an evaluation of the scaled coefficients up to
-    round-off, and they and their pressure are the values it certified.
+    `values`, when set, are the field's stacked point values and their
+    pressure, handed on by the code that last changed the coefficients so
+    that the readers of this state do not evaluate it again.  The Euler BP
+    limiter hands on the stacked rows of its node evaluation: in the cells
+    it limits they are mean + theta*(v - mean), which matches an evaluation
+    of the scaled coefficients up to round-off, and they and their pressure
+    are the values it certified (the flux forms its ghosts from them).
     `cli.run` attaches each step's start values, which its speeds and first
     stage share.
     Only code that will not change `coeffs` in place any more may set it, and
@@ -232,25 +237,26 @@ def evaluate_at_offsets(field: DGField, offsets: np.ndarray) -> np.ndarray:
 
 def ghost_trace(bc: BoundaryCondition, interior: np.ndarray, wrap: np.ndarray,
                 coords: np.ndarray, of_state: Optional[Callable] = None) -> np.ndarray:
-    """Exterior states along one boundary, for face traces and cell means
-    alike: `wrap` (the opposite side's states) if periodic, else a copy of
-    the `interior` states with the inflow state wherever `coords`, the
-    positions along the boundary (shape of interior[..., 0]), lie in the
-    inflow segment.  With `of_state` the arrays hold a pointwise function of
-    the states (e.g. the pressure) and the inflow points get
-    `of_state(state)`."""
+    """Exterior states along one boundary, for face traces (`_interface_flux`)
+    and cell means (TVB) alike: `wrap` (the opposite side's states) if
+    periodic, else a copy of the `interior` states with the inflow state
+    wherever the inflow segment covers `coords`, the positions along the
+    boundary (shape of interior[..., 0]).  With `of_state` the arrays hold a
+    pointwise function of the states (e.g. the pressure) and the inflow
+    points get `of_state(state)`."""
     if bc == PERIODIC:
         return wrap
     ghost = interior.copy(order="K")  # keep the component-major layout
     if isinstance(bc, InflowSegment):
-        inside = (coords >= bc.lo - 1e-12) & (coords <= bc.hi + 1e-12)
-        ghost[inside] = bc.state if of_state is None else of_state(bc.state)
+        ghost[bc.covers(coords)] = bc.state if of_state is None else of_state(bc.state)
     elif bc != OUTFLOW:
         raise ValueError(f"unknown boundary condition {bc!r}")
     return ghost
 
 
-def _face_coords(mesh: Mesh2D, along_y: bool, q_nodes: np.ndarray) -> np.ndarray:
+def face_coords(mesh: Mesh2D, along_y: bool, q_nodes: np.ndarray) -> np.ndarray:
+    """Positions of the face points `q_nodes` along a boundary, (cells, Q):
+    along y for the left and right sides, along x for the bottom and top."""
     if along_y:
         return (mesh.y_centers[:, None] + q_nodes[None, :] * mesh.dy)
     return (mesh.x_centers[:, None] + q_nodes[None, :] * mesh.dx)
@@ -260,62 +266,31 @@ def _face_coords(mesh: Mesh2D, along_y: bool, q_nodes: np.ndarray) -> np.ndarray
 class PointValues:
     """A field evaluated at every point the residual reads.
 
-    `stacked` is Basis2D.stacked_values of the coefficients; `ghosts` are the
-    exterior traces along the left, right, bottom and top boundaries.  All
-    are component-major in memory, as `apply_matrix` returns them.
-    `pressure` and `ghost_pressures` are the model's pressure of `stacked` and
-    of each ghost (None for models without one, i.e. scalar laws), formed as
-    the ghosts are: a periodic ghost's is a slice of `pressure`, an outflow
-    ghost's a copy of the interior face slice, and an inflow ghost's is that
-    copy with the inflow state's pressure at the inflow points."""
+    `stacked` is Basis2D.stacked_values of the coefficients, component-major
+    in memory as `apply_matrix` returns it; `pressure` is the model's
+    pressure of `stacked` (None for models without one, i.e. scalar laws,
+    or when the caller has not computed it: each reader then computes its
+    own).  The exterior traces along the boundaries are not held:
+    `_interface_flux` forms them from these where it reads them."""
 
     stacked: np.ndarray
-    ghosts: tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]
     pressure: Optional[np.ndarray] = None
-    ghost_pressures: tuple[Optional[np.ndarray], ...] = (None, None, None, None)
-
-
-def _faces(a: np.ndarray, basis: Basis2D) -> tuple[np.ndarray, ...]:
-    """The x-, x+, y- and y+ face traces of the stacked `a`."""
-    return a[:, :, basis.at_xm], a[:, :, basis.at_xp], a[:, :, basis.at_ym], a[:, :, basis.at_yp]
-
-
-def values_of_stacked(field: DGField, u: np.ndarray, p: Optional[np.ndarray] = None) -> PointValues:
-    """PointValues from the stacked values `u` of `field` and their pressure `p`
-    (computed here when the model has a pressure and `p` is not given)."""
-    mesh, basis, model = field.mesh, field.basis, field.model
-    pressure = getattr(model, "pressure", None)
-    if p is None and pressure is not None:
-        p = pressure(u)
-    q_nodes = basis.face_rule.nodes
-    y_face = _face_coords(mesh, True, q_nodes)
-    x_face = _face_coords(mesh, False, q_nodes)
-
-    def ghosts_of(a, of_state=None):
-        # per side: the interior face trace and the opposite side's (its wrap)
-        xm, xp, ym, yp = _faces(a, basis)
-        return (
-            ghost_trace(mesh.bc_left, xm[0], xp[-1], y_face, of_state),
-            ghost_trace(mesh.bc_right, xp[-1], xm[0], y_face, of_state),
-            ghost_trace(mesh.bc_bottom, ym[:, 0], yp[:, -1], x_face, of_state),
-            ghost_trace(mesh.bc_top, yp[:, -1], ym[:, 0], x_face, of_state),
-        )
-
-    # the pressure is pointwise, so a ghost's is the ghost formed from `p`
-    ghost_p = (None,) * 4 if p is None else ghosts_of(p, pressure)
-    return PointValues(u, ghosts_of(u), p, ghost_p)
 
 
 def point_values(field: DGField) -> PointValues:
     """The field's point values: the ones it carries, or one fresh evaluation."""
     if field.values is not None:
         return field.values
-    return values_of_stacked(field, field.basis.stacked_values(field.coeffs))
+    u = field.basis.stacked_values(field.coeffs)
+    pressure = getattr(field.model, "pressure", None)
+    return PointValues(u, None if pressure is None else pressure(u))
 
 
 def global_max_speeds(field: DGField, values: Optional[PointValues] = None) -> tuple[float, float]:
     """Global per-axis max wave speed over volume and face quadrature points,
-    including the exterior boundary trace states (e.g. inflow data).
+    including the exterior boundary trace states: a ghost trace holds
+    interior face traces, already in the stacked values, and an inflow
+    segment's state at the face points it covers (`cli` checks it covers one).
 
     This pass is a state's one admissibility check: the model raises
     AdmissibilityError, naming the first cell, for an inadmissible or
@@ -325,11 +300,8 @@ def global_max_speeds(field: DGField, values: Optional[PointValues] = None) -> t
         values = point_values(field)
     mesh = field.mesh
     bcs = (mesh.bc_left, mesh.bc_right, mesh.bc_bottom, mesh.bc_top)
-    # a periodic or outflow ghost holds only interior face traces, whose
-    # speeds are already in the stacked values' maximum
     sets = [(values.stacked, values.pressure)] + [
-        (g, p) for g, p, bc in zip(values.ghosts, values.ghost_pressures, bcs)
-        if isinstance(bc, InflowSegment)
+        (bc.state, None) for bc in bcs if isinstance(bc, InflowSegment)
     ]
     a1 = a2 = 0.0
     for pts, p in sets:
@@ -338,20 +310,33 @@ def global_max_speeds(field: DGField, values: Optional[PointValues] = None) -> t
     return a1, a2
 
 
-def _interface_flux(model, values: PointValues, basis: Basis2D, axis: int, alpha: float) -> np.ndarray:
+def _interface_flux(field: DGField, values: PointValues, axis: int, alpha: float) -> np.ndarray:
     """Lax-Friedrichs flux at every face normal to `axis`, shape (nx+1, ny, Q, m)
-    for x and (nx, ny+1, Q, m) for y, with the ghost traces outside the domain."""
+    for x and (nx, ny+1, Q, m) for y, from the face traces of `values`.
 
-    def sides(a, ghosts):
-        left, right, bottom, top = ghosts
-        xm, xp, ym, yp = _faces(a, basis)
-        if axis == 0:
-            return np.concatenate([left[None], xp], axis=0), np.concatenate([xm, right[None]], axis=0)
-        return np.concatenate([bottom[:, None], yp], axis=1), np.concatenate([ym, top[:, None]], axis=1)
+    The two boundaries' ghost traces are formed here by `ghost_trace`, and
+    so are their pressures when `values` carry one: a periodic ghost is a
+    view of the opposite face slice, an outflow ghost a copy of the interior
+    face slice, and an inflow ghost that copy with the inflow state (its
+    pressure `pressure(state)`) at the covered points."""
+    mesh, basis, model = field.mesh, field.basis, field.model
+    bc_lo, bc_hi = (mesh.bc_left, mesh.bc_right) if axis == 0 else (mesh.bc_bottom, mesh.bc_top)
+    at_lo, at_hi = (basis.at_xm, basis.at_xp) if axis == 0 else (basis.at_ym, basis.at_yp)
+    coords = face_coords(mesh, axis == 0, basis.face_rule.nodes)
+    cells = (slice(None),) * axis  # index prefix up to the cell index along `axis`
 
-    minus, plus = sides(values.stacked, values.ghosts)
+    def sides(a, of_state=None):
+        # the faces seen from their minus and plus cells; on each boundary
+        # the interior trace and the opposite side's (its wrap)
+        lo, hi = a[:, :, at_lo], a[:, :, at_hi]
+        first, last = lo[cells + (0,)], hi[cells + (-1,)]
+        g_lo = ghost_trace(bc_lo, first, last, coords, of_state)[cells + (None,)]
+        g_hi = ghost_trace(bc_hi, last, first, coords, of_state)[cells + (None,)]
+        return np.concatenate([g_lo, hi], axis=axis), np.concatenate([lo, g_hi], axis=axis)
+
+    minus, plus = sides(values.stacked)
     p = values.pressure
-    p_sides = (None, None) if p is None else sides(p, values.ghost_pressures)
+    p_sides = (None, None) if p is None else sides(p, model.pressure)
     return lax_friedrichs_flux(model, minus, plus, axis, alpha, *p_sides)
 
 
@@ -382,7 +367,7 @@ def semidiscrete_residual(
         return t
 
     def faces(axis: int, h: float) -> np.ndarray:
-        f = _interface_flux(model, values, basis, axis, alphas[axis])
+        f = _interface_flux(field, values, axis, alphas[axis])
         lo, hi = (f[:-1], f[1:]) if axis == 0 else (f[:, :-1], f[:, 1:])
         t = apply_matrix((basis.assemble_xp, basis.assemble_yp)[axis], hi)
         t -= apply_matrix((basis.assemble_xm, basis.assemble_ym)[axis], lo)

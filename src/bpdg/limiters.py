@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from .decomposition import ConvexDecomposition
-from .dg_core import Basis2D, DGField, apply_matrix, ghost_trace, mode_values, values_of_stacked
+from .dg_core import Basis2D, DGField, PointValues, apply_matrix, ghost_trace, mode_values
 from .physics import AdmissibilityError, BoxScalar, EulerPositivity, InvariantRegion
 
 # round-off bound of evaluating a scaled state, per unit of the magnitudes it sums
@@ -220,8 +220,7 @@ def _bp_limit_euler(field: DGField, region: EulerPositivity, nodes: NodeRows):
         vals[:, :, collapsed] = mean[collapsed].T[:, None, :]
         p_nodes[:, collapsed] = mean_p[collapsed]
         theta[collapsed] = 0.0
-    field.values = values_of_stacked(field, vals[:, :n_stacked].transpose(2, 3, 1, 0),
-                                     p_nodes[:n_stacked].transpose(1, 2, 0))
+    field.values = PointValues(vals[:, :n_stacked].transpose(2, 3, 1, 0), p_nodes[:n_stacked].transpose(1, 2, 0))
     return field, LimiterDiagnostics(
         cells_limited=int(np.count_nonzero(changed)),
         min_theta=float(theta.min()),

@@ -468,6 +468,7 @@ def test_domain_bounds_error_cites_the_later_line(tmp_path):
 
 
 BURGERS_OUTSIDE = "model = burgers2d\ninitial = riemann4\nregion_hi = 0.5\n"
+JET_KEYS = "model = euler2d\ninitial = uniform\nbc = outflow\n"
 
 
 @pytest.mark.parametrize(
@@ -482,9 +483,16 @@ BURGERS_OUTSIDE = "model = burgers2d\ninitial = riemann4\nregion_hi = 0.5\n"
      ("inflow = 5, 30, 0, 0.4\nmodel = burgers2d\n", 2, "inflow segments are only supported for euler2d"),
      ("model = euler2d\ninitial = uniform\ninflow = 5e-14, 30, 0, 0.4127\n", 3,
       "gamma, inflow: inflow state (5e-14, 30.0, 0.0, 0.4127) lies outside"),
-     ("inflow = 5, 30, 0, 1e-14\nmodel = euler2d\ninitial = uniform\ngamma = 1.4\n", 4, "inflow state")],
+     ("inflow = 5, 30, 0, 1e-14\nmodel = euler2d\ninitial = uniform\ngamma = 1.4\n", 4, "inflow state"),
+     ("model = euler2d\ninitial = uniform\ninflow = 5, 30, 0, 0.4127\n", 3,
+      "bc, inflow: an inflow segment needs bc = outflow, got periodic"),
+     (JET_KEYS + "inflow = 5, 30, 0, 0.4127\ninflow_lo = 0.05\ninflow_hi = -0.05\n", 6,
+      "inflow_lo, inflow_hi: the inflow segment [0.05, -0.05] meets none"),
+     ("inflow_hi = 3.0\ninflow_lo = 2.0\n" + JET_KEYS + "inflow = 5, 30, 0, 0.4127\n", 6,
+      "the inflow segment [2.0, 3.0] meets none of the left boundary's face quadrature points")],
     ids=["riemann-region", "riemann-states", "sine-region", "ambient-below-floor", "ambient-initial",
-         "euler-sine", "scalar-inflow", "inflow-below-floor", "inflow-gamma"],
+         "euler-sine", "scalar-inflow", "inflow-below-floor", "inflow-gamma", "periodic-inflow",
+         "inverted-inflow-segment", "inflow-segment-off-the-domain"],
 )
 def test_cross_key_error_cites_the_latest_line(tmp_path, text, line, complaint):
     path = _write(tmp_path, "bad.cfg", text)
@@ -524,6 +532,31 @@ def test_jet_desk_with_inflow_below_the_floor_is_a_config_error(tmp_path, capsys
     assert main(["run", str(cfg)]) == 2
     lineno = text.splitlines().index("inflow = 5.0, 30.0, 0.0, 0.4127") + 1
     assert capsys.readouterr().err.startswith(f"config error: {cfg}:{lineno}: gamma, inflow: inflow state")
+
+
+@pytest.mark.parametrize("lo, hi", [("0.05", "-0.05"), ("0.3", "0.3001"), ("2.0", "3.0")],
+                         ids=["inverted", "between-gauss-points", "off-the-domain"])
+def test_jet_desk_with_an_inflow_segment_meeting_no_face_point_is_a_config_error(tmp_path, capsys, lo, hi):
+    # each used to run one step with no inflow applied and exit 0
+    text = (CONFIG_DIR / "mach80_jet_desk.cfg").read_text(encoding="utf-8")
+    probe = text.replace("inflow_lo = -0.05", f"inflow_lo = {lo}").replace("inflow_hi = 0.05", f"inflow_hi = {hi}")
+    cfg = _write(tmp_path, "probe.cfg", probe.replace("t_end = 0.07", "t_end = 0.0005"))
+    assert main(["run", str(cfg)]) == 2
+    lineno = max(text.splitlines().index(line) + 1 for line in
+                 ("inflow = 5.0, 30.0, 0.0, 0.4127", "inflow_lo = -0.05", "inflow_hi = 0.05"))
+    err = capsys.readouterr().err
+    assert err.startswith(f"config error: {cfg}:{lineno}: inflow_lo, inflow_hi: the inflow segment [{lo}, {hi}]")
+    with pytest.raises(ConfigError, match="meets none of the left boundary's face quadrature points"):
+        validate_config(replace(parse_config(CONFIG_DIR / "mach80_jet_desk.cfg"),
+                                inflow_lo=float(lo), inflow_hi=float(hi)))
+
+
+def test_an_inflow_segment_meeting_one_face_point_runs():
+    cfg = parse_config(CONFIG_DIR / "mach80_jet_desk.cfg")
+    nodes = Basis2D(cfg.k).face_rule.nodes
+    y = cfg.y_lo + (cfg.y_hi - cfg.y_lo) / cfg.ny * (0.5 + nodes[1])  # the middle point of the first face
+    cfg = replace(cfg, nx=8, t_end=1e-4, inflow_lo=y, inflow_hi=y)
+    assert run(cfg, write_outputs=False).steps > 0
 
 
 def test_cli_rejects_safety_above_one(tmp_path, capsys):

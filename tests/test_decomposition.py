@@ -248,6 +248,21 @@ def test_speed_ratios_validation():
         SpeedRatios((1.0, 2.0, 3.0, 4.0))
 
 
+@pytest.mark.parametrize("bad", [math.inf, math.nan, -math.inf, 0.0])
+@pytest.mark.parametrize("policy, dim", [(p, d) for p in ("optimal", "classic", "jiangliu") for d in (2, 3)])
+def test_non_finite_speed_ratios_are_rejected(policy, dim, bad):
+    """Every builder, reached through its policy: a ratio that is not finite
+    and positive, on any axis, is a ValueError before a builder runs (an
+    infinite one used to give NaN weights and a bp_max_dt of 0.0, a NaN one
+    a bp_max_dt of inf)."""
+    for axis in range(dim):
+        phi = tuple(bad if i == axis else 1.0 for i in range(dim))
+        with pytest.raises(ValueError, match="finite and positive"):
+            decomposition_for(policy, 2, SpeedRatios(phi))
+    # the same builders at finite ratios
+    assert decomposition_for(policy, 2, SpeedRatios((1.0,) * dim)).dim == dim
+
+
 # every builder, called with ratios of its own dimension
 BUILDERS = {
     "optimal_2d": lambda k, r=EQUAL2: optimal_2d(k, r),

@@ -3,6 +3,7 @@ oracle), SSP stepping, and the step controller."""
 
 import math
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -18,11 +19,11 @@ from bpdg.dg_core import (
     PointValues,
     SSPRK3,
     SSPRK4,
-    _face_coords,
     _interface_flux,
     apply_matrix,
     error_norms,
     evaluate_at_offsets,
+    face_coords,
     ghost_trace,
     global_max_speeds,
     mode_values,
@@ -223,8 +224,8 @@ def _einsum_residual(field, alphas):
         np.einsum("ijgc,ng,g->ijnc", model.flux(uvol, 0), basis.dphi_dxi_vol, wv, optimize=True) / mesh.dx
         + np.einsum("ijgc,ng,g->ijnc", model.flux(uvol, 1), basis.dphi_deta_vol, wv, optimize=True) / mesh.dy
     )
-    y_face = _face_coords(mesh, True, basis.face_rule.nodes)
-    x_face = _face_coords(mesh, False, basis.face_rule.nodes)
+    y_face = face_coords(mesh, True, basis.face_rule.nodes)
+    x_face = face_coords(mesh, False, basis.face_rule.nodes)
     u_minus = np.concatenate([ghost_trace(mesh.bc_left, uxm[0], uxp[-1], y_face)[None], uxp], axis=0)
     u_plus = np.concatenate([uxm, ghost_trace(mesh.bc_right, uxp[-1], uxm[0], y_face)[None]], axis=0)
     fx = lax_friedrichs_flux(model, u_minus, u_plus, 0, alphas[0])
@@ -315,19 +316,22 @@ def test_apply_matrix_matches_former_kernels(k, m):
 
 @pytest.mark.parametrize("field", [f for f in _residual_cases() if not isinstance(f.model, AdvectionModel)],
                          ids=lambda f: f"{f.model.name}-k{f.basis.k}")
-def test_point_values_keep_component_planes_contiguous(field):
-    """Stacked values, ghost traces (outflow and inflow sides) and both
-    interface-flux arrays hold each component plane in one block."""
+def test_point_values_keep_component_planes_contiguous(field, formed_ghosts):
+    """Stacked values, the ghost traces the flux forms (outflow and inflow
+    sides) and their pressures, and both interface-flux arrays hold each
+    component plane in one block."""
     basis, model = field.basis, field.model
     values = point_values(field)
     assert _planes_contiguous(values.stacked)
-    assert all(_planes_contiguous(g) for g in values.ghosts)
+    ghosts, ghost_pressures = formed_ghosts(field, values)
+    assert len(ghosts) == 4 and all(_planes_contiguous(g) for g in ghosts)
     if isinstance(model, EulerModel):
         assert isinstance(field.mesh.bc_left, InflowSegment)
         assert _planes_contiguous(values.pressure[..., None])
+        assert len(ghost_pressures) == 4 and all(_planes_contiguous(p[..., None]) for p in ghost_pressures)
     alphas = global_max_speeds(field, values)
     for axis in (0, 1):
-        assert _planes_contiguous(_interface_flux(model, values, basis, axis, alphas[axis]))
+        assert _planes_contiguous(_interface_flux(field, values, axis, alphas[axis]))
     assert _planes_contiguous(model.flux(values.stacked[:, :, basis.at_vol], 0, None))
 
 
@@ -347,18 +351,80 @@ def _euler_cases():
 
 @pytest.mark.parametrize("field", list(_euler_cases()),
                          ids=lambda f: f"{'periodic' if f.mesh.bc_left == PERIODIC else 'inflow'}-k{f.basis.k}")
-def test_carried_pressure_changes_no_bit(field):
+def test_carried_pressure_changes_no_bit(field, formed_ghosts):
     values = point_values(field)
     model = field.model
     np.testing.assert_array_equal(values.pressure, model.pressure(values.stacked))
-    for ghost, p in zip(values.ghosts, values.ghost_pressures):
+    # the flux forms each ghost's pressure as the ghost: the same bits as the
+    # pressure of the ghost itself
+    ghosts, ghost_pressures = formed_ghosts(field, values)
+    assert len(ghost_pressures) == 4
+    for ghost, p in zip(ghosts, ghost_pressures):
         np.testing.assert_array_equal(p, model.pressure(ghost))
     # the same points without their pressure: every reader computes its own
-    bare = PointValues(values.stacked, values.ghosts)
+    bare = PointValues(values.stacked)
+    assert formed_ghosts(field, bare)[1] == ()
     assert global_max_speeds(field, values) == global_max_speeds(field, bare)
     alphas = global_max_speeds(field)
     np.testing.assert_array_equal(semidiscrete_residual(field, alphas, values),
                                   semidiscrete_residual(field, alphas, bare))
+
+
+def _former_max_speeds(field, values):
+    """The speed pass as it was while point values carried four ghost traces:
+    the maximum over the stacked values and every full ghost trace."""
+    mesh, basis, model = field.mesh, field.basis, field.model
+    y_face, x_face = (face_coords(mesh, along_y, basis.face_rule.nodes) for along_y in (True, False))
+
+    def ghosts(a, of_state=None):
+        xm, xp, ym, yp = (a[:, :, at] for at in (basis.at_xm, basis.at_xp, basis.at_ym, basis.at_yp))
+        return (ghost_trace(mesh.bc_left, xm[0], xp[-1], y_face, of_state),
+                ghost_trace(mesh.bc_right, xp[-1], xm[0], y_face, of_state),
+                ghost_trace(mesh.bc_bottom, ym[:, 0], yp[:, -1], x_face, of_state),
+                ghost_trace(mesh.bc_top, yp[:, -1], ym[:, 0], x_face, of_state))
+
+    u, p = values.stacked, values.pressure
+    a1 = a2 = 0.0
+    for pts, q in zip((u, *ghosts(u)), (p, *ghosts(p, model.pressure))):
+        s1, s2 = model.max_wave_speeds(pts, q)
+        a1, a2 = max(a1, s1), max(a2, s2)
+    return a1, a2
+
+
+def _speed_cases():
+    """Euler fields on periodic, outflow and inflow meshes at k = 2 and 3; the
+    inflow segments cover one left-face point or all of them, and their state
+    is the fastest along x (the interior's along y)."""
+    rng = np.random.default_rng(23)
+    euler = EulerModel()
+    jet = euler.conserved(5.0, 30.0, 0.0, 0.4127)
+    outflow = dict.fromkeys(("bc_left", "bc_right", "bc_bottom", "bc_top"), OUTFLOW)
+    base = Mesh2D(0.0, 1.0, -0.5, 0.5, 6, 5, **outflow)
+    for k in (2, 3):
+        basis = Basis2D(k)
+        one = face_coords(base, True, basis.face_rule.nodes)[2, 1]
+        meshes = {"periodic": Mesh2D(0.0, 1.0, -0.5, 0.5, 6, 5), "outflow": base,
+                  "inflow-one-point": replace(base, bc_left=InflowSegment(jet, one, one)),
+                  "inflow-all-points": replace(base, bc_left=InflowSegment(jet, -0.5, 0.5))}
+        for name, mesh in meshes.items():
+            coeffs = 0.01 * rng.normal(size=(6, 5, basis.n_modes, 4))
+            coeffs[:, :, 0, :] = euler.conserved(5.0, 1.0, -2.0, 10.0)
+            yield pytest.param(DGField(coeffs, basis, mesh, euler), id=f"{name}-k{k}")
+
+
+@pytest.mark.parametrize("field", list(_speed_cases()))
+def test_speeds_equal_the_maximum_over_full_ghost_traces(field):
+    """The speed pass reads the stacked values and each inflow state; the
+    maximum is the same bits as the one over the stacked values and all
+    four ghost traces, when every inflow segment covers a face point."""
+    bc = field.mesh.bc_left
+    if isinstance(bc, InflowSegment):
+        covered = bc.covers(face_coords(field.mesh, True, field.basis.face_rule.nodes))
+        assert covered.sum() in (1, covered.size)
+    values = point_values(field)
+    speeds = global_max_speeds(field, values)
+    assert speeds == _former_max_speeds(field, values)
+    assert global_max_speeds(field) == speeds
 
 
 def test_copy_and_like_carry_no_values():

@@ -13,13 +13,13 @@ from bpdg.dg_core import (
     DGField,
     InflowSegment,
     Mesh2D,
+    PointValues,
     apply_matrix,
     evaluate_at_offsets,
     mode_values,
     point_values,
     project,
     ssp_step,
-    values_of_stacked,
 )
 from bpdg import limiters
 from bpdg.limiters import (
@@ -314,10 +314,14 @@ def test_euler_limiter_identity_on_admissible_field():
     np.testing.assert_array_equal(out.coeffs, field.coeffs)
 
 
-def _assert_same_values(got, expect):
+def _assert_same_values(field, got, expect, formed_ghosts):
+    """The point values `got` and `expect` of `field`, and the ghost traces
+    and ghost pressures the flux forms from each, are the same bits."""
     np.testing.assert_array_equal(got.stacked, expect.stacked)
     np.testing.assert_array_equal(got.pressure, expect.pressure)
-    for g, e in zip(got.ghosts + got.ghost_pressures, expect.ghosts + expect.ghost_pressures):
+    got_ghosts, expect_ghosts = (sum(formed_ghosts(field, v), ()) for v in (got, expect))
+    assert len(got_ghosts) == len(expect_ghosts) == 8
+    for g, e in zip(got_ghosts, expect_ghosts):
         np.testing.assert_array_equal(g, e)
 
 
@@ -332,17 +336,17 @@ def _jet_field(n=4, k=2):
     return DGField(coeffs, basis, mesh, model)
 
 
-def _assert_hands_on(out, atol):
+def _assert_hands_on(out, atol, formed_ghosts):
     """`out`'s handed-on values are within `atol` of a fresh evaluation of its
     coefficients (limited cells carry mean + theta*(v - mean), which differs
-    from that evaluation by round-off), and their pressure and ghost traces
-    are exactly those of the values themselves."""
+    from that evaluation by round-off), and their pressure and the ghost
+    traces formed from them are exactly those of the values themselves."""
     got = out.values
     np.testing.assert_allclose(got.stacked, point_values(out.like(out.coeffs)).stacked, rtol=0, atol=atol)
-    _assert_same_values(got, values_of_stacked(out, got.stacked))
+    _assert_same_values(out, got, PointValues(got.stacked, out.model.pressure(got.stacked)), formed_ghosts)
 
 
-def test_euler_limiter_hands_on_its_point_values():
+def test_euler_limiter_hands_on_its_point_values(formed_ghosts):
     field = _jet_field()
     model = field.model
     ix = field.basis.mode_exps.index((1, 0))
@@ -351,7 +355,7 @@ def test_euler_limiter_hands_on_its_point_values():
     nodes = _node_set(optimal_2d(2, EQUAL))
     out, diag = bp_scaling_limit(field.copy(), EulerPositivity(), nodes)
     assert diag.cells_limited == 1 and diag.collapsed_cells == 0 and field.values is None
-    _assert_hands_on(out, atol=1e-14)
+    _assert_hands_on(out, 1e-14, formed_ghosts)
 
 
 def _reverse_from(rows, start):
@@ -362,7 +366,7 @@ def _reverse_from(rows, start):
 
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("build", [optimal_2d, zhang_shu_2d])
-def test_bp_limiting_ignores_the_order_of_internal_nodes(k, build):
+def test_bp_limiting_ignores_the_order_of_internal_nodes(k, build, formed_ghosts):
     """Both BP limiters reduce over the nodes with max and min, so reordering
     a decomposition's internal nodes in either view changes no bit of the
     coefficients, the handed-on values or the diagnostics."""
@@ -393,10 +397,10 @@ def test_bp_limiting_ignores_the_order_of_internal_nodes(k, build):
         assert diag_r == diag
         np.testing.assert_array_equal(out_r.coeffs, out.coeffs)
         if field is euler:
-            _assert_same_values(out_r.values, out.values)
+            _assert_same_values(out, out_r.values, out.values, formed_ghosts)
 
 
-def test_collapsed_cell_values_are_its_average(monkeypatch):
+def test_collapsed_cell_values_are_its_average(monkeypatch, formed_ghosts):
     # the counted fallback: a crossing that stops short of the floor (here a
     # stand-in returning t just below 1) leaves the changed cell's values
     # below it, so the cell is collapsed to its average, and so are its
@@ -414,9 +418,10 @@ def test_collapsed_cell_values_are_its_average(monkeypatch):
     assert chain.totals.collapsed_cells == 1
     assert np.all(out.coeffs[0, 0, 1:] == 0.0)
     np.testing.assert_array_equal(out.values.stacked[0, 0], np.broadcast_to(out.coeffs[0, 0, 0], (21, 4)))
-    _assert_hands_on(out, atol=1e-14)
-    # the collapsed boundary cell's ghost trace is its average too
-    np.testing.assert_array_equal(out.values.ghosts[0][0], np.broadcast_to(out.coeffs[0, 0, 0], (3, 4)))
+    _assert_hands_on(out, 1e-14, formed_ghosts)
+    # the collapsed boundary cell's ghost trace, as the flux forms it, is its average too
+    left = formed_ghosts(out, out.values)[0][0]
+    np.testing.assert_array_equal(left[0], np.broadcast_to(out.coeffs[0, 0, 0], (3, 4)))
 
 
 def test_euler_limiter_computes_pressure_once_at_full_size(monkeypatch):
@@ -544,7 +549,7 @@ def test_box_limiter_properties(seed, k, amplitude, lo, width):
 @PROPERTY_SETTINGS
 @given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([2, 3]),
        log_rho=st.floats(-10.0, 0.0), log_p=st.floats(-10.0, 0.0), amplitude=st.floats(0.0, 3.0))
-def test_euler_limiter_properties_near_vacuum(seed, k, log_rho, log_p, amplitude):
+def test_euler_limiter_properties_near_vacuum(formed_ghosts, seed, k, log_rho, log_p, amplitude):
     rng = np.random.default_rng(seed)
     field = _jet_field(n=4, k=k)
     model, region = field.model, EulerPositivity()
@@ -566,7 +571,7 @@ def test_euler_limiter_properties_near_vacuum(seed, k, log_rho, log_p, amplitude
     assert np.all(values.stacked[..., 0] >= region.eps_rho * floor)
     assert np.all(values.pressure >= region.eps_p * floor)
     # and is the limited coefficients' evaluation up to round-off
-    _assert_hands_on(out, atol=1e-14 * max(1.0, np.abs(values.stacked).max()))
+    _assert_hands_on(out, 1e-14 * max(1.0, np.abs(values.stacked).max()), formed_ghosts)
     # and so is every limiter node, up to the round-off of re-evaluating the
     # scaled coefficients (pressure cancels E against the kinetic energy)
     vals = evaluate_at_offsets(out, nodes.euler.offsets)
