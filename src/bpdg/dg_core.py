@@ -16,7 +16,7 @@ from typing import Callable, Optional
 import numpy as np
 
 from .decomposition import ConvexDecomposition, bp_max_dt
-from .physics import ConservationLawModel, lax_friedrichs_flux
+from .physics import AdvectionModel, ConservationLawModel, lax_friedrichs_flux
 from .quadrature import gauss_rule, legendre_table, tensor_gauss_rule
 
 PERIODIC = "periodic"
@@ -133,6 +133,7 @@ class Basis2D:
         if k < 0:
             raise ValueError("polynomial degree must be >= 0")
         self.k = k
+        self._stencil: Optional[LinearStencil] = None  # see linear_stencil
         self.mode_exps = _mode_exps(k)
         self.n_modes = len(self.mode_exps)  # (k+1)(k+2)/2
         self.face_rule = g = gauss_rule(k + 1)
@@ -168,6 +169,68 @@ class Basis2D:
         """Values at the volume and face-trace points: (nx, ny, nv + 4q, m)."""
         return apply_matrix(self.eval_matrix, coeffs)
 
+    def linear_stencil(self, c: tuple[float, float], alphas: tuple[float, float],
+                       spacings: tuple[float, float]) -> "LinearStencil":
+        """The `LinearStencil` of these values, built from this basis's
+        matrices.  The basis keeps the last one it built, keyed by the values
+        themselves, so a run (one basis, a constant alpha = |c|) builds it
+        once."""
+        key = (tuple(map(float, c)), tuple(map(float, alphas)), tuple(map(float, spacings)))
+        if self._stencil is None or self._stencil.key != key:
+            self._stencil = LinearStencil.build(self, *key)
+        return self._stencil
+
+
+@dataclass(frozen=True)
+class LinearStencil:
+    """The weak-form DG residual of a linear flux f_d(u) = c_d u with global
+    Lax-Friedrichs viscosities alpha_d, as n_modes x n_modes blocks on the
+    modal coefficients (Cockburn & Shu, J. Sci. Comput. 16 (2001) 173-261):
+
+        rate_ij = C u_ij + sum_d (P_d u_{ij+e_d} + M_d u_{ij-e_d}).
+
+    With a_d = (c_d + alpha_d)/2 and b_d = (c_d - alpha_d)/2 the LF flux at a
+    face is a_d u^- + b_d u^+, so, E being the basis values at the volume
+    (vol) and face-trace (+, -) points and A the assembly matrices (Basis2D's,
+    weights folded in):
+
+        C   = sum_d (c_d A_vol,d E_vol - a_d A_+ E_+ + b_d A_- E_-) / h_d
+        P_d = -b_d A_+ E_- / h_d        M_d = a_d A_- E_+ / h_d
+
+    `neighbours` stacks P_x, M_x, P_y, M_y into one (4 n_modes, n_modes)
+    matrix.  On a non-periodic side the boundary row's exterior trace is a
+    ghost trace, which `ghost_lo[d]` = a_d A_- / h_d and `ghost_hi[d]` =
+    -b_d A_+ / h_d assemble."""
+
+    key: tuple
+    centre: np.ndarray
+    neighbours: np.ndarray
+    ghost_lo: tuple[np.ndarray, np.ndarray]
+    ghost_hi: tuple[np.ndarray, np.ndarray]
+
+    @staticmethod
+    def build(basis: Basis2D, c, alphas, spacings) -> "LinearStencil":
+        e = basis.eval_matrix
+        centre = np.zeros((basis.n_modes, basis.n_modes))
+        neighbours, ghost_lo, ghost_hi = [], [], []
+        for axis, (cd, alpha, h) in enumerate(zip(c, alphas, spacings)):
+            a, b = 0.5 * (cd + alpha), 0.5 * (cd - alpha)
+            vol, (lo, hi), (at_lo, at_hi) = _axis_matrices(basis, axis)
+            centre += (cd * vol @ e[basis.at_vol] - a * hi @ e[at_hi] + b * lo @ e[at_lo]) / h
+            neighbours += [-b * hi @ e[at_lo] / h, a * lo @ e[at_hi] / h]
+            ghost_lo.append(a * lo / h)
+            ghost_hi.append(-b * hi / h)
+        return LinearStencil((c, alphas, spacings), centre, np.concatenate(neighbours),
+                             tuple(ghost_lo), tuple(ghost_hi))
+
+
+def _axis_matrices(basis: Basis2D, axis: int):
+    """Volume assembly, (low, high) face assembly and (low, high) face-trace
+    slices of `basis` along `axis`."""
+    if axis == 0:
+        return basis.assemble_vol_x, (basis.assemble_xm, basis.assemble_xp), (basis.at_xm, basis.at_xp)
+    return basis.assemble_vol_y, (basis.assemble_ym, basis.assemble_yp), (basis.at_ym, basis.at_yp)
+
 
 @dataclass
 class DGField:
@@ -188,7 +251,7 @@ class DGField:
     of the scaled coefficients up to round-off, and they and their pressure
     are the values it certified (the flux forms its ghosts from them).
     `cli.run` attaches each step's start values, which its speeds and first
-    stage share.
+    stage share.  A linear flux's states (`linear_flux`) never carry any.
     Only code that will not change `coeffs` in place any more may set it, and
     code that changes the coefficients of a field carrying values must set
     it to None; `copy` and `like` drop it.
@@ -262,6 +325,24 @@ def face_coords(mesh: Mesh2D, along_y: bool, q_nodes: np.ndarray) -> np.ndarray:
     return (mesh.x_centers[:, None] + q_nodes[None, :] * mesh.dx)
 
 
+def _sides(field: DGField, axis: int):
+    """The low and high boundary conditions normal to `axis`, and the face
+    positions along them where `ghost_trace` reads any: only an inflow side
+    does, so None when neither side is one."""
+    mesh = field.mesh
+    bcs = (mesh.bc_left, mesh.bc_right) if axis == 0 else (mesh.bc_bottom, mesh.bc_top)
+    inflow = any(isinstance(bc, InflowSegment) for bc in bcs)
+    return (*bcs, face_coords(mesh, axis == 0, field.basis.face_rule.nodes) if inflow else None)
+
+
+def linear_flux(model: ConservationLawModel) -> bool:
+    """Whether `model`'s flux is linear in u, f_d = c_d u: advection, the one
+    such model.  Its residual is `LinearStencil` on the coefficients, and its
+    speeds |c_d| need no point value, so its states are never evaluated at
+    the stacked points."""
+    return isinstance(model, AdvectionModel)
+
+
 @dataclass(frozen=True)
 class PointValues:
     """A field evaluated at every point the residual reads.
@@ -295,14 +376,18 @@ def global_max_speeds(field: DGField, values: Optional[PointValues] = None) -> t
     This pass is a state's one admissibility check: the model raises
     AdmissibilityError, naming the first cell, for an inadmissible or
     non-finite point value (a missing or failed limiter).  `values` are the
-    field's point values when the caller already has them."""
-    if values is None:
-        values = point_values(field)
+    field's point values when the caller already has them.  A linear flux
+    (`linear_flux`) reads the coefficients instead: its speeds are |c_d|
+    whatever the state, and a state is admissible for it when finite, which
+    its coefficients are exactly when its point values are."""
+    if linear_flux(field.model):
+        own = (field.coeffs, None)
+    else:
+        values = point_values(field) if values is None else values
+        own = (values.stacked, values.pressure)
     mesh = field.mesh
     bcs = (mesh.bc_left, mesh.bc_right, mesh.bc_bottom, mesh.bc_top)
-    sets = [(values.stacked, values.pressure)] + [
-        (bc.state, None) for bc in bcs if isinstance(bc, InflowSegment)
-    ]
+    sets = [own] + [(bc.state, None) for bc in bcs if isinstance(bc, InflowSegment)]
     a1 = a2 = 0.0
     for pts, p in sets:
         s1, s2 = field.model.max_wave_speeds(pts, p)
@@ -319,10 +404,9 @@ def _interface_flux(field: DGField, values: PointValues, axis: int, alpha: float
     view of the opposite face slice, an outflow ghost a copy of the interior
     face slice, and an inflow ghost that copy with the inflow state (its
     pressure `pressure(state)`) at the covered points."""
-    mesh, basis, model = field.mesh, field.basis, field.model
-    bc_lo, bc_hi = (mesh.bc_left, mesh.bc_right) if axis == 0 else (mesh.bc_bottom, mesh.bc_top)
-    at_lo, at_hi = (basis.at_xm, basis.at_xp) if axis == 0 else (basis.at_ym, basis.at_yp)
-    coords = face_coords(mesh, axis == 0, basis.face_rule.nodes)
+    basis, model = field.basis, field.model
+    bc_lo, bc_hi, coords = _sides(field, axis)
+    _, _, (at_lo, at_hi) = _axis_matrices(basis, axis)
     cells = (slice(None),) * axis  # index prefix up to the cell index along `axis`
 
     def sides(a, of_state=None):
@@ -351,9 +435,15 @@ def semidiscrete_residual(
     used for both); `values` are the field's point values when the caller
     already has them.  The states are not checked here: the speed pass that
     gives the viscosities (`global_max_speeds`) checks them.
+
+    A linear flux (`linear_flux`) takes its `LinearStencil` on the
+    coefficients and reads no point value; every other flux is evaluated at
+    the stacked points, and its volume and LF face fluxes are assembled.
     """
     if np.isscalar(alphas):
         alphas = (float(alphas), float(alphas))
+    if linear_flux(field.model):
+        return _linear_residual(field, alphas)
     mesh, basis, model = field.mesh, field.basis, field.model
     if values is None:
         values = point_values(field)
@@ -383,6 +473,54 @@ def semidiscrete_residual(
     rate -= faces(0, mesh.dx)
     rate -= faces(1, mesh.dy)
     return rate
+
+
+def _linear_residual(field: DGField, alphas: tuple[float, float]) -> np.ndarray:
+    """`semidiscrete_residual` of a linear flux: its `LinearStencil` applied
+    to the coefficients.  One gemm gives C u, one more the four neighbour
+    blocks' products P_d u and M_d u in every cell; a cell adds the P_d
+    product of its +e_d neighbour and the M_d product of its -e_d neighbour.
+    On a periodic side the boundary row takes the wrapped cell's; on any
+    other side its exterior trace is `ghost_trace` of the row's own trace
+    (on an outflow side, the trace itself), assembled by the stencil's ghost
+    matrices."""
+    mesh, basis = field.mesh, field.basis
+    stencil = basis.linear_stencil(field.model.c, alphas, (mesh.dx, mesh.dy))
+    nx, ny, n, m = field.coeffs.shape
+    u = np.ascontiguousarray(field.coeffs.transpose(3, 2, 0, 1))  # (m, n, nx, ny), no copy when component-major
+    flat = u.reshape(m, n, nx * ny)
+    rate = np.matmul(stencil.centre, flat)
+    products = np.matmul(stencil.neighbours, flat).reshape(m, 4, n, nx * ny)
+    grid = (m, n, nx, ny)
+    for axis, shift in ((0, ny), (1, 1)):
+        plus, minus = products[:, 2 * axis], products[:, 2 * axis + 1]
+
+        def row(a, s):  # the cell rows `s` along `axis` of a flat (m, n, cells) array
+            a = a.reshape(grid)
+            return a[..., s] if axis == 1 else a[..., s, :]
+
+        # the neighbour of a cell is `shift` cells on in the flat order; the
+        # products no cell reads across its own axis's boundary are zeroed
+        # first (along y they would wrap onto the next row of cells), and
+        # kept for a periodic side
+        wrap_plus, wrap_minus = row(plus, 0).copy(), row(minus, -1).copy()
+        row(plus, 0)[...] = 0.0
+        row(minus, -1)[...] = 0.0
+        rate[..., :-shift] += plus[..., shift:]
+        rate[..., shift:] += minus[..., :-shift]
+        bc_lo, bc_hi, coords = _sides(field, axis)
+        if bc_lo == PERIODIC:
+            row(rate, -1)[...] += wrap_plus
+            row(rate, 0)[...] += wrap_minus
+            continue
+        _, _, (at_lo, at_hi) = _axis_matrices(basis, axis)
+        for bc, end, at, assemble in ((bc_lo, 0, at_lo, stencil.ghost_lo[axis]),
+                                      (bc_hi, -1, at_hi, stencil.ghost_hi[axis])):
+            own = np.matmul(basis.eval_matrix[at], row(flat, end)).transpose(2, 1, 0)  # (cells, Q, m)
+            # a non-periodic side never reads `wrap`
+            ghost = ghost_trace(bc, own, None, coords)
+            row(rate, end)[...] += np.matmul(assemble, ghost.transpose(2, 1, 0))
+    return rate.reshape(grid).transpose(2, 3, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -437,7 +575,8 @@ def ssp_step(
     """One SSP-RK step with the limiter chain applied after every stage.
 
     Each stage state is evaluated once; its wave speeds (the Lax-Friedrichs
-    viscosities) come from those values.  A state's point values are the
+    viscosities) come from those values.  A linear flux's states
+    (`linear_flux`) are not evaluated at all.  A state's point values are the
     ones it carries when it has them (`field`'s from the caller or from the
     last limiting, a stage's from the Euler BP limiter), and each state's
     values are dropped as soon as its rate is computed, so no stacked array
@@ -453,7 +592,7 @@ def ssp_step(
 
     def rate(idx: int) -> np.ndarray:
         state = states[idx]
-        v = point_values(state)
+        v = None if linear_flux(state.model) else point_values(state)
         state.values = None
         a = speeds if idx == 0 and speeds is not None else global_max_speeds(state, v)
         return semidiscrete_residual(state, a, v)

@@ -461,6 +461,40 @@ def test_cli_invalid_value_exit_code(tmp_path, capsys, line):
     assert len(err) == 1 and err[0].startswith(f"config error: {cfg}:10:") and line.split()[0] in err[0]
 
 
+def _io_probe(tmp_path, case):
+    """(argv, what the error names) of one unreadable input or unwritable output."""
+    good = _write(tmp_path, "good.cfg", ADVECTION_SMALL + f"out_dir = {tmp_path / 'o'}\n")
+    missing = tmp_path / "missing.cfg"
+    if case == "missing-config":
+        return ["run", str(missing)], f"{missing}: cannot read: "
+    if case == "config-is-a-directory":
+        return ["run", str(tmp_path)], f"{tmp_path}: cannot read: "
+    if case == "non-utf8-config":
+        path = tmp_path / "latin1.cfg"
+        path.write_bytes("# d\xe9j\xe0 vu\nnx = 8\n".encode("latin-1"))
+        return ["run", str(path)], f"{path}: cannot read: "
+    if case == "compare-missing-second-config":
+        return ["compare", str(good), str(missing)], f"{missing}: cannot read: "
+    if case == "csv-into-a-missing-directory":
+        csv = tmp_path / "nowhere" / "table.csv"
+        return ["decomp-report", "--csv", str(csv)], f"--csv: cannot write {csv}: "
+    blocker = _write(tmp_path, "blocker", "a regular file\n")
+    cfg = _write(tmp_path, "under.cfg", ADVECTION_SMALL + f"out_dir = {blocker / 'o'}\n")
+    return ["run", str(cfg)], f"out_dir: cannot create {blocker / 'o'}: "
+
+
+@pytest.mark.parametrize("case", ["missing-config", "config-is-a-directory", "non-utf8-config",
+                                  "compare-missing-second-config", "csv-into-a-missing-directory",
+                                  "out-dir-under-a-regular-file"])
+def test_unreadable_input_or_unwritable_output_exit_code(tmp_path, capsys, case):
+    argv, named = _io_probe(tmp_path, case)
+    assert main(argv) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    # one line naming the path (or the key) and then the reason, no traceback
+    prefix = "config error: " + named
+    assert len(err) == 1 and err[0].startswith(prefix) and len(err[0]) > len(prefix)
+
+
 def test_domain_bounds_error_cites_the_later_line(tmp_path):
     cfg = _write(tmp_path, "bad.cfg", "x_hi = 0.5\nnx = 4\nx_lo = 0.5\n")
     with pytest.raises(ConfigError, match=r"bad\.cfg:3: x_lo = 0\.5 must be below x_hi = 0\.5"):

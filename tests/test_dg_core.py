@@ -8,6 +8,8 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
+from bpdg import cli, dg_core
+from bpdg.cli import RunConfig, run
 from bpdg.decomposition import SpeedRatios, decomposition_for, optimal_2d, speed_ratios
 from bpdg.dg_core import (
     Basis2D,
@@ -270,6 +272,67 @@ def test_residual_matches_einsum_formula(field):
     np.testing.assert_allclose(got, expect, rtol=0, atol=1e-13 * np.abs(expect).max())
     # precomputed point values give the same rate
     np.testing.assert_array_equal(semidiscrete_residual(field, alphas, point_values(field)), got)
+
+
+def _linear_cases():
+    """Advection on periodic, outflow and mixed meshes of 1 to 7 cells per
+    axis at k = 2 and 3, for two velocities, with alpha = |c| and above."""
+    rng = np.random.default_rng(29)
+    kinds = {"periodic": (PERIODIC, PERIODIC), "outflow": (OUTFLOW, OUTFLOW),
+             "x-periodic": (PERIODIC, OUTFLOW), "y-periodic": (OUTFLOW, PERIODIC)}
+    for k in (2, 3):
+        basis = Basis2D(k)
+        for kind, (bx, by) in kinds.items():
+            cases = []
+            for nx in (1, 2, 3, 7):
+                for ny in (1, 2, 3, 7):
+                    mesh = Mesh2D(0.0, 1.0, -1.0, 0.5, nx, ny, bc_left=bx, bc_right=bx, bc_bottom=by, bc_top=by)
+                    for c in ((1.0, -0.7), (-0.3, 0.0)):
+                        for alphas in ((abs(c[0]), abs(c[1])), (abs(c[0]) + 0.4, abs(c[1]) + 0.25)):
+                            coeffs = rng.normal(size=(nx, ny, basis.n_modes, 1))
+                            cases.append((DGField(coeffs, basis, mesh, AdvectionModel(c)), alphas))
+            yield pytest.param(cases, id=f"{kind}-k{k}")
+
+
+@pytest.mark.parametrize("cases", list(_linear_cases()))
+def test_linear_stencil_matches_einsum_formula(cases):
+    """The advection residual, a block stencil on the coefficients, against
+    the pointwise weak form (`_einsum_residual`), including meshes of one and
+    two cells per axis where the boundary rows meet."""
+    for field, alphas in cases:
+        expect = _einsum_residual(field, alphas)
+        got = semidiscrete_residual(field, alphas)
+        np.testing.assert_allclose(got, expect, rtol=0, atol=1e-13 * np.abs(expect).max(),
+                                   err_msg=f"{field.mesh} c={field.model.c} alphas={alphas}")
+
+
+def _no_stacked_evaluation(*args):
+    raise AssertionError("an advection state was evaluated at the stacked points")
+
+
+@pytest.mark.parametrize("bc, k, scheme", [(PERIODIC, 2, "ssprk3"), (OUTFLOW, 3, "ssprk4")])
+def test_advection_run_matches_the_pointwise_run(tmp_path, monkeypatch, bc, k, scheme):
+    """A whole limited advection run through the block stencil against the
+    same run with the flux taken as nonlinear, i.e. through the pointwise
+    residual and speed pass: the same steps and limiter counts, and cell
+    means equal to round-off.  The stencil run never evaluates a state at
+    the stacked points: not in `cli.run`, nor in an `ssp_step` (SSPRK3 and
+    SSPRK4), where only the BP limiter evaluates, at its own nodes."""
+    cfg = RunConfig(nx=12, ny=10, k=k, scheme=scheme, bc=bc, t_end=0.3, advection_cy=-0.6,
+                    limiter_bp=True, tvb_m=50.0)
+    monkeypatch.setattr(Basis2D, "stacked_values", _no_stacked_evaluation)
+    stencil = run(replace(cfg, out_dir=str(tmp_path / "stencil")))
+    monkeypatch.undo()
+    for module in (dg_core, cli):
+        monkeypatch.setattr(module, "linear_flux", lambda model: False)
+    pointwise = run(replace(cfg, out_dir=str(tmp_path / "pointwise")))
+    assert stencil.steps == pointwise.steps > 0
+    assert stencil.cells_limited_total == pointwise.cells_limited_total > 0
+    assert stencil.troubled_total == pointwise.troubled_total
+    snapshot = f"field_{stencil.t_final:.6f}.csv"
+    means = [np.loadtxt(tmp_path / side / snapshot, delimiter=",", skiprows=1)[:, 4]
+             for side in ("stencil", "pointwise")]
+    np.testing.assert_allclose(means[0], means[1], rtol=0, atol=1e-13)
 
 
 def _planes_contiguous(a):
@@ -658,7 +721,8 @@ def test_inadmissible_state_raises_through_ssp_step(model, bad):
 @pytest.mark.parametrize("model", [AdvectionModel(), BurgersModel(BoxScalar(-1.0, 1.0)), EulerModel()],
                          ids=["advection", "burgers", "euler"])
 def test_one_admissibility_mask_per_rk_state(model, monkeypatch):
-    # the speed pass is the one check; Burgers checks its maximum instead
+    # the speed pass is the one check; Burgers checks its maximum instead,
+    # and advection (a linear flux) the finiteness of the coefficients
     field = _smooth_field(model)
     masks = []
     check = model.check_admissible
@@ -669,8 +733,12 @@ def test_one_admissibility_mask_per_rk_state(model, monkeypatch):
 
     monkeypatch.setattr(model, "check_admissible", counted)
     ssp_step(field, SSPRK3, 1e-4)
-    stacked_shape = point_values(field).stacked.shape
-    assert masks == ([] if model.name == "burgers2d" else [stacked_shape] * 3)
+    if model.name == "burgers2d":
+        assert masks == []
+    elif model.name == "advection2d":
+        assert masks == [field.coeffs.shape] * 3
+    else:
+        assert masks == [point_values(field).stacked.shape] * 3
 
 
 def test_ssp_step_rejects_nonpositive_dt():
