@@ -41,7 +41,7 @@ from .dg_core import (
     ssp_step,
     step_controller,
 )
-from .limiters import LimiterChain, build_node_set
+from .limiters import LimiterChain, LimiterDiagnostics, build_node_set
 from .physics import (
     AdmissibilityError,
     AdvectionModel,
@@ -198,8 +198,9 @@ def _cross_key_issue(cfg: RunConfig) -> Optional[tuple[tuple[str, ...], str]]:
     """The first complaint, with its keys, about values valid alone but not
     together: an empty interval (domain, then scalar region), an initial
     condition the model lacks, an inflow on a scalar model, initial data or
-    an inflow state outside the model's invariant region, an inflow without
-    outflow boundaries or whose segment meets no left-face quadrature point."""
+    an inflow state outside the model's invariant region, advection speed
+    ratios |c_d|/h_d that `speed_ratios` refuses, an inflow without outflow
+    boundaries or whose segment meets no left-face quadrature point."""
     for lo, hi in (("x_lo", "x_hi"), ("y_lo", "y_hi"), ("region_lo", "region_hi")):
         if not getattr(cfg, lo) < getattr(cfg, hi):
             return (lo, hi), f"{lo} = {getattr(cfg, lo)} must be below {hi} = {getattr(cfg, hi)}"
@@ -218,6 +219,15 @@ def _cross_key_issue(cfg: RunConfig) -> Optional[tuple[tuple[str, ...], str]]:
     if cfg.inflow is not None and not np.all(model.region.contains(model.conserved(*cfg.inflow))):
         return ("gamma", "inflow"), (f"gamma, inflow: inflow state {cfg.inflow} lies outside "
                                      f"the invariant region {model.region}")
+    if cfg.model == AdvectionModel.name:
+        mesh = _build_mesh(cfg, model)
+        phi = (abs(cfg.advection_cx) / mesh.dx, abs(cfg.advection_cy) / mesh.dy)
+        try:
+            dc.speed_ratios(phi, (1.0, 1.0))
+        except ValueError:
+            return ("advection_cx", "advection_cy", "x_lo", "x_hi", "y_lo", "y_hi", "nx", "ny"), (
+                f"advection_cx, advection_cy: the speed ratios |c_d|/h_d = {phi[0]:g}, {phi[1]:g} "
+                "admit no decomposition: psi = sum + 2*max of them is not finite")
     if cfg.inflow is not None and cfg.bc != OUTFLOW:
         return ("bc", "inflow"), f"bc, inflow: an inflow segment needs bc = {OUTFLOW}, got {cfg.bc}"
     if cfg.inflow is not None:
@@ -424,20 +434,19 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
     scheme = SCHEMES[cfg.scheme]
     field = project(_build_initial(cfg, model), mesh, basis, model)
     chain = LimiterChain(m_tvb=cfg.tvb_m) if cfg.limiter_bp or cfg.tvb_m is not None else None
-    node_offsets = None  # internal offsets of the decomposition the BP nodes were built from
+    values = None  # the point values of `field` its last limiting returned
+    totals = LimiterDiagnostics()  # every limiting of the run: the initial one's and each stage's
 
-    def limit_at(decomp: dc.ConvexDecomposition) -> None:
-        """Give BP limiting the nodes of `decomp`, rebuilt only when its
-        internal nodes moved (the optimal ones follow the speed ratio)."""
-        nonlocal node_offsets
-        if cfg.limiter_bp and not np.array_equal(decomp.internal_offsets, node_offsets):
-            chain.node_set = build_node_set(decomp, basis)
-            node_offsets = decomp.internal_offsets
+    def limiting_at(decomp: dc.ConvexDecomposition):
+        """The chain that limits at the nodes of `decomp`, and the internal
+        offsets they were built from."""
+        return LimiterChain(build_node_set(decomp, basis), cfg.tvb_m), decomp.internal_offsets
 
     if cfg.limiter_bp:
-        limit_at(_decomposition(cfg, global_max_speeds(field), spacings))
+        chain, node_offsets = limiting_at(_decomposition(cfg, global_max_speeds(field), spacings))
     if chain is not None:
-        field = chain(field)
+        field, diag, values = chain(field)
+        totals.add(diag)
 
     report = RunReport()
     report.min_mean = field.cell_averages.min(axis=(0, 1))
@@ -447,28 +456,32 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
     start = time.perf_counter()
     while t < cfg.t_end * (1.0 - 1e-12):
         try:
-            # evaluated once (or handed on by the last limiting): the speeds
+            # evaluated once (or returned by the last limiting): the speeds
             # and stage 0 of the step read the same values; a linear flux
             # reads none
-            if not linear_flux(model):
-                field.values = point_values(field)
-            speeds = global_max_speeds(field)
+            if values is None and not linear_flux(model):
+                values = point_values(field)
+            speeds = global_max_speeds(field, values)
             # one decomposition per step: its dt is the step's, its nodes
-            # are where every stage of the step is limited
+            # are where every stage of the step is limited (the optimal
+            # internal nodes follow the speed ratio)
             decomp = _decomposition(cfg, speeds, spacings)
-            limit_at(decomp)
+            if cfg.limiter_bp and not np.array_equal(decomp.internal_offsets, node_offsets):
+                chain, node_offsets = limiting_at(decomp)
             dt = step_controller(decomp, scheme, speeds, spacings, cfg.c0)
             if t + dt > cfg.t_end:
                 # clip the final step to land exactly on t_end; an unbounded
                 # step (every speed zero) lands there at once
                 dt = cfg.t_end - t
-            field = ssp_step(field, scheme, dt, chain, speeds=speeds)
+            field, values, stage_diagnostics = ssp_step(field, scheme, dt, chain, speeds, values)
         except AdmissibilityError as exc:
             raise AdmissibilityError(
                 f"{exc} (t = {t:.6g}, step {report.steps + 1})", cell=exc.cell
             ) from exc
         t += dt
         report.steps += 1
+        for diag in stage_diagnostics:
+            totals.add(diag)
         report.speed_history.append((dt, *speeds))
         report.min_mean = np.minimum(report.min_mean, field.cell_averages.min(axis=(0, 1)))
         report.max_mean = np.maximum(report.max_mean, field.cell_averages.max(axis=(0, 1)))
@@ -479,11 +492,9 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
             next_output += cfg.output_every
     report.wall_time = time.perf_counter() - start
     report.t_final = t
-    if chain is not None:
-        # every limiting of the run: the initial projection's and each stage's
-        report.cells_limited_total = chain.totals.cells_limited
-        report.min_theta = chain.totals.min_theta
-        report.troubled_total = chain.totals.troubled_cells
+    report.cells_limited_total = totals.cells_limited
+    report.min_theta = totals.min_theta
+    report.troubled_total = totals.troubled_cells
 
     if model.exact_solution is not None:
         report.l1, report.l2, report.linf = error_norms(field, model.exact_solution, t)
@@ -496,15 +507,15 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
 
 
 def convergence_study(cfg: RunConfig, grids: list[int], write_outputs: bool = True):
-    """Run each grid and tabulate (N, L1, L2, Linf, observed L1 order)."""
+    """Run each grid and tabulate (N, L1, L2, Linf, observed L1 order).
+    ConfigError, before any run, for a model without an exact solution."""
+    if _build_model(cfg).exact_solution is None:
+        raise ConfigError("convergence study needs a model with an exact solution")
     out = _out_dir(cfg) if write_outputs else None
     rows = []
     prev_l1 = None
     for n in grids:
-        sub = replace(cfg, nx=n, ny=n, out_dir=str(Path(cfg.out_dir) / f"n{n}"))
-        rep = run(sub, write_outputs=False)
-        if rep.l1 is None:
-            raise ConfigError("convergence study needs a model with an exact solution")
+        rep = run(replace(cfg, nx=n, ny=n), write_outputs=False)
         order = math.log2(prev_l1 / rep.l1) if prev_l1 else float("nan")
         rows.append((n, rep.l1, rep.l2, rep.linf, order))
         prev_l1 = rep.l1
@@ -540,6 +551,10 @@ def decomp_report(k: int, phi: tuple[float, ...], c0: float, out=None) -> str:
         raise ConfigError("phi takes 2 or 3 values")
     if not all(math.isfinite(v) and v >= 0.0 for v in phi):
         raise ConfigError(f"phi: expected finite nonnegative ratios, got {' '.join(map(str, phi))}")
+    try:
+        dc.speed_ratios(phi, (1.0,) * len(phi))
+    except ValueError as exc:
+        raise ConfigError(f"phi: {exc}") from exc
     if not 0.0 < c0 <= 1.0:
         raise ConfigError(f"c0: expected a value in (0, 1], got {c0}")
     if out is None:

@@ -35,7 +35,8 @@ SUPPORTED_K = (2, 3)
 
 @dataclass(frozen=True)
 class SpeedRatios:
-    """Per-axis speed/spacing ratios phi_i = a_i / delta_i (units 1/time)."""
+    """Per-axis speed/spacing ratios phi_i = a_i / delta_i (units 1/time),
+    finite and positive, with a finite psi (every builder divides by it)."""
 
     phi: tuple[float, ...]
 
@@ -44,6 +45,8 @@ class SpeedRatios:
             raise ValueError("SpeedRatios supports 2 or 3 axes")
         if not all(math.isfinite(p) and p > 0 for p in self.phi):
             raise ValueError(f"all speed ratios must be finite and positive, got {self.phi}")
+        if not math.isfinite(self.psi):
+            raise ValueError(f"psi = sum(phi) + 2*max(phi) of the speed ratios {self.phi} is not finite")
 
     @property
     def dim(self) -> int:
@@ -228,13 +231,16 @@ POLICIES = {
 
 def speed_ratios(speeds: tuple[float, ...], spacings: tuple[float, ...]) -> SpeedRatios:
     """Ratios a_i / delta_i for the constructors.  An axis without speed
-    imposes no dt constraint; it is floored at 1e-12 of the largest ratio to
-    keep the ratios positive, and all-zero speeds give equal ratios."""
+    imposes no dt constraint; it is floored at 1e-12 of the largest ratio, or
+    at the smallest positive float where that product underflows to 0, to
+    keep the ratios positive, and all-zero speeds give equal ratios.
+    ValueError (from `SpeedRatios`) for ratios that overflow psi."""
     phi = [a / delta for a, delta in zip(speeds, spacings)]
     top = max(phi)
     if top == 0.0:
         return SpeedRatios((1.0,) * len(phi))
-    return SpeedRatios(tuple(max(p, 1e-12 * top) for p in phi))
+    floor = max(1e-12 * top, math.ulp(0.0))
+    return SpeedRatios(tuple(max(p, floor) for p in phi))
 
 
 def decomposition_for(policy: str, k: int, ratios: SpeedRatios) -> ConvexDecomposition:

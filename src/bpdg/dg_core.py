@@ -10,7 +10,7 @@ convex-decomposition CFL analysis apply to this solver verbatim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field as dataclass_field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -242,26 +242,12 @@ class DGField:
     (the SSP-RK stages) keep it, and the rates and the limiters' in-place
     scalings preserve it; a field built from other memory is still correct,
     it only costs a copy per evaluation.
-
-    `values`, when set, are the field's stacked point values and their
-    pressure, handed on by the code that last changed the coefficients so
-    that the readers of this state do not evaluate it again.  The Euler BP
-    limiter hands on the stacked rows of its node evaluation: in the cells
-    it limits they are mean + theta*(v - mean), which matches an evaluation
-    of the scaled coefficients up to round-off, and they and their pressure
-    are the values it certified (the flux forms its ghosts from them).
-    `cli.run` attaches each step's start values, which its speeds and first
-    stage share.  A linear flux's states (`linear_flux`) never carry any.
-    Only code that will not change `coeffs` in place any more may set it, and
-    code that changes the coefficients of a field carrying values must set
-    it to None; `copy` and `like` drop it.
     """
 
     coeffs: np.ndarray
     basis: Basis2D
     mesh: Mesh2D
     model: ConservationLawModel
-    values: Optional["PointValues"] = dataclass_field(default=None, repr=False, compare=False)
 
     @property
     def cell_averages(self) -> np.ndarray:
@@ -359,9 +345,10 @@ class PointValues:
 
 
 def point_values(field: DGField) -> PointValues:
-    """The field's point values: the ones it carries, or one fresh evaluation."""
-    if field.values is not None:
-        return field.values
+    """The field's point values, evaluated afresh.  Code that already has
+    them (those the Euler BP limiter returns with a field it limited) passes
+    them on instead, to `global_max_speeds`, `semidiscrete_residual` and
+    `ssp_step`."""
     u = field.basis.stacked_values(field.coeffs)
     pressure = getattr(field.model, "pressure", None)
     return PointValues(u, None if pressure is None else pressure(u))
@@ -569,51 +556,64 @@ def ssp_step(
     field: DGField,
     scheme: SspScheme,
     dt: float,
-    limiter_chain: Optional[Callable[[DGField], DGField]] = None,
+    limiter_chain: Optional[Callable[[DGField], tuple]] = None,
     speeds: Optional[tuple[float, float]] = None,
-) -> DGField:
+    values: Optional[PointValues] = None,
+) -> tuple[DGField, Optional[PointValues], list]:
     """One SSP-RK step with the limiter chain applied after every stage.
 
     Each stage state is evaluated once; its wave speeds (the Lax-Friedrichs
     viscosities) come from those values.  A linear flux's states
-    (`linear_flux`) are not evaluated at all.  A state's point values are the
-    ones it carries when it has them (`field`'s from the caller or from the
-    last limiting, a stage's from the Euler BP limiter), and each state's
-    values are dropped as soon as its rate is computed, so no stacked array
-    is held across another stage's residual.  A stage state and its rate are
-    dropped once no later stage reads them.  The returned field keeps the
-    values its limiting handed on.  The `speeds` of `field` itself may be
-    passed in when the caller already has them."""
+    (`linear_flux`) are not evaluated at all.  A state's point values are
+    the ones handed in with it, if any (`values`, those of `field`; a
+    stage's, those `limiter_chain` returns with it), else one evaluation,
+    and the step lets go of them once the state's rate is computed.  A
+    stage's rates are computed before its sum is allocated, and a state and
+    its rate are dropped after the last stage that reads them.  `speeds`,
+    those of `field`, may be passed in when the caller already has them.
+
+    Returns the new field, the point values its limiting returned (None if
+    none), and each stage's `LimiterDiagnostics` (none without a chain)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     states: list[Optional[DGField]] = [field]
+    stage_values: list[Optional[PointValues]] = [values]
+    del values  # the list's is the step's one reference, dropped by `rate`
     rates: dict[int, np.ndarray] = {}
+    diagnostics = []
+    # the last stage that reads each state, and each state's rate
     last_read = {idx: s for s, stage in enumerate(scheme.stages) for _, _, idx in stage}
+    last_rated = {idx: s for s, stage in enumerate(scheme.stages) for _, beta, idx in stage if beta != 0.0}
 
     def rate(idx: int) -> np.ndarray:
-        state = states[idx]
-        v = None if linear_flux(state.model) else point_values(state)
-        state.values = None
+        state, v = states[idx], stage_values[idx]
+        stage_values[idx] = None
+        if v is None and not linear_flux(state.model):
+            v = point_values(state)
         a = speeds if idx == 0 and speeds is not None else global_max_speeds(state, v)
         return semidiscrete_residual(state, a, v)
 
     for s, stage in enumerate(scheme.stages):
+        for _, beta, idx in stage:
+            if beta != 0.0 and idx not in rates:
+                rates[idx] = rate(idx)
         new = np.zeros_like(field.coeffs)
         for alpha, beta, idx in stage:
             new += alpha * states[idx].coeffs
             if beta != 0.0:
-                if idx not in rates:
-                    rates[idx] = rate(idx)
                 new += dt * beta * rates[idx]
-        for idx, s_last in last_read.items():
-            if s_last == s:
-                states[idx] = None
-                rates.pop(idx, None)
-        stage_field = field.like(new)
+        for idx in range(len(states)):
+            if last_read.get(idx) == s:
+                states[idx] = stage_values[idx] = None
+            if last_rated.get(idx) == s:
+                rates.pop(idx)
+        stage_field, limited = field.like(new), None
         if limiter_chain is not None:
-            stage_field = limiter_chain(stage_field)
+            stage_field, diag, limited = limiter_chain(stage_field)
+            diagnostics.append(diag)
         states.append(stage_field)
-    return states[-1]
+        stage_values.append(limited)
+    return states[-1], stage_values[-1], diagnostics
 
 
 def step_controller(

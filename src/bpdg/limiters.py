@@ -13,9 +13,9 @@ face points.
 Density and pressure each get one theta per cell, aimed a stated round-off
 margin above the floors; the pressure crossing is the closed-form root of a
 quadratic, checked where it is used.  The limited values
-`mean + theta*(v - mean)` and their pressure are handed on as the field's
-point values, and those are what is certified: a changed cell with a value
-still outside the region is collapsed to its average and counted
+`mean + theta*(v - mean)` and their pressure are returned with the field, for
+the next residual to read, and those are what is certified: a changed cell
+with a value still outside the region is collapsed to its average and counted
 (`LimiterDiagnostics.collapsed_cells`).
 """
 
@@ -110,18 +110,18 @@ def _scale_modes(field: DGField, theta: np.ndarray) -> None:
     if np.all(theta == 1.0):
         return  # nothing limited: skip a strided multiply by ones
     field.coeffs[:, :, 1:, :] *= theta[:, :, None, None]
-    field.values = None
 
 
 def bp_scaling_limit(
     field: DGField,
     region: InvariantRegion,
     nodes: LimiterNodeSet,
-) -> tuple[DGField, LimiterDiagnostics]:
+) -> tuple[DGField, LimiterDiagnostics, Optional[PointValues]]:
     """Largest-theta scaling p -> mean + theta*(p - mean) making all node
-    values admissible, in `field` itself, which is returned.  Requires every
-    cell average in the region already.  Each region's limiter reads its own
-    view of `nodes`."""
+    values admissible, in `field` itself, which is returned with the
+    diagnostics and, from the Euler limiter, the limited field's point values
+    (None from the box limiter).  Requires every cell average in the region
+    already.  Each region's limiter reads its own view of `nodes`."""
     if isinstance(region, BoxScalar):
         return _bp_limit_box(field, region, nodes.box)
     if isinstance(region, EulerPositivity):
@@ -152,7 +152,7 @@ def _bp_limit_box(field: DGField, region: BoxScalar, nodes: NodeRows):
     return field, LimiterDiagnostics(
         cells_limited=int(np.count_nonzero(theta < 1.0)),
         min_theta=float(theta.min()),
-    )
+    ), None
 
 
 def _bp_limit_euler(field: DGField, region: EulerPositivity, nodes: NodeRows):
@@ -164,7 +164,7 @@ def _bp_limit_euler(field: DGField, region: EulerPositivity, nodes: NodeRows):
     _require_means(region, mean, mean_p)
 
     # the one evaluation: its stacked rows are the values the next residual
-    # reads, so the limited ones are handed on rather than evaluated again
+    # reads, so the limited ones are returned rather than evaluated again
     vals = nodes.evaluate(field)  # (4, P, nx, ny)
 
     # stage 1: scale the density modes so nodal rho >= eps_rho, aiming a
@@ -220,12 +220,11 @@ def _bp_limit_euler(field: DGField, region: EulerPositivity, nodes: NodeRows):
         vals[:, :, collapsed] = mean[collapsed].T[:, None, :]
         p_nodes[:, collapsed] = mean_p[collapsed]
         theta[collapsed] = 0.0
-    field.values = PointValues(vals[:, :n_stacked].transpose(2, 3, 1, 0), p_nodes[:n_stacked].transpose(1, 2, 0))
     return field, LimiterDiagnostics(
         cells_limited=int(np.count_nonzero(changed)),
         min_theta=float(theta.min()),
         collapsed_cells=int(np.count_nonzero(collapsed)),
-    )
+    ), PointValues(vals[:, :n_stacked].transpose(2, 3, 1, 0), p_nodes[:n_stacked].transpose(1, 2, 0))
 
 
 def _pressure_aim(gamma: float, target, e_mean: np.ndarray, e_node: np.ndarray) -> np.ndarray:
@@ -339,7 +338,6 @@ def tvb_minmod_limit(field: DGField, m_tvb: float) -> tuple[DGField, int]:
         for mode, dev in zip(modes, lim):
             new[:, mode, :] = dev[:, troubled].T / sqrt3
         field.coeffs[troubled] = new
-        field.values = None
     return field, int(np.count_nonzero(troubled))
 
 
@@ -355,29 +353,25 @@ def _neighbour_differences(ext: np.ndarray, at: tuple[np.ndarray, ...], axis: in
     return fwd, mid - ext[tuple(index)]
 
 
+@dataclass(frozen=True)
 class LimiterChain:
     """Per-stage limiter pipeline: TVB minmod first, then the BP limiter.
 
     BP limiting is on exactly when a node set is given, and enforces the
     field's own invariant region (`field.model.region`) at those nodes.  Both
     limiters change the field they are given, so a caller passes a field it
-    owns (as `ssp_step` passes each new stage).
-    `last_diagnostics` are those of the latest call; `totals` accumulate over
-    every call (every stage of every step, and any initial limiting)."""
+    owns (as `ssp_step` passes each new stage).  A call returns the limited
+    field, the call's `LimiterDiagnostics`, and the point values the BP
+    limiter returned with it (only the Euler one does; else None)."""
 
-    def __init__(self, node_set: Optional[LimiterNodeSet] = None, m_tvb: Optional[float] = None):
-        self.node_set = node_set
-        self.m_tvb = m_tvb
-        self.last_diagnostics = LimiterDiagnostics()
-        self.totals = LimiterDiagnostics()
+    node_set: Optional[LimiterNodeSet] = None
+    m_tvb: Optional[float] = None
 
-    def __call__(self, field: DGField) -> DGField:
-        diag = LimiterDiagnostics()
+    def __call__(self, field: DGField) -> tuple[DGField, LimiterDiagnostics, Optional[PointValues]]:
+        diag, values = LimiterDiagnostics(), None
         if self.m_tvb is not None:
             field, diag.troubled_cells = tvb_minmod_limit(field, self.m_tvb)
         if self.node_set is not None:
-            field, bp_diag = bp_scaling_limit(field, field.model.region, self.node_set)
+            field, bp_diag, values = bp_scaling_limit(field, field.model.region, self.node_set)
             diag.add(bp_diag)
-        self.last_diagnostics = diag
-        self.totals.add(diag)
-        return field
+        return field, diag, values

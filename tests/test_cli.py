@@ -21,7 +21,7 @@ from bpdg.cli import (
     validate_config,
 )
 from bpdg.dg_core import Basis2D
-from bpdg.limiters import LimiterChain, NodeRows
+from bpdg.limiters import LimiterChain, LimiterDiagnostics, NodeRows
 from bpdg.physics import EULER_FLOOR
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -194,7 +194,7 @@ def test_report_counts_every_limiting(tmp_path, monkeypatch):
 
     def recorded(self, field):
         out = limit(self, field)
-        calls.append(self.last_diagnostics)
+        calls.append(out[1])
         return out
 
     monkeypatch.setattr(LimiterChain, "__call__", recorded)
@@ -208,6 +208,36 @@ def test_report_counts_every_limiting(tmp_path, monkeypatch):
     # more than the last stage of each step alone would give
     last_stages = calls[3::3]
     assert report.cells_limited_total > sum(d.cells_limited for d in last_stages)
+
+
+def test_report_combines_the_initial_and_every_returned_stage_diagnostics(tmp_path, monkeypatch):
+    initial, stages, stepping = [], [], []
+    limit, step = LimiterChain.__call__, cli.ssp_step
+
+    def recorded_limit(self, field):
+        out = limit(self, field)
+        if not stepping:
+            initial.append(out[1])  # before the first step: the initial limiting
+        return out
+
+    def recorded_step(*args, **kwargs):
+        stepping.append(True)
+        out = step(*args, **kwargs)
+        stages.append(out[2])
+        return out
+
+    monkeypatch.setattr(LimiterChain, "__call__", recorded_limit)
+    monkeypatch.setattr(cli, "ssp_step", recorded_step)
+    report = run(parse_config(_write(tmp_path, "jet.cfg", JET_SMALL)), write_outputs=False)
+    assert len(initial) == 1 and len(stages) == report.steps > 0
+    assert all(len(step_stages) == 3 for step_stages in stages)
+    combined = LimiterDiagnostics()
+    for diag in initial + [d for step_stages in stages for d in step_stages]:
+        combined.add(diag)
+    assert combined.cells_limited > 0 and combined.troubled_cells > 0
+    assert report.cells_limited_total == combined.cells_limited
+    assert report.min_theta == combined.min_theta
+    assert report.troubled_total == combined.troubled_cells
 
 
 def test_euler_run_evaluates_each_rk_state_once(tmp_path, monkeypatch):
@@ -228,7 +258,7 @@ def test_euler_run_evaluates_each_rk_state_once(tmp_path, monkeypatch):
     # the projection's, for the first node set's speeds, and one per limited
     # state (the initial limiting and three stages per step), at the limiter
     # nodes: a state's speeds and residual reuse the stacked rows its
-    # limiting handed on
+    # limiting returned
     assert report.steps > 0 and len(calls) == 2 + 3 * report.steps
     assert calls.count("stacked") == 1
 
@@ -315,7 +345,6 @@ def test_bp_violation_uses_the_region_floor(monkeypatch):
     def thinned(u0, mesh, basis, model):
         field = project(u0, mesh, basis, model)
         field.coeffs[..., 0] *= rho
-        field.values = None
         return field
 
     monkeypatch.setattr(cli, "project", thinned)
@@ -674,6 +703,53 @@ def test_cli_converge(tmp_path, capsys):
                  f"out_dir = {tmp_path / 'o'}\n")
     assert main(["converge", str(cfg), "--grids", "8", "16"]) == 0
     assert "order" in capsys.readouterr().out.splitlines()[0]
+
+
+def _must_not_run(*args, **kwargs):
+    raise AssertionError("a run started")
+
+
+def test_converge_refuses_a_model_without_exact_solution_before_any_run(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(cli, "run", _must_not_run)
+    cfg = _write(tmp_path, "burgers.cfg", "model = burgers2d\ninitial = riemann4\nbc = outflow\n"
+                 f"out_dir = {tmp_path / 'o'}\n")
+    with pytest.raises(ConfigError, match="exact solution"):
+        convergence_study(parse_config(cfg), [64, 32])
+    assert main(["converge", str(cfg), "--grids", "64", "32"]) == 2
+    assert "exact solution" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+
+
+def test_decomp_report_at_a_ratio_whose_floor_underflows(capsys):
+    # 1e-12 of the largest ratio underflows to 0; the zero ratio is floored
+    # at the smallest positive float instead, and the tables are exact
+    assert main(["decomp-report", "--phi", "0", "1e-320"]) == 0
+    csv = decomp_report(2, (0.0, 1e-320), 1.0)
+    capsys.readouterr()
+    defects = [float(line.split(",")[-1]) for line in csv.splitlines()[1:]]
+    assert len(defects) == 3 and max(defects) <= 1e-14
+
+
+def test_decomp_report_at_ratios_whose_psi_overflows_is_a_config_error(capsys):
+    assert main(["decomp-report", "--phi", "1e308", "1e308"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith("config error: phi:") and "not finite" in err[0]
+
+
+def test_advection_at_a_speed_whose_ratio_floor_underflows_runs():
+    # |c_x|/h_x is subnormal and c_y = 0: its floor used to underflow to 0 and
+    # end the run in a traceback; the step is unbounded and lands on t_end
+    report = run(RunConfig(nx=8, ny=8, t_end=0.1, advection_cx=1e-320, advection_cy=0.0), write_outputs=False)
+    assert report.steps == 1 and report.t_final == 0.1
+
+
+def test_advection_at_a_speed_whose_ratio_overflows_is_a_config_error(tmp_path, capsys):
+    cfg = _write(tmp_path, "fast.cfg", ADVECTION_SMALL + "advection_cx = 1e308\nadvection_cy = 0\n"
+                 f"out_dir = {tmp_path / 'o'}\n")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert len(err) == 1 and err[0].startswith(f"config error: {cfg}:11: advection_cx, advection_cy:")
+    assert "not finite" in err[0]
 
 
 def test_cli_compare_zero_velocity(tmp_path, capsys):

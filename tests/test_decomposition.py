@@ -16,6 +16,7 @@ from bpdg.decomposition import (
     optimal_3d,
     optimality_certificate,
     random_feasible_search,
+    speed_ratios,
     verify_exactness,
     zhang_shu_2d,
     zhang_shu_3d,
@@ -261,6 +262,19 @@ def test_non_finite_speed_ratios_are_rejected(policy, dim, bad):
             decomposition_for(policy, 2, SpeedRatios(phi))
     # the same builders at finite ratios
     assert decomposition_for(policy, 2, SpeedRatios((1.0,) * dim)).dim == dim
+
+
+def test_speed_ratio_floor_is_positive_and_psi_finite():
+    # in the normal range the floor is 1e-12 of the largest ratio, bit for bit
+    assert speed_ratios((0.0, 3.0), (1.0, 1.0)).phi == (1e-12 * 3.0, 3.0)
+    assert speed_ratios((0.0, 0.0, 0.0), (1.0, 1.0, 1.0)).phi == (1.0, 1.0, 1.0)
+    # where that product underflows, the smallest positive float
+    assert speed_ratios((0.0, 1e-320), (1.0, 1.0)).phi == (math.ulp(0.0), 1e-320)
+    # finite ratios whose psi overflows are refused, as every weight would be 0
+    with pytest.raises(ValueError, match="not finite"):
+        SpeedRatios((1e308, 1e308))
+    with pytest.raises(ValueError, match="not finite"):
+        speed_ratios((1e308, 0.0), (1.0, 1.0))
 
 
 # every builder, called with ratios of its own dimension

@@ -490,15 +490,6 @@ def test_speeds_equal_the_maximum_over_full_ghost_traces(field):
     assert global_max_speeds(field) == speeds
 
 
-def test_copy_and_like_carry_no_values():
-    field = next(_euler_cases())
-    field.values = point_values(field)
-    assert field.copy().values is None
-    assert field.like(field.coeffs.copy()).values is None
-    # a field's carried values are what point_values hands out
-    assert point_values(field) is field.values
-
-
 def _limited_jet(n=(12, 6), k=2):
     model = EulerModel()
     inflow = InflowSegment(model.conserved(5.0, 30.0, 0.0, 0.4127), -0.1, 0.1)
@@ -510,12 +501,13 @@ def _limited_jet(n=(12, 6), k=2):
     speeds = global_max_speeds(field)
     ratios = SpeedRatios((speeds[0] / mesh.dx, speeds[1] / mesh.dy))
     chain = LimiterChain(build_node_set(optimal_2d(k, ratios), field.basis), m_tvb=1.0)
-    return chain(field), chain
+    field, _, values = chain(field)
+    return field, values, chain
 
 
 def test_euler_pressure_computed_once_per_rk_state(monkeypatch):
-    field, chain = _limited_jet()
-    assert field.values is not None  # handed on by the limiter
+    field, values, chain = _limited_jet()
+    assert values is not None  # returned by the limiter
     model = field.model
     nx, ny = field.mesh.nx, field.mesh.ny
     at_nodes = (len(chain.node_set.euler), nx, ny)
@@ -528,9 +520,9 @@ def test_euler_pressure_computed_once_per_rk_state(monkeypatch):
         return pressure(u)
 
     monkeypatch.setattr(model, "pressure", counted)
-    speeds, spacings = global_max_speeds(field), (field.mesh.dx, field.mesh.dy)
+    speeds, spacings = global_max_speeds(field, values), (field.mesh.dx, field.mesh.dy)
     dt = step_controller(optimal_2d(2, speed_ratios(speeds, spacings)), SSPRK3, speeds, spacings)
-    limited = ssp_step(field, SSPRK3, dt, chain, speeds=speeds)
+    _, limited, _ = ssp_step(field, SSPRK3, dt, chain, speeds, values)
     # one full pass per limited stage state, at its limiter nodes, whose
     # stacked rows the next residual reuses; the step's start state reuses
     # the values of its own limiting
@@ -544,14 +536,14 @@ def test_euler_pressure_computed_once_per_rk_state(monkeypatch):
     # the others cover one state per cell at most: the limiter's check of
     # the cell means and the boundary traces (no stage is BP-limited here)
     assert all(np.prod(c) <= nx * ny for c in calls if c != at_nodes)
-    assert limited.values is not None and field.values is None
+    assert limited is not None
     # without a limiter each of the three evaluated states computes it once
     smooth = next(_euler_cases())
     monkeypatch.setattr(smooth.model, "pressure", counted)
     stacked_shape = point_values(smooth).stacked.shape[:3]
     calls.clear()
-    plain = ssp_step(smooth, SSPRK3, 1e-5)
-    assert calls.count(stacked_shape) == 3 and plain.values is None
+    _, plain, stages = ssp_step(smooth, SSPRK3, 1e-5)
+    assert calls.count(stacked_shape) == 3 and plain is None and stages == []
 
 
 def _step_data(x, y):
@@ -567,7 +559,7 @@ def test_coefficients_stay_component_major():
     assert _planes_contiguous(field.coeffs) and _planes_contiguous(field.copy().coeffs)
     assert _planes_contiguous(semidiscrete_residual(field, (1.0, 1.0)))
     for scheme in (SSPRK3, SSPRK4):
-        assert _planes_contiguous(ssp_step(field, scheme, 1e-3).coeffs), scheme.name
+        assert _planes_contiguous(ssp_step(field, scheme, 1e-3)[0].coeffs), scheme.name
     # TVB with troubled cells, box BP limiting that limits
     outflow = Mesh2D(0.0, 1.0, 0.0, 1.0, 16, 16,
                      bc_left=OUTFLOW, bc_right=OUTFLOW, bc_bottom=OUTFLOW, bc_top=OUTFLOW)
@@ -575,16 +567,16 @@ def test_coefficients_stay_component_major():
     shock = project(_step_data, outflow, Basis2D(2), BurgersModel(region))
     tvb, troubled = tvb_minmod_limit(shock.copy(), 1.0)
     assert troubled > 0 and _planes_contiguous(tvb.coeffs)
-    box, diag = bp_scaling_limit(shock, region, build_node_set(optimal_2d(2, SpeedRatios((1.0, 1.0))), shock.basis))
+    box, diag, _ = bp_scaling_limit(shock, region, build_node_set(optimal_2d(2, SpeedRatios((1.0, 1.0))), shock.basis))
     assert diag.cells_limited > 0 and _planes_contiguous(box.coeffs)
     # Euler BP limiting that limits, and a jet step through the whole chain
-    jet, chain = _limited_jet()
-    speeds = global_max_speeds(jet)
-    assert _planes_contiguous(ssp_step(jet, SSPRK3, 1e-5, chain, speeds=speeds).coeffs)
+    jet, values, chain = _limited_jet()
+    speeds = global_max_speeds(jet, values)
+    assert _planes_contiguous(ssp_step(jet, SSPRK3, 1e-5, chain, speeds, values)[0].coeffs)
     rough = jet.copy()
     rough.coeffs[:, :, 1:, :] = 0.6 * np.random.default_rng(3).normal(size=rough.coeffs[:, :, 1:, :].shape)
     rough.coeffs[:, :, 1:, :] *= np.abs(rough.coeffs[:, :, :1, :])
-    limited, diag = bp_scaling_limit(rough, EulerPositivity(), chain.node_set)
+    limited, diag, _ = bp_scaling_limit(rough, EulerPositivity(), chain.node_set)
     assert diag.cells_limited > 0 and _planes_contiguous(limited.coeffs)
 
 
@@ -594,13 +586,13 @@ def test_small_jet_step_memory_budget():
     component-major and dead stage states and rates dropped (840,800 bytes
     with numpy 2.4; 730,520 since): an extra array of stacked values or a
     stacked flux buffer held through a stage shows here."""
-    field, chain = _limited_jet((24, 12))
-    speeds, spacings = global_max_speeds(field), (field.mesh.dx, field.mesh.dy)
+    field, values, chain = _limited_jet((24, 12))
+    speeds, spacings = global_max_speeds(field, values), (field.mesh.dx, field.mesh.dy)
     dt = step_controller(optimal_2d(2, speed_ratios(speeds, spacings)), SSPRK3, speeds, spacings)
-    ssp_step(field.copy(), SSPRK3, dt, chain, speeds=speeds)  # fill the caches first
+    ssp_step(field.copy(), SSPRK3, dt, chain, speeds)  # fill the caches first
     tracemalloc.start()
     try:
-        ssp_step(field, SSPRK3, dt, chain, speeds=speeds)
+        ssp_step(field, SSPRK3, dt, chain, speeds, values)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -639,7 +631,7 @@ def test_conservation_over_a_step():
     field = project(lambda x, y: (0.5 * np.sin(np.pi * (x + y)))[..., None],
                     mesh, Basis2D(2), model)
     total0 = field.cell_averages.sum()
-    stepped = ssp_step(field, SSPRK3, 1e-3)
+    stepped, _, _ = ssp_step(field, SSPRK3, 1e-3)
     total1 = stepped.cell_averages.sum()
     assert abs(total1 - total0) <= 1e-12 * max(1.0, abs(total0))
 
@@ -659,7 +651,7 @@ def test_ssp_step_constant_identity():
     coeffs[:, :, 0, 0] = -0.2
     field = DGField(coeffs, basis, mesh, AdvectionModel())
     for scheme in (SSPRK3, SSPRK4):
-        out = ssp_step(field, scheme, 0.01)
+        out, _, _ = ssp_step(field, scheme, 0.01)
         np.testing.assert_allclose(out.coeffs, field.coeffs, atol=1e-13)
 
 
@@ -676,7 +668,7 @@ def test_wave_speeds_evaluated_once_per_rk_state(monkeypatch):
         return speeds_of(u, p)
 
     monkeypatch.setattr(model, "max_wave_speeds", counted)
-    plain = ssp_step(field, SSPRK3, 1e-3)
+    plain, _, _ = ssp_step(field, SSPRK3, 1e-3)
     # one two-axis pass per RK state, over its stacked values: an outflow
     # ghost is a copy of stacked face rows, already in their maximum
     stacked_shape = point_values(field).stacked.shape
@@ -684,7 +676,7 @@ def test_wave_speeds_evaluated_once_per_rk_state(monkeypatch):
     # speeds the caller already has are not recomputed
     speeds = global_max_speeds(field)
     calls.clear()
-    reused = ssp_step(field, SSPRK3, 1e-3, speeds=speeds)
+    reused, _, _ = ssp_step(field, SSPRK3, 1e-3, speeds=speeds)
     assert calls == [stacked_shape] * 2
     np.testing.assert_array_equal(reused.coeffs, plain.coeffs)
 
@@ -755,11 +747,11 @@ def test_bp_means_stay_in_box_under_optimal_policy():
     ratios = SpeedRatios((1.0 / mesh.dx, 1.0 / mesh.dy))
     decomp = optimal_2d(2, ratios)
     chain = LimiterChain(build_node_set(decomp, field.basis))
-    field = chain(field)
+    field, _, _ = chain(field)
     for _ in range(20):
         # advection speeds are constant: the nodes' decomposition is the step's
         dt = step_controller(decomp, SSPRK3, global_max_speeds(field), (mesh.dx, mesh.dy))
-        field = ssp_step(field, SSPRK3, dt, chain)
+        field, _, _ = ssp_step(field, SSPRK3, dt, chain)
         means = field.cell_averages
         assert means.min() >= -1.0 - 1e-12 and means.max() <= 1.0 + 1e-12
 

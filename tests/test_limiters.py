@@ -174,7 +174,7 @@ def test_box_theta_closed_form():
     ix = field.basis.mode_exps.index((1, 0))
     field.coeffs[:, :, ix, 0] = amp
     nodes = _node_set(optimal_2d(2, EQUAL))
-    out, diag = bp_scaling_limit(field.copy(), field.model.region, nodes)
+    out, diag, _ = bp_scaling_limit(field.copy(), field.model.region, nodes)
     assert diag.min_theta == pytest.approx(5.0 / 6.0, abs=1e-13)
     vals = evaluate_at_offsets(out, nodes.box.offsets)[..., 0]
     assert vals.max() <= 1.0 + 1e-13
@@ -187,7 +187,7 @@ def test_box_limiter_identity_when_inside():
     field = project(lambda x, y: (0.5 * np.sin(np.pi * (x + y)))[..., None],
                     mesh, Basis2D(2), model)
     nodes = _node_set(optimal_2d(2, EQUAL))
-    out, diag = bp_scaling_limit(field.copy(), model.region, nodes)
+    out, diag, _ = bp_scaling_limit(field.copy(), model.region, nodes)
     assert diag.min_theta == 1.0 and diag.cells_limited == 0
     np.testing.assert_array_equal(out.coeffs, field.coeffs)
 
@@ -197,8 +197,8 @@ def test_box_limiter_idempotent():
     ix = field.basis.mode_exps.index((1, 0))
     field.coeffs[:, :, ix, 0] = 1.0
     nodes = _node_set(optimal_2d(2, EQUAL))
-    once, _ = bp_scaling_limit(field, field.model.region, nodes)
-    twice, diag = bp_scaling_limit(once.copy(), field.model.region, nodes)
+    once, _, _ = bp_scaling_limit(field, field.model.region, nodes)
+    twice, diag, _ = bp_scaling_limit(once.copy(), field.model.region, nodes)
     assert diag.min_theta == pytest.approx(1.0, abs=1e-12)
     np.testing.assert_allclose(twice.coeffs, once.coeffs, atol=1e-14)
 
@@ -215,7 +215,7 @@ def test_classic_box_limiter_limits_a_centre_overshoot():
     over = evaluate_at_offsets(field, nodes.box.offsets)[..., 0] > 1.0
     centre = (nodes.box.offsets == 0.0).all(axis=1)
     assert over[..., centre].all() and not over[..., ~centre].any()
-    out, diag = bp_scaling_limit(field, field.model.region, nodes)
+    out, diag, _ = bp_scaling_limit(field, field.model.region, nodes)
     assert diag.cells_limited == 16 and diag.min_theta == pytest.approx(0.5 / 0.8, abs=1e-13)
     assert evaluate_at_offsets(out, nodes.box.offsets).max() <= 1.0 + 1e-13
 
@@ -254,7 +254,7 @@ def test_euler_limiter_restores_positive_pressure():
     nodes = _node_set(optimal_2d(2, EQUAL))
     pre = evaluate_at_offsets(field, nodes.euler.offsets)
     assert model.pressure(pre[1, 1]).min() < 0.0
-    out, diag = bp_scaling_limit(field.copy(), EulerPositivity(), nodes)
+    out, diag, _ = bp_scaling_limit(field.copy(), EulerPositivity(), nodes)
     post = evaluate_at_offsets(out, nodes.euler.offsets)
     assert model.pressure(post).min() >= 1e-13 * (1 - 1e-10)
     assert np.all(post[..., 0] >= 1e-13 * (1 - 1e-10))
@@ -267,7 +267,7 @@ def test_euler_limiter_density_stage():
     ix = field.basis.mode_exps.index((0, 1))
     field.coeffs[0, 0, ix, 0] = 1.0  # density dips negative on the y- face
     nodes = _node_set(optimal_2d(2, EQUAL))
-    out, _ = bp_scaling_limit(field, EulerPositivity(), nodes)
+    out, _, _ = bp_scaling_limit(field, EulerPositivity(), nodes)
     post = evaluate_at_offsets(out, nodes.euler.offsets)
     assert post[..., 0].min() >= 1e-13 * (1 - 1e-10)
 
@@ -300,16 +300,16 @@ def test_euler_limiter_accepts_means_within_the_floor_slack(case):
     if case == "sloped-density":
         field.coeffs[1, 1, field.basis.mode_exps.index((1, 0)), 0] = 0.1 * low
     nodes = _node_set(optimal_2d(2, EQUAL))
-    out, diag = bp_scaling_limit(field.copy(), region, nodes)
+    out, diag, values = bp_scaling_limit(field.copy(), region, nodes)
     np.testing.assert_array_equal(out.cell_averages, field.cell_averages)
     assert diag.cells_limited == 1 and diag.collapsed_cells == 0
-    assert np.all(region.contains(out.values.stacked, out.values.pressure))
+    assert np.all(region.contains(values.stacked, values.pressure))
 
 
 def test_euler_limiter_identity_on_admissible_field():
     field = _euler_field()
     nodes = _node_set(optimal_2d(2, EQUAL))
-    out, diag = bp_scaling_limit(field.copy(), EulerPositivity(), nodes)
+    out, diag, _ = bp_scaling_limit(field.copy(), EulerPositivity(), nodes)
     assert diag.min_theta == 1.0
     np.testing.assert_array_equal(out.coeffs, field.coeffs)
 
@@ -336,13 +336,13 @@ def _jet_field(n=4, k=2):
     return DGField(coeffs, basis, mesh, model)
 
 
-def _assert_hands_on(out, atol, formed_ghosts):
-    """`out`'s handed-on values are within `atol` of a fresh evaluation of its
-    coefficients (limited cells carry mean + theta*(v - mean), which differs
-    from that evaluation by round-off), and their pressure and the ghost
-    traces formed from them are exactly those of the values themselves."""
-    got = out.values
-    np.testing.assert_allclose(got.stacked, point_values(out.like(out.coeffs)).stacked, rtol=0, atol=atol)
+def _assert_hands_on(out, got, atol, formed_ghosts):
+    """The point values `got` returned with `out` are within `atol` of a fresh
+    evaluation of its coefficients (limited cells carry mean + theta*(v -
+    mean), which differs from that evaluation by round-off), and their
+    pressure and the ghost traces formed from them are exactly those of the
+    values themselves."""
+    np.testing.assert_allclose(got.stacked, point_values(out).stacked, rtol=0, atol=atol)
     _assert_same_values(out, got, PointValues(got.stacked, out.model.pressure(got.stacked)), formed_ghosts)
 
 
@@ -353,9 +353,9 @@ def test_euler_limiter_hands_on_its_point_values(formed_ghosts):
     p_mean = model.pressure(field.coeffs[1, 1, 0, :])
     field.coeffs[1, 1, ix, 3] = (-0.1 - p_mean) / (model.gamma - 1.0) / np.sqrt(3.0)
     nodes = _node_set(optimal_2d(2, EQUAL))
-    out, diag = bp_scaling_limit(field.copy(), EulerPositivity(), nodes)
-    assert diag.cells_limited == 1 and diag.collapsed_cells == 0 and field.values is None
-    _assert_hands_on(out, 1e-14, formed_ghosts)
+    out, diag, values = bp_scaling_limit(field.copy(), EulerPositivity(), nodes)
+    assert diag.cells_limited == 1 and diag.collapsed_cells == 0
+    _assert_hands_on(out, values, 1e-14, formed_ghosts)
 
 
 def _reverse_from(rows, start):
@@ -369,7 +369,7 @@ def _reverse_from(rows, start):
 def test_bp_limiting_ignores_the_order_of_internal_nodes(k, build, formed_ghosts):
     """Both BP limiters reduce over the nodes with max and min, so reordering
     a decomposition's internal nodes in either view changes no bit of the
-    coefficients, the handed-on values or the diagnostics."""
+    coefficients, the returned values or the diagnostics."""
     decomp = build(k, SpeedRatios((1.0, 1.3)))
     nodes = _node_set(decomp)
     n_stacked = len(Basis2D(k).eval_matrix)
@@ -391,20 +391,22 @@ def test_bp_limiting_ignores_the_order_of_internal_nodes(k, build, formed_ghosts
         euler.coeffs[i, j, 1:] = 0.3 * np.abs(mean) * rng.normal(size=(euler.basis.n_modes - 1, 4))
 
     for field, region in ((scalar, scalar.model.region), (euler, EulerPositivity())):
-        out, diag = bp_scaling_limit(field.copy(), region, nodes)
-        out_r, diag_r = bp_scaling_limit(field.copy(), region, reordered)
+        out, diag, values = bp_scaling_limit(field.copy(), region, nodes)
+        out_r, diag_r, values_r = bp_scaling_limit(field.copy(), region, reordered)
         assert diag.cells_limited > 0
         assert diag_r == diag
         np.testing.assert_array_equal(out_r.coeffs, out.coeffs)
         if field is euler:
-            _assert_same_values(out, out_r.values, out.values, formed_ghosts)
+            _assert_same_values(out, values_r, values, formed_ghosts)
+        else:
+            assert values is values_r is None
 
 
 def test_collapsed_cell_values_are_its_average(monkeypatch, formed_ghosts):
     # the counted fallback: a crossing that stops short of the floor (here a
     # stand-in returning t just below 1) leaves the changed cell's values
     # below it, so the cell is collapsed to its average, and so are its
-    # handed-on values and its boundary ghost trace
+    # returned values and its boundary ghost trace
     field = _jet_field()
     model = field.model
     ix = field.basis.mode_exps.index((1, 0))
@@ -412,15 +414,13 @@ def test_collapsed_cell_values_are_its_average(monkeypatch, formed_ghosts):
     field.coeffs[0, 0, ix, 3] = (-0.1 - p_mean) / (model.gamma - 1.0) / np.sqrt(3.0)
     monkeypatch.setattr(limiters, "_pressure_crossing", lambda m, um, un, target: np.full(um.shape[1], 0.999))
     chain = LimiterChain(_node_set(optimal_2d(2, EQUAL)))
-    out = chain(field)
-    diag = chain.last_diagnostics
+    out, diag, values = chain(field)
     assert diag.cells_limited == 1 and diag.collapsed_cells == 1 and diag.min_theta == 0.0
-    assert chain.totals.collapsed_cells == 1
     assert np.all(out.coeffs[0, 0, 1:] == 0.0)
-    np.testing.assert_array_equal(out.values.stacked[0, 0], np.broadcast_to(out.coeffs[0, 0, 0], (21, 4)))
-    _assert_hands_on(out, 1e-14, formed_ghosts)
+    np.testing.assert_array_equal(values.stacked[0, 0], np.broadcast_to(out.coeffs[0, 0, 0], (21, 4)))
+    _assert_hands_on(out, values, 1e-14, formed_ghosts)
     # the collapsed boundary cell's ghost trace, as the flux forms it, is its average too
-    left = formed_ghosts(out, out.values)[0][0]
+    left = formed_ghosts(out, values)[0][0]
     np.testing.assert_array_equal(left[0], np.broadcast_to(out.coeffs[0, 0, 0], (3, 4)))
 
 
@@ -438,7 +438,7 @@ def test_euler_limiter_computes_pressure_once_at_full_size(monkeypatch):
         return pressure(u)
 
     monkeypatch.setattr(model, "pressure", counted)
-    out, diag = bp_scaling_limit(field, EulerPositivity(), nodes)
+    out, diag, _ = bp_scaling_limit(field, EulerPositivity(), nodes)
     assert diag.cells_limited > 0 and diag.collapsed_cells == 0
     at_nodes = [c for c in calls if len(c) == 3]
     crossing = [c for c in calls if len(c) == 1]
@@ -533,7 +533,7 @@ def test_box_limiter_properties(seed, k, amplitude, lo, width):
     field.coeffs[:, :, 0, 0] = rng.uniform(region.lo, region.hi, (4, 4))
     field.coeffs[:, :, 1:, 0] = _higher_modes(rng, (4, 4, field.basis.n_modes - 1), amplitude * width)
     nodes = _node_set(optimal_2d(k, SpeedRatios(tuple(rng.uniform(0.1, 1.0, 2)))))
-    out, diag = bp_scaling_limit(field.copy(), region, nodes)
+    out, diag, _ = bp_scaling_limit(field.copy(), region, nodes)
     vals = evaluate_at_offsets(out, nodes.box.offsets)
     # the limiter's own round-off bound, far inside the region's BOX_SLACK
     tol = 1e-14 * max(1.0, abs(region.lo), abs(region.hi))
@@ -561,17 +561,16 @@ def test_euler_limiter_properties_near_vacuum(formed_ghosts, seed, k, log_rho, l
     field.coeffs[:, :, 0, :] = mean
     field.coeffs[:, :, 1:, :] = _higher_modes(rng, (4, 4, field.basis.n_modes - 1, 4), amplitude) * np.abs(mean)[:, :, None, :]
     nodes = _node_set(optimal_2d(k, EQUAL))
-    out, diag = bp_scaling_limit(field.copy(), region, nodes)
+    out, diag, values = bp_scaling_limit(field.copy(), region, nodes)
     np.testing.assert_allclose(out.cell_averages, field.cell_averages, rtol=0, atol=1e-14)
     assert 0.0 <= diag.min_theta <= 1.0
     assert diag.collapsed_cells == 0  # the counted fallback is never taken
     # every value the residual evaluates is inside the region, on the floors
-    values = out.values
     floor = 1.0 - 1e-10
     assert np.all(values.stacked[..., 0] >= region.eps_rho * floor)
     assert np.all(values.pressure >= region.eps_p * floor)
     # and is the limited coefficients' evaluation up to round-off
-    _assert_hands_on(out, 1e-14 * max(1.0, np.abs(values.stacked).max()), formed_ghosts)
+    _assert_hands_on(out, values, 1e-14 * max(1.0, np.abs(values.stacked).max()), formed_ghosts)
     # and so is every limiter node, up to the round-off of re-evaluating the
     # scaled coefficients (pressure cancels E against the kinetic energy)
     vals = evaluate_at_offsets(out, nodes.euler.offsets)
@@ -689,11 +688,12 @@ def test_chain_requires_region_and_nodes_for_bp():
     ix = field.basis.mode_exps.index((1, 0))
     field.coeffs[2, 3, ix, 0] = 1.0  # overshoots to sqrt(3) on the x+ face
     off = LimiterChain()
-    np.testing.assert_array_equal(off(field.copy()).coeffs, field.coeffs)
-    assert off.last_diagnostics == LimiterDiagnostics()
+    unlimited, diag, values = off(field.copy())
+    np.testing.assert_array_equal(unlimited.coeffs, field.coeffs)
+    assert diag == LimiterDiagnostics() and values is None
     on = LimiterChain(_node_set(optimal_2d(2, EQUAL)))
-    limited = on(field)
-    assert on.last_diagnostics.cells_limited == 1
+    limited, diag, values = on(field)
+    assert diag.cells_limited == 1 and values is None  # the box limiter returns no values
     assert evaluate_at_offsets(limited, on.node_set.box.offsets)[2, 3].max() <= field.model.region.hi + 1e-13
 
 
@@ -702,22 +702,25 @@ def test_chain_applies_tvb_then_bp_and_records_diagnostics():
     ix = field.basis.mode_exps.index((1, 0))
     field.coeffs[:, :, ix, 0] = 1.0
     chain = LimiterChain(_node_set(optimal_2d(2, EQUAL)), m_tvb=0.1)
-    out = chain(field)
-    diag = chain.last_diagnostics
+    out, diag, _ = chain(field)
     assert diag.min_theta <= 1.0
     nodes = chain.node_set
     vals = evaluate_at_offsets(out, nodes.box.offsets)[..., 0]
     assert vals.max() <= 1.0 + 1e-13 and vals.min() >= -1.0 - 1e-13
 
 
-def test_chain_totals_cover_every_stage_of_a_step():
+def test_ssp_step_returns_every_stage_diagnostics():
     field = _scalar_field(n=6)
     ix = field.basis.mode_exps.index((1, 0))
     field.coeffs[2, 3, ix, 0] = 1.0  # overshoots to sqrt(3) on the x+ face
     chain = LimiterChain(_node_set(optimal_2d(2, EQUAL)))
-    ssp_step(field, SSPRK3, 1e-6, chain)
+    _, values, stages = ssp_step(field, SSPRK3, 1e-6, chain)
     # every stage state mixes in the unlimited start state, so cell (2, 3) is
-    # limited at each of the three stages; the last call sees only one
-    assert chain.last_diagnostics.cells_limited == 1
-    assert chain.totals.cells_limited == 3
-    assert chain.totals.min_theta < 1.0
+    # limited at each of the three stages, one cell at each
+    assert [diag.cells_limited for diag in stages] == [1, 1, 1]
+    totals = LimiterDiagnostics()
+    for diag in stages:
+        totals.add(diag)
+    assert totals.cells_limited == 3
+    assert totals.min_theta < 1.0
+    assert values is None
