@@ -49,6 +49,7 @@ from .physics import (
     BurgersModel,
     EulerModel,
 )
+from .window import Quiescence
 
 
 class ConfigError(Exception):
@@ -199,7 +200,8 @@ def _cross_key_issue(cfg: RunConfig) -> Optional[tuple[tuple[str, ...], str]]:
     together: an empty interval (domain, then scalar region), an initial
     condition the model lacks, an inflow on a scalar model, initial data or
     an inflow state outside the model's invariant region, advection speed
-    ratios |c_d|/h_d that `speed_ratios` refuses, an inflow without outflow
+    ratios |c_d|/h_d that `speed_ratios` refuses or whose time step is below
+    half an ulp of t_end, an inflow without outflow
     boundaries or whose segment meets no left-face quadrature point."""
     for lo, hi in (("x_lo", "x_hi"), ("y_lo", "y_hi"), ("region_lo", "region_hi")):
         if not getattr(cfg, lo) < getattr(cfg, hi):
@@ -221,13 +223,21 @@ def _cross_key_issue(cfg: RunConfig) -> Optional[tuple[tuple[str, ...], str]]:
                                      f"the invariant region {model.region}")
     if cfg.model == AdvectionModel.name:
         mesh = _build_mesh(cfg, model)
+        keys = ("advection_cx", "advection_cy", "x_lo", "x_hi", "y_lo", "y_hi", "nx", "ny")
         phi = (abs(cfg.advection_cx) / mesh.dx, abs(cfg.advection_cy) / mesh.dy)
         try:
             dc.speed_ratios(phi, (1.0, 1.0))
         except ValueError:
-            return ("advection_cx", "advection_cy", "x_lo", "x_hi", "y_lo", "y_hi", "nx", "ny"), (
-                f"advection_cx, advection_cy: the speed ratios |c_d|/h_d = {phi[0]:g}, {phi[1]:g} "
-                "admit no decomposition: psi = sum + 2*max of them is not finite")
+            return keys, (f"advection_cx, advection_cy: the speed ratios |c_d|/h_d = {phi[0]:g}, {phi[1]:g} "
+                          "admit no decomposition: psi = sum + 2*max of them is not finite")
+        # advection's dt is the same every step: below half an ulp of t_end,
+        # t + dt rounds back to t before t reaches t_end
+        speeds, spacings = (abs(cfg.advection_cx), abs(cfg.advection_cy)), (mesh.dx, mesh.dy)
+        dt = step_controller(_decomposition(cfg, speeds, spacings), SCHEMES[cfg.scheme], speeds, spacings, cfg.c0)
+        if dt < 0.5 * math.ulp(cfg.t_end):
+            return keys + ("t_end", "scheme", "dt_policy", "c0"), (
+                f"advection_cx, advection_cy, t_end: the time step {dt:g} is below half an ulp of "
+                f"t_end = {cfg.t_end:g}, so t would never reach t_end")
     if cfg.inflow is not None and cfg.bc != OUTFLOW:
         return ("bc", "inflow"), f"bc, inflow: an inflow segment needs bc = {OUTFLOW}, got {cfg.bc}"
     if cfg.inflow is not None:
@@ -448,6 +458,12 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
         field, diag, values = chain(field)
         totals.add(diag)
 
+    # a run whose cells all start equal (a uniform ambient) steps only the
+    # window of its disturbed cells; `window` is the one `values` belong to
+    # (None: the whole mesh)
+    quiescence = Quiescence.of(field, len(scheme.stages))
+    window = None
+
     report = RunReport()
     report.min_mean = field.cell_averages.min(axis=(0, 1))
     report.max_mean = field.cell_averages.max(axis=(0, 1))
@@ -456,12 +472,18 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
     start = time.perf_counter()
     while t < cfg.t_end * (1.0 - 1e-12):
         try:
+            if quiescence is not None:
+                cut = quiescence.window(field, window)
+                if cut != window:
+                    values = None  # those of another window
+                window = cut
+            stepped = field if window is None else window.cut(field)
             # evaluated once (or returned by the last limiting): the speeds
             # and stage 0 of the step read the same values; a linear flux
             # reads none
             if values is None and not linear_flux(model):
-                values = point_values(field)
-            speeds = global_max_speeds(field, values)
+                values = point_values(stepped)
+            speeds = global_max_speeds(stepped, values)
             # one decomposition per step: its dt is the step's, its nodes
             # are where every stage of the step is limited (the optimal
             # internal nodes follow the speed ratio)
@@ -473,8 +495,11 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
                 # clip the final step to land exactly on t_end; an unbounded
                 # step (every speed zero) lands there at once
                 dt = cfg.t_end - t
-            field, values, stage_diagnostics = ssp_step(field, scheme, dt, chain, speeds, values)
+            stepped, values, stage_diagnostics = ssp_step(stepped, scheme, dt, chain, speeds, values)
+            field = stepped if window is None else window.paste(stepped, field)
         except AdmissibilityError as exc:
+            if window is not None:
+                exc = exc.shifted(window.origin)  # named in full-mesh indices
             raise AdmissibilityError(
                 f"{exc} (t = {t:.6g}, step {report.steps + 1})", cell=exc.cell
             ) from exc

@@ -9,7 +9,8 @@ both change the field they are given.  Membership is the region's `contains`.
 
 The Euler BP limiter (Zhang & Shu, JCP 229, 2010) evaluates each field once,
 at its view of the node set, whose first rows are the residual's volume and
-face points.
+face points; those rows and the internal nodes off them go to arrays of
+their own, so the rows handed on keep nothing else alive.
 Density and pressure each get one theta per cell, aimed a stated round-off
 margin above the floors; the pressure crossing is the closed-form root of a
 quadratic, checked where it is used.  The limited values
@@ -47,13 +48,19 @@ class NodeRows:
     def __len__(self) -> int:
         return len(self.offsets)
 
-    def evaluate(self, field: DGField) -> np.ndarray:
+    def evaluate(self, field: DGField, split: Optional[int] = None):
         """Field values at the nodes of every cell, component-major: (m, P, nx, ny).
 
         This is `apply_matrix`'s result with its memory order made the
         logical order: a C-contiguous array whose (nx, ny) planes the
-        limiters reduce over, one component at a time."""
-        return apply_matrix(self.matrix, field.coeffs).transpose(3, 2, 0, 1)
+        limiters reduce over, one component at a time.  With `split`, rows
+        [0, split) and [split, P) are evaluated into arrays of their own,
+        returned as a list (an empty second one left out), so that each is
+        freed on its own."""
+        if split is None:
+            return apply_matrix(self.matrix, field.coeffs).transpose(3, 2, 0, 1)
+        return [apply_matrix(rows, field.coeffs).transpose(3, 2, 0, 1)
+                for rows in (self.matrix[:split], self.matrix[split:]) if len(rows)]
 
 
 @dataclass(frozen=True)
@@ -157,20 +164,19 @@ def _bp_limit_box(field: DGField, region: BoxScalar, nodes: NodeRows):
 
 def _bp_limit_euler(field: DGField, region: EulerPositivity, nodes: NodeRows):
     model = field.model
-    n_stacked = len(field.basis.eval_matrix)
     mean = field.coeffs[:, :, 0, :]  # (nx, ny, 4)
     mean_rho = mean[..., 0]
     mean_p = model.pressure(mean)
     _require_means(region, mean, mean_p)
 
-    # the one evaluation: its stacked rows are the values the next residual
-    # reads, so the limited ones are returned rather than evaluated again
-    vals = nodes.evaluate(field)  # (4, P, nx, ny)
+    # the one evaluation, in two arrays: the stacked rows, the values the
+    # next residual reads (returned rather than evaluated again), and the
+    # internal nodes off them, which are not kept alive with those
+    blocks = nodes.evaluate(field, len(field.basis.eval_matrix))  # [(4, rows, nx, ny)]
 
     # stage 1: scale the density modes so nodal rho >= eps_rho, aiming a
     # round-off margin above the floor; re-centre the limited cells' nodes
-    rho = vals[0]
-    rho_min = rho.min(axis=0)
+    rho_min = np.min([v[0].min(axis=0) for v in blocks], axis=0)
     theta_rho = np.ones_like(mean_rho)
     low = rho_min < region.eps_rho
     if np.any(low):
@@ -179,32 +185,37 @@ def _bp_limit_euler(field: DGField, region: EulerPositivity, nodes: NodeRows):
         with np.errstate(divide="ignore"):  # a flat cell (r = m below the floor) gets theta 0
             th = theta_rho[low] = np.clip((m - aim) / (m - r), 0.0, 1.0)
         field.coeffs[low, 1:, 0] *= th[:, None]
-        rho[:, low] = m + th * (rho[:, low] - m)
+        for v in blocks:
+            v[0][:, low] = m + th * (v[0][:, low] - m)
 
     # stage 2: one theta per cell so nodal pressure stays above eps_p; in the
     # cells with a node below the floor every node short of floor + margin
     # gets its own crossing, and the cell takes the smallest
-    p_nodes = model.pressure(np.moveaxis(vals, 0, -1))  # (P, nx, ny)
+    p_blocks = [model.pressure(np.moveaxis(v, 0, -1)) for v in blocks]  # [(rows, nx, ny)]
     theta_p = np.ones_like(mean_rho)
-    cells = np.any(~(p_nodes >= region.eps_p), axis=0)
+    cells = np.any([np.any(~(p >= region.eps_p), axis=0) for p in p_blocks], axis=0)
     if np.any(cells):
         ci, cj = np.nonzero(cells)
-        aim = _pressure_aim(model.gamma, region.eps_p, mean[ci, cj, 3], vals[3][:, ci, cj])
-        node, k = np.nonzero(~(p_nodes[:, ci, cj] >= aim))
-        ci, cj = ci[k], cj[k]
-        u_mean = np.ascontiguousarray(mean[ci, cj].T)
-        t = _pressure_crossing(model, u_mean, vals[:, node, ci, cj], region.eps_p)
-        np.minimum.at(theta_p, (ci, cj), t)
+        flagged = []  # (cell rows, cell columns, node states) of each block
+        for v, p in zip(blocks, p_blocks):
+            aim = _pressure_aim(model.gamma, region.eps_p, mean[ci, cj, 3], v[3][:, ci, cj])
+            node, k = np.nonzero(~(p[:, ci, cj] >= aim))
+            flagged.append((ci[k], cj[k], v[:, node, ci[k], cj[k]]))
+        fi, fj, u_node = (np.concatenate(part, axis=-1) for part in zip(*flagged))
+        u_mean = np.ascontiguousarray(mean[fi, fj].T)
+        t = _pressure_crossing(model, u_mean, u_node, region.eps_p)
+        np.minimum.at(theta_p, (fi, fj), t)
     scaled = theta_p < 1.0
     if np.any(scaled):
         th = theta_p[scaled]
         field.coeffs[scaled, 1:, :] *= th[:, None, None]
         # the limited values, by the crossing's own expression, and their pressure
         m = mean[scaled].T[:, None, :]  # (4, 1, cells)
-        v = th * (vals[:, :, scaled] - m)
-        v += m
-        vals[:, :, scaled] = v
-        p_nodes[:, scaled] = model.pressure(np.moveaxis(v, 0, -1))
+        for v, p in zip(blocks, p_blocks):
+            w = th * (v[:, :, scaled] - m)
+            w += m
+            v[:, :, scaled] = w
+            p[:, scaled] = model.pressure(np.moveaxis(w, 0, -1))
 
     # the one counted fallback: a changed cell with a value still outside the
     # region is collapsed to its average (admissible by precondition, and
@@ -213,18 +224,20 @@ def _bp_limit_euler(field: DGField, region: EulerPositivity, nodes: NodeRows):
     changed = theta < 1.0
     collapsed = np.zeros_like(changed)
     if np.any(changed):
-        inside = region.contains(np.moveaxis(vals[:, :, changed], 0, -1), p_nodes[:, changed])
+        inside = [region.contains(np.moveaxis(v[:, :, changed], 0, -1), p[:, changed]).all(axis=0)
+                  for v, p in zip(blocks, p_blocks)]
         collapsed[changed] = ~np.all(inside, axis=0)
     if np.any(collapsed):
         field.coeffs[collapsed, 1:, :] = 0.0
-        vals[:, :, collapsed] = mean[collapsed].T[:, None, :]
-        p_nodes[:, collapsed] = mean_p[collapsed]
+        for v, p in zip(blocks, p_blocks):
+            v[:, :, collapsed] = mean[collapsed].T[:, None, :]
+            p[:, collapsed] = mean_p[collapsed]
         theta[collapsed] = 0.0
     return field, LimiterDiagnostics(
         cells_limited=int(np.count_nonzero(changed)),
         min_theta=float(theta.min()),
         collapsed_cells=int(np.count_nonzero(collapsed)),
-    ), PointValues(vals[:, :n_stacked].transpose(2, 3, 1, 0), p_nodes[:n_stacked].transpose(1, 2, 0))
+    ), PointValues(blocks[0].transpose(2, 3, 1, 0), p_blocks[0].transpose(1, 2, 0))
 
 
 def _pressure_aim(gamma: float, target, e_mean: np.ndarray, e_node: np.ndarray) -> np.ndarray:

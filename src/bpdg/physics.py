@@ -25,11 +25,21 @@ EULER_FLOOR = 1.0 - 1e-10
 
 
 class AdmissibilityError(RuntimeError):
-    """A state left the invariant region where the scheme required membership."""
+    """A state left the invariant region where the scheme required membership.
+
+    A message names its `cell` as `cell (i, j)`."""
 
     def __init__(self, message: str, cell: tuple[int, int] | None = None):
         super().__init__(message)
         self.cell = cell
+
+    def shifted(self, origin: tuple[int, int]) -> "AdmissibilityError":
+        """This error with its cell moved by `origin`: the indices of a mesh
+        whose window, at `origin`, raised it."""
+        if self.cell is None:
+            return self
+        cell = (self.cell[0] + origin[0], self.cell[1] + origin[1])
+        return AdmissibilityError(str(self).replace(f"cell {self.cell}", f"cell {cell}", 1), cell=cell)
 
 
 def _require(ok: np.ndarray) -> None:

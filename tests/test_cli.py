@@ -1,6 +1,7 @@
 """Config parsing, run reports, CSV outputs, CLI exit codes, determinism."""
 
 import filecmp
+import math
 from dataclasses import replace
 from pathlib import Path
 
@@ -23,6 +24,7 @@ from bpdg.cli import (
 from bpdg.dg_core import Basis2D
 from bpdg.limiters import LimiterChain, LimiterDiagnostics, NodeRows
 from bpdg.physics import EULER_FLOOR
+from bpdg.window import Quiescence
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
@@ -248,12 +250,14 @@ def test_euler_run_evaluates_each_rk_state_once(tmp_path, monkeypatch):
         calls.append("stacked")
         return stacked(self, coeffs)
 
-    def counted_nodes(self, field):
+    def counted_nodes(self, field, *split):
         calls.append("nodes")
-        return at_nodes(self, field)
+        return at_nodes(self, field, *split)
 
     monkeypatch.setattr(Basis2D, "stacked_values", counted_stacked)
     monkeypatch.setattr(NodeRows, "evaluate", counted_nodes)
+    # the whole-mesh path: tests/test_window.py counts the windowed one's
+    monkeypatch.setattr(Quiescence, "window", lambda self, field, last=None: None)
     report = run(parse_config(_write(tmp_path, "jet.cfg", JET_SMALL)), write_outputs=False)
     # the projection's, for the first node set's speeds, and one per limited
     # state (the initial limiting and three stages per step), at the limiter
@@ -301,7 +305,10 @@ def test_limiter_nodes_come_from_the_decomposition_of_the_step_dt(tmp_path, monk
     report = run(cfg, write_outputs=False)
     euler = cfg.model == "euler2d"
     basis = Basis2D(cfg.k)
-    steps = [i for i, (kind, _, _) in enumerate(events) if kind == "dt"]
+    # the steps' dt bounds: those after the first node set is built (the
+    # advection config check bounds dt once before it)
+    first_build = next(i for i, (kind, _, _) in enumerate(events) if kind == "build")
+    steps = [i for i, (kind, _, _) in enumerate(events) if kind == "dt" and i > first_build]
     assert len(steps) == report.steps > 0
     built_from = {id(nodes): decomp for kind, decomp, nodes in events if kind == "build"}
     for start, end in zip(steps, steps[1:] + [len(events)]):
@@ -552,10 +559,12 @@ JET_KEYS = "model = euler2d\ninitial = uniform\nbc = outflow\n"
      (JET_KEYS + "inflow = 5, 30, 0, 0.4127\ninflow_lo = 0.05\ninflow_hi = -0.05\n", 6,
       "inflow_lo, inflow_hi: the inflow segment [0.05, -0.05] meets none"),
      ("inflow_hi = 3.0\ninflow_lo = 2.0\n" + JET_KEYS + "inflow = 5, 30, 0, 0.4127\n", 6,
-      "the inflow segment [2.0, 3.0] meets none of the left boundary's face quadrature points")],
+      "the inflow segment [2.0, 3.0] meets none of the left boundary's face quadrature points"),
+     ("nx = 8\nny = 8\nadvection_cx = 1e200\nadvection_cy = 1e200\nt_end = 0.1\n", 5,
+      "advection_cx, advection_cy, t_end: the time step 3.125e-202 is below half an ulp of t_end = 0.1")],
     ids=["riemann-region", "riemann-states", "sine-region", "ambient-below-floor", "ambient-initial",
          "euler-sine", "scalar-inflow", "inflow-below-floor", "inflow-gamma", "periodic-inflow",
-         "inverted-inflow-segment", "inflow-segment-off-the-domain"],
+         "inverted-inflow-segment", "inflow-segment-off-the-domain", "advection-step-below-half-an-ulp"],
 )
 def test_cross_key_error_cites_the_latest_line(tmp_path, text, line, complaint):
     path = _write(tmp_path, "bad.cfg", text)
@@ -750,6 +759,19 @@ def test_advection_at_a_speed_whose_ratio_overflows_is_a_config_error(tmp_path, 
     err = capsys.readouterr().err.strip().splitlines()
     assert len(err) == 1 and err[0].startswith(f"config error: {cfg}:11: advection_cx, advection_cy:")
     assert "not finite" in err[0]
+
+
+@pytest.mark.parametrize("ulps, refused", [(0.4, True), (0.6, False)])
+def test_advection_step_below_half_an_ulp_of_t_end_is_a_config_error(ulps, refused):
+    # equal speeds c on 8 x 8 cells of [-1, 1]^2: the optimal dt is h/(8c) = 1/(32c)
+    t_end = 0.1
+    cfg = RunConfig(nx=8, ny=8, t_end=t_end, advection_cx=1.0, advection_cy=1.0)
+    c = 1.0 / (32.0 * ulps * math.ulp(t_end))
+    if refused:
+        with pytest.raises(ConfigError, match="below half an ulp of t_end"):
+            validate_config(replace(cfg, advection_cx=c, advection_cy=c))
+    else:
+        validate_config(replace(cfg, advection_cx=c, advection_cy=c))
 
 
 def test_cli_compare_zero_velocity(tmp_path, capsys):

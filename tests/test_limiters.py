@@ -358,6 +358,31 @@ def test_euler_limiter_hands_on_its_point_values(formed_ghosts):
     _assert_hands_on(out, values, 1e-14, formed_ghosts)
 
 
+def _owner(a):
+    """The array that owns the memory `a` views."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+def test_euler_limiter_hands_on_only_the_stacked_rows(formed_ghosts):
+    """The internal nodes off the stacked points (two here) are evaluated into
+    an array of their own: the values handed on keep no other row alive."""
+    field = _jet_field(n=6)
+    ix = field.basis.mode_exps.index((1, 0))
+    p_mean = field.model.pressure(field.coeffs[2, 3, 0, :])
+    field.coeffs[2, 3, ix, 3] = (-0.1 - p_mean) / (field.model.gamma - 1.0) / np.sqrt(3.0)
+    nodes = _node_set(optimal_2d(2, SpeedRatios((1.0, 0.3))))
+    n_stacked = len(field.basis.eval_matrix)
+    assert len(nodes.euler) == n_stacked + 2
+    out, diag, values = bp_scaling_limit(field.copy(), EulerPositivity(), nodes)
+    assert diag.cells_limited == 1
+    assert values.stacked.shape == (6, 6, n_stacked, 4)
+    assert _owner(values.stacked).nbytes == values.stacked.nbytes
+    assert _owner(values.pressure).nbytes == values.pressure.nbytes
+    _assert_hands_on(out, values, 1e-14, formed_ghosts)
+
+
 def _reverse_from(rows, start):
     """`rows` with the rows from `start` on in reverse order."""
     order = np.r_[np.arange(start), np.arange(len(rows) - 1, start - 1, -1)]
