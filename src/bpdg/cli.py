@@ -35,8 +35,6 @@ from .dg_core import (
     error_norms,
     face_coords,
     global_max_speeds,
-    linear_flux,
-    point_values,
     project,
     ssp_step,
     step_controller,
@@ -385,9 +383,8 @@ class RunReport:
     l1: Optional[float] = None
     l2: Optional[float] = None
     linf: Optional[float] = None
-    cells_limited_total: int = 0
-    min_theta: float = 1.0
-    troubled_total: int = 0
+    # every limiting of the run: the initial one's and each stage's
+    limiting: LimiterDiagnostics = dataclass_field(default_factory=LimiterDiagnostics)
     speed_history: list = dataclass_field(default_factory=list)  # (dt, a1, a2)
 
     def csv_header(self) -> str:
@@ -411,14 +408,14 @@ class RunReport:
                 fmt(self.l1),
                 fmt(self.l2),
                 fmt(self.linf),
-                str(self.cells_limited_total),
-                fmt(self.min_theta),
-                str(self.troubled_total),
+                str(self.limiting.cells_limited),
+                fmt(self.limiting.min_theta),
+                str(self.limiting.troubled_cells),
             ]
         )
 
 
-def _write_field_csv(path: Path, field: DGField, t: float) -> None:
+def _write_field_csv(path: Path, field: DGField) -> None:
     # formatted from Python floats (`tolist`), each coordinate once, and
     # written a row of cells at a time: the same text as formatting the
     # numpy scalars, at a fraction of the time, without the whole file in memory
@@ -443,20 +440,17 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
     basis = Basis2D(cfg.k)
     scheme = SCHEMES[cfg.scheme]
     field = project(_build_initial(cfg, model), mesh, basis, model)
-    chain = LimiterChain(m_tvb=cfg.tvb_m) if cfg.limiter_bp or cfg.tvb_m is not None else None
-    values = None  # the point values of `field` its last limiting returned
-    totals = LimiterDiagnostics()  # every limiting of the run: the initial one's and each stage's
 
     def limiting_at(decomp: dc.ConvexDecomposition):
         """The chain that limits at the nodes of `decomp`, and the internal
         offsets they were built from."""
-        return LimiterChain(build_node_set(decomp, basis), cfg.tvb_m), decomp.internal_offsets
+        return LimiterChain(build_node_set(decomp, basis, model.region), cfg.tvb_m), decomp.internal_offsets
 
+    chain, node_offsets = LimiterChain(m_tvb=cfg.tvb_m), None  # without BP limiting
     if cfg.limiter_bp:
-        chain, node_offsets = limiting_at(_decomposition(cfg, global_max_speeds(field), spacings))
-    if chain is not None:
-        field, diag, values = chain(field)
-        totals.add(diag)
+        chain, node_offsets = limiting_at(_decomposition(cfg, global_max_speeds(field)[0], spacings))
+    # `values`: the point values of `field` its last limiting returned
+    field, initial, values = chain(field)
 
     # a run whose cells all start equal (a uniform ambient) steps only the
     # window of its disturbed cells; `window` is the one `values` belong to
@@ -464,9 +458,12 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
     quiescence = Quiescence.of(field, len(scheme.stages))
     window = None
 
-    report = RunReport()
-    report.min_mean = field.cell_averages.min(axis=(0, 1))
-    report.max_mean = field.cell_averages.max(axis=(0, 1))
+    # the means are reduced and checked here over every cell, then over the
+    # cells each step stepped (a frozen cell keeps its last reduced bits);
+    # the report adds each stage's limiting to a copy of the initial one's
+    means = field.cell_averages
+    report = RunReport(min_mean=means.min(axis=(0, 1)), max_mean=means.max(axis=(0, 1)),
+                       bp_violation=not np.all(model.region.contains(means)), limiting=replace(initial))
     t = 0.0
     next_output = cfg.output_every if cfg.output_every > 0 else math.inf
     start = time.perf_counter()
@@ -478,12 +475,9 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
                     values = None  # those of another window
                 window = cut
             stepped = field if window is None else window.cut(field)
-            # evaluated once (or returned by the last limiting): the speeds
-            # and stage 0 of the step read the same values; a linear flux
-            # reads none
-            if values is None and not linear_flux(model):
-                values = point_values(stepped)
-            speeds = global_max_speeds(stepped, values)
+            # one speed pass: the speeds and stage 0 of the step read the
+            # values the last limiting returned, else its one evaluation
+            speeds, values = global_max_speeds(stepped, values)
             # one decomposition per step: its dt is the step's, its nodes
             # are where every stage of the step is limited (the optimal
             # internal nodes follow the speed ratio)
@@ -495,7 +489,7 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
                 # clip the final step to land exactly on t_end; an unbounded
                 # step (every speed zero) lands there at once
                 dt = cfg.t_end - t
-            stepped, values, stage_diagnostics = ssp_step(stepped, scheme, dt, chain, speeds, values)
+            stepped, values, stage_diagnostics = ssp_step(stepped, scheme, dt, chain, (speeds, values))
             field = stepped if window is None else window.paste(stepped, field)
         except AdmissibilityError as exc:
             if window is not None:
@@ -506,25 +500,23 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
         t += dt
         report.steps += 1
         for diag in stage_diagnostics:
-            totals.add(diag)
+            report.limiting.add(diag)
         report.speed_history.append((dt, *speeds))
-        report.min_mean = np.minimum(report.min_mean, field.cell_averages.min(axis=(0, 1)))
-        report.max_mean = np.maximum(report.max_mean, field.cell_averages.max(axis=(0, 1)))
-        if not np.all(model.region.contains(field.cell_averages)):
+        means = stepped.cell_averages
+        report.min_mean = np.minimum(report.min_mean, means.min(axis=(0, 1)))
+        report.max_mean = np.maximum(report.max_mean, means.max(axis=(0, 1)))
+        if not np.all(model.region.contains(means)):
             report.bp_violation = True
         if write_outputs and t >= next_output - 1e-12:
-            _write_field_csv(out_dir / f"field_{t:.6f}.csv", field, t)
+            _write_field_csv(out_dir / f"field_{t:.6f}.csv", field)
             next_output += cfg.output_every
     report.wall_time = time.perf_counter() - start
     report.t_final = t
-    report.cells_limited_total = totals.cells_limited
-    report.min_theta = totals.min_theta
-    report.troubled_total = totals.troubled_cells
 
     if model.exact_solution is not None:
         report.l1, report.l2, report.linf = error_norms(field, model.exact_solution, t)
     if write_outputs:
-        _write_field_csv(out_dir / f"field_{t:.6f}.csv", field, t)
+        _write_field_csv(out_dir / f"field_{t:.6f}.csv", field)
         (out_dir / "report.csv").write_text(
             report.csv_header() + "\n" + report.csv_row() + "\n", encoding="utf-8"
         )
@@ -619,12 +611,15 @@ def efficiency_compare(cfg_a: RunConfig, cfg_b: RunConfig, write_outputs: bool =
     """Run both configs on the same problem and compare step counts against the
     ratio predicted by the dt formulas at the recorded wave speeds.
     ConfigError naming the first key outside `_COMPARE_MAY_DIFFER` whose
-    values differ."""
+    values differ, and, when outputs are written, naming `out_dir` if both
+    configs write to one directory (B's outputs would replace A's)."""
     cfg_a, cfg_b = validate_config(cfg_a), validate_config(cfg_b)
     for key, (attr, _) in _KEY_PARSERS.items():
         a, b = getattr(cfg_a, attr), getattr(cfg_b, attr)
         if key not in _COMPARE_MAY_DIFFER and a != b:
             raise ConfigError(f"compare requires the same problem in both configs: {key} is {a} vs {b}")
+    if write_outputs and Path(cfg_a.out_dir).resolve() == Path(cfg_b.out_dir).resolve():
+        raise ConfigError(f"out_dir: both configs write to {cfg_a.out_dir}; compare needs one directory each")
     rep_a = run(cfg_a, write_outputs=write_outputs)
     rep_b = run(cfg_b, write_outputs=write_outputs)
     mesh = _build_mesh(cfg_a, _build_model(cfg_a))

@@ -344,31 +344,37 @@ class PointValues:
     pressure: Optional[np.ndarray] = None
 
 
+# `global_max_speeds`' result: per-axis speeds and the point values read (None: a linear flux)
+SpeedPass = tuple[tuple[float, float], Optional[PointValues]]
+
+
 def point_values(field: DGField) -> PointValues:
-    """The field's point values, evaluated afresh.  Code that already has
-    them (those the Euler BP limiter returns with a field it limited) passes
-    them on instead, to `global_max_speeds`, `semidiscrete_residual` and
-    `ssp_step`."""
+    """The field's point values, evaluated afresh: `global_max_speeds` calls
+    this when no values were handed to it, and hands on what it read."""
     u = field.basis.stacked_values(field.coeffs)
     pressure = getattr(field.model, "pressure", None)
     return PointValues(u, None if pressure is None else pressure(u))
 
 
-def global_max_speeds(field: DGField, values: Optional[PointValues] = None) -> tuple[float, float]:
+def global_max_speeds(field: DGField, values: Optional[PointValues] = None) -> SpeedPass:
     """Global per-axis max wave speed over volume and face quadrature points,
     including the exterior boundary trace states: a ghost trace holds
     interior face traces, already in the stacked values, and an inflow
     segment's state at the face points it covers (`cli` checks it covers one).
 
+    Returns the speeds and the point values they were read from, for the
+    residual of the same state: `values` when handed in (those the Euler BP
+    limiter returned with the field), else the one evaluation of the field.
+    A linear flux (`linear_flux`) reads the coefficients instead, and its
+    values are None: its speeds are |c_d| whatever the state, and a state is
+    admissible for it when finite, which its coefficients are exactly when
+    its point values are.
+
     This pass is a state's one admissibility check: the model raises
     AdmissibilityError, naming the first cell, for an inadmissible or
-    non-finite point value (a missing or failed limiter).  `values` are the
-    field's point values when the caller already has them.  A linear flux
-    (`linear_flux`) reads the coefficients instead: its speeds are |c_d|
-    whatever the state, and a state is admissible for it when finite, which
-    its coefficients are exactly when its point values are."""
+    non-finite point value (a missing or failed limiter)."""
     if linear_flux(field.model):
-        own = (field.coeffs, None)
+        values, own = None, (field.coeffs, None)
     else:
         values = point_values(field) if values is None else values
         own = (values.stacked, values.pressure)
@@ -379,7 +385,7 @@ def global_max_speeds(field: DGField, values: Optional[PointValues] = None) -> t
     for pts, p in sets:
         s1, s2 = field.model.max_wave_speeds(pts, p)
         a1, a2 = max(a1, s1), max(a2, s2)
-    return a1, a2
+    return (a1, a2), values
 
 
 def _interface_flux(field: DGField, values: PointValues, axis: int, alpha: float) -> np.ndarray:
@@ -413,27 +419,22 @@ def _interface_flux(field: DGField, values: PointValues, axis: int, alpha: float
 
 def semidiscrete_residual(
     field: DGField,
-    alphas: tuple[float, float] | float,
+    alphas: tuple[float, float],
     values: Optional[PointValues] = None,
 ) -> np.ndarray:
     """Weak-form DG rate of change of the modal coefficients.
 
-    `alphas` are the global Lax-Friedrichs viscosities per axis (a scalar is
-    used for both); `values` are the field's point values when the caller
-    already has them.  The states are not checked here: the speed pass that
-    gives the viscosities (`global_max_speeds`) checks them.
+    `alphas` are the global Lax-Friedrichs viscosities per axis and `values`
+    the field's point values, both as `global_max_speeds` returns them: the
+    states are not checked here, that speed pass checks them.
 
     A linear flux (`linear_flux`) takes its `LinearStencil` on the
-    coefficients and reads no point value; every other flux is evaluated at
-    the stacked points, and its volume and LF face fluxes are assembled.
+    coefficients and reads no point value (`values` is None); every other
+    flux's volume and LF face fluxes are formed from `values` and assembled.
     """
-    if np.isscalar(alphas):
-        alphas = (float(alphas), float(alphas))
     if linear_flux(field.model):
         return _linear_residual(field, alphas)
     mesh, basis, model = field.mesh, field.basis, field.model
-    if values is None:
-        values = point_values(field)
     u, p = values.stacked, values.pressure
     uvol = u[:, :, basis.at_vol]
     pvol = None if p is None else p[:, :, basis.at_vol]
@@ -557,28 +558,29 @@ def ssp_step(
     scheme: SspScheme,
     dt: float,
     limiter_chain: Optional[Callable[[DGField], tuple]] = None,
-    speeds: Optional[tuple[float, float]] = None,
-    values: Optional[PointValues] = None,
+    start: Optional[SpeedPass] = None,
 ) -> tuple[DGField, Optional[PointValues], list]:
     """One SSP-RK step with the limiter chain applied after every stage.
 
-    Each stage state is evaluated once; its wave speeds (the Lax-Friedrichs
-    viscosities) come from those values.  A linear flux's states
-    (`linear_flux`) are not evaluated at all.  A state's point values are
-    the ones handed in with it, if any (`values`, those of `field`; a
-    stage's, those `limiter_chain` returns with it), else one evaluation,
-    and the step lets go of them once the state's rate is computed.  A
-    stage's rates are computed before its sum is allocated, and a state and
-    its rate are dropped after the last stage that reads them.  `speeds`,
-    those of `field`, may be passed in when the caller already has them.
+    Each stage state goes through one speed pass (`global_max_speeds`),
+    whose speeds are its Lax-Friedrichs viscosities and whose point values
+    its residual reads: those handed in with the state (a stage's, those
+    `limiter_chain` returns with it), else the pass's own evaluation (none
+    for a linear flux, `linear_flux`).  `start` is `field`'s pass, when the
+    caller has already made it.  The step lets go of a state's values once
+    its rate is computed.  A stage's rates are computed before its sum is
+    allocated, and a state and its rate are dropped after the last stage
+    that reads them.
 
     Returns the new field, the point values its limiting returned (None if
     none), and each stage's `LimiterDiagnostics` (none without a chain)."""
     if dt <= 0:
         raise ValueError("dt must be positive")
     states: list[Optional[DGField]] = [field]
-    stage_values: list[Optional[PointValues]] = [values]
-    del values  # the list's is the step's one reference, dropped by `rate`
+    # each state's (speeds, values): its speed pass, or (None, the values
+    # handed in with it) until `rate` makes the pass
+    passes: list = [(None, None) if start is None else start]
+    del start  # the list's is the step's one reference, dropped by `rate`
     rates: dict[int, np.ndarray] = {}
     diagnostics = []
     # the last stage that reads each state, and each state's rate
@@ -586,12 +588,11 @@ def ssp_step(
     last_rated = {idx: s for s, stage in enumerate(scheme.stages) for _, beta, idx in stage if beta != 0.0}
 
     def rate(idx: int) -> np.ndarray:
-        state, v = states[idx], stage_values[idx]
-        stage_values[idx] = None
-        if v is None and not linear_flux(state.model):
-            v = point_values(state)
-        a = speeds if idx == 0 and speeds is not None else global_max_speeds(state, v)
-        return semidiscrete_residual(state, a, v)
+        state, (speeds, values) = states[idx], passes[idx]
+        passes[idx] = None
+        if speeds is None:
+            speeds, values = global_max_speeds(state, values)
+        return semidiscrete_residual(state, speeds, values)
 
     for s, stage in enumerate(scheme.stages):
         for _, beta, idx in stage:
@@ -604,7 +605,7 @@ def ssp_step(
                 new += dt * beta * rates[idx]
         for idx in range(len(states)):
             if last_read.get(idx) == s:
-                states[idx] = stage_values[idx] = None
+                states[idx] = passes[idx] = None
             if last_rated.get(idx) == s:
                 rates.pop(idx)
         stage_field, limited = field.like(new), None
@@ -612,8 +613,8 @@ def ssp_step(
             stage_field, diag, limited = limiter_chain(stage_field)
             diagnostics.append(diag)
         states.append(stage_field)
-        stage_values.append(limited)
-    return states[-1], stage_values[-1], diagnostics
+        passes.append((None, limited))
+    return states[-1], passes[-1][1], diagnostics
 
 
 def step_controller(

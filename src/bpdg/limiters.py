@@ -8,7 +8,7 @@ linear reconstruction; both limiters preserve cell averages exactly, and
 both change the field they are given.  Membership is the region's `contains`.
 
 The Euler BP limiter (Zhang & Shu, JCP 229, 2010) evaluates each field once,
-at its view of the node set, whose first rows are the residual's volume and
+at its node set, whose first rows are the residual's volume and
 face points; those rows and the internal nodes off them go to arrays of
 their own, so the rows handed on keep nothing else alive.
 Density and pressure each get one theta per cell, aimed a stated round-off
@@ -63,21 +63,6 @@ class NodeRows:
                 for rows in (self.matrix[:split], self.matrix[split:]) if len(rows)]
 
 
-@dataclass(frozen=True)
-class LimiterNodeSet:
-    """The BP limiters' nodes for one decomposition, one view per limiter.
-
-    `box`: the face-trace rows of `Basis2D`'s stacked points, then every
-    internal node of the decomposition: exactly the decomposition's points.
-    `euler`: all the stacked rows (volume, then faces), so the first rows of
-    an evaluation are the values the residual reads (the Euler flux itself
-    needs positivity), then the internal nodes that are not volume Gauss
-    points."""
-
-    box: NodeRows
-    euler: NodeRows
-
-
 @dataclass
 class LimiterDiagnostics:
     cells_limited: int = 0
@@ -93,23 +78,29 @@ class LimiterDiagnostics:
         self.collapsed_cells += other.collapsed_cells
 
 
-def build_node_set(decomp: ConvexDecomposition, basis: Basis2D) -> LimiterNodeSet:
-    """The limiter nodes of `decomp` for `basis`, in the views `LimiterNodeSet` lists."""
+def build_node_set(decomp: ConvexDecomposition, basis: Basis2D, region: InvariantRegion) -> NodeRows:
+    """The nodes of `decomp` for `basis` that `region`'s BP limiter reads.
+
+    Box: the face-trace rows of `Basis2D`'s stacked points, then every
+    internal node of the decomposition: exactly the decomposition's points.
+    Euler: all the stacked rows (volume, then faces), so the first rows of
+    an evaluation are the values the residual reads (the Euler flux itself
+    needs positivity), then the internal nodes that are not volume Gauss
+    points."""
     if decomp.dim != 2:
         raise ValueError("limiter node sets are 2D")
     internal = decomp.internal_offsets
     stacked, at_nodes = basis.eval_matrix.T, mode_values(basis.k, internal)  # (n_modes, points)
-    faces = slice(basis.at_vol.stop, None)
-    # both coordinates Gauss nodes: a volume point, already a stacked row
-    new = ~(internal[:, :, None] == basis.face_rule.nodes).any(axis=2).all(axis=1)
-
-    def rows(offsets, *matrices):
-        return NodeRows(np.concatenate(offsets), np.concatenate(matrices, axis=1).T)
-
-    return LimiterNodeSet(
-        box=rows((basis.offsets[faces], internal), stacked[:, faces], at_nodes),
-        euler=rows((basis.offsets, internal[new]), stacked, at_nodes[:, new]),
-    )
+    if isinstance(region, BoxScalar):
+        faces = slice(basis.at_vol.stop, None)
+        offsets, matrices = (basis.offsets[faces], internal), (stacked[:, faces], at_nodes)
+    elif isinstance(region, EulerPositivity):
+        # both coordinates Gauss nodes: a volume point, already a stacked row
+        new = ~(internal[:, :, None] == basis.face_rule.nodes).any(axis=2).all(axis=1)
+        offsets, matrices = (basis.offsets, internal[new]), (stacked, at_nodes[:, new])
+    else:
+        raise TypeError(f"unsupported region {region!r}")
+    return NodeRows(np.concatenate(offsets), np.concatenate(matrices, axis=1).T)
 
 
 def _scale_modes(field: DGField, theta: np.ndarray) -> None:
@@ -122,17 +113,17 @@ def _scale_modes(field: DGField, theta: np.ndarray) -> None:
 def bp_scaling_limit(
     field: DGField,
     region: InvariantRegion,
-    nodes: LimiterNodeSet,
+    nodes: NodeRows,
 ) -> tuple[DGField, LimiterDiagnostics, Optional[PointValues]]:
     """Largest-theta scaling p -> mean + theta*(p - mean) making all node
     values admissible, in `field` itself, which is returned with the
     diagnostics and, from the Euler limiter, the limited field's point values
     (None from the box limiter).  Requires every cell average in the region
-    already.  Each region's limiter reads its own view of `nodes`."""
+    already.  `nodes` are `build_node_set`'s for `region`."""
     if isinstance(region, BoxScalar):
-        return _bp_limit_box(field, region, nodes.box)
+        return _bp_limit_box(field, region, nodes)
     if isinstance(region, EulerPositivity):
-        return _bp_limit_euler(field, region, nodes.euler)
+        return _bp_limit_euler(field, region, nodes)
     raise TypeError(f"unsupported region {region!r}")
 
 
@@ -371,13 +362,14 @@ class LimiterChain:
     """Per-stage limiter pipeline: TVB minmod first, then the BP limiter.
 
     BP limiting is on exactly when a node set is given, and enforces the
-    field's own invariant region (`field.model.region`) at those nodes.  Both
+    field's own invariant region (`field.model.region`) at those nodes, which
+    `build_node_set` built for it; an empty chain limits nothing.  Both
     limiters change the field they are given, so a caller passes a field it
     owns (as `ssp_step` passes each new stage).  A call returns the limited
     field, the call's `LimiterDiagnostics`, and the point values the BP
     limiter returned with it (only the Euler one does; else None)."""
 
-    node_set: Optional[LimiterNodeSet] = None
+    node_set: Optional[NodeRows] = None
     m_tvb: Optional[float] = None
 
     def __call__(self, field: DGField) -> tuple[DGField, LimiterDiagnostics, Optional[PointValues]]:

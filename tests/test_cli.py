@@ -204,12 +204,12 @@ def test_report_counts_every_limiting(tmp_path, monkeypatch):
     report = run(cfg, write_outputs=False)
     # the initial projection's limiting and three stages per step
     assert len(calls) == 1 + 3 * report.steps
-    assert report.cells_limited_total == sum(d.cells_limited for d in calls) > 0
-    assert report.troubled_total == sum(d.troubled_cells for d in calls) > 0
-    assert report.min_theta == min(d.min_theta for d in calls) < 1.0
+    assert report.limiting.cells_limited == sum(d.cells_limited for d in calls) > 0
+    assert report.limiting.troubled_cells == sum(d.troubled_cells for d in calls) > 0
+    assert report.limiting.min_theta == min(d.min_theta for d in calls) < 1.0
     # more than the last stage of each step alone would give
     last_stages = calls[3::3]
-    assert report.cells_limited_total > sum(d.cells_limited for d in last_stages)
+    assert report.limiting.cells_limited > sum(d.cells_limited for d in last_stages)
 
 
 def test_report_combines_the_initial_and_every_returned_stage_diagnostics(tmp_path, monkeypatch):
@@ -237,9 +237,9 @@ def test_report_combines_the_initial_and_every_returned_stage_diagnostics(tmp_pa
     for diag in initial + [d for step_stages in stages for d in step_stages]:
         combined.add(diag)
     assert combined.cells_limited > 0 and combined.troubled_cells > 0
-    assert report.cells_limited_total == combined.cells_limited
-    assert report.min_theta == combined.min_theta
-    assert report.troubled_total == combined.troubled_cells
+    assert report.limiting.cells_limited == combined.cells_limited
+    assert report.limiting.min_theta == combined.min_theta
+    assert report.limiting.troubled_cells == combined.troubled_cells
 
 
 def test_euler_run_evaluates_each_rk_state_once(tmp_path, monkeypatch):
@@ -273,8 +273,8 @@ def _record_decompositions(monkeypatch):
     events = []
     build, bound, limit = cli.build_node_set, dg_core.bp_max_dt, LimiterChain.__call__
 
-    def recorded_build(decomp, basis):
-        nodes = build(decomp, basis)
+    def recorded_build(decomp, basis, region):
+        nodes = build(decomp, basis, region)
         events.append(("build", decomp, nodes))
         return nodes
 
@@ -304,7 +304,7 @@ def test_limiter_nodes_come_from_the_decomposition_of_the_step_dt(tmp_path, monk
         cfg = RunConfig(nx=8, ny=8, t_end=0.1, advection_cx=1.0, advection_cy=0.5, dt_policy=policy)
     report = run(cfg, write_outputs=False)
     euler = cfg.model == "euler2d"
-    basis = Basis2D(cfg.k)
+    basis, region = Basis2D(cfg.k), cli._build_model(cfg).region
     # the steps' dt bounds: those after the first node set is built (the
     # advection config check bounds dt once before it)
     first_build = next(i for i, (kind, _, _) in enumerate(events) if kind == "build")
@@ -319,8 +319,7 @@ def test_limiter_nodes_come_from_the_decomposition_of_the_step_dt(tmp_path, monk
         assert len(limited) == 3  # every stage of the step
         for nodes in limited:
             np.testing.assert_array_equal(built_from[id(nodes)].internal_offsets, decomp.internal_offsets)
-            np.testing.assert_array_equal(nodes.box.offsets, build(decomp, basis).box.offsets)
-            np.testing.assert_array_equal(nodes.euler.offsets, build(decomp, basis).euler.offsets)
+            np.testing.assert_array_equal(nodes.offsets, build(decomp, basis, region).offsets)
     builds = sum(kind == "build" for kind, _, _ in events)
     if euler:
         assert 1 <= builds <= 1 + report.steps
@@ -790,6 +789,20 @@ def test_cli_compare_different_problems_exit_code(tmp_path, capsys):
     b = _write(tmp_path, "b.cfg", text + "dt_policy = classic\nx_hi = 3\nadvection_cx = 4\n")
     assert main(["compare", str(a), str(b)]) == 2
     assert "advection_cx" in capsys.readouterr().err
+
+
+def test_cli_compare_refuses_one_out_dir_for_both_configs(tmp_path, capsys):
+    # B's report.csv and snapshots would replace A's: a config error, before
+    # either run writes anything; the same directory spelled two ways too
+    text = "model = advection2d\nnx = 8\nny = 8\nt_end = 0.05\n"
+    a = _write(tmp_path, "a.cfg", text + f"dt_policy = optimal\nout_dir = {tmp_path / 'o'}\n")
+    b = _write(tmp_path, "b.cfg", text + f"dt_policy = classic\nout_dir = {tmp_path / 'x' / '..' / 'o'}\n")
+    assert main(["compare", str(a), str(b)]) == 2
+    assert "out_dir" in capsys.readouterr().err
+    assert not (tmp_path / "o").exists()
+    # without outputs there is nothing to lose
+    cmp_report = efficiency_compare(parse_config(a), parse_config(b), write_outputs=False)
+    assert cmp_report.steps_b > cmp_report.steps_a > 0
 
 
 def test_readme_config_table_lists_the_parsed_keys():

@@ -8,7 +8,7 @@ from dataclasses import replace
 import numpy as np
 import pytest
 
-from bpdg import cli, dg_core
+from bpdg import dg_core
 from bpdg.cli import RunConfig, run
 from bpdg.decomposition import SpeedRatios, decomposition_for, optimal_2d, speed_ratios
 from bpdg.dg_core import (
@@ -189,8 +189,8 @@ def _mean_rate_oracle(field, alphas):
 def test_mean_equation_equivalence_advection():
     mesh = _periodic_mesh(10)
     field = project(_sine, mesh, Basis2D(2), AdvectionModel())
-    alphas = global_max_speeds(field)
-    rate = semidiscrete_residual(field, alphas)
+    alphas, values = global_max_speeds(field)
+    rate = semidiscrete_residual(field, alphas, values)
     oracle = _mean_rate_oracle(field, alphas)
     np.testing.assert_allclose(rate[:, :, 0, :], oracle, atol=1e-13)
 
@@ -202,8 +202,8 @@ def test_mean_equation_equivalence_random_burgers():
     rng = np.random.default_rng(9)
     coeffs = 0.2 * rng.normal(size=(6, 6, basis.n_modes, 1))
     field = DGField(coeffs, basis, mesh, model)
-    alphas = global_max_speeds(field)
-    rate = semidiscrete_residual(field, alphas)
+    alphas, values = global_max_speeds(field)
+    rate = semidiscrete_residual(field, alphas, values)
     oracle = _mean_rate_oracle(field, alphas)
     np.testing.assert_allclose(rate[:, :, 0, :], oracle, atol=1e-13)
 
@@ -266,11 +266,11 @@ def _residual_cases():
 
 @pytest.mark.parametrize("field", list(_residual_cases()), ids=lambda f: f"{f.model.name}-k{f.basis.k}")
 def test_residual_matches_einsum_formula(field):
-    alphas = global_max_speeds(field)
+    alphas, values = global_max_speeds(field)
     expect = _einsum_residual(field, alphas)
-    got = semidiscrete_residual(field, alphas)
+    got = semidiscrete_residual(field, alphas, values)
     np.testing.assert_allclose(got, expect, rtol=0, atol=1e-13 * np.abs(expect).max())
-    # precomputed point values give the same rate
+    # a fresh evaluation gives the same rate
     np.testing.assert_array_equal(semidiscrete_residual(field, alphas, point_values(field)), got)
 
 
@@ -323,12 +323,11 @@ def test_advection_run_matches_the_pointwise_run(tmp_path, monkeypatch, bc, k, s
     monkeypatch.setattr(Basis2D, "stacked_values", _no_stacked_evaluation)
     stencil = run(replace(cfg, out_dir=str(tmp_path / "stencil")))
     monkeypatch.undo()
-    for module in (dg_core, cli):
-        monkeypatch.setattr(module, "linear_flux", lambda model: False)
+    monkeypatch.setattr(dg_core, "linear_flux", lambda model: False)
     pointwise = run(replace(cfg, out_dir=str(tmp_path / "pointwise")))
     assert stencil.steps == pointwise.steps > 0
-    assert stencil.cells_limited_total == pointwise.cells_limited_total > 0
-    assert stencil.troubled_total == pointwise.troubled_total
+    assert stencil.limiting.cells_limited == pointwise.limiting.cells_limited > 0
+    assert stencil.limiting.troubled_cells == pointwise.limiting.troubled_cells
     snapshot = f"field_{stencil.t_final:.6f}.csv"
     means = [np.loadtxt(tmp_path / side / snapshot, delimiter=",", skiprows=1)[:, 4]
              for side in ("stencil", "pointwise")]
@@ -392,7 +391,7 @@ def test_point_values_keep_component_planes_contiguous(field, formed_ghosts):
         assert isinstance(field.mesh.bc_left, InflowSegment)
         assert _planes_contiguous(values.pressure[..., None])
         assert len(ghost_pressures) == 4 and all(_planes_contiguous(p[..., None]) for p in ghost_pressures)
-    alphas = global_max_speeds(field, values)
+    alphas, _ = global_max_speeds(field, values)
     for axis in (0, 1):
         assert _planes_contiguous(_interface_flux(field, values, axis, alphas[axis]))
     assert _planes_contiguous(model.flux(values.stacked[:, :, basis.at_vol], 0, None))
@@ -427,8 +426,8 @@ def test_carried_pressure_changes_no_bit(field, formed_ghosts):
     # the same points without their pressure: every reader computes its own
     bare = PointValues(values.stacked)
     assert formed_ghosts(field, bare)[1] == ()
-    assert global_max_speeds(field, values) == global_max_speeds(field, bare)
-    alphas = global_max_speeds(field)
+    assert global_max_speeds(field, values)[0] == global_max_speeds(field, bare)[0]
+    alphas, _ = global_max_speeds(field)
     np.testing.assert_array_equal(semidiscrete_residual(field, alphas, values),
                                   semidiscrete_residual(field, alphas, bare))
 
@@ -485,9 +484,9 @@ def test_speeds_equal_the_maximum_over_full_ghost_traces(field):
         covered = bc.covers(face_coords(field.mesh, True, field.basis.face_rule.nodes))
         assert covered.sum() in (1, covered.size)
     values = point_values(field)
-    speeds = global_max_speeds(field, values)
-    assert speeds == _former_max_speeds(field, values)
-    assert global_max_speeds(field) == speeds
+    speeds, read = global_max_speeds(field, values)
+    assert speeds == _former_max_speeds(field, values) and read is values
+    assert global_max_speeds(field)[0] == speeds
 
 
 def _limited_jet(n=(12, 6), k=2):
@@ -498,9 +497,9 @@ def _limited_jet(n=(12, 6), k=2):
     field = project(lambda x, y: np.broadcast_to(model.conserved(5.0, 0.0, 0.0, 0.4127),
                                                  np.broadcast_shapes(x.shape, y.shape) + (4,)).copy(),
                     mesh, Basis2D(k), model)
-    speeds = global_max_speeds(field)
+    speeds, _ = global_max_speeds(field)
     ratios = SpeedRatios((speeds[0] / mesh.dx, speeds[1] / mesh.dy))
-    chain = LimiterChain(build_node_set(optimal_2d(k, ratios), field.basis), m_tvb=1.0)
+    chain = LimiterChain(build_node_set(optimal_2d(k, ratios), field.basis, model.region), m_tvb=1.0)
     field, _, values = chain(field)
     return field, values, chain
 
@@ -512,7 +511,7 @@ def test_euler_pressure_computed_once_per_rk_state(monkeypatch):
     nx, ny = field.mesh.nx, field.mesh.ny
     # the limiter's two node blocks: the stacked rows and the internal nodes off them
     n_stacked = len(field.basis.eval_matrix)
-    at_nodes = [(n_stacked, nx, ny), (len(chain.node_set.euler) - n_stacked, nx, ny)]
+    at_nodes = [(n_stacked, nx, ny), (len(chain.node_set) - n_stacked, nx, ny)]
     assert at_nodes[1][0] > 0
     stacked_shape = point_values(field).stacked.shape[:3]
     calls = []
@@ -523,9 +522,9 @@ def test_euler_pressure_computed_once_per_rk_state(monkeypatch):
         return pressure(u)
 
     monkeypatch.setattr(model, "pressure", counted)
-    speeds, spacings = global_max_speeds(field, values), (field.mesh.dx, field.mesh.dy)
+    (speeds, values), spacings = global_max_speeds(field, values), (field.mesh.dx, field.mesh.dy)
     dt = step_controller(optimal_2d(2, speed_ratios(speeds, spacings)), SSPRK3, speeds, spacings)
-    _, limited, _ = ssp_step(field, SSPRK3, dt, chain, speeds, values)
+    _, limited, _ = ssp_step(field, SSPRK3, dt, chain, (speeds, values))
     # one full pass per limited stage state, at its limiter nodes, whose
     # stacked rows the next residual reuses; the step's start state reuses
     # the values of its own limiting
@@ -570,12 +569,12 @@ def test_coefficients_stay_component_major():
     shock = project(_step_data, outflow, Basis2D(2), BurgersModel(region))
     tvb, troubled = tvb_minmod_limit(shock.copy(), 1.0)
     assert troubled > 0 and _planes_contiguous(tvb.coeffs)
-    box, diag, _ = bp_scaling_limit(shock, region, build_node_set(optimal_2d(2, SpeedRatios((1.0, 1.0))), shock.basis))
+    box, diag, _ = bp_scaling_limit(shock, region,
+                                    build_node_set(optimal_2d(2, SpeedRatios((1.0, 1.0))), shock.basis, region))
     assert diag.cells_limited > 0 and _planes_contiguous(box.coeffs)
     # Euler BP limiting that limits, and a jet step through the whole chain
     jet, values, chain = _limited_jet()
-    speeds = global_max_speeds(jet, values)
-    assert _planes_contiguous(ssp_step(jet, SSPRK3, 1e-5, chain, speeds, values)[0].coeffs)
+    assert _planes_contiguous(ssp_step(jet, SSPRK3, 1e-5, chain, global_max_speeds(jet, values))[0].coeffs)
     rough = jet.copy()
     rough.coeffs[:, :, 1:, :] = 0.6 * np.random.default_rng(3).normal(size=rough.coeffs[:, :, 1:, :].shape)
     rough.coeffs[:, :, 1:, :] *= np.abs(rough.coeffs[:, :, :1, :])
@@ -590,12 +589,12 @@ def test_small_jet_step_memory_budget():
     with numpy 2.4; 730,520 since): an extra array of stacked values or a
     stacked flux buffer held through a stage shows here."""
     field, values, chain = _limited_jet((24, 12))
-    speeds, spacings = global_max_speeds(field, values), (field.mesh.dx, field.mesh.dy)
+    (speeds, values), spacings = global_max_speeds(field, values), (field.mesh.dx, field.mesh.dy)
     dt = step_controller(optimal_2d(2, speed_ratios(speeds, spacings)), SSPRK3, speeds, spacings)
-    ssp_step(field.copy(), SSPRK3, dt, chain, speeds)  # fill the caches first
+    ssp_step(field.copy(), SSPRK3, dt, chain)  # fill the caches first
     tracemalloc.start()
     try:
-        ssp_step(field, SSPRK3, dt, chain, speeds, values)
+        ssp_step(field, SSPRK3, dt, chain, (speeds, values))
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -623,8 +622,8 @@ def test_burgers_shock_field_finite_rates():
                         0.8, -1.0)[..., None]
 
     field = project(step_data, mesh, Basis2D(2), model)
-    alphas = global_max_speeds(field)
-    rate = semidiscrete_residual(field, alphas)
+    alphas, values = global_max_speeds(field)
+    rate = semidiscrete_residual(field, alphas, values)
     assert np.all(np.isfinite(rate))
 
 
@@ -676,10 +675,10 @@ def test_wave_speeds_evaluated_once_per_rk_state(monkeypatch):
     # ghost is a copy of stacked face rows, already in their maximum
     stacked_shape = point_values(field).stacked.shape
     assert calls == [stacked_shape] * 3
-    # speeds the caller already has are not recomputed
-    speeds = global_max_speeds(field)
+    # a speed pass the caller already made is not made again
+    start = global_max_speeds(field)
     calls.clear()
-    reused, _, _ = ssp_step(field, SSPRK3, 1e-3, speeds=speeds)
+    reused, _, _ = ssp_step(field, SSPRK3, 1e-3, start=start)
     assert calls == [stacked_shape] * 2
     np.testing.assert_array_equal(reused.coeffs, plain.coeffs)
 
@@ -749,11 +748,11 @@ def test_bp_means_stay_in_box_under_optimal_policy():
     field = project(_sine, mesh, Basis2D(2), model)
     ratios = SpeedRatios((1.0 / mesh.dx, 1.0 / mesh.dy))
     decomp = optimal_2d(2, ratios)
-    chain = LimiterChain(build_node_set(decomp, field.basis))
+    chain = LimiterChain(build_node_set(decomp, field.basis, model.region))
     field, _, _ = chain(field)
     for _ in range(20):
         # advection speeds are constant: the nodes' decomposition is the step's
-        dt = step_controller(decomp, SSPRK3, global_max_speeds(field), (mesh.dx, mesh.dy))
+        dt = step_controller(decomp, SSPRK3, global_max_speeds(field)[0], (mesh.dx, mesh.dy))
         field, _, _ = ssp_step(field, SSPRK3, dt, chain)
         means = field.cell_averages
         assert means.min() >= -1.0 - 1e-12 and means.max() <= 1.0 + 1e-12
@@ -791,7 +790,7 @@ def test_step_controller_zero_speed_fallback():
     basis = Basis2D(2)
     coeffs = np.zeros((4, 4, basis.n_modes, 1))
     field = DGField(coeffs, basis, mesh, BurgersModel(BoxScalar(-1.0, 1.0)))
-    speeds, spacings = global_max_speeds(field), (mesh.dx, mesh.dy)
+    (speeds, _), spacings = global_max_speeds(field), (mesh.dx, mesh.dy)
     assert speeds == (0.0, 0.0)
     decomp = decomposition_for("optimal", 2, speed_ratios(speeds, spacings))
     assert step_controller(decomp, SSPRK3, speeds, spacings) == math.inf
@@ -820,7 +819,7 @@ def test_inflow_segment_feeds_wave_speed():
     coeffs = np.zeros((8, 8, basis.n_modes, 4))
     coeffs[:, :, 0, :] = ambient
     field = DGField(coeffs, basis, mesh, model)
-    a1, _ = global_max_speeds(field)
+    (a1, _), _ = global_max_speeds(field)
     assert a1 > 30.0  # the prescribed inflow dominates the quiescent interior
 
 

@@ -25,7 +25,6 @@ from bpdg import limiters
 from bpdg.limiters import (
     LimiterChain,
     LimiterDiagnostics,
-    LimiterNodeSet,
     NodeRows,
     _BACKOFF_STEPS,
     _pressure_crossing,
@@ -45,6 +44,8 @@ from bpdg.physics import (
 )
 
 EQUAL = SpeedRatios((1.0, 1.0))
+# a box and the Euler region: the box node set depends only on the region's type
+BOX, EULER = BoxScalar(-1.0, 1.0), EulerPositivity()
 
 
 def _scalar_field(n=4, k=2, region=BoxScalar(-1.0, 1.0)):
@@ -54,19 +55,19 @@ def _scalar_field(n=4, k=2, region=BoxScalar(-1.0, 1.0)):
     return DGField(np.zeros((n, n, basis.n_modes, 1)), basis, mesh, model)
 
 
-def _node_set(decomp):
-    return build_node_set(decomp, Basis2D(decomp.poly_degree_k))
+def _node_set(decomp, region=BOX):
+    return build_node_set(decomp, Basis2D(decomp.poly_degree_k), region)
 
 
 # ---------------------------------------------------------------- node sets
 
 
 def test_node_set_counts():
-    assert len(_node_set(optimal_2d(2, EQUAL)).box) == 13  # 12 face + merged center
-    assert len(_node_set(zhang_shu_2d(2, EQUAL)).box) == 17
-    assert len(_node_set(jiang_liu_2d(2)).box) == 17
-    assert len(_node_set(zhang_shu_2d(3, EQUAL)).box) == 24
-    assert len(_node_set(optimal_2d(3, SpeedRatios((2.0, 1.0)))).box) <= 18
+    assert len(_node_set(optimal_2d(2, EQUAL))) == 13  # 12 face + merged center
+    assert len(_node_set(zhang_shu_2d(2, EQUAL))) == 17
+    assert len(_node_set(jiang_liu_2d(2))) == 17
+    assert len(_node_set(zhang_shu_2d(3, EQUAL))) == 24
+    assert len(_node_set(optimal_2d(3, SpeedRatios((2.0, 1.0))))) <= 18
 
 
 def _loop_dedup_node_set(decomp, k, include_volume):
@@ -96,18 +97,17 @@ def _loop_dedup_node_set(decomp, k, include_volume):
 @pytest.mark.parametrize("k", [2, 3])
 @pytest.mark.parametrize("name", ["optimal", "classic", "jiangliu"])
 def test_vectorised_dedup_matches_loop(name, k, euler):
-    """The box and Euler views, built with no dedup pass, hold the points of
-    the loop dedup of the candidates without and with the volume points."""
+    """The box and Euler node sets, built with no dedup pass, hold the points
+    of the loop dedup of the candidates without and with the volume points."""
     ratios = SpeedRatios((2.0, 1.0))
     decomp = decomposition_for(name, k, ratios)
-    nodes = _node_set(decomp)
-    view = nodes.euler if euler else nodes.box
-    np.testing.assert_array_equal(view.offsets, _loop_dedup_node_set(decomp, k, euler))
-    np.testing.assert_allclose(view.matrix, mode_values(k, view.offsets).T, rtol=0, atol=1e-15)
+    nodes = _node_set(decomp, EULER if euler else BOX)
+    np.testing.assert_array_equal(nodes.offsets, _loop_dedup_node_set(decomp, k, euler))
+    np.testing.assert_allclose(nodes.matrix, mode_values(k, nodes.offsets).T, rtol=0, atol=1e-15)
     if euler:
         # the first rows are the basis's stacked evaluation rows, bit for bit
         stacked = Basis2D(k).eval_matrix
-        np.testing.assert_array_equal(view.matrix[:len(stacked)], stacked)
+        np.testing.assert_array_equal(nodes.matrix[:len(stacked)], stacked)
 
 
 # the internal nodes on volume Gauss points: the classic ones at k = 2, and
@@ -120,18 +120,18 @@ ON_VOLUME_POINTS = {("optimal", 2): 1, ("classic", 2): 5, ("jiangliu", 2): 5}
 def test_node_set_views_are_stacked_and_internal_rows(name, k):
     basis = Basis2D(k)
     decomp = decomposition_for(name, k, EQUAL)
-    nodes = build_node_set(decomp, basis)
+    box, euler = (build_node_set(decomp, basis, region) for region in (BOX, EULER))
     internal = decomp.internal_offsets
     rows = mode_values(k, internal).T
     on_volume = np.array([any(np.array_equal(p, v) for v in basis.vol_offsets) for p in internal])
     assert on_volume.sum() == ON_VOLUME_POINTS.get((name, k), 0)
     faces = slice(basis.at_vol.stop, None)
     # box: the face rows, then every internal node, bit for bit
-    np.testing.assert_array_equal(nodes.box.offsets, np.concatenate([basis.offsets[faces], internal]))
-    np.testing.assert_array_equal(nodes.box.matrix, np.concatenate([basis.eval_matrix[faces], rows]))
+    np.testing.assert_array_equal(box.offsets, np.concatenate([basis.offsets[faces], internal]))
+    np.testing.assert_array_equal(box.matrix, np.concatenate([basis.eval_matrix[faces], rows]))
     # Euler: every stacked row, then the internal nodes off the volume points
-    np.testing.assert_array_equal(nodes.euler.offsets, np.concatenate([basis.offsets, internal[~on_volume]]))
-    np.testing.assert_array_equal(nodes.euler.matrix, np.concatenate([basis.eval_matrix, rows[~on_volume]]))
+    np.testing.assert_array_equal(euler.offsets, np.concatenate([basis.offsets, internal[~on_volume]]))
+    np.testing.assert_array_equal(euler.matrix, np.concatenate([basis.eval_matrix, rows[~on_volume]]))
     np.testing.assert_array_equal(basis.eval_matrix, mode_values(k, basis.offsets).T)
 
 
@@ -139,7 +139,7 @@ def test_node_set_views_are_stacked_and_internal_rows(name, k):
 @pytest.mark.parametrize("k", [2, 3])
 def test_node_values_component_major_same_bits(k, m):
     basis = Basis2D(k)
-    nodes = build_node_set(optimal_2d(k, SpeedRatios((1.0, 0.3))), basis).euler
+    nodes = build_node_set(optimal_2d(k, SpeedRatios((1.0, 0.3))), basis, EULER)
     coeffs = np.random.default_rng(k + m).normal(size=(7, 5, basis.n_modes, m))
     field = DGField(coeffs, basis, Mesh2D(0.0, 1.0, 0.0, 1.0, 7, 5),
                     AdvectionModel() if m == 1 else EulerModel())
@@ -149,14 +149,14 @@ def test_node_values_component_major_same_bits(k, m):
 
 
 def test_node_set_optional_volume_points():
-    # the volume points only the Euler view has
-    nodes = _node_set(optimal_2d(2, EQUAL))
-    assert len(nodes.euler) == len(nodes.box) + 8  # 9 tensor Gauss points, center already present
+    # the volume points only the Euler node set has
+    decomp = optimal_2d(2, EQUAL)
+    assert len(_node_set(decomp, EULER)) == len(_node_set(decomp)) + 8  # 9 tensor Gauss points, center already present
 
 
 def test_node_set_contains_face_traces_and_internal_nodes():
     d = optimal_2d(2, SpeedRatios((3.0, 1.0)))
-    nodes = _node_set(d).box
+    nodes = _node_set(d)
     for internal in d.internal_offsets:
         assert any(np.max(np.abs(internal - p)) <= 1e-14 for p in nodes.offsets)
     on_faces = np.isclose(np.abs(nodes.offsets), 0.5).any(axis=1)
@@ -176,7 +176,7 @@ def test_box_theta_closed_form():
     nodes = _node_set(optimal_2d(2, EQUAL))
     out, diag, _ = bp_scaling_limit(field.copy(), field.model.region, nodes)
     assert diag.min_theta == pytest.approx(5.0 / 6.0, abs=1e-13)
-    vals = evaluate_at_offsets(out, nodes.box.offsets)[..., 0]
+    vals = evaluate_at_offsets(out, nodes.offsets)[..., 0]
     assert vals.max() <= 1.0 + 1e-13
     np.testing.assert_allclose(out.cell_averages, field.cell_averages, atol=1e-15)
 
@@ -205,19 +205,19 @@ def test_box_limiter_idempotent():
 
 def test_classic_box_limiter_limits_a_centre_overshoot():
     # at k = 2 the classic centre node is a volume Gauss point, which the
-    # Euler view reads among the stacked rows; the box view holds it itself
+    # Euler node set reads among the stacked rows; the box one holds it itself
     field = _scalar_field()
     field.coeffs[:, :, 0, 0] = 0.5
     for exps in ((2, 0), (0, 2)):
         # peaks at mean + 0.8 at the centre; every face point lies below the mean
         field.coeffs[:, :, field.basis.mode_exps.index(exps), 0] = -0.8 / np.sqrt(5.0)
     nodes = _node_set(zhang_shu_2d(2, EQUAL))
-    over = evaluate_at_offsets(field, nodes.box.offsets)[..., 0] > 1.0
-    centre = (nodes.box.offsets == 0.0).all(axis=1)
+    over = evaluate_at_offsets(field, nodes.offsets)[..., 0] > 1.0
+    centre = (nodes.offsets == 0.0).all(axis=1)
     assert over[..., centre].all() and not over[..., ~centre].any()
     out, diag, _ = bp_scaling_limit(field, field.model.region, nodes)
     assert diag.cells_limited == 16 and diag.min_theta == pytest.approx(0.5 / 0.8, abs=1e-13)
-    assert evaluate_at_offsets(out, nodes.box.offsets).max() <= 1.0 + 1e-13
+    assert evaluate_at_offsets(out, nodes.offsets).max() <= 1.0 + 1e-13
 
 
 def test_box_limiter_precondition_violation_names_cell():
@@ -251,11 +251,11 @@ def test_euler_limiter_restores_positive_pressure():
     target_p = -0.1
     delta_e = (target_p - p_mean) / (model.gamma - 1.0)
     field.coeffs[1, 1, ix, 3] = delta_e / np.sqrt(3.0)  # face value offset = sqrt(3)*coef
-    nodes = _node_set(optimal_2d(2, EQUAL))
-    pre = evaluate_at_offsets(field, nodes.euler.offsets)
+    nodes = _node_set(optimal_2d(2, EQUAL), EULER)
+    pre = evaluate_at_offsets(field, nodes.offsets)
     assert model.pressure(pre[1, 1]).min() < 0.0
     out, diag, _ = bp_scaling_limit(field.copy(), EulerPositivity(), nodes)
-    post = evaluate_at_offsets(out, nodes.euler.offsets)
+    post = evaluate_at_offsets(out, nodes.offsets)
     assert model.pressure(post).min() >= 1e-13 * (1 - 1e-10)
     assert np.all(post[..., 0] >= 1e-13 * (1 - 1e-10))
     np.testing.assert_allclose(out.cell_averages, field.cell_averages, atol=1e-15)
@@ -266,16 +266,16 @@ def test_euler_limiter_density_stage():
     field = _euler_field()
     ix = field.basis.mode_exps.index((0, 1))
     field.coeffs[0, 0, ix, 0] = 1.0  # density dips negative on the y- face
-    nodes = _node_set(optimal_2d(2, EQUAL))
+    nodes = _node_set(optimal_2d(2, EQUAL), EULER)
     out, _, _ = bp_scaling_limit(field, EulerPositivity(), nodes)
-    post = evaluate_at_offsets(out, nodes.euler.offsets)
+    post = evaluate_at_offsets(out, nodes.offsets)
     assert post[..., 0].min() >= 1e-13 * (1 - 1e-10)
 
 
 def test_euler_limiter_precondition_violation():
     field = _euler_field()
     field.coeffs[0, 1, 0, 3] = 0.0  # mean energy below kinetic -> p_mean < 0
-    nodes = _node_set(optimal_2d(2, EQUAL))
+    nodes = _node_set(optimal_2d(2, EQUAL), EULER)
     with pytest.raises(AdmissibilityError) as err:
         bp_scaling_limit(field, EulerPositivity(), nodes)
     assert err.value.cell == (0, 1)
@@ -299,7 +299,7 @@ def test_euler_limiter_accepts_means_within_the_floor_slack(case):
     field.coeffs[1, 1, 0, :] = field.model.conserved(rho, 0.0, 0.0, p)
     if case == "sloped-density":
         field.coeffs[1, 1, field.basis.mode_exps.index((1, 0)), 0] = 0.1 * low
-    nodes = _node_set(optimal_2d(2, EQUAL))
+    nodes = _node_set(optimal_2d(2, EQUAL), EULER)
     out, diag, values = bp_scaling_limit(field.copy(), region, nodes)
     np.testing.assert_array_equal(out.cell_averages, field.cell_averages)
     assert diag.cells_limited == 1 and diag.collapsed_cells == 0
@@ -308,7 +308,7 @@ def test_euler_limiter_accepts_means_within_the_floor_slack(case):
 
 def test_euler_limiter_identity_on_admissible_field():
     field = _euler_field()
-    nodes = _node_set(optimal_2d(2, EQUAL))
+    nodes = _node_set(optimal_2d(2, EQUAL), EULER)
     out, diag, _ = bp_scaling_limit(field.copy(), EulerPositivity(), nodes)
     assert diag.min_theta == 1.0
     np.testing.assert_array_equal(out.coeffs, field.coeffs)
@@ -352,7 +352,7 @@ def test_euler_limiter_hands_on_its_point_values(formed_ghosts):
     ix = field.basis.mode_exps.index((1, 0))
     p_mean = model.pressure(field.coeffs[1, 1, 0, :])
     field.coeffs[1, 1, ix, 3] = (-0.1 - p_mean) / (model.gamma - 1.0) / np.sqrt(3.0)
-    nodes = _node_set(optimal_2d(2, EQUAL))
+    nodes = _node_set(optimal_2d(2, EQUAL), EULER)
     out, diag, values = bp_scaling_limit(field.copy(), EulerPositivity(), nodes)
     assert diag.cells_limited == 1 and diag.collapsed_cells == 0
     _assert_hands_on(out, values, 1e-14, formed_ghosts)
@@ -372,9 +372,9 @@ def test_euler_limiter_hands_on_only_the_stacked_rows(formed_ghosts):
     ix = field.basis.mode_exps.index((1, 0))
     p_mean = field.model.pressure(field.coeffs[2, 3, 0, :])
     field.coeffs[2, 3, ix, 3] = (-0.1 - p_mean) / (field.model.gamma - 1.0) / np.sqrt(3.0)
-    nodes = _node_set(optimal_2d(2, SpeedRatios((1.0, 0.3))))
+    nodes = _node_set(optimal_2d(2, SpeedRatios((1.0, 0.3))), EULER)
     n_stacked = len(field.basis.eval_matrix)
-    assert len(nodes.euler) == n_stacked + 2
+    assert len(nodes) == n_stacked + 2
     out, diag, values = bp_scaling_limit(field.copy(), EulerPositivity(), nodes)
     assert diag.cells_limited == 1
     assert values.stacked.shape == (6, 6, n_stacked, 4)
@@ -393,14 +393,14 @@ def _reverse_from(rows, start):
 @pytest.mark.parametrize("build", [optimal_2d, zhang_shu_2d])
 def test_bp_limiting_ignores_the_order_of_internal_nodes(k, build, formed_ghosts):
     """Both BP limiters reduce over the nodes with max and min, so reordering
-    a decomposition's internal nodes in either view changes no bit of the
+    a decomposition's internal nodes in either node set changes no bit of the
     coefficients, the returned values or the diagnostics."""
     decomp = build(k, SpeedRatios((1.0, 1.3)))
-    nodes = _node_set(decomp)
+    box, euler_nodes = _node_set(decomp), _node_set(decomp, EULER)
     n_stacked = len(Basis2D(k).eval_matrix)
-    reordered = LimiterNodeSet(box=_reverse_from(nodes.box, len(nodes.box) - decomp.internal_node_count),
-                               euler=_reverse_from(nodes.euler, n_stacked))
-    assert not np.array_equal(reordered.box.offsets, nodes.box.offsets)
+    box_r = _reverse_from(box, len(box) - decomp.internal_node_count)
+    euler_r = _reverse_from(euler_nodes, n_stacked)
+    assert not np.array_equal(box_r.offsets, box.offsets)
     rng = np.random.default_rng(k)
 
     scalar = _scalar_field(n=6, k=k)
@@ -415,7 +415,8 @@ def test_bp_limiting_ignores_the_order_of_internal_nodes(k, build, formed_ghosts
         euler.coeffs[i, j, 0] = mean
         euler.coeffs[i, j, 1:] = 0.3 * np.abs(mean) * rng.normal(size=(euler.basis.n_modes - 1, 4))
 
-    for field, region in ((scalar, scalar.model.region), (euler, EulerPositivity())):
+    for field, region, nodes, reordered in ((scalar, scalar.model.region, box, box_r),
+                                            (euler, EULER, euler_nodes, euler_r)):
         out, diag, values = bp_scaling_limit(field.copy(), region, nodes)
         out_r, diag_r, values_r = bp_scaling_limit(field.copy(), region, reordered)
         assert diag.cells_limited > 0
@@ -438,7 +439,7 @@ def test_collapsed_cell_values_are_its_average(monkeypatch, formed_ghosts):
     p_mean = model.pressure(field.coeffs[0, 0, 0, :])
     field.coeffs[0, 0, ix, 3] = (-0.1 - p_mean) / (model.gamma - 1.0) / np.sqrt(3.0)
     monkeypatch.setattr(limiters, "_pressure_crossing", lambda m, um, un, target: np.full(um.shape[1], 0.999))
-    chain = LimiterChain(_node_set(optimal_2d(2, EQUAL)))
+    chain = LimiterChain(_node_set(optimal_2d(2, EQUAL), EULER))
     out, diag, values = chain(field)
     assert diag.cells_limited == 1 and diag.collapsed_cells == 1 and diag.min_theta == 0.0
     assert np.all(out.coeffs[0, 0, 1:] == 0.0)
@@ -454,7 +455,7 @@ def test_euler_limiter_computes_pressure_once_at_full_size(monkeypatch):
     rng = np.random.default_rng(3)
     field.coeffs[:, :, 1:, :] = (_higher_modes(rng, (6, 6, field.basis.n_modes - 1, 4), 0.6)
                                  * np.abs(field.coeffs[:, :, :1, :]))
-    nodes = _node_set(optimal_2d(2, EQUAL))
+    nodes = _node_set(optimal_2d(2, EQUAL), EULER)
     model, calls = field.model, []
     pressure = model.pressure
 
@@ -467,11 +468,11 @@ def test_euler_limiter_computes_pressure_once_at_full_size(monkeypatch):
     assert diag.cells_limited > 0 and diag.collapsed_cells == 0
     at_nodes = [c for c in calls if len(c) == 3]
     crossing = [c for c in calls if len(c) == 1]
-    handed_on = [c for c in calls if len(c) == 2 and c[0] == len(nodes.euler)]
+    handed_on = [c for c in calls if len(c) == 2 and c[0] == len(nodes)]
     # one pass at every node of every cell; the crossing's check on the
     # flagged nodes and its back-off on the failing ones; one pass over the
     # limited cells' nodes; the rest are the cell means and boundary traces
-    assert at_nodes == [(len(nodes.euler), 6, 6)]
+    assert at_nodes == [(len(nodes), 6, 6)]
     assert 1 < len(crossing) <= 1 + _BACKOFF_STEPS
     assert all(c[0] < crossing[0][0] for c in crossing[1:])
     assert len(handed_on) == 1 and handed_on[0][1] <= diag.cells_limited
@@ -559,7 +560,7 @@ def test_box_limiter_properties(seed, k, amplitude, lo, width):
     field.coeffs[:, :, 1:, 0] = _higher_modes(rng, (4, 4, field.basis.n_modes - 1), amplitude * width)
     nodes = _node_set(optimal_2d(k, SpeedRatios(tuple(rng.uniform(0.1, 1.0, 2)))))
     out, diag, _ = bp_scaling_limit(field.copy(), region, nodes)
-    vals = evaluate_at_offsets(out, nodes.box.offsets)
+    vals = evaluate_at_offsets(out, nodes.offsets)
     # the limiter's own round-off bound, far inside the region's BOX_SLACK
     tol = 1e-14 * max(1.0, abs(region.lo), abs(region.hi))
     assert np.all((vals >= region.lo - tol) & (vals <= region.hi + tol))
@@ -585,7 +586,7 @@ def test_euler_limiter_properties_near_vacuum(formed_ghosts, seed, k, log_rho, l
                      p / (model.gamma - 1.0) + 0.5 * rho * (v ** 2).sum(axis=-1)], axis=-1)
     field.coeffs[:, :, 0, :] = mean
     field.coeffs[:, :, 1:, :] = _higher_modes(rng, (4, 4, field.basis.n_modes - 1, 4), amplitude) * np.abs(mean)[:, :, None, :]
-    nodes = _node_set(optimal_2d(k, EQUAL))
+    nodes = _node_set(optimal_2d(k, EQUAL), EULER)
     out, diag, values = bp_scaling_limit(field.copy(), region, nodes)
     np.testing.assert_allclose(out.cell_averages, field.cell_averages, rtol=0, atol=1e-14)
     assert 0.0 <= diag.min_theta <= 1.0
@@ -598,7 +599,7 @@ def test_euler_limiter_properties_near_vacuum(formed_ghosts, seed, k, log_rho, l
     _assert_hands_on(out, values, 1e-14 * max(1.0, np.abs(values.stacked).max()), formed_ghosts)
     # and so is every limiter node, up to the round-off of re-evaluating the
     # scaled coefficients (pressure cancels E against the kinetic energy)
-    vals = evaluate_at_offsets(out, nodes.euler.offsets)
+    vals = evaluate_at_offsets(out, nodes.offsets)
     slack = 1e-14 * np.abs(vals[..., 3])
     assert np.all(vals[..., 0] >= region.eps_rho * floor)
     assert np.all(model.pressure(vals) >= region.eps_p * floor - slack)
@@ -719,7 +720,7 @@ def test_chain_requires_region_and_nodes_for_bp():
     on = LimiterChain(_node_set(optimal_2d(2, EQUAL)))
     limited, diag, values = on(field)
     assert diag.cells_limited == 1 and values is None  # the box limiter returns no values
-    assert evaluate_at_offsets(limited, on.node_set.box.offsets)[2, 3].max() <= field.model.region.hi + 1e-13
+    assert evaluate_at_offsets(limited, on.node_set.offsets)[2, 3].max() <= field.model.region.hi + 1e-13
 
 
 def test_chain_applies_tvb_then_bp_and_records_diagnostics():
@@ -730,7 +731,7 @@ def test_chain_applies_tvb_then_bp_and_records_diagnostics():
     out, diag, _ = chain(field)
     assert diag.min_theta <= 1.0
     nodes = chain.node_set
-    vals = evaluate_at_offsets(out, nodes.box.offsets)[..., 0]
+    vals = evaluate_at_offsets(out, nodes.offsets)[..., 0]
     assert vals.max() <= 1.0 + 1e-13 and vals.min() >= -1.0 - 1e-13
 
 
