@@ -7,6 +7,11 @@ TVB limiter knocks cells with non-smooth linear modes down to a limited
 linear reconstruction; both limiters preserve cell averages exactly, and
 both change the field they are given.  Membership is the region's `contains`.
 
+The box limiter (Zhang & Shu's scaling limiter for a scalar law) reduces
+every cell's nodal max and min, but forms theta, scales modes and counts only
+in the cells whose max or min leaves the box: a cell inside keeps theta 1, so
+the result is the all-cells formula's, bit for bit.
+
 The Euler BP limiter (Zhang & Shu, JCP 229, 2010) evaluates each field once,
 at its node set, whose first rows are the residual's volume and
 face points; those rows and the internal nodes off them go to arrays of
@@ -103,13 +108,6 @@ def build_node_set(decomp: ConvexDecomposition, basis: Basis2D, region: Invarian
     return NodeRows(np.concatenate(offsets), np.concatenate(matrices, axis=1).T)
 
 
-def _scale_modes(field: DGField, theta: np.ndarray) -> None:
-    """Scale each cell's higher modes by its theta, in place."""
-    if np.all(theta == 1.0):
-        return  # nothing limited: skip a strided multiply by ones
-    field.coeffs[:, :, 1:, :] *= theta[:, :, None, None]
-
-
 def bp_scaling_limit(
     field: DGField,
     region: InvariantRegion,
@@ -138,18 +136,22 @@ def _require_means(region: InvariantRegion, mean: np.ndarray, p: Optional[np.nda
 
 def _bp_limit_box(field: DGField, region: BoxScalar, nodes: NodeRows):
     _require_means(region, field.coeffs[:, :, 0, :])
-    mean = field.coeffs[:, :, 0, 0]
     vals = nodes.evaluate(field)[0]  # (P, nx, ny)
     hi = vals.max(axis=0)
     lo = vals.min(axis=0)
+    above, below = hi > region.hi, lo < region.lo
+    cells = np.nonzero(above | below)  # theta is 1 everywhere else
+    if not len(cells[0]):
+        return field, LimiterDiagnostics(), None
+    mean = field.coeffs[cells + (0, 0)]
     with np.errstate(divide="ignore", invalid="ignore"):
-        theta_hi = np.where(hi > region.hi, (region.hi - mean) / (hi - mean), 1.0)
-        theta_lo = np.where(lo < region.lo, (mean - region.lo) / (mean - lo), 1.0)
+        theta_hi = np.where(above[cells], (region.hi - mean) / (hi[cells] - mean), 1.0)
+        theta_lo = np.where(below[cells], (mean - region.lo) / (mean - lo[cells]), 1.0)
     theta = np.clip(np.minimum(theta_hi, theta_lo), 0.0, 1.0)
-    _scale_modes(field, theta)
+    field.coeffs[cells + (slice(1, None),)] *= theta[:, None, None]
     return field, LimiterDiagnostics(
         cells_limited=int(np.count_nonzero(theta < 1.0)),
-        min_theta=float(theta.min()),
+        min_theta=min(1.0, float(theta.min())),
     ), None
 
 

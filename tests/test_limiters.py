@@ -34,6 +34,7 @@ from bpdg.limiters import (
 )
 from bpdg.quadrature import gauss_rule
 from bpdg.physics import (
+    BOX_SLACK,
     EULER_FLOOR,
     AdmissibilityError,
     AdvectionModel,
@@ -570,6 +571,62 @@ def test_box_limiter_properties(seed, k, amplitude, lo, width):
     before = np.linalg.norm(field.coeffs[:, :, 1:, 0], axis=2)
     after = np.linalg.norm(out.coeffs[:, :, 1:, 0], axis=2)
     assert np.all(after <= before * (1.0 + 1e-15))
+
+
+def _box_limit_all_cells(field, region, nodes):
+    """The box limiter with theta formed at every cell: the oracle for
+    `_bp_limit_box`, which forms it only where a node leaves the box."""
+    mean = field.coeffs[:, :, 0, 0]
+    vals = nodes.evaluate(field)[0]
+    hi, lo = vals.max(axis=0), vals.min(axis=0)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        theta_hi = np.where(hi > region.hi, (region.hi - mean) / (hi - mean), 1.0)
+        theta_lo = np.where(lo < region.lo, (mean - region.lo) / (mean - lo), 1.0)
+    theta = np.clip(np.minimum(theta_hi, theta_lo), 0.0, 1.0)
+    if not np.all(theta == 1.0):
+        field.coeffs[:, :, 1:, :] *= theta[:, :, None, None]
+    return field, LimiterDiagnostics(cells_limited=int(np.count_nonzero(theta < 1.0)),
+                                     min_theta=float(theta.min()))
+
+
+@PROPERTY_SETTINGS
+@given(seed=st.integers(0, 2**32 - 1), k=st.sampled_from([2, 3]), family=st.sampled_from(["optimal", "classic"]),
+       case=st.sampled_from(["none", "all", "both", "slack", "mixed"]),
+       lo=st.floats(-2.0, 0.5), width=st.floats(0.01, 3.0))
+def test_box_limiter_matches_the_all_cells_formula(seed, k, family, case, lo, width):
+    """Bit for bit: the coefficients and diagnostics.  `none`: every cell
+    inside, some flat exactly on a bound (a `>=` flag would divide 0 by 0
+    there); `all`: every cell breaks both bounds; `both`: one cell does;
+    `slack`: one mean within BOX_SLACK above the box, whose theta is 0."""
+    rng = np.random.default_rng(seed)
+    region = BoxScalar(lo, lo + width)
+    n = 5
+    field = _scalar_field(n=n, k=k, region=region)
+    field.coeffs[:, :, 0, 0] = rng.uniform(region.lo, region.hi, (n, n))
+    amplitude = {"none": 0.0, "all": 0.3, "both": 0.3, "slack": 0.3, "mixed": 1.0}[case]
+    field.coeffs[:, :, 1:, 0] = _higher_modes(rng, (n, n, field.basis.n_modes - 1), amplitude * width)
+    ix = field.basis.mode_exps.index((1, 0))
+    if case == "none":
+        field.coeffs[0, :, 0, 0] = region.hi
+        field.coeffs[1, :, 0, 0] = region.lo
+    elif case == "all":
+        field.coeffs[:, :, ix, 0] = 2.0 * width  # face values mean -+ 2 sqrt(3) width
+    elif case == "both":
+        field.coeffs[2, 3, ix, 0] = -2.0 * width
+    elif case == "slack":
+        field.coeffs[2, 3, 0, 0] = region.hi + rng.uniform(0.1, 1.0) * BOX_SLACK
+        field.coeffs[2, 3, ix, 0] = 0.1 * width
+    ratios = SpeedRatios(tuple(rng.uniform(0.1, 1.0, 2)))
+    nodes = _node_set((optimal_2d if family == "optimal" else zhang_shu_2d)(k, ratios))
+    out, diag, _ = bp_scaling_limit(field.copy(), region, nodes)
+    expect, expect_diag = _box_limit_all_cells(field.copy(), region, nodes)
+    np.testing.assert_array_equal(out.coeffs.view(np.uint64), expect.coeffs.view(np.uint64))
+    assert diag == expect_diag
+    flagged = {"none": 0, "all": n * n}.get(case)
+    if flagged is not None:
+        assert diag.cells_limited == flagged
+    if case == "slack":
+        assert np.all(out.coeffs[2, 3, 1:] == 0.0)  # theta 0: the mean is above the box
 
 
 @PROPERTY_SETTINGS
