@@ -465,6 +465,7 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
     report = RunReport(min_mean=means.min(axis=(0, 1)), max_mean=means.max(axis=(0, 1)),
                        bp_violation=not np.all(model.region.contains(means)), limiting=replace(initial))
     t = 0.0
+    decomp_speeds = None  # the speeds the last step's decomposition was built at
     next_output = cfg.output_every if cfg.output_every > 0 else math.inf
     start = time.perf_counter()
     while t < cfg.t_end * (1.0 - 1e-12):
@@ -480,10 +481,12 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
             speeds, values = global_max_speeds(stepped, values)
             # one decomposition per step: its dt is the step's, its nodes
             # are where every stage of the step is limited (the optimal
-            # internal nodes follow the speed ratio)
-            decomp = _decomposition(cfg, speeds, spacings)
-            if cfg.limiter_bp and not np.array_equal(decomp.internal_offsets, node_offsets):
-                chain, node_offsets = limiting_at(decomp)
+            # internal nodes follow the speed ratio); rebuilt only when the
+            # speeds differ from the previous step's, dt bounded every step
+            if speeds != decomp_speeds:
+                decomp, decomp_speeds = _decomposition(cfg, speeds, spacings), speeds
+                if cfg.limiter_bp and not np.array_equal(decomp.internal_offsets, node_offsets):
+                    chain, node_offsets = limiting_at(decomp)
             dt = step_controller(decomp, scheme, speeds, spacings, cfg.c0)
             if t + dt > cfg.t_end:
                 # clip the final step to land exactly on t_end; an unbounded

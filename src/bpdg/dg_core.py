@@ -21,6 +21,9 @@ from .quadrature import gauss_rule, legendre_table, tensor_gauss_rule
 
 PERIODIC = "periodic"
 OUTFLOW = "outflow"
+# scaled stencils a basis keeps: the stages of two steps of SSPRK4 (a run's
+# steps share one dt but its last, clipped one)
+_TERMS_KEPT = 10
 
 
 @dataclass(frozen=True)
@@ -134,6 +137,7 @@ class Basis2D:
             raise ValueError("polynomial degree must be >= 0")
         self.k = k
         self._stencil: Optional[LinearStencil] = None  # see linear_stencil
+        self._terms: dict = {}  # the scaled stencils of `_stencil`, by (a, b)
         self.mode_exps = _mode_exps(k)
         self.n_modes = len(self.mode_exps)  # (k+1)(k+2)/2
         self.face_rule = g = gauss_rule(k + 1)
@@ -170,15 +174,26 @@ class Basis2D:
         return apply_matrix(self.eval_matrix, coeffs)
 
     def linear_stencil(self, c: tuple[float, float], alphas: tuple[float, float],
-                       spacings: tuple[float, float]) -> "LinearStencil":
+                       spacings: tuple[float, float],
+                       term: Optional[tuple[float, float]] = None) -> "LinearStencil":
         """The `LinearStencil` of these values, built from this basis's
-        matrices.  The basis keeps the last one it built, keyed by the values
+        matrices, or with `term` = (a, b) its `scaled` stencil of a u + b rate.
+        The basis keeps the last one it built, keyed by the values
         themselves, so a run (one basis, a constant alpha = |c|) builds it
-        once."""
+        once, and with it its last few scaled ones: one per stage of a step
+        at a constant dt."""
         key = (tuple(map(float, c)), tuple(map(float, alphas)), tuple(map(float, spacings)))
         if self._stencil is None or self._stencil.key != key:
             self._stencil = LinearStencil.build(self, *key)
-        return self._stencil
+            self._terms = {}
+        if term is None:
+            return self._stencil
+        if term not in self._terms:
+            if len(self._terms) >= _TERMS_KEPT:
+                self._terms.clear()
+            self._terms[term] = self._stencil.scaled(*term)
+        return self._terms[term]
+
 
 
 @dataclass(frozen=True)
@@ -200,7 +215,11 @@ class LinearStencil:
     `neighbours` stacks P_x, M_x, P_y, M_y into one (4 n_modes, n_modes)
     matrix.  On a non-periodic side the boundary row's exterior trace is a
     ghost trace, which `ghost_lo[d]` = a_d A_- / h_d and `ghost_hi[d]` =
-    -b_d A_+ / h_d assemble."""
+    -b_d A_+ / h_d assemble.
+
+    An SSP-RK stage term a u + b rate is affine in u too: `scaled(a, b)` is
+    the stencil with centre a I + b C and every other block times b, so one
+    application gives the term (`semidiscrete_residual`'s `term`)."""
 
     key: tuple
     centre: np.ndarray
@@ -222,6 +241,11 @@ class LinearStencil:
             ghost_hi.append(-b * hi / h)
         return LinearStencil((c, alphas, spacings), centre, np.concatenate(neighbours),
                              tuple(ghost_lo), tuple(ghost_hi))
+
+    def scaled(self, a: float, b: float) -> "LinearStencil":
+        """The stencil of a u + b rate: centre a I + b C, the other blocks times b."""
+        return LinearStencil(self.key, a * np.eye(len(self.centre)) + b * self.centre, b * self.neighbours,
+                             tuple(b * g for g in self.ghost_lo), tuple(b * g for g in self.ghost_hi))
 
 
 def _axis_matrices(basis: Basis2D, axis: int):
@@ -421,6 +445,7 @@ def semidiscrete_residual(
     field: DGField,
     alphas: tuple[float, float],
     values: Optional[PointValues] = None,
+    term: Optional[tuple[float, float]] = None,
 ) -> np.ndarray:
     """Weak-form DG rate of change of the modal coefficients.
 
@@ -431,9 +456,13 @@ def semidiscrete_residual(
     A linear flux (`linear_flux`) takes its `LinearStencil` on the
     coefficients and reads no point value (`values` is None); every other
     flux's volume and LF face fluxes are formed from `values` and assembled.
+    A linear flux may be given an SSP-RK stage's `term` = (a, b): it then
+    returns a u + b rate, one application of the stencil `scaled(a, b)`.
     """
     if linear_flux(field.model):
-        return _linear_residual(field, alphas)
+        return _linear_residual(field, alphas, term)
+    if term is not None:
+        raise ValueError("only a linear flux's stage term is one stencil application")
     mesh, basis, model = field.mesh, field.basis, field.model
     u, p = values.stacked, values.pressure
     uvol = u[:, :, basis.at_vol]
@@ -463,17 +492,19 @@ def semidiscrete_residual(
     return rate
 
 
-def _linear_residual(field: DGField, alphas: tuple[float, float]) -> np.ndarray:
-    """`semidiscrete_residual` of a linear flux: its `LinearStencil` applied
-    to the coefficients.  One gemm gives C u, one more the four neighbour
-    blocks' products P_d u and M_d u in every cell; a cell adds the P_d
-    product of its +e_d neighbour and the M_d product of its -e_d neighbour.
+def _linear_residual(field: DGField, alphas: tuple[float, float],
+                     term: Optional[tuple[float, float]]) -> np.ndarray:
+    """`semidiscrete_residual` of a linear flux: its `LinearStencil` (scaled
+    to `term`, if given) applied to the coefficients.  One gemm gives C u,
+    one more the four neighbour blocks' products P_d u and M_d u in every
+    cell; a cell adds the P_d product of its +e_d neighbour and the M_d
+    product of its -e_d neighbour.
     On a periodic side the boundary row takes the wrapped cell's; on any
     other side its exterior trace is `ghost_trace` of the row's own trace
     (on an outflow side, the trace itself), assembled by the stencil's ghost
     matrices."""
     mesh, basis = field.mesh, field.basis
-    stencil = basis.linear_stencil(field.model.c, alphas, (mesh.dx, mesh.dy))
+    stencil = basis.linear_stencil(field.model.c, alphas, (mesh.dx, mesh.dy), term)
     nx, ny, n, m = field.coeffs.shape
     u = np.ascontiguousarray(field.coeffs.transpose(3, 2, 0, 1))  # (m, n, nx, ny), no copy when component-major
     flat = u.reshape(m, n, nx * ny)
@@ -572,6 +603,13 @@ def ssp_step(
     allocated, and a state and its rate are dropped after the last stage
     that reads them.
 
+    With a linear flux a state whose rate one stage term alpha u + dt beta
+    rate reads is not rated on its own: its residual call returns that term
+    (`semidiscrete_residual`'s `term`), and the stage adds its beta = 0
+    terms to it.  A state two stages rate (SSPRK4's stage-3 state) is rated
+    once and summed as every other flux's: zeros, then each alpha u and
+    dt beta rate in the stage's order.
+
     Returns the new field, the point values its limiting returned (None if
     none), and each stage's `LimiterDiagnostics` (none without a chain)."""
     if dt <= 0:
@@ -586,20 +624,28 @@ def ssp_step(
     # the last stage that reads each state, and each state's rate
     last_read = {idx: s for s, stage in enumerate(scheme.stages) for _, _, idx in stage}
     last_rated = {idx: s for s, stage in enumerate(scheme.stages) for _, beta, idx in stage if beta != 0.0}
+    # the states whose `rates` entry is their one stage term
+    readers = [idx for stage in scheme.stages for _, beta, idx in stage if beta != 0.0]
+    fused = {idx for idx in readers if readers.count(idx) == 1} if linear_flux(field.model) else set()
 
-    def rate(idx: int) -> np.ndarray:
+    def rate(idx: int, term=None) -> np.ndarray:
         state, (speeds, values) = states[idx], passes[idx]
         passes[idx] = None
         if speeds is None:
             speeds, values = global_max_speeds(state, values)
-        return semidiscrete_residual(state, speeds, values)
+        return semidiscrete_residual(state, speeds, values, term)
 
     for s, stage in enumerate(scheme.stages):
-        for _, beta, idx in stage:
-            if beta != 0.0 and idx not in rates:
-                rates[idx] = rate(idx)
-        new = np.zeros_like(field.coeffs)
         for alpha, beta, idx in stage:
+            if beta != 0.0 and idx not in rates:
+                rates[idx] = rate(idx, (alpha, dt * beta) if idx in fused else None)
+        stage_terms = [rates.pop(idx) for _, beta, idx in stage if beta != 0.0 and idx in fused]
+        new = stage_terms[0] if stage_terms else np.zeros_like(field.coeffs)
+        for stage_term in stage_terms[1:]:
+            new += stage_term
+        for alpha, beta, idx in stage:
+            if beta != 0.0 and idx in fused:
+                continue
             new += alpha * states[idx].coeffs
             if beta != 0.0:
                 new += dt * beta * rates[idx]
@@ -607,7 +653,7 @@ def ssp_step(
             if last_read.get(idx) == s:
                 states[idx] = passes[idx] = None
             if last_rated.get(idx) == s:
-                rates.pop(idx)
+                rates.pop(idx, None)
         stage_field, limited = field.like(new), None
         if limiter_chain is not None:
             stage_field, diag, limited = limiter_chain(stage_field)

@@ -341,6 +341,48 @@ def test_jet_builds_one_optimal_decomposition_per_step(tmp_path, monkeypatch):
     assert report.steps > 0 and len(calls) == 1 + report.steps
 
 
+@pytest.mark.parametrize("model", ["advection", "burgers"])
+def test_decomposition_rebuilt_only_when_the_speeds_change(monkeypatch, model):
+    """Each step bounds dt once.  The stepping loop builds a decomposition at
+    its first step and then only at a step whose speeds differ from the
+    previous step's: never for advection (constant speeds), at some steps
+    for this Burgers run (10 of its 26 repeat their speeds)."""
+    events = []
+    decompose, bound = cli._decomposition, dg_core.bp_max_dt
+
+    class MarkedReport(cli.RunReport):
+        def __init__(self, *args, **kwargs):
+            events.append("loop")
+            super().__init__(*args, **kwargs)
+
+    def recorded_decomposition(*args):
+        events.append("decomposition")
+        return decompose(*args)
+
+    def recorded_bound(*args, **kwargs):
+        events.append("dt")
+        return bound(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "RunReport", MarkedReport)
+    monkeypatch.setattr(cli, "_decomposition", recorded_decomposition)
+    monkeypatch.setattr(dg_core, "bp_max_dt", recorded_bound)
+    if model == "advection":
+        cfg = RunConfig(nx=8, ny=8, t_end=0.1, advection_cx=1.0, advection_cy=0.5)
+    else:
+        cfg = RunConfig(model="burgers2d", x_lo=0.0, x_hi=1.0, y_lo=0.0, y_hi=1.0, nx=16, ny=16, t_end=0.2,
+                        bc="outflow", initial="riemann4", region_lo=-1.0, region_hi=0.8, tvb_m=10.0)
+    report = run(cfg, write_outputs=False)
+    loop = events[events.index("loop"):]
+    speeds = [tuple(entry[1:]) for entry in report.speed_history]
+    changes = sum(a != b for a, b in zip(speeds, speeds[1:]))
+    assert loop.count("dt") == report.steps > 1
+    assert loop.count("decomposition") == 1 + changes
+    if model == "advection":
+        assert changes == 0
+    else:
+        assert 0 < changes < report.steps - 1
+
+
 def test_bp_violation_uses_the_region_floor(monkeypatch):
     # BP limiting off, a state at rest whose density lies in [eps/2,
     # eps*EULER_FLOOR): outflow keeps every mean there, inside the old

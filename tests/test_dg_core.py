@@ -306,6 +306,98 @@ def test_linear_stencil_matches_einsum_formula(cases):
                                    err_msg=f"{field.mesh} c={field.model.c} alphas={alphas}")
 
 
+def test_linear_stage_term_matches_rate_then_sum():
+    """`semidiscrete_residual` with an SSP-RK stage term (a, b) = (alpha,
+    dt beta), one application of the scaled stencil, against the arithmetic
+    it replaced, a u + b rate, for every rated term of SSPRK3 and SSPRK4 at
+    two time steps, on every `_linear_cases` mesh (periodic, outflow and
+    mixed; k = 2 and 3).  Bound, per array: max|change| <= 16 eps (|a|
+    max|u| + |b| max|rate|), the round-off of the term's two products and
+    their sum; the largest seen is 2.2 eps (...)."""
+    eps = np.finfo(float).eps
+    terms = [(alpha, beta) for scheme in (SSPRK3, SSPRK4) for stage in scheme.stages
+             for alpha, beta, _ in stage if beta != 0.0]
+    for param in _linear_cases():
+        for field, alphas in param.values[0]:
+            u, rate = field.coeffs, semidiscrete_residual(field, alphas)
+            for dt in np.array([0.05, 0.3]) * min(field.mesh.dx, field.mesh.dy):
+                for alpha, beta in terms:
+                    a, b = alpha, dt * beta
+                    expect = a * u + b * rate
+                    got = semidiscrete_residual(field, alphas, term=(a, b))
+                    bound = 16.0 * eps * (abs(a) * np.abs(u).max() + abs(b) * np.abs(rate).max())
+                    assert np.abs(got - expect).max() <= bound, (field.mesh, a, b)
+
+
+def test_only_a_linear_flux_takes_a_stage_term():
+    field = _residual_cases().__next__()
+    assert field.model.name == "advection2d"
+    burgers = field.like(field.coeffs)
+    burgers.model = BurgersModel(BoxScalar(-2.0, 2.0))
+    alphas, values = global_max_speeds(burgers)
+    with pytest.raises(ValueError, match="linear flux"):
+        semidiscrete_residual(burgers, alphas, values, term=(1.0, 0.1))
+
+
+def _rate_then_sum_step(field, scheme, dt):
+    """An unlimited SSP-RK step as it was before a linear stage term was one
+    stencil application: each state rated once, each stage summed from zeros
+    as alpha u, then dt beta rate, term by term.  Returns the new
+    coefficients and the round-off scale of the sums, the sum over every
+    term of |alpha| max|u| + |dt beta| max|rate|."""
+    alphas, _ = global_max_speeds(field)
+    states, rates, scale = [field.coeffs], {}, 0.0
+    for stage in scheme.stages:
+        for _, beta, idx in stage:
+            if beta != 0.0 and idx not in rates:
+                rates[idx] = semidiscrete_residual(field.like(states[idx]), alphas)
+        new = np.zeros_like(field.coeffs)
+        for alpha, beta, idx in stage:
+            new += alpha * states[idx]
+            scale += abs(alpha) * np.abs(states[idx]).max()
+            if beta != 0.0:
+                new += dt * beta * rates[idx]
+                scale += abs(dt * beta) * np.abs(rates[idx]).max()
+        states.append(new)
+    return states[-1], scale
+
+
+@pytest.mark.parametrize("scheme", [SSPRK3, SSPRK4], ids=["ssprk3", "ssprk4"])
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("kind", ["periodic", "outflow", "mixed", "inflow"])
+def test_linear_ssp_step_is_one_stage_term_per_stage(monkeypatch, kind, k, scheme):
+    """A linear step makes one residual call per stage.  Each returns its
+    stage term, but for a state two stages rate (SSPRK4's stage-3 state,
+    read with beta 0.545 by stage 4 and 0.0637 by stage 5), which is rated
+    once, without a term, and summed.  The step matches the rate-then-sum
+    step to max|change| <= 16 eps times the round-off scale of its sums."""
+    bcs = {"periodic": (PERIODIC,) * 4, "outflow": (OUTFLOW,) * 4, "mixed": (PERIODIC, PERIODIC, OUTFLOW, OUTFLOW),
+           "inflow": (InflowSegment(np.array([0.4]), -0.3, 0.2), OUTFLOW, OUTFLOW, OUTFLOW)}[kind]
+    mesh = Mesh2D(0.0, 1.0, -0.5, 0.5, 9, 7, *bcs)
+    basis = Basis2D(k)
+    coeffs = np.random.default_rng(k).normal(size=(9, 7, basis.n_modes, 1))
+    field = DGField(coeffs, basis, mesh, AdvectionModel(c=(0.8, -0.5)))
+    dt = 0.2 * mesh.dy
+    terms = []
+    residual = dg_core.semidiscrete_residual
+
+    def recorded(state, alphas, values=None, term=None):
+        terms.append(term)
+        return residual(state, alphas, values, term)
+
+    monkeypatch.setattr(dg_core, "semidiscrete_residual", recorded)
+    got, _, _ = ssp_step(field, scheme, dt)
+    monkeypatch.undo()
+    expect = [(alpha, dt * beta) for stage in scheme.stages for alpha, beta, idx in stage if beta != 0.0]
+    if scheme is SSPRK4:
+        assert expect[3:5] == [(SSPRK4.stages[3][1][0], dt * SSPRK4.stages[3][1][1]),
+                               (SSPRK4.stages[4][1][0], dt * SSPRK4.stages[4][1][1])]
+        expect[3:5] = [None]  # state 3: one plain rate for both stages
+    assert terms == expect and len(terms) == len(scheme.stages)
+    ref, scale = _rate_then_sum_step(field, scheme, dt)
+    assert np.abs(got.coeffs - ref).max() <= 16.0 * np.finfo(float).eps * scale
+
+
 def _no_stacked_evaluation(*args):
     raise AssertionError("an advection state was evaluated at the stacked points")
 
@@ -681,6 +773,15 @@ def test_wave_speeds_evaluated_once_per_rk_state(monkeypatch):
     reused, _, _ = ssp_step(field, SSPRK3, 1e-3, start=start)
     assert calls == [stacked_shape] * 2
     np.testing.assert_array_equal(reused.coeffs, plain.coeffs)
+    # advection under SSPRK4, whose stage-3 state two stages rate: one pass
+    # per RK state too, over its coefficients (a linear flux evaluates none)
+    advection = AdvectionModel(c=(1.0, -0.5))
+    field = project(lambda x, y: (0.5 * np.sin(np.pi * (x + y)))[..., None], mesh, Basis2D(2), advection)
+    calls.clear()
+    speeds_of = advection.max_wave_speeds  # the one `counted` calls from here on
+    monkeypatch.setattr(advection, "max_wave_speeds", counted)
+    ssp_step(field, SSPRK4, 1e-3)
+    assert calls == [field.coeffs.shape] * len(SSPRK4.stages)
 
 
 def _smooth_field(model, n=6):
