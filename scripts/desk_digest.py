@@ -117,6 +117,7 @@ def _column_changes(kept: Path, now: Path) -> str:
 
 
 def against(out_root: Path, kept_root: Path) -> list[str]:
+    """The `--against` lines for the outputs in `out_root` and those kept in `kept_root`."""
     lines = []
     for run_dir in sorted(p for p in out_root.iterdir() if p.is_dir()):
         moved = False
