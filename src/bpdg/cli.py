@@ -17,7 +17,7 @@ import argparse
 import math
 import sys
 import time
-from dataclasses import dataclass, field as dataclass_field, replace
+from dataclasses import dataclass, field as dataclass_field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -129,68 +129,49 @@ def _parse_choice(*names: str):
     return parse
 
 
+def _key(default, parse, key: Optional[str] = None):
+    """A `RunConfig` field: its default, the parser of its config-file text,
+    and its file key when that is not the field's name."""
+    return dataclass_field(default=default, metadata={"parse": parse, "key": key})
+
+
 @dataclass
 class RunConfig:
-    model: str = "advection2d"
-    gamma: float = 5.0 / 3.0
-    advection_cx: float = 1.0
-    advection_cy: float = 1.0
-    x_lo: float = -1.0
-    x_hi: float = 1.0
-    y_lo: float = -1.0
-    y_hi: float = 1.0
-    nx: int = 50
-    ny: int = 50
-    k: int = 2
-    scheme: str = "ssprk3"
-    dt_policy: str = "optimal"
-    c0: float = 1.0
-    limiter_bp: bool = True
-    tvb_m: Optional[float] = None
-    t_end: float = 0.5
-    output_every: float = 0.0
-    out_dir: str = "out"
-    bc: str = "periodic"
-    initial: str = "sine"
-    region_lo: float = -1.0
-    region_hi: float = 1.0
-    riemann_states: tuple[float, ...] = (-0.2, -1.0, 0.5, 0.8)
-    ambient: tuple[float, ...] = (5.0, 0.0, 0.0, 0.4127)
-    inflow: Optional[tuple[float, ...]] = None
-    inflow_lo: float = -0.05
-    inflow_hi: float = 0.05
+    """The one list of config keys, in the order `validate_config` checks
+    them and `efficiency_compare` names the first that differs."""
+
+    model: str = _key("advection2d", _parse_choice(AdvectionModel.name, BurgersModel.name, EulerModel.name))
+    gamma: float = _key(5.0 / 3.0, _parse_finite(1.0, strict=True))
+    advection_cx: float = _key(1.0, _parse_finite())
+    advection_cy: float = _key(1.0, _parse_finite())
+    x_lo: float = _key(-1.0, _parse_finite())
+    x_hi: float = _key(1.0, _parse_finite())
+    y_lo: float = _key(-1.0, _parse_finite())
+    y_hi: float = _key(1.0, _parse_finite())
+    nx: int = _key(50, _parse_cell_count)
+    ny: int = _key(50, _parse_cell_count)
+    k: int = _key(2, _parse_degree)
+    scheme: str = _key("ssprk3", _parse_choice(*SCHEMES))
+    dt_policy: str = _key("optimal", _parse_choice(*dc.POLICIES))
+    c0: float = _key(1.0, _parse_fraction)
+    limiter_bp: bool = _key(True, _parse_bool, "limiter.bp")
+    tvb_m: Optional[float] = _key(None, _parse_optional(_parse_finite(0.0)), "limiter.tvb_M")
+    t_end: float = _key(0.5, _parse_finite(0.0, strict=True))
+    output_every: float = _key(0.0, _parse_finite(0.0))
+    out_dir: str = _key("out", str)
+    bc: str = _key("periodic", _parse_choice(PERIODIC, OUTFLOW))
+    initial: str = _key("sine", _parse_choice("sine", "riemann4", "uniform"))
+    region_lo: float = _key(-1.0, _parse_finite())
+    region_hi: float = _key(1.0, _parse_finite())
+    riemann_states: tuple[float, ...] = _key((-0.2, -1.0, 0.5, 0.8), _parse_four_floats)
+    ambient: tuple[float, ...] = _key((5.0, 0.0, 0.0, 0.4127), _parse_euler_state)
+    inflow: Optional[tuple[float, ...]] = _key(None, _parse_euler_state)  # None: no inflow segment
+    inflow_lo: float = _key(-0.05, _parse_finite())
+    inflow_hi: float = _key(0.05, _parse_finite())
 
 
-_KEY_PARSERS = {
-    "model": ("model", _parse_choice(AdvectionModel.name, BurgersModel.name, EulerModel.name)),
-    "gamma": ("gamma", _parse_finite(1.0, strict=True)),
-    "advection_cx": ("advection_cx", _parse_finite()),
-    "advection_cy": ("advection_cy", _parse_finite()),
-    "x_lo": ("x_lo", _parse_finite()),
-    "x_hi": ("x_hi", _parse_finite()),
-    "y_lo": ("y_lo", _parse_finite()),
-    "y_hi": ("y_hi", _parse_finite()),
-    "nx": ("nx", _parse_cell_count),
-    "ny": ("ny", _parse_cell_count),
-    "k": ("k", _parse_degree),
-    "scheme": ("scheme", _parse_choice(*SCHEMES)),
-    "dt_policy": ("dt_policy", _parse_choice(*dc.POLICIES)),
-    "c0": ("c0", _parse_fraction),
-    "limiter.bp": ("limiter_bp", _parse_bool),
-    "limiter.tvb_M": ("tvb_m", _parse_optional(_parse_finite(0.0))),
-    "t_end": ("t_end", _parse_finite(0.0, strict=True)),
-    "output_every": ("output_every", _parse_finite(0.0)),
-    "out_dir": ("out_dir", str),
-    "bc": ("bc", _parse_choice(PERIODIC, OUTFLOW)),
-    "initial": ("initial", _parse_choice("sine", "riemann4", "uniform")),
-    "region_lo": ("region_lo", _parse_finite()),
-    "region_hi": ("region_hi", _parse_finite()),
-    "riemann_states": ("riemann_states", _parse_four_floats),
-    "ambient": ("ambient", _parse_euler_state),
-    "inflow": ("inflow", _parse_euler_state),
-    "inflow_lo": ("inflow_lo", _parse_finite()),
-    "inflow_hi": ("inflow_hi", _parse_finite()),
-}
+# config-file key -> (RunConfig field, parser of its text)
+_KEY_PARSERS = {f.metadata["key"] or f.name: (f.name, f.metadata["parse"]) for f in fields(RunConfig)}
 
 
 def _cross_key_issue(cfg: RunConfig) -> Optional[tuple[tuple[str, ...], str]]:
@@ -276,7 +257,8 @@ def _reason(exc: Exception) -> str:
 
 def parse_config(path: str | Path) -> RunConfig:
     """The config file at `path`; ConfigError for a file that cannot be read
-    as UTF-8 text, and for any line or value `RunConfig` cannot take."""
+    as UTF-8 text, for any line or value `RunConfig` cannot take, and for a
+    key set on two lines."""
     cfg = RunConfig()
     key_lines = {}
     try:
@@ -297,6 +279,8 @@ def parse_config(path: str | Path) -> RunConfig:
             setattr(cfg, attr, parser(value))
         except ValueError as exc:
             raise ConfigError(f"{path}:{lineno}: bad value for {key}: {exc}") from exc
+        if key in key_lines:
+            raise ConfigError(f"{path}:{lineno}: {key} is set again, first at line {key_lines[key]}")
         key_lines[key] = lineno
     issue = _cross_key_issue(cfg)
     if issue is not None:
@@ -387,32 +371,20 @@ class RunReport:
     limiting: LimiterDiagnostics = dataclass_field(default_factory=LimiterDiagnostics)
     speed_history: list = dataclass_field(default_factory=list)  # (dt, a1, a2)
 
+    # report.csv's columns: fields of the report or of its limiting, and
+    # the three `csv_row` derives; wall time is reported on stdout, never in
+    # the CSV, so identical configs produce byte-identical output files
+    COLUMNS = ("steps", "t_final", "min_mean0", "max_mean0", "bp_violation", "l1", "l2", "linf",
+               "cells_limited", "min_theta", "troubled_cells")
+
     def csv_header(self) -> str:
-        # wall time is reported on stdout, never in the CSV, so identical
-        # configs produce byte-identical output files
-        return "steps,t_final,min_mean0,max_mean0,bp_violation,l1,l2,linf,cells_limited,min_theta,troubled_cells"
+        return ",".join(self.COLUMNS)
 
     def csv_row(self) -> str:
-        def fmt(v):
-            if v is None:
-                return ""
-            return f"{v:.17g}" if isinstance(v, float) else str(v)
-
-        return ",".join(
-            [
-                str(self.steps),
-                fmt(self.t_final),
-                fmt(float(self.min_mean[0])),
-                fmt(float(self.max_mean[0])),
-                str(int(self.bp_violation)),
-                fmt(self.l1),
-                fmt(self.l2),
-                fmt(self.linf),
-                str(self.limiting.cells_limited),
-                fmt(self.limiting.min_theta),
-                str(self.limiting.troubled_cells),
-            ]
-        )
+        values = {**vars(self), **vars(self.limiting), "min_mean0": float(self.min_mean[0]),
+                  "max_mean0": float(self.max_mean[0]), "bp_violation": int(self.bp_violation)}
+        return ",".join("" if v is None else f"{v:.17g}" if isinstance(v, float) else str(v)
+                        for v in map(values.__getitem__, self.COLUMNS))
 
 
 def _write_field_csv(path: Path, field: DGField) -> None:
@@ -441,14 +413,23 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
     scheme = SCHEMES[cfg.scheme]
     field = project(_build_initial(cfg, model), mesh, basis, model)
 
-    def limiting_at(decomp: dc.ConvexDecomposition):
-        """The chain that limits at the nodes of `decomp`, and the internal
-        offsets they were built from."""
-        return LimiterChain(build_node_set(decomp, basis, model.region), cfg.tvb_m), decomp.internal_offsets
+    # the decomposition in use and the speeds it was built at; the chain
+    # limits at its nodes, built from the internal offsets `node_offsets`
+    decomp = decomp_speeds = node_offsets = None
+    chain = LimiterChain(m_tvb=cfg.tvb_m)  # without BP limiting
 
-    chain, node_offsets = LimiterChain(m_tvb=cfg.tvb_m), None  # without BP limiting
+    def decompose(speeds: tuple[float, float]) -> None:
+        # the initial limiting's and every step's one build path: a new
+        # decomposition only at new speeds, a new chain only at new nodes
+        nonlocal decomp, decomp_speeds, chain, node_offsets
+        if speeds != decomp_speeds:
+            decomp, decomp_speeds = _decomposition(cfg, speeds, spacings), speeds
+            if cfg.limiter_bp and not np.array_equal(decomp.internal_offsets, node_offsets):
+                chain = LimiterChain(build_node_set(decomp, basis, model.region), cfg.tvb_m)
+                node_offsets = decomp.internal_offsets
+
     if cfg.limiter_bp:
-        chain, node_offsets = limiting_at(_decomposition(cfg, global_max_speeds(field)[0], spacings))
+        decompose(global_max_speeds(field)[0])
     # `values`: the point values of `field` its last limiting returned
     field, initial, values = chain(field)
 
@@ -465,7 +446,6 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
     report = RunReport(min_mean=means.min(axis=(0, 1)), max_mean=means.max(axis=(0, 1)),
                        bp_violation=not np.all(model.region.contains(means)), limiting=replace(initial))
     t = 0.0
-    decomp_speeds = None  # the speeds the last step's decomposition was built at
     next_output = cfg.output_every if cfg.output_every > 0 else math.inf
     start = time.perf_counter()
     while t < cfg.t_end * (1.0 - 1e-12):
@@ -481,12 +461,8 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
             speeds, values = global_max_speeds(stepped, values)
             # one decomposition per step: its dt is the step's, its nodes
             # are where every stage of the step is limited (the optimal
-            # internal nodes follow the speed ratio); rebuilt only when the
-            # speeds differ from the previous step's, dt bounded every step
-            if speeds != decomp_speeds:
-                decomp, decomp_speeds = _decomposition(cfg, speeds, spacings), speeds
-                if cfg.limiter_bp and not np.array_equal(decomp.internal_offsets, node_offsets):
-                    chain, node_offsets = limiting_at(decomp)
+            # internal nodes follow the speed ratio); dt bounded every step
+            decompose(speeds)
             dt = step_controller(decomp, scheme, speeds, spacings, cfg.c0)
             if t + dt > cfg.t_end:
                 # clip the final step to land exactly on t_end; an unbounded
@@ -526,6 +502,10 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
     return report
 
 
+# the convergence table's header, in errors.csv and on stdout
+_ERRORS_HEADER = "N,l1,l2,linf,order_l1"
+
+
 def convergence_study(cfg: RunConfig, grids: list[int], write_outputs: bool = True):
     """Run each grid and tabulate (N, L1, L2, Linf, observed L1 order).
     ConfigError, before any run, for a model without an exact solution."""
@@ -540,7 +520,7 @@ def convergence_study(cfg: RunConfig, grids: list[int], write_outputs: bool = Tr
         rows.append((n, rep.l1, rep.l2, rep.linf, order))
         prev_l1 = rep.l1
     if write_outputs:
-        lines = ["N,l1,l2,linf,order_l1"]
+        lines = [_ERRORS_HEADER]
         for n, l1, l2, linf, order in rows:
             lines.append(f"{n},{l1:.17g},{l2:.17g},{linf:.17g},{order:.17g}")
         (out / "errors.csv").write_text("\n".join(lines) + "\n", encoding="utf-8")
@@ -565,8 +545,13 @@ def decomp_report(k: int, phi: tuple[float, ...], c0: float, out=None) -> str:
     """Print per-scheme CFL steps, equal-ratio special cases, node counts, and
     exactness defects for 2D (and 3D when three ratios are given); returns CSV.
     ConfigError for a degree, ratios or c0 the tables are not defined for."""
-    if k not in dc.SUPPORTED_K:
-        raise ConfigError(f"k: supported degrees are {', '.join(map(str, dc.SUPPORTED_K))}, got {k}")
+    def check(key: str, parse, value):
+        try:
+            parse(str(value))
+        except ValueError as exc:
+            raise ConfigError(f"{key}: {exc}") from exc
+
+    check("k", _parse_degree, k)
     if len(phi) not in (2, 3):
         raise ConfigError("phi takes 2 or 3 values")
     if not all(math.isfinite(v) and v >= 0.0 for v in phi):
@@ -575,8 +560,7 @@ def decomp_report(k: int, phi: tuple[float, ...], c0: float, out=None) -> str:
         dc.speed_ratios(phi, (1.0,) * len(phi))
     except ValueError as exc:
         raise ConfigError(f"phi: {exc}") from exc
-    if not 0.0 < c0 <= 1.0:
-        raise ConfigError(f"c0: expected a value in (0, 1], got {c0}")
+    check("c0", _parse_fraction, c0)
     if out is None:
         out = sys.stdout
     csv_lines = ["dim,scheme,dt,dt_equal_ratio,internal_nodes,exactness_defect"]
@@ -680,7 +664,7 @@ def main(argv: Optional[list[str]] = None) -> int:
             print(f"wall_time_s,{report.wall_time:.3f}")
         elif args.command == "converge":
             rows = convergence_study(parse_config(args.config), args.grids)
-            print("N,l1,l2,linf,order_l1")
+            print(_ERRORS_HEADER)
             for n, l1, l2, linf, order in rows:
                 print(f"{n},{l1:.6e},{l2:.6e},{linf:.6e},{order:.3f}")
         elif args.command == "decomp-report":
@@ -692,11 +676,11 @@ def main(argv: Optional[list[str]] = None) -> int:
                     raise ConfigError(f"--csv: cannot write {args.csv}: {_reason(exc)}") from exc
         elif args.command == "compare":
             cmp_report = efficiency_compare(parse_config(args.config_a), parse_config(args.config_b))
-            print("steps_a,steps_b,step_ratio,predicted_ratio,wall_a,wall_b")
-            print(
-                f"{cmp_report.steps_a},{cmp_report.steps_b},{cmp_report.step_ratio:.4f},"
-                f"{cmp_report.predicted_ratio:.4f},{cmp_report.wall_a:.3f},{cmp_report.wall_b:.3f}"
-            )
+            # the header is the report's field names, each printed in its format
+            columns = (("steps_a", "d"), ("steps_b", "d"), ("step_ratio", ".4f"), ("predicted_ratio", ".4f"),
+                       ("wall_a", ".3f"), ("wall_b", ".3f"))
+            print(",".join(name for name, _ in columns))
+            print(",".join(format(getattr(cmp_report, name), spec) for name, spec in columns))
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

@@ -58,9 +58,15 @@ class Mesh2D:
     def __post_init__(self):
         if self.nx < 1 or self.ny < 1 or self.x_hi <= self.x_lo or self.y_hi <= self.y_lo:
             raise ValueError("degenerate mesh")
-        for a, b in ((self.bc_left, self.bc_right), (self.bc_bottom, self.bc_top)):
+        for a, b in self.sides:
             if (a == PERIODIC) != (b == PERIODIC):
                 raise ValueError("periodic boundaries must be paired")
+
+    @property
+    def sides(self) -> tuple[tuple[BoundaryCondition, BoundaryCondition], ...]:
+        """The (low, high) boundary conditions normal to each axis: ((left,
+        right), (bottom, top))."""
+        return (self.bc_left, self.bc_right), (self.bc_bottom, self.bc_top)
 
     @property
     def dx(self) -> float:
@@ -127,9 +133,11 @@ class Basis2D:
     Every point value the residual reads comes from one stacked evaluation
     matrix, `mode_values` at the stacked `offsets`: the (k+1)^2 volume Gauss
     points, then the Q face-trace Gauss points of the x-, x+, y- and y+
-    faces (slices `at_vol`, `at_xm`, `at_xp`, `at_ym`, `at_yp`).  The BP
-    limiters' node sets take their rows from it too.  The residual's
-    assembly matrices carry the quadrature weights.
+    faces (slice `at_vol`, and per axis the (low, high) pair of slices
+    `at_faces[axis]`).  The BP limiters' node sets take their rows from it
+    too.  The residual's assembly matrices carry the quadrature weights:
+    per axis `assemble_vol[axis]` and the (low, high) pair
+    `assemble_faces[axis]`.
     """
 
     def __init__(self, k: int):
@@ -150,24 +158,16 @@ class Basis2D:
             np.column_stack([g.nodes, lo]), np.column_stack([g.nodes, hi]),
         ])  # (nv + 4q, 2)
         self.at_vol = slice(0, nv)
-        self.at_xm, self.at_xp, self.at_ym, self.at_yp = (
-            slice(nv + f * q, nv + (f + 1) * q) for f in range(4)
-        )
+        self.at_faces = tuple(tuple(slice(nv + f * q, nv + (f + 1) * q) for f in (2 * axis, 2 * axis + 1))
+                              for axis in (0, 1))
         self.eval_matrix = mode_values(k, self.offsets).T  # (nv + 4q, n_modes)
-        self.phi_vol, self.phi_xm, self.phi_xp, self.phi_ym, self.phi_yp = (
-            self.eval_matrix[at].T for at in (self.at_vol, self.at_xm, self.at_xp, self.at_ym, self.at_yp)
-        )
-        (px, dpx), (py, dpy) = (_phi1d(k, self.vol_offsets[:, axis]) for axis in (0, 1))
-        self.dphi_dxi_vol = np.stack([dpx[a] * py[b] for a, b in self.mode_exps])
-        self.dphi_deta_vol = np.stack([px[a] * dpy[b] for a, b in self.mode_exps])
         # assembly matrices (n_modes, points) with the quadrature weights
         # folded in; semidiscrete_residual applies one per flux term
-        wv, wq = self.vol_weights, g.weights
-        self.assemble_vol_x = self.dphi_dxi_vol * wv
-        self.assemble_vol_y = self.dphi_deta_vol * wv
-        self.assemble_xm, self.assemble_xp, self.assemble_ym, self.assemble_yp = (
-            phi * wq for phi in (self.phi_xm, self.phi_xp, self.phi_ym, self.phi_yp)
-        )
+        (px, dpx), (py, dpy) = (_phi1d(k, self.vol_offsets[:, axis]) for axis in (0, 1))
+        self.assemble_vol = tuple(np.stack([x[a] * y[b] for a, b in self.mode_exps]) * self.vol_weights
+                                  for x, y in ((dpx, py), (px, dpy)))
+        self.assemble_faces = tuple(tuple(self.eval_matrix[at].T * g.weights for at in pair)
+                                    for pair in self.at_faces)
 
     def stacked_values(self, coeffs: np.ndarray) -> np.ndarray:
         """Values at the volume and face-trace points: (nx, ny, nv + 4q, m)."""
@@ -232,9 +232,9 @@ class LinearStencil:
         e = basis.eval_matrix
         centre = np.zeros((basis.n_modes, basis.n_modes))
         neighbours, ghost_lo, ghost_hi = [], [], []
-        for axis, (cd, alpha, h) in enumerate(zip(c, alphas, spacings)):
+        for cd, alpha, h, vol, (lo, hi), (at_lo, at_hi) in zip(c, alphas, spacings, basis.assemble_vol,
+                                                               basis.assemble_faces, basis.at_faces):
             a, b = 0.5 * (cd + alpha), 0.5 * (cd - alpha)
-            vol, (lo, hi), (at_lo, at_hi) = _axis_matrices(basis, axis)
             centre += (cd * vol @ e[basis.at_vol] - a * hi @ e[at_hi] + b * lo @ e[at_lo]) / h
             neighbours += [-b * hi @ e[at_lo] / h, a * lo @ e[at_hi] / h]
             ghost_lo.append(a * lo / h)
@@ -246,14 +246,6 @@ class LinearStencil:
         """The stencil of a u + b rate: centre a I + b C, the other blocks times b."""
         return LinearStencil(self.key, a * np.eye(len(self.centre)) + b * self.centre, b * self.neighbours,
                              tuple(b * g for g in self.ghost_lo), tuple(b * g for g in self.ghost_hi))
-
-
-def _axis_matrices(basis: Basis2D, axis: int):
-    """Volume assembly, (low, high) face assembly and (low, high) face-trace
-    slices of `basis` along `axis`."""
-    if axis == 0:
-        return basis.assemble_vol_x, (basis.assemble_xm, basis.assemble_xp), (basis.at_xm, basis.at_xp)
-    return basis.assemble_vol_y, (basis.assemble_ym, basis.assemble_yp), (basis.at_ym, basis.at_yp)
 
 
 @dataclass
@@ -339,10 +331,9 @@ def _sides(field: DGField, axis: int):
     """The low and high boundary conditions normal to `axis`, and the face
     positions along them where `ghost_trace` reads any: only an inflow side
     does, so None when neither side is one."""
-    mesh = field.mesh
-    bcs = (mesh.bc_left, mesh.bc_right) if axis == 0 else (mesh.bc_bottom, mesh.bc_top)
+    bcs = field.mesh.sides[axis]
     inflow = any(isinstance(bc, InflowSegment) for bc in bcs)
-    return (*bcs, face_coords(mesh, axis == 0, field.basis.face_rule.nodes) if inflow else None)
+    return (*bcs, face_coords(field.mesh, axis == 0, field.basis.face_rule.nodes) if inflow else None)
 
 
 def linear_flux(model: ConservationLawModel) -> bool:
@@ -402,9 +393,7 @@ def global_max_speeds(field: DGField, values: Optional[PointValues] = None) -> S
     else:
         values = point_values(field) if values is None else values
         own = (values.stacked, values.pressure)
-    mesh = field.mesh
-    bcs = (mesh.bc_left, mesh.bc_right, mesh.bc_bottom, mesh.bc_top)
-    sets = [own] + [(bc.state, None) for bc in bcs if isinstance(bc, InflowSegment)]
+    sets = [own] + [(bc.state, None) for bcs in field.mesh.sides for bc in bcs if isinstance(bc, InflowSegment)]
     a1 = a2 = 0.0
     for pts, p in sets:
         s1, s2 = field.model.max_wave_speeds(pts, p)
@@ -423,7 +412,7 @@ def _interface_flux(field: DGField, values: PointValues, axis: int, alpha: float
     pressure `pressure(state)`) at the covered points."""
     basis, model = field.basis, field.model
     bc_lo, bc_hi, coords = _sides(field, axis)
-    _, _, (at_lo, at_hi) = _axis_matrices(basis, axis)
+    at_lo, at_hi = basis.at_faces[axis]
     cells = (slice(None),) * axis  # index prefix up to the cell index along `axis`
 
     def sides(a, of_state=None):
@@ -469,15 +458,16 @@ def semidiscrete_residual(
     pvol = None if p is None else p[:, :, basis.at_vol]
 
     def volume(axis: int, h: float) -> np.ndarray:
-        t = apply_matrix((basis.assemble_vol_x, basis.assemble_vol_y)[axis], model.flux(uvol, axis, pvol))
+        t = apply_matrix(basis.assemble_vol[axis], model.flux(uvol, axis, pvol))
         t /= h
         return t
 
     def faces(axis: int, h: float) -> np.ndarray:
         f = _interface_flux(field, values, axis, alphas[axis])
         lo, hi = (f[:-1], f[1:]) if axis == 0 else (f[:, :-1], f[:, 1:])
-        t = apply_matrix((basis.assemble_xp, basis.assemble_yp)[axis], hi)
-        t -= apply_matrix((basis.assemble_xm, basis.assemble_ym)[axis], lo)
+        assemble_lo, assemble_hi = basis.assemble_faces[axis]
+        t = apply_matrix(assemble_hi, hi)
+        t -= apply_matrix(assemble_lo, lo)
         t /= h
         return t
 
@@ -532,9 +522,8 @@ def _linear_residual(field: DGField, alphas: tuple[float, float],
             row(rate, -1)[...] += wrap_plus
             row(rate, 0)[...] += wrap_minus
             continue
-        _, _, (at_lo, at_hi) = _axis_matrices(basis, axis)
-        for bc, end, at, assemble in ((bc_lo, 0, at_lo, stencil.ghost_lo[axis]),
-                                      (bc_hi, -1, at_hi, stencil.ghost_hi[axis])):
+        for bc, end, at, assemble in zip((bc_lo, bc_hi), (0, -1), basis.at_faces[axis],
+                                         (stencil.ghost_lo[axis], stencil.ghost_hi[axis])):
             own = np.matmul(basis.eval_matrix[at], row(flat, end)).transpose(2, 1, 0)  # (cells, Q, m)
             # a non-periodic side never reads `wrap`
             ghost = ghost_trace(bc, own, None, coords)

@@ -295,13 +295,13 @@ def _ghost_means(field: DGField):
     """Cell averages padded by one ghost layer per boundary condition."""
     mesh = field.mesh
     mean = field.cell_averages  # (nx, ny, m)
-    left = ghost_trace(mesh.bc_left, mean[0], mean[-1], mesh.y_centers)
-    right = ghost_trace(mesh.bc_right, mean[-1], mean[0], mesh.y_centers)
-    ext_x = np.concatenate([left[None], mean, right[None]], axis=0)
-    bottom = ghost_trace(mesh.bc_bottom, mean[:, 0], mean[:, -1], mesh.x_centers)
-    top = ghost_trace(mesh.bc_top, mean[:, -1], mean[:, 0], mesh.x_centers)
-    ext_y = np.concatenate([bottom[:, None], mean, top[:, None]], axis=1)
-    return ext_x, ext_y
+    padded = []
+    for axis, ((lo, hi), centres) in enumerate(zip(mesh.sides, (mesh.y_centers, mesh.x_centers))):
+        cells = (slice(None),) * axis  # index prefix up to the cell index along `axis`
+        first, last = mean[cells + (0,)], mean[cells + (-1,)]
+        padded.append(np.concatenate([ghost_trace(lo, first, last, centres)[cells + (None,)], mean,
+                                      ghost_trace(hi, last, first, centres)[cells + (None,)]], axis=axis))
+    return tuple(padded)
 
 
 def tvb_minmod_limit(field: DGField, m_tvb: float) -> tuple[DGField, int]:

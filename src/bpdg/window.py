@@ -85,8 +85,7 @@ class Window(Mesh2D):
     def __init__(self, full: Mesh2D, bounds: tuple[int, int, int, int]):
         i0, i1, j0, j1 = bounds
         sides = []
-        for (lo, hi), at_lo, at_hi in (((full.bc_left, full.bc_right), i0 == 0, i1 == full.nx),
-                                       ((full.bc_bottom, full.bc_top), j0 == 0, j1 == full.ny)):
+        for (lo, hi), at_lo, at_hi in zip(full.sides, (i0 == 0, j0 == 0), (i1 == full.nx, j1 == full.ny)):
             if lo == PERIODIC and not (at_lo and at_hi):
                 lo = hi = OUTFLOW
             sides += [lo if at_lo else OUTFLOW, hi if at_hi else OUTFLOW]
@@ -154,11 +153,11 @@ class Quiescence:
         mesh = field.mesh
         seeds = np.zeros((mesh.nx, mesh.ny), dtype=bool)
         nodes = field.basis.face_rule.nodes
-        for bc, along_y, at in ((mesh.bc_left, True, np.s_[0, :]), (mesh.bc_right, True, np.s_[-1, :]),
-                                (mesh.bc_bottom, False, np.s_[:, 0]), (mesh.bc_top, False, np.s_[:, -1])):
-            if isinstance(bc, InflowSegment) and np.abs(bc.state - reference[:, 0, 0, 0]).max() > tol:
-                centres = mesh.y_centers if along_y else mesh.x_centers
-                seeds[at] |= bc.covers(face_coords(mesh, along_y, nodes)).any(axis=1) | bc.covers(centres)
+        for axis, centres in enumerate((mesh.y_centers, mesh.x_centers)):
+            for bc, end in zip(mesh.sides[axis], (0, -1)):
+                if isinstance(bc, InflowSegment) and np.abs(bc.state - reference[:, 0, 0, 0]).max() > tol:
+                    covered = bc.covers(face_coords(mesh, axis == 0, nodes)).any(axis=1) | bc.covers(centres)
+                    seeds[(slice(None),) * axis + (end,)] |= covered
         return Quiescence(reference, tol, stages + 1, seeds)
 
     def active(self, field: DGField, within: tuple[slice, slice] = np.s_[:, :]) -> np.ndarray:

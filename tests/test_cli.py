@@ -2,7 +2,7 @@
 
 import filecmp
 import math
-from dataclasses import replace
+from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -91,6 +91,72 @@ def test_parse_limiter_keys(tmp_path):
     assert parse_config(path).tvb_m is None
 
 
+# every key, in `RunConfig`'s order, each set to a value other than its
+# default; the Euler jet keys keep the whole valid together
+EVERY_KEY = """model = euler2d
+gamma = 1.4
+advection_cx = 2.0
+advection_cy = -0.5
+x_lo = 0.0
+x_hi = 2.0
+y_lo = -0.5
+y_hi = 0.5
+nx = 12
+ny = 6
+k = 3
+scheme = ssprk4
+dt_policy = jiang-liu
+c0 = 0.5
+limiter.bp = off
+limiter.tvb_M = 1.0
+t_end = 0.25
+output_every = 0.05
+out_dir = every_out
+bc = outflow
+initial = uniform
+region_lo = -2.0
+region_hi = 3.0
+riemann_states = 0.1, 0.2, 0.3, 0.4
+ambient = 1.0, 0.5, 0.0, 1.0
+inflow = 5, 30, 0, 0.4127
+inflow_lo = -0.1
+inflow_hi = 0.1
+"""
+
+
+def test_a_file_setting_every_key_parses_to_its_run_config(tmp_path):
+    expected = RunConfig(
+        model="euler2d", gamma=1.4, advection_cx=2.0, advection_cy=-0.5, x_lo=0.0, x_hi=2.0, y_lo=-0.5,
+        y_hi=0.5, nx=12, ny=6, k=3, scheme="ssprk4", dt_policy="jiangliu", c0=0.5, limiter_bp=False,
+        tvb_m=1.0, t_end=0.25, output_every=0.05, out_dir="every_out", bc="outflow", initial="uniform",
+        region_lo=-2.0, region_hi=3.0, riemann_states=(0.1, 0.2, 0.3, 0.4), ambient=(1.0, 0.5, 0.0, 1.0),
+        inflow=(5.0, 30.0, 0.0, 0.4127), inflow_lo=-0.1, inflow_hi=0.1,
+    )
+    assert [line.split(" = ")[0] for line in EVERY_KEY.splitlines()] == list(_KEY_PARSERS)
+    assert all(getattr(expected, f.name) != f.default for f in fields(RunConfig))
+    cfg = parse_config(_write(tmp_path, "every.cfg", EVERY_KEY))
+    assert cfg == expected
+    assert validate_config(cfg) == cfg
+
+
+@pytest.mark.parametrize(
+    "text, key",
+    [("nx = 8\nny = 8\n# again\nnx = 4\n", "nx"),
+     ("limiter.tvb_M = 1\nny = 8\nk = 3\nlimiter.tvb_M = off\n", "limiter.tvb_M")],
+    ids=["nx", "file-key"],
+)
+def test_a_key_set_twice_is_a_config_error(tmp_path, capsys, text, key):
+    # the later value used to win silently: the first file ran on 4 cells and exited 0
+    cfg = _write(tmp_path, "twice.cfg", text + f"out_dir = {tmp_path / 'o'}\n")
+    assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == [f"config error: {cfg}:4: {key} is set again, first at line 1"]
+    assert not (tmp_path / "o").exists()
+    # a config built in code holds each key once: either value validates
+    for in_code in RunConfig(nx=8), RunConfig(nx=4), RunConfig(tvb_m=1.0), RunConfig(tvb_m=None):
+        assert validate_config(in_code) == in_code
+
+
 # -------------------------------------------------------------------- runs
 
 
@@ -107,6 +173,21 @@ def test_run_writes_report_and_field(tmp_path):
     lines = fields[0].read_text().splitlines()
     assert lines[0] == "i,j,x,y,u0"
     assert len(lines) == 1 + 100
+
+
+REPORT_HEADER = "steps,t_final,min_mean0,max_mean0,bp_violation,l1,l2,linf,cells_limited,min_theta,troubled_cells"
+
+
+@pytest.mark.parametrize("cfg", [RunConfig(nx=8, ny=8, t_end=0.05),
+                                 RunConfig(model="burgers2d", nx=8, ny=8, t_end=0.05)],
+                         ids=["with-norms", "without-norms"])
+def test_report_csv_header_and_row(tmp_path, cfg):
+    report = run(replace(cfg, out_dir=str(tmp_path)))
+    header, row = (tmp_path / "report.csv").read_text(encoding="utf-8").splitlines()
+    assert header == report.csv_header() == REPORT_HEADER
+    assert row == report.csv_row()
+    assert len(row.split(",")) == len(header.split(",")) == 11
+    assert (report.l1 is None) == (row.split(",")[5] == "")
 
 
 def test_run_output_cadence(tmp_path):
@@ -337,16 +418,18 @@ def test_jet_builds_one_optimal_decomposition_per_step(tmp_path, monkeypatch):
 
     monkeypatch.setattr(decomposition, "optimal_2d", counted)
     report = run(parse_config(_write(tmp_path, "jet.cfg", JET_SMALL)), write_outputs=False)
-    # the initial limiting's, then one per step for both its dt and its nodes
-    assert report.steps > 0 and len(calls) == 1 + report.steps
+    # one per step for both its dt and its nodes, the first step's being
+    # the initial limiting's (built at the same speeds)
+    assert report.steps > 0 and len(calls) == report.steps
 
 
 @pytest.mark.parametrize("model", ["advection", "burgers"])
 def test_decomposition_rebuilt_only_when_the_speeds_change(monkeypatch, model):
-    """Each step bounds dt once.  The stepping loop builds a decomposition at
-    its first step and then only at a step whose speeds differ from the
-    previous step's: never for advection (constant speeds), at some steps
-    for this Burgers run (10 of its 26 repeat their speeds)."""
+    """Each step bounds dt once.  The stepping loop builds a decomposition
+    only at a step whose speeds differ from the previous step's: never for
+    advection (constant speeds), at some steps for this Burgers run (10 of
+    its 26 repeat their speeds).  The first step's speeds are those of the
+    initial limiting, whose decomposition it takes."""
     events = []
     decompose, bound = cli._decomposition, dg_core.bp_max_dt
 
@@ -376,7 +459,7 @@ def test_decomposition_rebuilt_only_when_the_speeds_change(monkeypatch, model):
     speeds = [tuple(entry[1:]) for entry in report.speed_history]
     changes = sum(a != b for a, b in zip(speeds, speeds[1:]))
     assert loop.count("dt") == report.steps > 1
-    assert loop.count("decomposition") == 1 + changes
+    assert loop.count("decomposition") == changes
     if model == "advection":
         assert changes == 0
     else:
@@ -701,7 +784,7 @@ def test_shipped_configs_parse_and_validate(path):
 
 
 def test_cli_accepts_jiang_liu_spelling(tmp_path, capsys):
-    text = ADVECTION_SMALL + "dt_policy = jiang-liu\n"
+    text = ADVECTION_SMALL.replace("dt_policy = optimal", "dt_policy = jiang-liu")  # a key is set once
     cfg = _write(tmp_path, "jl.cfg", text + f"out_dir = {tmp_path / 'o'}\n")
     assert parse_config(cfg).dt_policy == "jiangliu"
     assert main(["run", str(cfg)]) == 0

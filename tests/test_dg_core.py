@@ -82,19 +82,20 @@ def test_stacked_values_match_per_set_evaluation(k, m):
     g = gauss_rule(k + 1)
     q = len(g)
     xi, eta = np.meshgrid(g.nodes, g.nodes, indexing="ij")
-    point_sets = {
-        "at_vol": np.column_stack([xi.ravel(), eta.ravel()]),
-        "at_xm": np.column_stack([np.full(q, -0.5), g.nodes]),
-        "at_xp": np.column_stack([np.full(q, 0.5), g.nodes]),
-        "at_ym": np.column_stack([g.nodes, np.full(q, -0.5)]),
-        "at_yp": np.column_stack([g.nodes, np.full(q, 0.5)]),
-    }
+    (at_xm, at_xp), (at_ym, at_yp) = basis.at_faces
+    point_sets = [
+        (basis.at_vol, np.column_stack([xi.ravel(), eta.ravel()])),
+        (at_xm, np.column_stack([np.full(q, -0.5), g.nodes])),
+        (at_xp, np.column_stack([np.full(q, 0.5), g.nodes])),
+        (at_ym, np.column_stack([g.nodes, np.full(q, -0.5)])),
+        (at_yp, np.column_stack([g.nodes, np.full(q, 0.5)])),
+    ]
     coeffs = np.random.default_rng(k).normal(size=(5, 4, basis.n_modes, m))
     stacked = basis.stacked_values(coeffs)
     assert stacked.shape == (5, 4, (k + 1) ** 2 + 4 * q, m)
-    for name, offsets in point_sets.items():
+    for at, offsets in point_sets:
         expect = np.einsum("ijnc,np->ijpc", coeffs, mode_values(basis.k, offsets))
-        np.testing.assert_allclose(stacked[:, :, getattr(basis, name)], expect, rtol=0, atol=1e-14)
+        np.testing.assert_allclose(stacked[:, :, at], expect, rtol=0, atol=1e-14)
 
 
 def test_mode_zero_is_constant_one():
@@ -210,21 +211,41 @@ def test_mean_equation_equivalence_random_burgers():
 
 def _einsum_residual(field, alphas):
     """The residual as first written, one einsum per evaluation and per
-    quadrature sum: the oracle for the precomputed-matrix version."""
+    quadrature sum: the oracle for the precomputed-matrix version.  It forms
+    its own basis values (`mode_values`) and volume-point gradients (numpy's
+    Legendre series) at the basis's quadrature points."""
+    from numpy.polynomial import legendre
+
     from bpdg.physics import lax_friedrichs_flux
 
     mesh, basis, model = field.mesh, field.basis, field.model
     c = field.coeffs
+    g = basis.face_rule
+    lo, hi = np.full(len(g), -0.5), np.full(len(g), 0.5)
+    phi_xm, phi_xp, phi_ym, phi_yp = (
+        mode_values(basis.k, np.column_stack(xy))
+        for xy in ((lo, g.nodes), (hi, g.nodes), (g.nodes, lo), (g.nodes, hi))
+    )
+    phi_vol = mode_values(basis.k, basis.vol_offsets)
+
+    def scaled_legendre(n, x, der):  # d^der/dx^der of sqrt(2n+1) P_n(2x)
+        return 2.0**der * legendre.legval(2.0 * x, legendre.legder(math.sqrt(2 * n + 1) * np.eye(n + 1)[n], der))
+
+    xi, eta = basis.vol_offsets.T
+    dphi_dxi_vol, dphi_deta_vol = (
+        np.stack([scaled_legendre(a, xi, d_xi) * scaled_legendre(b, eta, 1 - d_xi) for a, b in basis.mode_exps])
+        for d_xi in (1, 0)
+    )
 
     def at(phi):
         return np.einsum("ijnc,nq->ijqc", c, phi, optimize=True)
 
-    uxm, uxp, uym, uyp = (at(p) for p in (basis.phi_xm, basis.phi_xp, basis.phi_ym, basis.phi_yp))
-    uvol = at(basis.phi_vol)
+    uxm, uxp, uym, uyp = (at(p) for p in (phi_xm, phi_xp, phi_ym, phi_yp))
+    uvol = at(phi_vol)
     wv, wq = basis.vol_weights, basis.face_rule.weights
     rate = (
-        np.einsum("ijgc,ng,g->ijnc", model.flux(uvol, 0), basis.dphi_dxi_vol, wv, optimize=True) / mesh.dx
-        + np.einsum("ijgc,ng,g->ijnc", model.flux(uvol, 1), basis.dphi_deta_vol, wv, optimize=True) / mesh.dy
+        np.einsum("ijgc,ng,g->ijnc", model.flux(uvol, 0), dphi_dxi_vol, wv, optimize=True) / mesh.dx
+        + np.einsum("ijgc,ng,g->ijnc", model.flux(uvol, 1), dphi_deta_vol, wv, optimize=True) / mesh.dy
     )
     y_face = face_coords(mesh, True, basis.face_rule.nodes)
     x_face = face_coords(mesh, False, basis.face_rule.nodes)
@@ -232,15 +253,15 @@ def _einsum_residual(field, alphas):
     u_plus = np.concatenate([uxm, ghost_trace(mesh.bc_right, uxp[-1], uxm[0], y_face)[None]], axis=0)
     fx = lax_friedrichs_flux(model, u_minus, u_plus, 0, alphas[0])
     rate -= (
-        np.einsum("ijqc,nq,q->ijnc", fx[1:], basis.phi_xp, wq, optimize=True)
-        - np.einsum("ijqc,nq,q->ijnc", fx[:-1], basis.phi_xm, wq, optimize=True)
+        np.einsum("ijqc,nq,q->ijnc", fx[1:], phi_xp, wq, optimize=True)
+        - np.einsum("ijqc,nq,q->ijnc", fx[:-1], phi_xm, wq, optimize=True)
     ) / mesh.dx
     u_minus = np.concatenate([ghost_trace(mesh.bc_bottom, uym[:, 0], uyp[:, -1], x_face)[:, None], uyp], axis=1)
     u_plus = np.concatenate([uym, ghost_trace(mesh.bc_top, uyp[:, -1], uym[:, 0], x_face)[:, None]], axis=1)
     fy = lax_friedrichs_flux(model, u_minus, u_plus, 1, alphas[1])
     rate -= (
-        np.einsum("ijqc,nq,q->ijnc", fy[:, 1:], basis.phi_yp, wq, optimize=True)
-        - np.einsum("ijqc,nq,q->ijnc", fy[:, :-1], basis.phi_ym, wq, optimize=True)
+        np.einsum("ijqc,nq,q->ijnc", fy[:, 1:], phi_yp, wq, optimize=True)
+        - np.einsum("ijqc,nq,q->ijnc", fy[:, :-1], phi_ym, wq, optimize=True)
     ) / mesh.dy
     return rate
 
@@ -443,9 +464,9 @@ def test_apply_matrix_matches_former_kernels(k, m):
     flux = stacked[:, :, basis.at_vol] ** 2  # component-major, as the model's fluxes are
     terms = {
         "evaluation": (basis.eval_matrix, coeffs),
-        "volume": (basis.assemble_vol_x, flux),
-        "face": (basis.assemble_xp, stacked[:, :, basis.at_xp]),
-        "C-ordered": (basis.assemble_vol_y, np.ascontiguousarray(flux)),
+        "volume": (basis.assemble_vol[0], flux),
+        "face": (basis.assemble_faces[0][1], stacked[:, :, basis.at_faces[0][1]]),
+        "C-ordered": (basis.assemble_vol[1], np.ascontiguousarray(flux)),
     }
     for name, (matrix, x) in terms.items():
         got = apply_matrix(matrix, x)
@@ -529,7 +550,7 @@ def _former_max_speeds(field, values):
     y_face, x_face = (face_coords(mesh, along_y, basis.face_rule.nodes) for along_y in (True, False))
 
     def ghosts(a, of_state=None):
-        xm, xp, ym, yp = (a[:, :, at] for at in (basis.at_xm, basis.at_xp, basis.at_ym, basis.at_yp))
+        xm, xp, ym, yp = (a[:, :, at] for pair in basis.at_faces for at in pair)
         return (ghost_trace(mesh.bc_left, xm[0], xp[-1], y_face, of_state),
                 ghost_trace(mesh.bc_right, xp[-1], xm[0], y_face, of_state),
                 ghost_trace(mesh.bc_bottom, ym[:, 0], yp[:, -1], x_face, of_state),

@@ -318,7 +318,8 @@ def test_window_ghosts_inside_the_mesh_are_its_own_traces(formed_ghosts):
     basis, u, p = part.basis, values.stacked, values.pressure
     states, pressures = formed_ghosts(part, values)
     for own, ghost in zip((u, p), (states, pressures)):
-        traces = (own[0, :, basis.at_xm], own[-1, :, basis.at_xp], own[:, 0, basis.at_ym], own[:, -1, basis.at_yp])
+        (at_xm, at_xp), (at_ym, at_yp) = basis.at_faces
+        traces = (own[0, :, at_xm], own[-1, :, at_xp], own[:, 0, at_ym], own[:, -1, at_yp])
         for trace, formed in zip(traces, ghost):
             np.testing.assert_array_equal(formed, trace)
 
