@@ -452,13 +452,16 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
         try:
             if quiescence is not None:
                 cut = quiescence.window(field, window)
-                if cut != window:
-                    values = None  # those of another window
-                window = cut
+                if cut != window:  # an equal window is kept, and with it the basis's boundary plan
+                    values, window = None, cut  # those of another window
             stepped = field if window is None else window.cut(field)
             # one speed pass: the speeds and stage 0 of the step read the
-            # values the last limiting returned, else its one evaluation
-            speeds, values = global_max_speeds(stepped, values)
+            # values the last limiting returned, else its one evaluation;
+            # popped from `handover` into the call, they are held by
+            # `ssp_step` alone (a Python 3.11 call takes over its arguments),
+            # which drops them after stage 0's rate
+            handover = [global_max_speeds(stepped, values)]
+            speeds, values = handover[0][0], None
             # one decomposition per step: its dt is the step's, its nodes
             # are where every stage of the step is limited (the optimal
             # internal nodes follow the speed ratio); dt bounded every step
@@ -468,7 +471,7 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
                 # clip the final step to land exactly on t_end; an unbounded
                 # step (every speed zero) lands there at once
                 dt = cfg.t_end - t
-            stepped, values, stage_diagnostics = ssp_step(stepped, scheme, dt, chain, (speeds, values))
+            stepped, values, stage_diagnostics = ssp_step(stepped, scheme, dt, chain, handover.pop())
             field = stepped if window is None else window.paste(stepped, field)
         except AdmissibilityError as exc:
             if window is not None:

@@ -11,6 +11,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Callable, Optional
 
 import numpy as np
@@ -146,6 +147,7 @@ class Basis2D:
         self.k = k
         self._stencil: Optional[LinearStencil] = None  # see linear_stencil
         self._terms: dict = {}  # the scaled stencils of `_stencil`, by (a, b)
+        self._plan: Optional[BoundaryPlan] = None  # see boundary_plan
         self.mode_exps = _mode_exps(k)
         self.n_modes = len(self.mode_exps)  # (k+1)(k+2)/2
         self.face_rule = g = gauss_rule(k + 1)
@@ -181,11 +183,13 @@ class Basis2D:
         The basis keeps the last one it built, keyed by the values
         themselves, so a run (one basis, a constant alpha = |c|) builds it
         once, and with it its last few scaled ones: one per stage of a step
-        at a constant dt."""
-        key = (tuple(map(float, c)), tuple(map(float, alphas)), tuple(map(float, spacings)))
-        if self._stencil is None or self._stencil.key != key:
-            self._stencil = LinearStencil.build(self, *key)
-            self._terms = {}
+        at a constant dt.  The values as given are compared with the key
+        first; only a miss normalises them to a new key."""
+        if self._stencil is None or self._stencil.key != (c, alphas, spacings):
+            key = (tuple(map(float, c)), tuple(map(float, alphas)), tuple(map(float, spacings)))
+            if self._stencil is None or self._stencil.key != key:
+                self._stencil = LinearStencil.build(self, *key)
+                self._terms = {}
         if term is None:
             return self._stencil
         if term not in self._terms:
@@ -194,6 +198,15 @@ class Basis2D:
             self._terms[term] = self._stencil.scaled(*term)
         return self._terms[term]
 
+    def boundary_plan(self, mesh: Mesh2D, shape: tuple[int, ...]) -> "BoundaryPlan":
+        """The `BoundaryPlan` of `mesh` for coefficients of `shape`.  The basis
+        keeps the last one it built, keyed by the mesh's identity (the plan
+        holds the mesh, so its id is not reused) and the shape, so a run
+        builds it once per mesh."""
+        plan = self._plan
+        if plan is None or plan.mesh is not mesh or plan.shape != shape:
+            plan = self._plan = BoundaryPlan(mesh, self.face_rule.nodes, shape)
+        return plan
 
 
 @dataclass(frozen=True)
@@ -219,7 +232,11 @@ class LinearStencil:
 
     An SSP-RK stage term a u + b rate is affine in u too: `scaled(a, b)` is
     the stencil with centre a I + b C and every other block times b, so one
-    application gives the term (`semidiscrete_residual`'s `term`)."""
+    application gives the term (`semidiscrete_residual`'s `term`).
+
+    A run builds its stencil once, and each scaled one once per dt:
+    `Basis2D.linear_stencil` keeps them.  What the residual reads of the
+    mesh's boundaries is the basis's `BoundaryPlan`, also built once."""
 
     key: tuple
     centre: np.ndarray
@@ -327,13 +344,37 @@ def face_coords(mesh: Mesh2D, along_y: bool, q_nodes: np.ndarray) -> np.ndarray:
     return (mesh.x_centers[:, None] + q_nodes[None, :] * mesh.dx)
 
 
-def _sides(field: DGField, axis: int):
-    """The low and high boundary conditions normal to `axis`, and the face
-    positions along them where `ghost_trace` reads any: only an inflow side
-    does, so None when neither side is one."""
-    bcs = field.mesh.sides[axis]
+def _sides(mesh: Mesh2D, q_nodes: np.ndarray, axis: int):
+    """The low and high boundary conditions normal to `axis`, and the
+    positions of the face points `q_nodes` along them where `ghost_trace`
+    reads any: only an inflow side does, so None when neither side is one."""
+    bcs = mesh.sides[axis]
     inflow = any(isinstance(bc, InflowSegment) for bc in bcs)
-    return (*bcs, face_coords(field.mesh, axis == 0, field.basis.face_rule.nodes) if inflow else None)
+    return (*bcs, face_coords(mesh, axis == 0, q_nodes) if inflow else None)
+
+
+class BoundaryPlan:
+    """What the residual reads of a mesh's boundaries, per axis, for
+    coefficients of one shape (nx, ny, n_modes, m); `Basis2D.boundary_plan`
+    builds it once per mesh.
+
+    `sides[axis]` is `_sides` of the axis, which `_interface_flux` and
+    `_linear_residual` read.  The rest indexes `_linear_residual`'s flat
+    (m, n_modes, nx ny) arrays, cells in C order: a cell's +e_d neighbour
+    is `shifts[d]` cells on, and `rows[d]` = (first, last) are the index
+    tuples of the cell rows at the low and the high side normal to d.
+
+    A plain class, not a dataclass: creating a dataclass costs about 0.9 ms
+    at import, which every run would pay."""
+
+    def __init__(self, mesh: Mesh2D, q_nodes: np.ndarray, shape: tuple[int, ...]):
+        nx, ny = shape[:2]
+        self.mesh = mesh  # held, so the id `boundary_plan` keys by is not reused
+        self.shape = shape
+        self.sides = tuple(_sides(mesh, q_nodes, axis) for axis in (0, 1))
+        self.shifts = (ny, 1)
+        self.rows = (((..., slice(0, ny)), (..., slice((nx - 1) * ny, None))),
+                     ((..., slice(0, None, ny)), (..., slice(ny - 1, None, ny))))
 
 
 def linear_flux(model: ConservationLawModel) -> bool:
@@ -380,20 +421,21 @@ def global_max_speeds(field: DGField, values: Optional[PointValues] = None) -> S
     Returns the speeds and the point values they were read from, for the
     residual of the same state: `values` when handed in (those the Euler BP
     limiter returned with the field), else the one evaluation of the field.
-    A linear flux (`linear_flux`) reads the coefficients instead, and its
-    values are None: its speeds are |c_d| whatever the state, and a state is
-    admissible for it when finite, which its coefficients are exactly when
-    its point values are.
+    A linear flux (`linear_flux`) reads the coefficients instead, in one
+    call of the model's `max_wave_speeds`, and its values are None: its
+    speeds are |c_d| whatever the state, an inflow state's as well, and a
+    state is admissible for it when finite, which its coefficients are
+    exactly when its point values are.  Nothing is built or kept between
+    calls.
 
     This pass is a state's one admissibility check: the model raises
     AdmissibilityError, naming the first cell, for an inadmissible or
     non-finite point value (a missing or failed limiter)."""
     if linear_flux(field.model):
-        values, own = None, (field.coeffs, None)
-    else:
-        values = point_values(field) if values is None else values
-        own = (values.stacked, values.pressure)
-    sets = [own] + [(bc.state, None) for bcs in field.mesh.sides for bc in bcs if isinstance(bc, InflowSegment)]
+        return field.model.max_wave_speeds(field.coeffs), None
+    values = point_values(field) if values is None else values
+    sets = [(values.stacked, values.pressure)]
+    sets += [(bc.state, None) for bcs in field.mesh.sides for bc in bcs if isinstance(bc, InflowSegment)]
     a1 = a2 = 0.0
     for pts, p in sets:
         s1, s2 = field.model.max_wave_speeds(pts, p)
@@ -411,7 +453,7 @@ def _interface_flux(field: DGField, values: PointValues, axis: int, alpha: float
     face slice, and an inflow ghost that copy with the inflow state (its
     pressure `pressure(state)`) at the covered points."""
     basis, model = field.basis, field.model
-    bc_lo, bc_hi, coords = _sides(field, axis)
+    bc_lo, bc_hi, coords = basis.boundary_plan(field.mesh, field.coeffs.shape).sides[axis]
     at_lo, at_hi = basis.at_faces[axis]
     cells = (slice(None),) * axis  # index prefix up to the cell index along `axis`
 
@@ -492,43 +534,41 @@ def _linear_residual(field: DGField, alphas: tuple[float, float],
     On a periodic side the boundary row takes the wrapped cell's; on any
     other side its exterior trace is `ghost_trace` of the row's own trace
     (on an outflow side, the trace itself), assembled by the stencil's ghost
-    matrices."""
+    matrices.
+    What is fixed for a run is built once and kept on the basis: the
+    stencil and its scaled stencils (`Basis2D.linear_stencil`), and the
+    shifts, boundary rows and sides (`Basis2D.boundary_plan`).  No array
+    is kept between calls."""
     mesh, basis = field.mesh, field.basis
     stencil = basis.linear_stencil(field.model.c, alphas, (mesh.dx, mesh.dy), term)
+    plan = basis.boundary_plan(mesh, field.coeffs.shape)
     nx, ny, n, m = field.coeffs.shape
     u = np.ascontiguousarray(field.coeffs.transpose(3, 2, 0, 1))  # (m, n, nx, ny), no copy when component-major
     flat = u.reshape(m, n, nx * ny)
     rate = np.matmul(stencil.centre, flat)
     products = np.matmul(stencil.neighbours, flat).reshape(m, 4, n, nx * ny)
-    grid = (m, n, nx, ny)
-    for axis, shift in ((0, ny), (1, 1)):
+    for axis, shift, (first, last), (bc_lo, bc_hi, coords) in zip((0, 1), plan.shifts, plan.rows, plan.sides):
         plus, minus = products[:, 2 * axis], products[:, 2 * axis + 1]
-
-        def row(a, s):  # the cell rows `s` along `axis` of a flat (m, n, cells) array
-            a = a.reshape(grid)
-            return a[..., s] if axis == 1 else a[..., s, :]
-
         # the neighbour of a cell is `shift` cells on in the flat order; the
         # products no cell reads across its own axis's boundary are zeroed
         # first (along y they would wrap onto the next row of cells), and
         # kept for a periodic side
-        wrap_plus, wrap_minus = row(plus, 0).copy(), row(minus, -1).copy()
-        row(plus, 0)[...] = 0.0
-        row(minus, -1)[...] = 0.0
+        wrap_plus, wrap_minus = plus[first].copy(), minus[last].copy()
+        plus[first] = 0.0
+        minus[last] = 0.0
         rate[..., :-shift] += plus[..., shift:]
         rate[..., shift:] += minus[..., :-shift]
-        bc_lo, bc_hi, coords = _sides(field, axis)
         if bc_lo == PERIODIC:
-            row(rate, -1)[...] += wrap_plus
-            row(rate, 0)[...] += wrap_minus
+            rate[last] += wrap_plus
+            rate[first] += wrap_minus
             continue
-        for bc, end, at, assemble in zip((bc_lo, bc_hi), (0, -1), basis.at_faces[axis],
+        for bc, row, at, assemble in zip((bc_lo, bc_hi), (first, last), basis.at_faces[axis],
                                          (stencil.ghost_lo[axis], stencil.ghost_hi[axis])):
-            own = np.matmul(basis.eval_matrix[at], row(flat, end)).transpose(2, 1, 0)  # (cells, Q, m)
+            own = np.matmul(basis.eval_matrix[at], flat[row]).transpose(2, 1, 0)  # (cells, Q, m)
             # a non-periodic side never reads `wrap`
             ghost = ghost_trace(bc, own, None, coords)
-            row(rate, end)[...] += np.matmul(assemble, ghost.transpose(2, 1, 0))
-    return rate.reshape(grid).transpose(2, 3, 1, 0)
+            rate[row] += np.matmul(assemble, ghost.transpose(2, 1, 0))
+    return rate.reshape(m, n, nx, ny).transpose(2, 3, 1, 0)
 
 
 @dataclass(frozen=True)
@@ -543,6 +583,16 @@ class SspScheme:
         return min(
             alpha / beta for stage in self.stages for alpha, beta, _ in stage if beta > 0
         )
+
+    @cached_property
+    def schedule(self) -> tuple[dict[int, int], dict[int, int], frozenset[int]]:
+        """What `ssp_step` reads of the stages, built on first use: the last
+        stage that reads each state, the last that reads each state's rate,
+        and the states whose rate one stage term alone reads."""
+        last_read = {idx: s for s, stage in enumerate(self.stages) for _, _, idx in stage}
+        last_rated = {idx: s for s, stage in enumerate(self.stages) for _, beta, idx in stage if beta != 0.0}
+        readers = [idx for stage in self.stages for _, beta, idx in stage if beta != 0.0]
+        return last_read, last_rated, frozenset(idx for idx in readers if readers.count(idx) == 1)
 
 
 SSPRK3 = SspScheme(
@@ -587,10 +637,13 @@ def ssp_step(
     its residual reads: those handed in with the state (a stage's, those
     `limiter_chain` returns with it), else the pass's own evaluation (none
     for a linear flux, `linear_flux`).  `start` is `field`'s pass, when the
-    caller has already made it.  The step lets go of a state's values once
-    its rate is computed.  A stage's rates are computed before its sum is
-    allocated, and a state and its rate are dropped after the last stage
-    that reads them.
+    caller has already made it; a caller that keeps no reference to it
+    (`cli.run` does not) lets its values die with stage 0's rate.  The step
+    lets go of a state's values once its rate is computed.  A stage's rates
+    are computed before its sum is allocated, and a state and its rate are
+    dropped after the last stage that reads them: which stage that is, and
+    which states one stage term rates, is the scheme's `schedule`, built
+    once per scheme.
 
     With a linear flux a state whose rate one stage term alpha u + dt beta
     rate reads is not rated on its own: its residual call returns that term
@@ -610,12 +663,9 @@ def ssp_step(
     del start  # the list's is the step's one reference, dropped by `rate`
     rates: dict[int, np.ndarray] = {}
     diagnostics = []
-    # the last stage that reads each state, and each state's rate
-    last_read = {idx: s for s, stage in enumerate(scheme.stages) for _, _, idx in stage}
-    last_rated = {idx: s for s, stage in enumerate(scheme.stages) for _, beta, idx in stage if beta != 0.0}
+    last_read, last_rated, single = scheme.schedule
     # the states whose `rates` entry is their one stage term
-    readers = [idx for stage in scheme.stages for _, beta, idx in stage if beta != 0.0]
-    fused = {idx for idx in readers if readers.count(idx) == 1} if linear_flux(field.model) else set()
+    fused = single if linear_flux(field.model) else frozenset()
 
     def rate(idx: int, term=None) -> np.ndarray:
         state, (speeds, values) = states[idx], passes[idx]

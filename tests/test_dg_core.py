@@ -2,14 +2,20 @@
 oracle), SSP stepping, and the step controller."""
 
 import math
+import os
+import pickle
+import subprocess
+import sys
 import tracemalloc
+import weakref
 from dataclasses import replace
+from pathlib import Path
 
 import numpy as np
 import pytest
 
-from bpdg import dg_core
-from bpdg.cli import RunConfig, run
+from bpdg import cli, dg_core
+from bpdg.cli import RunConfig, parse_config, run
 from bpdg.decomposition import SpeedRatios, decomposition_for, optimal_2d, speed_ratios
 from bpdg.dg_core import (
     Basis2D,
@@ -21,6 +27,7 @@ from bpdg.dg_core import (
     PointValues,
     SSPRK3,
     SSPRK4,
+    SspScheme,
     _interface_flux,
     apply_matrix,
     error_norms,
@@ -45,6 +52,8 @@ from bpdg.physics import (
     EulerPositivity,
 )
 from bpdg.quadrature import gauss_rule
+
+CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
 
 def _periodic_mesh(n, lo=-1.0, hi=1.0):
@@ -348,6 +357,96 @@ def test_linear_stage_term_matches_rate_then_sum():
                     got = semidiscrete_residual(field, alphas, term=(a, b))
                     bound = 16.0 * eps * (abs(a) * np.abs(u).max() + abs(b) * np.abs(rate).max())
                     assert np.abs(got - expect).max() <= bound, (field.mesh, a, b)
+
+
+def _plan_cases():
+    """Advection on periodic, outflow, mixed and inflow meshes of one shape,
+    9 x 7 cells, at k = 2 and 3: per k, (kind, mesh, model, coeffs, alphas)."""
+    rng = np.random.default_rng(31)
+    kinds = {"periodic": (PERIODIC,) * 4, "outflow": (OUTFLOW,) * 4,
+             "mixed": (PERIODIC, PERIODIC, OUTFLOW, OUTFLOW),
+             "inflow": (InflowSegment(np.array([0.4]), -0.3, 0.2), OUTFLOW, OUTFLOW, OUTFLOW)}
+    model = AdvectionModel(c=(0.8, -0.5))
+    for k in (2, 3):
+        n_modes = (k + 1) * (k + 2) // 2
+        yield k, [(kind, Mesh2D(0.0, 1.0, -0.5, 0.5, 9, 7, *bcs), model, rng.normal(size=(9, 7, n_modes, 1)),
+                   (0.8 + 0.1 * k, 0.5)) for kind, bcs in kinds.items()]
+
+
+# the rates of pickled (k, mesh, model, coeffs, alphas, term) calls, each with a fresh basis
+_FRESH_RATES = """
+import pickle, sys
+from bpdg.dg_core import Basis2D, DGField, semidiscrete_residual
+with open(sys.argv[1], "rb") as f:
+    calls = pickle.load(f)
+rates = [semidiscrete_residual(DGField(coeffs, Basis2D(k), mesh, model), alphas, term=term)
+         for k, mesh, model, coeffs, alphas, term in calls]
+with open(sys.argv[2], "wb") as f:
+    pickle.dump(rates, f)
+"""
+
+
+def test_boundary_plan_follows_the_mesh(tmp_path):
+    """One basis per k rates advection on periodic, outflow, mixed and inflow
+    meshes of one shape in turn, twice round, plainly and as a stage term,
+    and so rebuilds its boundary plan (keyed by the mesh's identity) at
+    every call.  Every plain rate matches `_einsum_residual` to the bound
+    of `test_linear_stencil_matches_einsum_formula`, and every rate equals,
+    bit for bit, its first round's and the one a fresh process computes
+    with a fresh basis per mesh."""
+    first, calls = {}, []
+    for k, cases in _plan_cases():
+        basis = Basis2D(k)
+        for _ in range(2):
+            for kind, mesh, model, coeffs, alphas in cases:
+                field = DGField(coeffs, basis, mesh, model)
+                for term in (None, (0.75, 0.01)):
+                    rate = semidiscrete_residual(field, alphas, term=term)
+                    assert basis._plan.mesh is mesh
+                    key = (k, kind, term)
+                    if key in first:
+                        np.testing.assert_array_equal(rate, first[key], err_msg=str(key))
+                        continue
+                    first[key] = rate
+                    calls.append((k, mesh, model, coeffs, alphas, term))
+                    if term is None:
+                        expect = _einsum_residual(field, alphas)
+                        np.testing.assert_allclose(rate, expect, rtol=0, atol=1e-13 * np.abs(expect).max(),
+                                                   err_msg=str(key))
+    (tmp_path / "calls.pkl").write_bytes(pickle.dumps(calls))
+    src = str(Path(dg_core.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    subprocess.run([sys.executable, "-c", _FRESH_RATES, str(tmp_path / "calls.pkl"), str(tmp_path / "rates.pkl")],
+                   check=True, env=env)
+    fresh = pickle.loads((tmp_path / "rates.pkl").read_bytes())
+    assert len(fresh) == len(first) == 16
+    for (key, rate), other in zip(first.items(), fresh):
+        np.testing.assert_array_equal(rate, other, err_msg=str(key))
+
+
+def test_advection_run_builds_its_run_constant_state_once(monkeypatch):
+    """The advection desk run to t_end 0.75 builds one boundary plan (one
+    `_sides` call per axis) for its one mesh and one schedule for its
+    scheme, and no residual call builds either: its 450 residual calls
+    read them from the basis and the scheme."""
+    counts = dict.fromkeys(("plan", "sides", "schedule", "residual"), 0)
+
+    def counted(name, f):
+        def call(*args, **kwargs):
+            counts[name] += 1
+            return f(*args, **kwargs)
+        return call
+
+    monkeypatch.setattr(dg_core, "BoundaryPlan", counted("plan", dg_core.BoundaryPlan))
+    monkeypatch.setattr(dg_core, "_sides", counted("sides", dg_core._sides))
+    monkeypatch.setattr(dg_core, "semidiscrete_residual", counted("residual", dg_core.semidiscrete_residual))
+    schedule = SspScheme.__dict__["schedule"]
+    monkeypatch.setattr(schedule, "func", counted("schedule", schedule.func))
+    # a scheme whose schedule no earlier run built
+    monkeypatch.setitem(dg_core.SCHEMES, "ssprk3", SspScheme(SSPRK3.name, SSPRK3.stages))
+    report = run(replace(parse_config(CONFIG_DIR / "advection_desk.cfg"), t_end=0.75), write_outputs=False)
+    assert report.steps == 150
+    assert counts == {"plan": 1, "sides": 2, "schedule": 1, "residual": 3 * report.steps}
 
 
 def test_only_a_linear_flux_takes_a_stage_term():
@@ -710,6 +809,76 @@ def test_small_jet_step_memory_budget():
     finally:
         tracemalloc.stop()
     assert peak <= 840_800, peak
+
+
+def test_small_advection_step_memory_budget():
+    """tracemalloc figures of box-limited SSPRK3 steps of advection on a
+    24x12 periodic mesh, traced from before the step that builds the
+    basis's stencils and boundary plan.
+    - What that step leaves allocated once its result is dropped: the
+      stencils and the plan, under half of one neighbour-products array
+      (4 n_modes nx ny doubles).  A buffer kept between residual calls
+      shows here; a reused products buffer left 71,058 bytes.
+    - The peak of the next step, that included: at most the highest peak
+      of three test orders (the test alone, in this file, and in the fast
+      suite) before that state was built once per run: 147,436 bytes
+      with Python 3.11 and numpy 2.4."""
+    mesh = Mesh2D(-1.0, 1.0, -1.0, 1.0, 24, 12)
+    model = AdvectionModel(c=(1.0, -0.5))
+    field = project(_sine, mesh, Basis2D(2), model)
+    (speeds, _), spacings = global_max_speeds(field), (mesh.dx, mesh.dy)
+    decomp = optimal_2d(2, speed_ratios(speeds, spacings))
+    chain = LimiterChain(build_node_set(decomp, field.basis, model.region))
+    dt = step_controller(decomp, SSPRK3, speeds, spacings)
+    tracemalloc.start()
+    try:
+        _, _, stages = ssp_step(field.copy(), SSPRK3, dt, chain)  # fills the caches
+        assert sum(diag.cells_limited for diag in stages) > 0
+        del stages
+        kept = tracemalloc.get_traced_memory()[0]
+        tracemalloc.reset_peak()
+        ssp_step(field, SSPRK3, dt, chain, (speeds, None))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert kept < 4 * field.basis.n_modes * mesh.nx * mesh.ny * 8 // 2, kept
+    assert peak <= 147_436, peak
+
+
+def _root(a: np.ndarray) -> np.ndarray:
+    """The array that owns `a`'s memory."""
+    while a.base is not None:
+        a = a.base
+    return a
+
+
+@pytest.mark.skipif(sys.version_info < (3, 11),
+                    reason="before Python 3.11 a caller's frame holds a call's arguments until it returns")
+def test_step_start_values_die_before_stage_1(monkeypatch):
+    """`cli.run` keeps no reference to the step-start point values it hands
+    to `ssp_step`: on a small jet, the memory of each step's stacked values
+    is freed before stage 1's residual runs, stage 0's rate having read
+    them last."""
+    refs, residuals, dead = [], [], []
+    speed_pass, residual = cli.global_max_speeds, dg_core.semidiscrete_residual
+
+    def recorded_pass(field, values=None):
+        speeds, values = speed_pass(field, values)
+        refs.append(weakref.ref(_root(values.stacked)))
+        residuals.clear()
+        return speeds, values
+
+    def recorded_residual(*args, **kwargs):
+        residuals.append(None)
+        if len(residuals) == 2:  # stage 1's
+            dead.append(refs[-1]() is None)
+        return residual(*args, **kwargs)
+
+    monkeypatch.setattr(cli, "global_max_speeds", recorded_pass)
+    monkeypatch.setattr(dg_core, "semidiscrete_residual", recorded_residual)
+    jet = replace(parse_config(CONFIG_DIR / "mach80_jet_desk.cfg"), nx=24, ny=12, t_end=0.002)
+    report = run(jet, write_outputs=False)
+    assert report.steps > 3 and dead == [True] * report.steps
 
 
 def test_constant_field_zero_rate():
