@@ -99,9 +99,10 @@ def _phi1d(k: int, offsets_1d: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 def mode_values(k: int, offsets: np.ndarray) -> np.ndarray:
     """Degree-k basis values at reference offsets (P, 2) -> (n_modes, P)."""
     offsets = np.atleast_2d(np.asarray(offsets, dtype=float))
-    px, _ = _phi1d(k, offsets[:, 0])
-    py, _ = _phi1d(k, offsets[:, 1])
-    return np.stack([px[a] * py[b] for a, b in _mode_exps(k)])
+    vals, _ = legendre_table(k, 2.0 * offsets.T)  # both coordinates at once: (k+1, 2, P)
+    phi = np.sqrt(2.0 * np.arange(k + 1) + 1.0)[:, None, None] * vals
+    x, y = np.array(_mode_exps(k)).T  # each mode's x and y degree
+    return phi[x, 0] * phi[y, 1]
 
 
 def apply_matrix(matrix: np.ndarray, x: np.ndarray) -> np.ndarray:

@@ -18,7 +18,12 @@ face points; those rows and the internal nodes off them go to arrays of
 their own, so the rows handed on keep nothing else alive.
 Density and pressure each get one theta per cell, aimed a stated round-off
 margin above the floors; the pressure crossing is the closed-form root of a
-quadratic, checked where it is used.  The limited values
+quadratic, checked where it is used.  Each block gets one full pass for its
+density minimum and one for its pressure; everything after that (aims,
+crossings, scaling, the pressure of the scaled values and the collapse
+check) runs once per limiting, on one compact array of both blocks' nodes of
+the flagged cells only: those with a node below a floor (a few percent of
+the cells on the jets).  The limited values
 `mean + theta*(v - mean)` and their pressure are returned with the field, for
 the next residual to read, and those are what is certified: a changed cell
 with a value still outside the region is collapsed to its average and counted
@@ -157,80 +162,94 @@ def _bp_limit_box(field: DGField, region: BoxScalar, nodes: NodeRows):
 
 def _bp_limit_euler(field: DGField, region: EulerPositivity, nodes: NodeRows):
     model = field.model
-    mean = field.coeffs[:, :, 0, :]  # (nx, ny, 4)
-    mean_rho = mean[..., 0]
-    mean_p = model.pressure(mean)
-    _require_means(region, mean, mean_p)
+    mean_p = model.pressure(field.coeffs[:, :, 0, :])
+    _require_means(region, field.coeffs[:, :, 0, :], mean_p)
+    nx, ny = mean_p.shape
+    # from here on every array has its cells on one axis, in C order, as an
+    # (nx, ny) mask enumerates them; the coefficients are scaled through a
+    # view, (nx*ny, n_modes, 4), written back at the end if reshape copied
+    coeffs = field.coeffs.reshape(nx * ny, *field.coeffs.shape[2:])
+    mean = coeffs[:, 0, :]  # (nx*ny, 4)
 
     # the one evaluation, in two arrays: the stacked rows, the values the
     # next residual reads (returned rather than evaluated again), and the
     # internal nodes off them, which are not kept alive with those
-    blocks = nodes.evaluate(field, len(field.basis.eval_matrix))  # [(4, rows, nx, ny)]
+    split = len(field.basis.eval_matrix)
+    planes = nodes.evaluate(field, split)  # [(4, rows, nx, ny)], C arrays
+    blocks = [v.reshape(4, len(v[0]), nx * ny) for v in planes]  # views, so writes reach `planes`
 
     # stage 1: scale the density modes so nodal rho >= eps_rho, aiming a
     # round-off margin above the floor; re-centre the limited cells' nodes
     rho_min = np.min([v[0].min(axis=0) for v in blocks], axis=0)
-    theta_rho = np.ones_like(mean_rho)
+    theta_rho = np.ones_like(rho_min)
     low = rho_min < region.eps_rho
     if np.any(low):
-        m, r = mean_rho[low], rho_min[low]
+        m, r = mean[low, 0], rho_min[low]
         aim = region.eps_rho + _MARGIN * (np.abs(m) + np.abs(r))
         with np.errstate(divide="ignore"):  # a flat cell (r = m below the floor) gets theta 0
             th = theta_rho[low] = np.clip((m - aim) / (m - r), 0.0, 1.0)
-        field.coeffs[low, 1:, 0] *= th[:, None]
+        coeffs[low, 1:, 0] *= th[:, None]
         for v in blocks:
             v[0][:, low] = m + th * (v[0][:, low] - m)
 
     # stage 2: one theta per cell so nodal pressure stays above eps_p; in the
     # cells with a node below the floor every node short of floor + margin
-    # gets its own crossing, and the cell takes the smallest
-    p_blocks = [model.pressure(np.moveaxis(v, 0, -1)) for v in blocks]  # [(rows, nx, ny)]
-    theta_p = np.ones_like(mean_rho)
-    cells = np.any([np.any(~(p >= region.eps_p), axis=0) for p in p_blocks], axis=0)
-    if np.any(cells):
-        ci, cj = np.nonzero(cells)
-        flagged = []  # (cell rows, cell columns, node states) of each block
-        for v, p in zip(blocks, p_blocks):
-            aim = _pressure_aim(model.gamma, region.eps_p, mean[ci, cj, 3], v[3][:, ci, cj])
-            node, k = np.nonzero(~(p[:, ci, cj] >= aim))
-            flagged.append((ci[k], cj[k], v[:, node, ci[k], cj[k]]))
-        fi, fj, u_node = (np.concatenate(part, axis=-1) for part in zip(*flagged))
-        u_mean = np.ascontiguousarray(mean[fi, fj].T)
-        t = _pressure_crossing(model, u_mean, u_node, region.eps_p)
-        np.minimum.at(theta_p, (fi, fj), t)
-    scaled = theta_p < 1.0
-    if np.any(scaled):
+    # gets its own crossing, and the cell takes the smallest.  One full
+    # pressure pass per block; the rest runs once, on one compact array of
+    # the flagged cells' nodes of both blocks, the density-limited cells among
+    # them, and only the changed cells are scattered back
+    p_planes = [model.pressure(np.moveaxis(v, 0, -1)) for v in planes]  # [(rows, nx, ny)], C arrays
+    p_blocks = [p.reshape(len(p), nx * ny) for p in p_planes]
+    values = PointValues(planes[0].transpose(2, 3, 1, 0), p_planes[0].transpose(1, 2, 0))
+    short = ~(np.min([p.min(axis=0) for p in p_blocks], axis=0) >= region.eps_p)  # NaN is short too
+    cells = np.flatnonzero(low | short)
+    if not len(cells):
+        return field, LimiterDiagnostics(), values
+    v = np.concatenate([b[:, :, cells] for b in blocks], axis=1)  # (4, rows, cells)
+    p = np.concatenate([b[:, cells] for b in p_blocks])  # (rows, cells)
+    m = mean[cells].T  # (4, cells)
+    aim = _pressure_aim(model.gamma, region.eps_p, m[3], v[3])
+    node, c = np.nonzero(~(p >= aim) & short[cells])
+    theta_p = np.ones(len(cells))
+    if len(c):
+        t = _pressure_crossing(model, np.ascontiguousarray(m[:, c]), v[:, node, c], region.eps_p)
+        np.minimum.at(theta_p, c, t)
+    # only the changed cells go on, and back: a cell with theta 1 keeps its
+    # values, as (v - m) + m is not always v
+    theta = np.minimum(theta_rho[cells], theta_p)
+    changed = theta < 1.0
+    if not changed.all():
+        cells, theta, theta_p, v, p, m = (a[..., changed] for a in (cells, theta, theta_p, v, p, m))
+    scaled = np.flatnonzero(theta_p < 1.0)
+    if len(scaled):
         th = theta_p[scaled]
-        field.coeffs[scaled, 1:, :] *= th[:, None, None]
+        coeffs[cells[scaled], 1:, :] *= th[:, None, None]
         # the limited values, by the crossing's own expression, and their pressure
-        m = mean[scaled].T[:, None, :]  # (4, 1, cells)
-        for v, p in zip(blocks, p_blocks):
-            w = th * (v[:, :, scaled] - m)
-            w += m
-            v[:, :, scaled] = w
-            p[:, scaled] = model.pressure(np.moveaxis(w, 0, -1))
+        ms = m[:, None, scaled]  # (4, 1, scaled cells)
+        w = th * (v[:, :, scaled] - ms)
+        w += ms
+        v[:, :, scaled] = w
+        p[:, scaled] = model.pressure(w.transpose(1, 2, 0))
 
     # the one counted fallback: a changed cell with a value still outside the
     # region is collapsed to its average (admissible by precondition, and
     # exact: mode 0 is the constant 1)
-    theta = np.minimum(theta_rho, theta_p)
-    changed = theta < 1.0
-    collapsed = np.zeros_like(changed)
-    if np.any(changed):
-        inside = [region.contains(np.moveaxis(v[:, :, changed], 0, -1), p[:, changed]).all(axis=0)
-                  for v, p in zip(blocks, p_blocks)]
-        collapsed[changed] = ~np.all(inside, axis=0)
-    if np.any(collapsed):
-        field.coeffs[collapsed, 1:, :] = 0.0
-        for v, p in zip(blocks, p_blocks):
-            v[:, :, collapsed] = mean[collapsed].T[:, None, :]
-            p[:, collapsed] = mean_p[collapsed]
+    collapsed = np.flatnonzero(~region.contains(v.transpose(1, 2, 0), p).all(axis=0))
+    if len(collapsed):
+        coeffs[cells[collapsed], 1:, :] = 0.0
+        v[:, :, collapsed] = m[:, None, collapsed]
+        p[:, collapsed] = mean_p.reshape(-1)[cells[collapsed]]
         theta[collapsed] = 0.0
+    for b, pb, rows in zip(blocks, p_blocks, (slice(split), slice(split, None))):
+        b[:, :, cells] = v[:, rows]
+        pb[:, cells] = p[rows]
+    if not np.may_share_memory(coeffs, field.coeffs):  # cells not one axis in memory: reshape copied
+        field.coeffs[...] = coeffs.reshape(field.coeffs.shape)
     return field, LimiterDiagnostics(
-        cells_limited=int(np.count_nonzero(changed)),
-        min_theta=float(theta.min()),
-        collapsed_cells=int(np.count_nonzero(collapsed)),
-    ), PointValues(blocks[0].transpose(2, 3, 1, 0), p_blocks[0].transpose(1, 2, 0))
+        cells_limited=len(cells),
+        min_theta=float(theta.min(initial=1.0)),
+        collapsed_cells=len(collapsed),
+    ), values
 
 
 def _pressure_aim(gamma: float, target, e_mean: np.ndarray, e_node: np.ndarray) -> np.ndarray:

@@ -10,7 +10,7 @@ Advection's sine and Burgers' Riemann data never do, so their runs build no
 Before each step `Quiescence.window` marks the *active* cells:
 
 - every cell with a coefficient off the reference by more than the threshold
-  tau = THRESHOLD_C * eps * max|reference|;
+  tau = THRESHOLD_C * eps * max|reference|, or not a number;
 - every cell next to a boundary whose ghost state is off the reference's
   mean by more than tau: an inflow segment's cells, those with a face point
   or a centre it covers (the same points `ghost_trace` gives the inflow state).
@@ -165,7 +165,7 @@ class Quiescence:
         `within` these cells are looked for: the others are known inactive."""
         deviation = np.abs(field.coeffs[within].transpose(3, 2, 0, 1) - self.reference)
         active = self.seeds.copy()
-        active[within] |= (deviation > self.tol).any(axis=(0, 1))
+        active[within] |= (~(deviation <= self.tol)).any(axis=(0, 1))  # a NaN coefficient is active
         return active
 
     def window(self, field: DGField, last: Optional[Window] = None) -> Optional[Window]:

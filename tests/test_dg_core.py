@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from bpdg import cli, dg_core
+from bpdg import cli, dg_core, limiters
 from bpdg.cli import RunConfig, parse_config, run
 from bpdg.decomposition import SpeedRatios, decomposition_for, optimal_2d, speed_ratios
 from bpdg.dg_core import (
@@ -112,6 +112,18 @@ def test_mode_zero_is_constant_one():
     rng = np.random.default_rng(0)
     pts = rng.uniform(-0.5, 0.5, (20, 2))
     np.testing.assert_allclose(mode_values(basis.k, pts)[0], 1.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("k", [0, 1, 2, 3, 4])
+def test_mode_values_are_the_per_mode_products_bit_for_bit(k):
+    """One Legendre table for both coordinates and index arrays give the
+    bits of the products formed mode by mode, each coordinate on its own."""
+    pts = np.random.default_rng(k).uniform(-0.5, 0.5, (9, 2))
+    px, _ = dg_core._phi1d(k, pts[:, 0])
+    py, _ = dg_core._phi1d(k, pts[:, 1])
+    expect = np.stack([px[a] * py[b] for a, b in dg_core._mode_exps(k)])
+    np.testing.assert_array_equal(mode_values(k, pts), expect)
+    np.testing.assert_array_equal(mode_values(k, pts[0]), expect[:, :1])
 
 
 # -------------------------------------------------------------- projection
@@ -756,6 +768,38 @@ def test_euler_pressure_computed_once_per_rk_state(monkeypatch):
     calls.clear()
     _, plain, stages = ssp_step(smooth, SSPRK3, 1e-5)
     assert calls.count(stacked_shape) == 3 and plain is None and stages == []
+    # a step whose stages are BP-limited (rough data, no TVB): per limiting one
+    # full pass per node block, and at most one call on the limited cells'
+    # nodes of both blocks at once, (all rows, cells), besides the cell means
+    # and the crossings' (nodes,) checks
+    chain = LimiterChain(chain.node_set)
+    rough = field.copy()
+    rough.coeffs[:, :, 1:, :] = 0.6 * np.random.default_rng(3).normal(size=rough.coeffs[:, :, 1:, :].shape)
+    rough.coeffs[:, :, 1:, :] *= np.abs(rough.coeffs[:, :, :1, :])
+    monkeypatch.setattr(model, "pressure", pressure)
+    rough, _, values = chain(rough)
+    limitings, bp_limit = [], limiters.bp_scaling_limit
+
+    def recorded(*args):
+        start = len(calls)
+        out = bp_limit(*args)
+        limitings.append((calls[start:], out[1]))
+        return out
+
+    monkeypatch.setattr(limiters, "bp_scaling_limit", recorded)
+    monkeypatch.setattr(model, "pressure", counted)
+    (speeds, values), spacings = global_max_speeds(rough, values), (rough.mesh.dx, rough.mesh.dy)
+    dt = step_controller(optimal_2d(2, speed_ratios(speeds, spacings)), SSPRK3, speeds, spacings)
+    ssp_step(rough, SSPRK3, dt, chain, (speeds, values))
+    assert len(limitings) == 3 and sum(diag.cells_limited for _, diag in limitings) > 3
+    compact_calls = 0
+    for seen, diag in limitings:
+        assert [c for c in seen if len(c) == 3] == at_nodes
+        compact = [c for c in seen if len(c) == 2 and c[0] == len(chain.node_set)]
+        assert len(compact) <= 1 and all(c[1] <= diag.cells_limited for c in compact)
+        assert all(len(c) == 1 or c in compact or c in at_nodes or c == (nx, ny) for c in seen)
+        compact_calls += len(compact)
+    assert compact_calls > 0
 
 
 def _step_data(x, y):

@@ -541,6 +541,215 @@ def test_pressure_crossing_backs_off_where_its_check_fails(monkeypatch):
     assert np.all(pressure(t[:, None] * (u_node - u_mean) + u_mean) >= target)
 
 
+# ------------------------------------------- Euler limiter, per-block oracle
+
+
+def _former_bp_limit_euler(field, region, nodes):
+    """The Euler BP limiter as it was before it limited the flagged cells of
+    both node blocks once, in one compact array: here each block makes its
+    own boolean-mask passes over whole (nx, ny) planes.  The oracle of
+    `test_euler_limiter_matches_the_per_block_limiter`; it reads the
+    crossing through the module, so a stand-in set there serves both."""
+    model = field.model
+    mean = field.coeffs[:, :, 0, :]
+    mean_rho = mean[..., 0]
+    mean_p = model.pressure(mean)
+    limiters._require_means(region, mean, mean_p)
+    blocks = nodes.evaluate(field, len(field.basis.eval_matrix))
+    rho_min = np.min([v[0].min(axis=0) for v in blocks], axis=0)
+    theta_rho = np.ones_like(mean_rho)
+    low = rho_min < region.eps_rho
+    if np.any(low):
+        m, r = mean_rho[low], rho_min[low]
+        aim = region.eps_rho + limiters._MARGIN * (np.abs(m) + np.abs(r))
+        with np.errstate(divide="ignore"):
+            th = theta_rho[low] = np.clip((m - aim) / (m - r), 0.0, 1.0)
+        field.coeffs[low, 1:, 0] *= th[:, None]
+        for v in blocks:
+            v[0][:, low] = m + th * (v[0][:, low] - m)
+    p_blocks = [model.pressure(np.moveaxis(v, 0, -1)) for v in blocks]
+    theta_p = np.ones_like(mean_rho)
+    cells = np.any([np.any(~(p >= region.eps_p), axis=0) for p in p_blocks], axis=0)
+    if np.any(cells):
+        ci, cj = np.nonzero(cells)
+        flagged = []
+        for v, p in zip(blocks, p_blocks):
+            aim = limiters._pressure_aim(model.gamma, region.eps_p, mean[ci, cj, 3], v[3][:, ci, cj])
+            node, k = np.nonzero(~(p[:, ci, cj] >= aim))
+            flagged.append((ci[k], cj[k], v[:, node, ci[k], cj[k]]))
+        fi, fj, u_node = (np.concatenate(part, axis=-1) for part in zip(*flagged))
+        u_mean = np.ascontiguousarray(mean[fi, fj].T)
+        t = limiters._pressure_crossing(model, u_mean, u_node, region.eps_p)
+        np.minimum.at(theta_p, (fi, fj), t)
+    scaled = theta_p < 1.0
+    if np.any(scaled):
+        th = theta_p[scaled]
+        field.coeffs[scaled, 1:, :] *= th[:, None, None]
+        m = mean[scaled].T[:, None, :]
+        for v, p in zip(blocks, p_blocks):
+            w = th * (v[:, :, scaled] - m)
+            w += m
+            v[:, :, scaled] = w
+            p[:, scaled] = model.pressure(np.moveaxis(w, 0, -1))
+    theta = np.minimum(theta_rho, theta_p)
+    changed = theta < 1.0
+    collapsed = np.zeros_like(changed)
+    if np.any(changed):
+        inside = [region.contains(np.moveaxis(v[:, :, changed], 0, -1), p[:, changed]).all(axis=0)
+                  for v, p in zip(blocks, p_blocks)]
+        collapsed[changed] = ~np.all(inside, axis=0)
+    if np.any(collapsed):
+        field.coeffs[collapsed, 1:, :] = 0.0
+        for v, p in zip(blocks, p_blocks):
+            v[:, :, collapsed] = mean[collapsed].T[:, None, :]
+            p[:, collapsed] = mean_p[collapsed]
+        theta[collapsed] = 0.0
+    return field, LimiterDiagnostics(
+        cells_limited=int(np.count_nonzero(changed)),
+        min_theta=float(theta.min()),
+        collapsed_cells=int(np.count_nonzero(collapsed)),
+    ), PointValues(blocks[0].transpose(2, 3, 1, 0), p_blocks[0].transpose(1, 2, 0))
+
+
+# the mean densities of the cells the stand-in crossing below keeps at
+# theta 1 (flagged, not changed) and moves past the floor (collapsed)
+KEPT_RHO, LATE_RHO = 0.8, 0.7
+
+
+def _stand_in_crossing(model, u_mean, u_node, target):
+    t = _pressure_crossing(model, u_mean, u_node, target)
+    t = np.where(u_mean[0] == KEPT_RHO, 1.0, t)
+    return np.where(u_mean[0] == LATE_RHO, 0.5 * (1.0 + t), t)
+
+
+def _dip(basis, axis, centre, depth):
+    """Modes of (s - centre)**2 - depth, s the reference coordinate on `axis`:
+    with t = 2s, s**2 = (2 P_2(t) + 1)/12 and s = P_1(t)/2, and the basis
+    holds sqrt(2n + 1) P_n."""
+    z = np.zeros(basis.n_modes)
+    one, two = ((1, 0), (2, 0)) if axis == 0 else ((0, 1), (0, 2))
+    z[0] = 1.0 / 12.0 + centre**2 - depth
+    z[basis.mode_exps.index(one)] = -centre / np.sqrt(3.0)
+    z[basis.mode_exps.index(two)] = 1.0 / (6.0 * np.sqrt(5.0))
+    return z
+
+
+def _oracle_field(k, nodes, rng, shape=(12, 8)):
+    """Euler data on a non-square mesh that takes every path of the BP
+    limiter.  Cells 0-6, each at rest with its own mean density:
+    0 untouched; 1 density-limited only, with pressure just above its floor;
+    2 pressure-short at the x = -1/2 face points only (stacked rows);
+    3 pressure-short at an internal node only, by an energy dip there
+    narrower than its distance to every stacked coordinate (a node set
+    without internal rows gets a stacked-only cell); 4 short in both blocks;
+    5 and 6 stacked-only cells of mean density KEPT_RHO and LATE_RHO.  The rest: fast means near vacuum with density
+    slopes to near zero at a face, where some crossings fail their check
+    and are bisected."""
+    model, basis = EulerModel(), Basis2D(k)
+    nx, ny = shape
+    n = nx * ny
+    coeffs = np.zeros((n, basis.n_modes, 4))
+    rho = 10.0 ** rng.uniform(-8, 0, n)
+    p = rho * 10.0 ** rng.uniform(-4, 2, n)  # far enough above the kinetic energy's round-off
+    v = rng.uniform(-1000.0, 1000.0, (2, n))
+    energy = p / (model.gamma - 1.0) + 0.5 * rho * (v**2).sum(axis=0)
+    coeffs[:, 0] = np.stack([rho, rho * v[0], rho * v[1], energy], axis=1)
+    coeffs[:, 1:, 1:] = rng.uniform(-1.0, 1.0, (n, basis.n_modes - 1, 3)) * np.abs(coeffs[:, :1, 1:])
+    slope_x = basis.mode_exps.index((1, 0))
+    coeffs[:, slope_x, 0] = (1.0 - 10.0 ** rng.uniform(-12, -6, n)) * rho / (0.5 * np.sqrt(3.0))
+
+    def at_rest(cell, rho, energy):
+        coeffs[cell] = 0.0
+        coeffs[cell, 0, 0] = rho
+        coeffs[cell, :, 3] = energy
+
+    unit = np.eye(basis.n_modes)
+    face_short = unit[0] + 1.02 / np.sqrt(3.0) * unit[slope_x]  # energy 1 + 2.04 x: below 0 only at x = -1/2
+    at_rest(0, 1.0, unit[0])
+    # rho = 0.9 - 2.2 x, -0.2 at x = 1/2; p 1.01 eps_p at x = -1/2: above the
+    # floor, below the aim a crossing there would take
+    at_rest(1, 0.9, unit[0] + (1.0 - 1.5 * 1.01 * EULER.eps_p) / np.sqrt(3.0) * unit[slope_x])
+    coeffs[1, slope_x, 0] = -1.1 / np.sqrt(3.0)
+    at_rest(2, 0.6, face_short)
+    stacked = basis.offsets
+    internal = nodes.offsets[len(stacked):]
+    if len(internal):
+        # the internal node's coordinate farthest from the stacked ones
+        gaps = [np.abs(stacked[:, axis, None] - internal[0, axis]).min() for axis in (0, 1)]
+        axis = int(np.argmax(gaps))
+        depth = (gaps[axis] / 2.0) ** 2
+        dip = _dip(basis, axis, internal[0, axis], depth) / depth  # -1 at the node, >= 3 at stacked points
+        at_rest(3, 0.5, dip + 0.5 * unit[0])
+        low = (mode_values(k, stacked).T @ dip).min()
+        at_rest(4, 0.4, dip - (low + 0.1) * unit[0])  # -0.1 at the nearest stacked points
+    else:
+        at_rest(3, 0.5, face_short)
+        at_rest(4, 0.4, face_short)
+    at_rest(5, KEPT_RHO, face_short)
+    at_rest(6, LATE_RHO, face_short)
+    layout = np.ascontiguousarray(coeffs.reshape(nx, ny, basis.n_modes, 4).transpose(3, 2, 0, 1))
+    mesh = Mesh2D(0.0, 1.2, -0.2, 0.4, nx, ny)
+    return DGField(layout.transpose(2, 3, 1, 0), basis, mesh, model)
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("build", [optimal_2d, zhang_shu_2d])
+def test_euler_limiter_matches_the_per_block_limiter(k, build, monkeypatch):
+    """The limiter gives the former per-block limiter's coefficients,
+    diagnostics, handed-on values and pressure bit for bit, with the real
+    crossing and with a stand-in that leaves a flagged cell unchanged and
+    collapses another; on DGField's memory order and on one whose cells are
+    not one axis in memory (the coefficients' reshape copies)."""
+    basis = Basis2D(k)
+    nodes = build_node_set(build(k, SpeedRatios((1.0, 0.3))), basis, EULER)
+    field = _oracle_field(k, nodes, np.random.default_rng(k))
+    model, n_stacked = field.model, len(basis.eval_matrix)
+
+    # the paths taken: node values before limiting, by kind of cell
+    at_nodes = np.einsum("pn,ijnc->ijpc", nodes.matrix, field.coeffs)
+    short = ~(model.pressure(at_nodes) >= EULER.eps_p)
+    in_stacked, in_internal = short[:, :, :n_stacked].any(axis=2), short[:, :, n_stacked:].any(axis=2)
+    density = at_nodes[..., 0].min(axis=2) < EULER.eps_rho
+    assert density[0, 1] and not short[0, 1].any()
+    assert model.pressure(at_nodes[0, 1]).min() < 1.02 * EULER.eps_p
+    assert in_stacked[0, 2] and not in_internal[0, 2]
+    assert in_stacked[0, 4] and (in_internal[0, 4] or len(nodes) == n_stacked)
+    if len(nodes) > n_stacked:
+        assert in_internal[0, 3] and not in_stacked[0, 3]
+    assert not density[0, 2:7].any() and not short[0, 0].any()
+
+    crossing_checks = []
+    pressure = model.pressure
+
+    def counted(u):
+        if u.ndim == 2 and u.shape[1] == 4:  # the crossing's checks, (nodes, 4)
+            crossing_checks.append(len(u))
+        return pressure(u)
+
+    for crossing in (_pressure_crossing, _stand_in_crossing):
+        monkeypatch.setattr(limiters, "_pressure_crossing", crossing)
+        expect_out, expect_diag, expect = _former_bp_limit_euler(field.copy(), EULER, nodes)
+        other_order = field.like(np.asfortranarray(field.coeffs))
+        assert not np.may_share_memory(other_order.coeffs.reshape(-1, basis.n_modes, 4), other_order.coeffs)
+        for start in (field.copy(), other_order):
+            crossing_checks.clear()
+            monkeypatch.setattr(model, "pressure", counted)
+            out, diag, values = bp_scaling_limit(start, EULER, nodes)
+            monkeypatch.setattr(model, "pressure", pressure)
+            np.testing.assert_array_equal(out.coeffs, expect_out.coeffs)
+            assert diag == expect_diag
+            np.testing.assert_array_equal(values.stacked, expect.stacked)
+            np.testing.assert_array_equal(values.pressure, expect.pressure)
+        if crossing is _pressure_crossing:
+            assert len(crossing_checks) > 1  # some crossings were bisected
+            assert diag.collapsed_cells == 0
+        else:
+            assert diag.collapsed_cells == 1 and np.all(out.coeffs[0, 6, 1:] == 0.0)
+            np.testing.assert_array_equal(out.coeffs[0, 5], field.coeffs[0, 5])  # flagged, kept
+        np.testing.assert_array_equal(out.coeffs[0, 0], field.coeffs[0, 0])
+        assert diag.cells_limited < field.mesh.nx * field.mesh.ny
+
+
 # ------------------------------------------------- limiter property tests
 
 PROPERTY_SETTINGS = settings(max_examples=40, deadline=None, derandomize=True)

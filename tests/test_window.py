@@ -227,6 +227,43 @@ def test_the_cells_an_inflow_segment_covers_are_active_from_the_start():
     assert not Quiescence.of(field, 3).active(field).any()
 
 
+def test_a_nan_coefficient_is_active_and_the_step_names_its_cell(monkeypatch):
+    """A NaN is not within tau of the reference, so its cell is active, as a
+    cell with a finite deviation there is: the window holds it, and the
+    step's speed pass fails in it instead of leaving it frozen."""
+    field = _uniform(_outflow_mesh())
+    quiescence = Quiescence.of(field, 3)
+    slope = field.basis.mode_exps.index((1, 0))
+    field.coeffs[15, 9, slope, 3] = np.nan
+    assert np.argwhere(quiescence.active(field)).tolist() == [[15, 9]]
+    assert quiescence.window(field).bounds == (11, 20, 5, 12)
+
+    def disturbed_run(value):
+        """The first window of the 40 x 20 jet and the run's error, with
+        `value` put in a density slope of cell (35, 15) before step 1."""
+        window, windows = Quiescence.window, []
+
+        def disturbing(self, field, last=None):
+            if not windows:
+                field.coeffs[35, 15, slope, 0] = value
+            windows.append(window(self, field, last))
+            return windows[-1]
+
+        with monkeypatch.context() as patch:
+            patch.setattr(Quiescence, "window", disturbing)
+            try:
+                run(JET, write_outputs=False)
+            except AdmissibilityError as err:
+                return windows[0].bounds, err
+        return windows[0].bounds, None
+
+    finite_bounds, finite_error = disturbed_run(1e-3)
+    nan_bounds, nan_error = disturbed_run(np.nan)
+    assert finite_error is None
+    assert nan_bounds == finite_bounds == (0, 40, 5, 20)
+    assert nan_error.cell == (35, 15) and "in cell (35, 15) (t = 0, step 1)" in str(nan_error)
+
+
 # ---------------------------------------------------------------- bounds
 
 
