@@ -13,7 +13,6 @@ Exit codes: 0 success, 2 config error, 3 admissibility failure.
 
 from __future__ import annotations
 
-import argparse
 import math
 import sys
 import time
@@ -356,20 +355,19 @@ def _decomposition(cfg: RunConfig, speeds: tuple[float, float],
     return dc.decomposition_for(cfg.dt_policy, cfg.k, dc.speed_ratios(speeds, spacings))
 
 
-@dataclass
 class RunReport:
-    steps: int = 0
-    wall_time: float = 0.0
-    t_final: float = 0.0
-    min_mean: Optional[np.ndarray] = None
-    max_mean: Optional[np.ndarray] = None
-    bp_violation: bool = False
-    l1: Optional[float] = None
-    l2: Optional[float] = None
-    linf: Optional[float] = None
-    # every limiting of the run: the initial one's and each stage's
-    limiting: LimiterDiagnostics = dataclass_field(default_factory=LimiterDiagnostics)
-    speed_history: list = dataclass_field(default_factory=list)  # (dt, a1, a2)
+    """A run's report, built before its first step from the initial data's
+    mean bounds and limiting; `run` updates it as it steps."""
+
+    def __init__(self, min_mean: np.ndarray, max_mean: np.ndarray, bp_violation: bool,
+                 limiting: LimiterDiagnostics):
+        self.steps = 0
+        self.wall_time = self.t_final = 0.0
+        self.min_mean, self.max_mean, self.bp_violation = min_mean, max_mean, bp_violation
+        self.l1 = self.l2 = self.linf = None  # error norms, for a model with an exact solution
+        # every limiting of the run: the initial one's and each stage's
+        self.limiting = limiting
+        self.speed_history = []  # (dt, a1, a2)
 
     # report.csv's columns: fields of the report or of its limiting, and
     # the three `csv_row` derives; wall time is reported on stdout, never in
@@ -444,7 +442,8 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
     # the report adds each stage's limiting to a copy of the initial one's
     means = field.cell_averages
     report = RunReport(min_mean=means.min(axis=(0, 1)), max_mean=means.max(axis=(0, 1)),
-                       bp_violation=not np.all(model.region.contains(means)), limiting=replace(initial))
+                       bp_violation=not np.all(model.region.contains(means)),
+                       limiting=LimiterDiagnostics(**vars(initial)))
     t = 0.0
     next_output = cfg.output_every if cfg.output_every > 0 else math.inf
     start = time.perf_counter()
@@ -580,16 +579,17 @@ def decomp_report(k: int, phi: tuple[float, ...], c0: float, out=None) -> str:
     return "\n".join(csv_lines) + "\n"
 
 
-@dataclass
 class CompareReport:
-    steps_a: int
-    steps_b: int
-    wall_a: float
-    wall_b: float
-    step_ratio: float
-    predicted_ratio: float
-    report_a: RunReport
-    report_b: RunReport
+    def __init__(self, steps_a: int, steps_b: int, wall_a: float, wall_b: float, step_ratio: float,
+                 predicted_ratio: float, report_a: RunReport, report_b: RunReport):
+        self.steps_a = steps_a
+        self.steps_b = steps_b
+        self.wall_a = wall_a
+        self.wall_b = wall_b
+        self.step_ratio = step_ratio
+        self.predicted_ratio = predicted_ratio
+        self.report_a = report_a
+        self.report_b = report_b
 
 
 # the keys two compared configs may set differently: the scheme under test
@@ -638,6 +638,8 @@ def efficiency_compare(cfg_a: RunConfig, cfg_b: RunConfig, write_outputs: bool =
 
 
 def main(argv: Optional[list[str]] = None) -> int:
+    import argparse  # here, not at module level: importing `bpdg.cli` to run a config needs no parser
+
     parser = argparse.ArgumentParser(prog="bpdg", description="bound-preserving DG solver")
     sub = parser.add_subparsers(dest="command", required=True)
 

@@ -23,7 +23,6 @@ from __future__ import annotations
 import itertools
 import math
 import operator
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,14 +32,12 @@ _MERGE_TOL = 1e-14
 SUPPORTED_K = (2, 3)
 
 
-@dataclass(frozen=True)
 class SpeedRatios:
     """Per-axis speed/spacing ratios phi_i = a_i / delta_i (units 1/time),
     finite and positive, with a finite psi (every builder divides by it)."""
 
-    phi: tuple[float, ...]
-
-    def __post_init__(self):
+    def __init__(self, phi: tuple[float, ...]):
+        self.phi = phi
         if len(self.phi) not in (2, 3):
             raise ValueError("SpeedRatios supports 2 or 3 axes")
         if not all(math.isfinite(p) and p > 0 for p in self.phi):
@@ -61,7 +58,6 @@ class SpeedRatios:
         return sum(self.phi) + 2.0 * self.phi_star
 
 
-@dataclass(frozen=True)
 class ConvexDecomposition:
     """A feasible convex decomposition of the cell average.
 
@@ -69,13 +65,15 @@ class ConvexDecomposition:
     the transverse-Gauss-averaged trace on the two faces normal to axis i.
     """
 
-    name: str
-    dim: int
-    poly_degree_k: int
-    face_weights: tuple[tuple[float, float], ...]
-    transverse_rule: QuadratureRule1D
-    internal_offsets: np.ndarray  # (S, dim)
-    internal_weights: np.ndarray  # (S,)
+    def __init__(self, name: str, dim: int, poly_degree_k: int, face_weights: tuple[tuple[float, float], ...],
+                 transverse_rule: QuadratureRule1D, internal_offsets: np.ndarray, internal_weights: np.ndarray):
+        self.name = name
+        self.dim = dim
+        self.poly_degree_k = poly_degree_k
+        self.face_weights = face_weights
+        self.transverse_rule = transverse_rule
+        self.internal_offsets = internal_offsets  # (S, dim)
+        self.internal_weights = internal_weights  # (S,)
 
     @property
     def internal_node_count(self) -> int:
@@ -85,20 +83,21 @@ class ConvexDecomposition:
         return float(sum(wm + wp for wm, wp in self.face_weights) + self.internal_weights.sum())
 
 
-@dataclass(frozen=True)
 class CflReport:
-    scheme_name: str
-    max_dt: float
-    formula_terms: dict[str, float]
-    internal_node_count: int
-    unbounded: bool = False
+    def __init__(self, scheme_name: str, max_dt: float, formula_terms: dict[str, float],
+                 internal_node_count: int, unbounded: bool = False):
+        self.scheme_name = scheme_name
+        self.max_dt = max_dt
+        self.formula_terms = formula_terms
+        self.internal_node_count = internal_node_count
+        self.unbounded = unbounded
 
 
-@dataclass(frozen=True)
 class CertificateResult:
-    verdict: str  # "dominated" | "violates_moments" | "infeasible"
-    dt_ratio: float | None = None
-    detail: str = ""
+    def __init__(self, verdict: str, dt_ratio: float | None = None, detail: str = ""):
+        self.verdict = verdict  # "dominated" | "violates_moments" | "infeasible"
+        self.dt_ratio = dt_ratio
+        self.detail = detail
 
 
 def _decomposition(name: str, k: int, face_weights: list[tuple[float, float]],

@@ -10,7 +10,6 @@ convex-decomposition CFL analysis apply to this solver verbatim.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from functools import cached_property
 from typing import Callable, Optional
 
@@ -27,13 +26,13 @@ OUTFLOW = "outflow"
 _TERMS_KEPT = 10
 
 
-@dataclass(frozen=True)
 class InflowSegment:
     """Prescribed state on part of a boundary side; outflow elsewhere on it."""
 
-    state: np.ndarray  # conserved components (m,)
-    lo: float
-    hi: float
+    def __init__(self, state: np.ndarray, lo: float, hi: float):
+        self.state = state  # conserved components (m,)
+        self.lo = lo
+        self.hi = hi
 
     def covers(self, coords: np.ndarray) -> np.ndarray:
         """Whether each boundary position in `coords` lies in [lo, hi], up to 1e-12."""
@@ -43,22 +42,14 @@ class InflowSegment:
 BoundaryCondition = str | InflowSegment
 
 
-@dataclass(frozen=True)
 class Mesh2D:
-    x_lo: float
-    x_hi: float
-    y_lo: float
-    y_hi: float
-    nx: int
-    ny: int
-    bc_left: BoundaryCondition = PERIODIC
-    bc_right: BoundaryCondition = PERIODIC
-    bc_bottom: BoundaryCondition = PERIODIC
-    bc_top: BoundaryCondition = PERIODIC
-
-    def __post_init__(self):
-        if self.nx < 1 or self.ny < 1 or self.x_hi <= self.x_lo or self.y_hi <= self.y_lo:
+    def __init__(self, x_lo: float, x_hi: float, y_lo: float, y_hi: float, nx: int, ny: int,
+                 bc_left: BoundaryCondition = PERIODIC, bc_right: BoundaryCondition = PERIODIC,
+                 bc_bottom: BoundaryCondition = PERIODIC, bc_top: BoundaryCondition = PERIODIC):
+        if nx < 1 or ny < 1 or x_hi <= x_lo or y_hi <= y_lo:
             raise ValueError("degenerate mesh")
+        self.x_lo, self.x_hi, self.y_lo, self.y_hi, self.nx, self.ny = x_lo, x_hi, y_lo, y_hi, nx, ny
+        self.bc_left, self.bc_right, self.bc_bottom, self.bc_top = bc_left, bc_right, bc_bottom, bc_top
         for a, b in self.sides:
             if (a == PERIODIC) != (b == PERIODIC):
                 raise ValueError("periodic boundaries must be paired")
@@ -210,7 +201,6 @@ class Basis2D:
         return plan
 
 
-@dataclass(frozen=True)
 class LinearStencil:
     """The weak-form DG residual of a linear flux f_d(u) = c_d u with global
     Lax-Friedrichs viscosities alpha_d, as n_modes x n_modes blocks on the
@@ -239,11 +229,13 @@ class LinearStencil:
     `Basis2D.linear_stencil` keeps them.  What the residual reads of the
     mesh's boundaries is the basis's `BoundaryPlan`, also built once."""
 
-    key: tuple
-    centre: np.ndarray
-    neighbours: np.ndarray
-    ghost_lo: tuple[np.ndarray, np.ndarray]
-    ghost_hi: tuple[np.ndarray, np.ndarray]
+    def __init__(self, key: tuple, centre: np.ndarray, neighbours: np.ndarray,
+                 ghost_lo: tuple[np.ndarray, np.ndarray], ghost_hi: tuple[np.ndarray, np.ndarray]):
+        self.key = key
+        self.centre = centre
+        self.neighbours = neighbours
+        self.ghost_lo = ghost_lo
+        self.ghost_hi = ghost_hi
 
     @staticmethod
     def build(basis: Basis2D, c, alphas, spacings) -> "LinearStencil":
@@ -266,7 +258,6 @@ class LinearStencil:
                              tuple(b * g for g in self.ghost_lo), tuple(b * g for g in self.ghost_hi))
 
 
-@dataclass
 class DGField:
     """Per-cell modal coefficients, shape (nx, ny, n_modes, m).
 
@@ -278,10 +269,11 @@ class DGField:
     it only costs a copy per evaluation.
     """
 
-    coeffs: np.ndarray
-    basis: Basis2D
-    mesh: Mesh2D
-    model: ConservationLawModel
+    def __init__(self, coeffs: np.ndarray, basis: Basis2D, mesh: Mesh2D, model: ConservationLawModel):
+        self.coeffs = coeffs
+        self.basis = basis
+        self.mesh = mesh
+        self.model = model
 
     @property
     def cell_averages(self) -> np.ndarray:
@@ -363,10 +355,7 @@ class BoundaryPlan:
     `_linear_residual` read.  The rest indexes `_linear_residual`'s flat
     (m, n_modes, nx ny) arrays, cells in C order: a cell's +e_d neighbour
     is `shifts[d]` cells on, and `rows[d]` = (first, last) are the index
-    tuples of the cell rows at the low and the high side normal to d.
-
-    A plain class, not a dataclass: creating a dataclass costs about 0.9 ms
-    at import, which every run would pay."""
+    tuples of the cell rows at the low and the high side normal to d."""
 
     def __init__(self, mesh: Mesh2D, q_nodes: np.ndarray, shape: tuple[int, ...]):
         nx, ny = shape[:2]
@@ -386,7 +375,6 @@ def linear_flux(model: ConservationLawModel) -> bool:
     return isinstance(model, AdvectionModel)
 
 
-@dataclass(frozen=True)
 class PointValues:
     """A field evaluated at every point the residual reads.
 
@@ -397,8 +385,9 @@ class PointValues:
     own).  The exterior traces along the boundaries are not held:
     `_interface_flux` forms them from these where it reads them."""
 
-    stacked: np.ndarray
-    pressure: Optional[np.ndarray] = None
+    def __init__(self, stacked: np.ndarray, pressure: Optional[np.ndarray] = None):
+        self.stacked = stacked
+        self.pressure = pressure
 
 
 # `global_max_speeds`' result: per-axis speeds and the point values read (None: a linear flux)
@@ -572,12 +561,12 @@ def _linear_residual(field: DGField, alphas: tuple[float, float],
     return rate.reshape(m, n, nx, ny).transpose(2, 3, 1, 0)
 
 
-@dataclass(frozen=True)
 class SspScheme:
     """Shu-Osher form: each stage is sum of alpha*u_m + dt*beta*F(u_m) terms."""
 
-    name: str
-    stages: tuple[tuple[tuple[float, float, int], ...], ...]
+    def __init__(self, name: str, stages: tuple[tuple[tuple[float, float, int], ...], ...]):
+        self.name = name
+        self.stages = stages
 
     @property
     def ssp_coefficient(self) -> float:

@@ -32,7 +32,6 @@ with a value still outside the region is collapsed to its average and counted
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
@@ -47,13 +46,13 @@ _MARGIN = 16.0 * np.finfo(float).eps
 _BACKOFF_STEPS = 20
 
 
-@dataclass(frozen=True)
 class NodeRows:
     """Reference offsets where a BP limiter enforces its bounds, with the
     basis values there."""
 
-    offsets: np.ndarray  # (P, 2)
-    matrix: np.ndarray  # (P, n_modes)
+    def __init__(self, offsets: np.ndarray, matrix: np.ndarray):
+        self.offsets = offsets  # (P, 2)
+        self.matrix = matrix  # (P, n_modes)
 
     def __len__(self) -> int:
         return len(self.offsets)
@@ -73,12 +72,16 @@ class NodeRows:
                 for rows in (self.matrix[:split], self.matrix[split:]) if len(rows)]
 
 
-@dataclass
 class LimiterDiagnostics:
-    cells_limited: int = 0
-    min_theta: float = 1.0
-    troubled_cells: int = 0
-    collapsed_cells: int = 0  # Euler cells the floor check sent to their average
+    def __init__(self, cells_limited: int = 0, min_theta: float = 1.0, troubled_cells: int = 0,
+                 collapsed_cells: int = 0):
+        self.cells_limited = cells_limited
+        self.min_theta = min_theta
+        self.troubled_cells = troubled_cells
+        self.collapsed_cells = collapsed_cells  # Euler cells the floor check sent to their average
+
+    def __eq__(self, other) -> bool:  # limitings compare by their counts
+        return isinstance(other, LimiterDiagnostics) and vars(self) == vars(other)
 
     def add(self, other: "LimiterDiagnostics") -> None:
         """Fold in another limiting: counts add up, theta keeps the minimum."""
@@ -378,7 +381,6 @@ def _neighbour_differences(ext: np.ndarray, at: tuple[np.ndarray, ...], axis: in
     return fwd, mid - ext[tuple(index)]
 
 
-@dataclass(frozen=True)
 class LimiterChain:
     """Per-stage limiter pipeline: TVB minmod first, then the BP limiter.
 
@@ -390,8 +392,9 @@ class LimiterChain:
     field, the call's `LimiterDiagnostics`, and the point values the BP
     limiter returned with it (only the Euler one does; else None)."""
 
-    node_set: Optional[NodeRows] = None
-    m_tvb: Optional[float] = None
+    def __init__(self, node_set: Optional[NodeRows] = None, m_tvb: Optional[float] = None):
+        self.node_set = node_set
+        self.m_tvb = m_tvb
 
     def __call__(self, field: DGField) -> tuple[DGField, LimiterDiagnostics, Optional[PointValues]]:
         diag, values = LimiterDiagnostics(), None

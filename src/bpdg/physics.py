@@ -15,8 +15,7 @@ mask is true only where its comparisons hold, so NaN is outside every region.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Callable, ClassVar, Optional
+from typing import Callable, Optional
 
 import numpy as np
 
@@ -51,29 +50,33 @@ def _require(ok: np.ndarray) -> None:
         raise AdmissibilityError(f"inadmissible state at quadrature/trace point in cell {cell}", cell=cell)
 
 
-@dataclass(frozen=True)
 class BoxScalar:
     """Scalar invariant region: the interval [lo, hi]."""
 
-    lo: float
-    hi: float
-
-    def __post_init__(self):
-        if not self.lo < self.hi:
+    def __init__(self, lo: float, hi: float):
+        if not lo < hi:
             raise ValueError("box region needs lo < hi")
+        self.lo, self.hi = lo, hi
+
+    def __repr__(self) -> str:  # read in config-check and limiter messages
+        return f"{type(self).__name__}(lo={self.lo!r}, hi={self.hi!r})"
 
     def contains(self, u: np.ndarray, p: Optional[np.ndarray] = None) -> np.ndarray:
         v = u[..., 0]
         return (v >= self.lo - BOX_SLACK) & (v <= self.hi + BOX_SLACK)
 
 
-@dataclass(frozen=True)
 class EulerPositivity:
     """Euler admissible set {rho > 0, p > 0} with small numerical floors."""
 
-    eps_rho: ClassVar[float] = 1e-13
-    eps_p: ClassVar[float] = 1e-13
-    gamma: float = 5.0 / 3.0
+    eps_rho = 1e-13
+    eps_p = 1e-13
+
+    def __init__(self, gamma: float = 5.0 / 3.0):
+        self.gamma = gamma
+
+    def __repr__(self) -> str:  # read in config-check and limiter messages
+        return f"{type(self).__name__}(gamma={self.gamma!r})"
 
     def contains(self, u: np.ndarray, p: Optional[np.ndarray] = None) -> np.ndarray:
         if p is None:

@@ -8,7 +8,6 @@ special-function library is needed.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
@@ -17,12 +16,12 @@ _NEWTON_TOL = 1e-15
 _MAX_ORDER = 16
 
 
-@dataclass(frozen=True)
 class QuadratureRule1D:
     """Nodes/weights on [-1/2, 1/2]; weights sum to 1, nodes increasing."""
 
-    nodes: np.ndarray
-    weights: np.ndarray
+    def __init__(self, nodes: np.ndarray, weights: np.ndarray):
+        self.nodes = nodes
+        self.weights = weights
 
     def __len__(self) -> int:
         return len(self.nodes)

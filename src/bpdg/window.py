@@ -71,9 +71,6 @@ from .dg_core import OUTFLOW, PERIODIC, DGField, InflowSegment, Mesh2D, face_coo
 # THRESHOLD_C * eps * max|reference|
 THRESHOLD_C = 64.0
 
-# The classes below are plain classes, not dataclasses: creating a dataclass
-# costs about 0.8 ms at import, which every run of every model would pay.
-
 
 class Window(Mesh2D):
     """The cells [i0, i1) x [j0, j1) of `full`, `bounds` = (i0, i1, j0, j1),
@@ -91,8 +88,8 @@ class Window(Mesh2D):
             sides += [lo if at_lo else OUTFLOW, hi if at_hi else OUTFLOW]
         x_lo, y_lo, dx, dy = full.x_lo, full.y_lo, full.dx, full.dy
         super().__init__(x_lo + i0 * dx, x_lo + i1 * dx, y_lo + j0 * dy, y_lo + j1 * dy, i1 - i0, j1 - j0, *sides)
-        object.__setattr__(self, "full", full)  # Mesh2D is frozen
-        object.__setattr__(self, "bounds", tuple(bounds))
+        self.full = full
+        self.bounds = tuple(bounds)
 
     def __eq__(self, other) -> bool:
         return isinstance(other, Window) and other.full is self.full and other.bounds == self.bounds

@@ -1,7 +1,11 @@
 """Config parsing, run reports, CSV outputs, CLI exit codes, determinism."""
 
 import filecmp
+import json
 import math
+import os
+import subprocess
+import sys
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -27,6 +31,17 @@ from bpdg.physics import EULER_FLOOR
 from bpdg.window import Quiescence
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
+
+# run in a fresh interpreter: whether importing `bpdg.cli` loads `argparse`,
+# and the dataclasses among the classes the `bpdg` modules define
+_IMPORT_CLI = """
+import dataclasses, json, sys
+import bpdg.cli
+classes = [c for name, module in list(sys.modules.items()) if name.split(".")[0] == "bpdg"
+           for c in vars(module).values() if isinstance(c, type) and c.__module__ == name]
+print(json.dumps(["argparse" in sys.modules,
+                  sorted(f"{c.__module__}.{c.__qualname__}" for c in classes if dataclasses.is_dataclass(c))]))
+"""
 
 ADVECTION_SMALL = """
 model = advection2d
@@ -579,6 +594,19 @@ def test_efficiency_compare_advection_ratio():
 
 
 # -------------------------------------------------------------- CLI proper
+
+
+def test_importing_cli_loads_no_argparse_and_one_dataclass():
+    """`import bpdg.cli`, which every run pays before its first step, loads
+    no `argparse` (only `main` parses arguments) and builds no dataclass but
+    `RunConfig`, whose fields are the config keys: a dataclass compiles its
+    generated methods at import."""
+    src = str(Path(cli.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
+    out = subprocess.run([sys.executable, "-c", _IMPORT_CLI], check=True, env=env, capture_output=True, text=True)
+    argparse_loaded, dataclasses = json.loads(out.stdout)
+    assert not argparse_loaded
+    assert dataclasses == ["bpdg.cli.RunConfig"]
 
 
 def test_cli_run_success(tmp_path, capsys):

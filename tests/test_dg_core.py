@@ -688,8 +688,10 @@ def _speed_cases():
         basis = Basis2D(k)
         one = face_coords(base, True, basis.face_rule.nodes)[2, 1]
         meshes = {"periodic": Mesh2D(0.0, 1.0, -0.5, 0.5, 6, 5), "outflow": base,
-                  "inflow-one-point": replace(base, bc_left=InflowSegment(jet, one, one)),
-                  "inflow-all-points": replace(base, bc_left=InflowSegment(jet, -0.5, 0.5))}
+                  "inflow-one-point": Mesh2D(0.0, 1.0, -0.5, 0.5, 6, 5,
+                                             **{**outflow, "bc_left": InflowSegment(jet, one, one)}),
+                  "inflow-all-points": Mesh2D(0.0, 1.0, -0.5, 0.5, 6, 5,
+                                              **{**outflow, "bc_left": InflowSegment(jet, -0.5, 0.5)})}
         for name, mesh in meshes.items():
             coeffs = 0.01 * rng.normal(size=(6, 5, basis.n_modes, 4))
             coeffs[:, :, 0, :] = euler.conserved(5.0, 1.0, -2.0, 10.0)

@@ -287,6 +287,23 @@ def test_euler_limiter_precondition_violation():
     assert err.value.cell == (2, 0)
 
 
+def test_precondition_messages_quote_the_region_and_the_cell():
+    """The BP limiters' precondition error quotes the region's repr, for a
+    box and for the Euler region."""
+    box = _scalar_field()
+    box.coeffs[1, 2, 0, 0] = 1.5
+    euler = _euler_field()
+    euler.coeffs[0, 1, 0, 3] = 0.0
+    for field, region, nodes, expected in (
+            (box, BOX, _node_set(optimal_2d(2, EQUAL)), "BoxScalar(lo=-1.0, hi=1.0) in cell (1, 2)"),
+            (euler, EULER, _node_set(optimal_2d(2, EQUAL), EULER),
+             "EulerPositivity(gamma=1.6666666666666667) in cell (0, 1)")):
+        with pytest.raises(AdmissibilityError) as err:
+            bp_scaling_limit(field, region, nodes)
+        assert str(err.value) == (f"cell average outside {expected} before BP limiting "
+                                  "(BP dt policy violated upstream?)")
+
+
 @pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("case", ["flat-density", "sloped-density", "flat-pressure"])
 def test_euler_limiter_accepts_means_within_the_floor_slack(case):
