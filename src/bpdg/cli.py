@@ -314,6 +314,8 @@ def _build_mesh(cfg: RunConfig, model) -> Mesh2D:
 
 
 def _build_initial(cfg: RunConfig, model):
+    """The initial data `project` takes: a callable u0(x, y), or the one
+    state of a uniform start, which it projects exactly."""
     if cfg.initial == "sine":
         return lambda x, y: np.sin(np.pi * (x + y))[..., None]
     if cfg.initial == "riemann4":
@@ -328,13 +330,7 @@ def _build_initial(cfg: RunConfig, model):
             return vals[..., None]
 
         return u0
-    state = model.conserved(*cfg.ambient)
-
-    def u0(x, y):
-        shape = np.broadcast_shapes(x.shape, y.shape)
-        return np.broadcast_to(state, shape + (4,)).copy()
-
-    return u0
+    return model.conserved(*cfg.ambient)
 
 
 def _out_dir(cfg: RunConfig) -> Path:
@@ -387,16 +383,28 @@ class RunReport:
 
 def _write_field_csv(path: Path, field: DGField) -> None:
     # formatted from Python floats (`tolist`), each coordinate once, and
-    # written a row of cells at a time: the same text as formatting the
-    # numpy scalars, at a fraction of the time, without the whole file in memory
+    # written a row of cells at a time, each row's means by one `%` template
+    # that holds its indices and coordinates (their text has no `%`): the
+    # same text as formatting the numpy scalars, at a fraction of the time,
+    # without the whole file in memory
     mesh = field.mesh
-    fmt = "{:.17g}".format
-    xs, ys = ([fmt(v) for v in centers.tolist()] for centers in (mesh.x_centers, mesh.y_centers))
+    m = field.model.m
+    xs, ys = ([f"{v:.17g}" for v in centers.tolist()] for centers in (mesh.x_centers, mesh.y_centers))
+    cells = [(f"{j},", f",{y}" + ",%.17g" * m + "\n") for j, y in enumerate(ys)]
     with path.open("w", encoding="utf-8") as out:
-        out.write("i,j,x,y," + ",".join(f"u{c}" for c in range(field.model.m)) + "\n")
+        out.write("i,j,x,y," + ",".join(f"u{c}" for c in range(m)) + "\n")
         for i, x in enumerate(xs):
-            out.writelines(f"{i},{j},{x},{y}," + ",".join(map(fmt, vals)) + "\n"
-                           for j, (y, vals) in enumerate(zip(ys, field.cell_averages[i].tolist())))
+            row = "".join(f"{i},{j}{x}{tail}" for j, tail in cells)
+            out.write(row % tuple(field.cell_averages[i].ravel().tolist()))
+
+
+def _failure(exc: AdmissibilityError, window, t: float, step: int) -> AdmissibilityError:
+    """`exc`, raised in `step` (the set-up counts as step 1's start) on
+    `window` (None: the whole mesh), with its cell named in full-mesh
+    indices and the time and step appended."""
+    if window is not None:
+        exc = exc.shifted(window.origin)
+    return AdmissibilityError(f"{exc} (t = {t:.6g}, step {step})", cell=exc.cell)
 
 
 def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
@@ -426,16 +434,22 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
                 chain = LimiterChain(build_node_set(decomp, basis, model.region), cfg.tvb_m)
                 node_offsets = decomp.internal_offsets
 
-    if cfg.limiter_bp:
-        decompose(global_max_speeds(field)[0])
-    # `values`: the point values of `field` its last limiting returned
-    field, initial, values = chain(field)
-
     # a run whose cells all start equal (a uniform ambient) steps only the
     # window of its disturbed cells; `window` is the one `values` belong to
-    # (None: the whole mesh)
+    # (None: the whole mesh).  Its set-up, the initial speed pass and
+    # limiting, runs on step 1's window too: a frozen cell holds the exact
+    # constant, which limiting leaves as it is
     quiescence = Quiescence.of(field, len(scheme.stages))
-    window = None
+    window = None if quiescence is None else quiescence.window(field)
+    stepped = field if window is None else window.cut(field)
+    try:
+        if cfg.limiter_bp:
+            decompose(global_max_speeds(stepped)[0])
+        # `values`: the point values of `stepped` its last limiting returned
+        stepped, initial, values = chain(stepped)
+    except AdmissibilityError as exc:
+        raise _failure(exc, window, 0.0, 1) from exc
+    field = stepped if window is None else window.paste(stepped, field)
 
     # the means are reduced and checked here over every cell, then over the
     # cells each step stepped (a frozen cell keeps its last reduced bits);
@@ -449,7 +463,7 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
     start = time.perf_counter()
     while t < cfg.t_end * (1.0 - 1e-12):
         try:
-            if quiescence is not None:
+            if quiescence is not None and report.steps:  # step 1 takes the set-up's window and values
                 cut = quiescence.window(field, window)
                 if cut != window:  # an equal window is kept, and with it the basis's boundary plan
                     values, window = None, cut  # those of another window
@@ -473,11 +487,7 @@ def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
             stepped, values, stage_diagnostics = ssp_step(stepped, scheme, dt, chain, handover.pop())
             field = stepped if window is None else window.paste(stepped, field)
         except AdmissibilityError as exc:
-            if window is not None:
-                exc = exc.shifted(window.origin)  # named in full-mesh indices
-            raise AdmissibilityError(
-                f"{exc} (t = {t:.6g}, step {report.steps + 1})", cell=exc.cell
-            ) from exc
+            raise _failure(exc, window, t, report.steps + 1) from exc
         t += dt
         report.steps += 1
         for diag in stage_diagnostics:

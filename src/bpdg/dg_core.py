@@ -287,12 +287,23 @@ class DGField:
 
 
 def project(
-    u0: Callable[[np.ndarray, np.ndarray], np.ndarray],
+    u0: Callable[[np.ndarray, np.ndarray], np.ndarray] | np.ndarray,
     mesh: Mesh2D,
     basis: Basis2D,
     model: ConservationLawModel,
 ) -> DGField:
-    """L2 projection of u0(x, y) -> (..., m) using a (k+2)^2 tensor Gauss rule."""
+    """L2 projection of u0(x, y) -> (..., m) using a (k+2)^2 tensor Gauss rule.
+
+    A constant `u0`, one state (m,), is projected exactly, with no
+    quadrature: the state in mode 0 (the constant 1) and zero in every
+    other mode, so every cell holds the same bits on every mesh."""
+    if not callable(u0):
+        state = np.asarray(u0, dtype=float)
+        if state.shape != (model.m,):
+            raise ValueError("initial state has the wrong shape")
+        coeffs = np.zeros((model.m, basis.n_modes, mesh.nx, mesh.ny))
+        coeffs[:, 0] = state[:, None, None]
+        return DGField(coeffs.transpose(2, 3, 1, 0), basis, mesh, model)
     offsets, weights = tensor_gauss_rule(basis.k + 2)
     phi = mode_values(basis.k, offsets)  # (n, G)
     x = mesh.x_centers[:, None, None] + offsets[None, None, :, 0] * mesh.dx

@@ -3,11 +3,16 @@ cells all start from the same coefficients (a uniform ambient: the jets).
 
 `Quiescence.of` selects the mechanism the way `dg_core.linear_flux` selects
 the advection stencil, from the data alone, with no option: every cell of
-the projected field must hold the same coefficients, the *reference*.
-Advection's sine and Burgers' Riemann data never do, so their runs build no
-`Quiescence` and do no new work per step.
+the projected field must hold the same coefficients, the *reference*.  A
+uniform start is projected exactly (`dg_core.project` of its one state), so
+the selection holds on every mesh; a quadrature projection of a constant is
+not bit-uniform on some (at k = 2, 1039 of the meshes with nx in 4-100 and
+ny in 4-60, all odd x odd).  Advection's sine and Burgers' Riemann data
+never start uniform, so their runs build no `Quiescence` and do no new work
+per step.
 
-Before each step `Quiescence.window` marks the *active* cells:
+Before each step (step 1's at the set-up) `Quiescence.window` marks the
+*active* cells:
 
 - every cell with a coefficient off the reference by more than the threshold
   tau = THRESHOLD_C * eps * max|reference|, or not a number;
@@ -25,6 +30,19 @@ built: the caller steps the field itself, exactly as without a window.
 
 Guarantees (each has a test in tests/test_window.py):
 
+- **Set-up.**  The run's set-up, the initial speed pass (which picks the
+  first node set) and limiting, runs on step 1's window, and step 1 reads
+  the point values that limiting returned.  The frozen cells hold the exact
+  constant: its TVB slopes are 0 and each of its node values is the
+  constant, so whole-mesh limiting would leave them bit-unchanged and count
+  nothing.  The initial field, its counts and mean bounds, and step 1's
+  speeds and dt are the whole-mesh set-up's, bit for bit, with one stated
+  exception: an ambient whose density lies in [eps_rho * EULER_FLOOR,
+  eps_rho) is inside the region but below the BP limiter's floor at every
+  node, and the limiter scales each cell it is given by theta 0 (a no-op on
+  a constant) and counts it.  Its frozen cells are left unlimited and
+  uncounted, as in any windowed step, so its initial `cells_limited` is the
+  window's cell count, not the mesh's.
 - **Speeds.**  A frozen cell is not active, so it lies within tau of the
   reference.  The padded window holds a cell that is not active unless it
   spans the mesh (a side that is not clipped has `pad` inactive rows), so the

@@ -139,6 +139,28 @@ def test_project_constant():
     np.testing.assert_allclose(field.coeffs[:, :, 1:, 0], 0.0, atol=1e-14)
 
 
+@pytest.mark.parametrize("k", [0, 1, 2, 3])
+def test_project_a_constant_state_exactly(k):
+    """A state, not a callable, is projected with no quadrature: mode 0 holds
+    its bits in every cell, every other mode is 0, laid out as any projected
+    field; the quadrature projection of the same constant agrees within a
+    few eps (and on some meshes, as this one at k = 2, is not bit-uniform)."""
+    model = EulerModel()
+    state = model.conserved(5.0, 1.5, -0.5, 0.4127)
+    mesh = Mesh2D(0.0, 2.0, -0.5, 0.5, 51, 51)
+    exact = project(state, mesh, Basis2D(k), model)
+    assert exact.coeffs.shape == (51, 51, Basis2D(k).n_modes, 4)
+    assert exact.coeffs.transpose(3, 2, 0, 1).flags.c_contiguous
+    np.testing.assert_array_equal(exact.coeffs[:, :, 0], np.broadcast_to(state, (51, 51, 4)))
+    assert not exact.coeffs[:, :, 1:].any()
+    quadrature = project(lambda x, y: np.broadcast_to(state, np.broadcast_shapes(x.shape, y.shape) + (4,)),
+                         mesh, Basis2D(k), model)
+    eps = np.finfo(float).eps
+    np.testing.assert_allclose(quadrature.coeffs, exact.coeffs, rtol=0, atol=4 * eps * np.abs(state).max())
+    with pytest.raises(ValueError, match="wrong shape"):
+        project(state[:3], mesh, Basis2D(k), model)
+
+
 def test_project_polynomial_round_trip():
     # any total-degree-3 polynomial is reproduced exactly by the k=3 space
     rng = np.random.default_rng(5)

@@ -67,9 +67,7 @@ def _record_windows(monkeypatch):
 
 def _uniform(mesh, k=2):
     model = EulerModel()
-    state = model.conserved(*AMBIENT)
-    return project(lambda x, y: np.broadcast_to(state, np.broadcast_shapes(x.shape, y.shape) + (4,)).copy(),
-                   mesh, Basis2D(k), model)
+    return project(model.conserved(*AMBIENT), mesh, Basis2D(k), model)
 
 
 def _outflow_mesh(nx=20, ny=12, **bcs):
@@ -142,7 +140,8 @@ def test_a_windowed_step_leaves_the_cells_outside_its_window_bit_unchanged(tmp_p
 def test_windowed_run_evaluates_each_rk_state_once(monkeypatch):
     """As the whole-mesh path does, plus one evaluation of each new window:
     a window of other cells is another state, the values the last limiting
-    returned are not its values."""
+    returned are not its values.  The set-up's one evaluation is on the
+    first window, and step 1 reads the values its limiting returned."""
     calls = []
     stacked = Basis2D.stacked_values
 
@@ -153,10 +152,11 @@ def test_windowed_run_evaluates_each_rk_state_once(monkeypatch):
     monkeypatch.setattr(Basis2D, "stacked_values", counted)
     starts = _record_windows(monkeypatch)
     run(JET, write_outputs=False)
-    windows = [None] + [cut for _, cut in starts]
+    windows = [cut for _, cut in starts]
     moved = sum(a != b for a, b in zip(windows, windows[1:]))
-    assert 0 < moved < len(starts)
+    assert 0 < moved < len(starts) - 1
     assert len(calls) == 1 + moved
+    assert calls[0][:2] == (windows[0].nx, windows[0].ny)
 
 
 def test_a_uniform_periodic_euler_run_has_no_active_cell(monkeypatch):
@@ -187,6 +187,76 @@ def test_advection_and_burgers_never_get_a_window(config, monkeypatch):
     report = run(replace(parse_config(CONFIG_DIR / config), t_end=0.02), write_outputs=False)
     assert report.steps > 0 and built == [None]
     assert Quiescence.of(_uniform(_outflow_mesh()), 3) is not None
+
+
+@pytest.mark.parametrize("k", [2, 3])
+@pytest.mark.parametrize("nx, ny", [(51, 51), (41, 25), (27, 15)])
+def test_a_uniform_jet_steps_windows_on_every_mesh(nx, ny, k, monkeypatch):
+    """The ambient is projected exactly, so its cells are bit-equal on any
+    mesh; a quadrature projection of it is not on these (at k = 2, and at
+    k = 3 on 27 x 15), and the run then stepped the whole mesh."""
+    starts = _record_windows(monkeypatch)
+    report = run(replace(JET, nx=nx, ny=ny, k=k, t_end=0.0005), write_outputs=False)
+    assert len(starts) == report.steps > 0
+    assert all(cut is not None for _, cut in starts)
+
+
+def _setup(cfg, monkeypatch, whole):
+    """What a run of `cfg` built before its first step, on the set-up's
+    window or (`whole`) with every step's window set to the full mesh: the
+    initial field, the initial limiting's counts, the report's mean bounds
+    and region check, and the first step's (dt, speeds)."""
+    seen, built = {}, []
+    of = Quiescence.of
+
+    def recorded(field, stages):
+        seen["field"] = field  # the run's field, which the set-up's window is pasted into
+        return of(field, stages)
+
+    class MarkedReport(cli.RunReport):
+        def __init__(self, min_mean, max_mean, bp_violation, limiting):
+            built.append((seen["field"].coeffs.copy(), vars(limiting).copy(), min_mean.copy(), max_mean.copy(),
+                          bp_violation))
+            super().__init__(min_mean, max_mean, bp_violation, limiting)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(Quiescence, "of", staticmethod(recorded))
+        patch.setattr(cli, "RunReport", MarkedReport)
+        if whole:
+            _whole_mesh(patch)
+        report = run(cfg, write_outputs=False)
+    assert len(built) == 1 and report.steps > 1
+    return (*built[0], report.speed_history[0])
+
+
+# an ambient whose density lies in [eps_rho * EULER_FLOOR, eps_rho): inside
+# the region, below the BP limiter's floor at every node of every cell
+THIN = RunConfig(model="euler2d", initial="uniform", bc=PERIODIC, nx=12, ny=8, t_end=0.05,
+                 ambient=(0.99999999995e-13, 0.0, 0.0, 1e-12))
+
+
+@pytest.mark.parametrize(
+    "cfg", [replace(JET, t_end=0.0005), replace(JET, t_end=0.0005, dt_policy="classic"),
+            replace(JET, t_end=0.0005, tvb_m=0.0), THIN],
+    ids=["optimal", "classic", "tvb-0", "thin"])
+def test_the_windowed_set_up_equals_the_whole_mesh_set_up(cfg, monkeypatch):
+    """The frozen cells hold the exact constant, which the set-up's limiting
+    would leave bit-unchanged: its field, mean bounds and first step are the
+    whole-mesh set-up's, bit for bit.  So are its counts, but for an ambient
+    below the density floor: the BP limiter then limits (to theta 0, a no-op
+    on a constant) every cell it is given, and the frozen cells are left
+    unlimited and uncounted, as in any windowed step."""
+    field, counts, lo, hi, violation, first = _setup(cfg, monkeypatch, whole=False)
+    field_w, counts_w, lo_w, hi_w, violation_w, first_w = _setup(cfg, monkeypatch, whole=True)
+    np.testing.assert_array_equal(field, field_w)
+    np.testing.assert_array_equal(lo, lo_w)
+    np.testing.assert_array_equal(hi, hi_w)
+    assert violation == violation_w is False and first == first_w
+    if cfg is THIN:
+        assert counts == {**counts_w, "cells_limited": 5 * 5} and counts_w["cells_limited"] == 12 * 8
+        assert counts["min_theta"] == 0.0
+    else:
+        assert counts == counts_w
 
 
 # ------------------------------------------------------------- selection
@@ -230,7 +300,9 @@ def test_the_cells_an_inflow_segment_covers_are_active_from_the_start():
 def test_a_nan_coefficient_is_active_and_the_step_names_its_cell(monkeypatch):
     """A NaN is not within tau of the reference, so its cell is active, as a
     cell with a finite deviation there is: the window holds it, and the
-    step's speed pass fails in it instead of leaving it frozen."""
+    speed pass fails in it instead of leaving it frozen.  Step 1's window is
+    chosen at the set-up, whose speed pass runs before its TVB limiting
+    (which would zero the slope) and fails as step 1's."""
     field = _uniform(_outflow_mesh())
     quiescence = Quiescence.of(field, 3)
     slope = field.basis.mode_exps.index((1, 0))
@@ -240,7 +312,8 @@ def test_a_nan_coefficient_is_active_and_the_step_names_its_cell(monkeypatch):
 
     def disturbed_run(value):
         """The first window of the 40 x 20 jet and the run's error, with
-        `value` put in a density slope of cell (35, 15) before step 1."""
+        `value` put in a density slope of cell (35, 15) at step 1's start,
+        the set-up's window call."""
         window, windows = Quiescence.window, []
 
         def disturbing(self, field, last=None):
