@@ -12,13 +12,15 @@ Runs, from the `src/` next to this script:
 - `decomp-report` at k = 2 and k = 3 for phi = (1, 2, 3), and again for
   phi = (1, 1, 1): equal ratios are the paper's headline case and the one
   place where the optimal internal nodes merge;
-- `compare` of `advection_desk.cfg` against `advection_classic.cfg`.
+- `compare` of `advection_desk.cfg` against `advection_classic.cfg`;
+- `converge` of `advection_desk.cfg` on grids 8 and 16 to `t_end` 0.1.
 
 Runs write into a temporary directory (or DIR with `--keep`).  It prints one
 `sha256  name/file` line per `report.csv`, `field_*.csv` and decomp-report
-CSV, and the compare row's step counts and ratios at full precision (wall
-times left out).  Run it on two commits and diff the output: a refactor that
-keeps results bit-identical prints the same lines.
+CSV, the compare row's step counts and ratios at full precision (wall times
+left out), and last the `sha256  converge/errors.csv` line.  Run it on two
+commits and diff the output: a refactor that keeps results bit-identical
+prints the same lines.
 
 `--against KEPT` then compares the CSVs with those another commit's run kept
 in KEPT (`--keep KEPT`): for each file whose bytes differ it prints one
@@ -45,7 +47,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from bpdg.cli import decomp_report, efficiency_compare, parse_config, run  # noqa: E402
+from bpdg.cli import convergence_study, decomp_report, efficiency_compare, parse_config, run  # noqa: E402
 
 # run name -> (config, overrides)
 DESK = {
@@ -89,6 +91,10 @@ def digest_desk(out_root: Path) -> list[str]:
         f"compare advection_desk advection_classic: steps {cmp.steps_a} {cmp.steps_b}"
         f" step_ratio {cmp.step_ratio:.17g} predicted_ratio {cmp.predicted_ratio:.17g}"
     )
+    out_dir = out_root / "converge"
+    cfg = replace(parse_config(ROOT / "configs" / "advection_desk.cfg"), out_dir=str(out_dir), t_end=0.1)
+    convergence_study(cfg, [8, 16])
+    lines.append(f"{_sha((out_dir / 'errors.csv').read_bytes())}  converge/errors.csv")
     return lines
 
 

@@ -46,11 +46,17 @@ from .physics import (
     BurgersModel,
     EulerModel,
 )
+from .quadrature import gauss_rule
 from .window import Quiescence
 
 
 class ConfigError(Exception):
-    pass
+    """A config a command cannot take; `keys` are the config keys the
+    complaint is about (`parse_config` cites the latest line setting one)."""
+
+    def __init__(self, message: str, keys: tuple[str, ...] = ()):
+        super().__init__(message)
+        self.keys = keys
 
 
 def _parse_bool(text: str) -> bool:
@@ -136,8 +142,8 @@ def _key(default, parse, key: Optional[str] = None):
 
 @dataclass
 class RunConfig:
-    """The one list of config keys, in the order `validate_config` checks
-    them and `efficiency_compare` names the first that differs."""
+    """The one list of config keys, in the order `problem` parses them
+    and `efficiency_compare` names the first that differs."""
 
     model: str = _key("advection2d", _parse_choice(AdvectionModel.name, BurgersModel.name, EulerModel.name))
     gamma: float = _key(5.0 / 3.0, _parse_finite(1.0, strict=True))
@@ -173,65 +179,32 @@ class RunConfig:
 _KEY_PARSERS = {f.metadata["key"] or f.name: (f.name, f.metadata["parse"]) for f in fields(RunConfig)}
 
 
-def _cross_key_issue(cfg: RunConfig) -> Optional[tuple[tuple[str, ...], str]]:
-    """The first complaint, with its keys, about values valid alone but not
-    together: an empty interval (domain, then scalar region), an initial
-    condition the model lacks, an inflow on a scalar model, initial data or
-    an inflow state outside the model's invariant region, advection speed
+class Problem:
+    """A validated config and what a run of it is built from, each built
+    once: its model, its mesh (an inflow segment on its left side), its
+    scheme and the mesh's spacings (dx, dy)."""
+
+    def __init__(self, cfg: RunConfig, model, mesh: Mesh2D):
+        self.cfg, self.model, self.mesh = cfg, model, mesh
+        self.scheme = SCHEMES[cfg.scheme]
+        self.spacings = (mesh.dx, mesh.dy)
+
+
+def problem(cfg: RunConfig) -> Problem:
+    """The problem `cfg` defines, with every value of `cfg` run through its
+    key's parser, as `parse_config` reads it (so `jiang-liu` becomes
+    `jiangliu`); each parser reads back the text of its own type: `str` of a
+    float is exact and bools print as True/False.
+
+    ConfigError, with its keys, for a value `parse_config` would reject, or
+    else for the first of these values valid alone but not together: an
+    empty interval (domain, then scalar region), an initial condition the
+    model lacks, an inflow on a scalar model, initial data or an inflow state
+    outside the model's invariant region (a state whose energy overflows
+    among them), an inflow without outflow boundaries, advection speed
     ratios |c_d|/h_d that `speed_ratios` refuses or whose time step is below
-    half an ulp of t_end, an inflow without outflow
-    boundaries or whose segment meets no left-face quadrature point."""
-    for lo, hi in (("x_lo", "x_hi"), ("y_lo", "y_hi"), ("region_lo", "region_hi")):
-        if not getattr(cfg, lo) < getattr(cfg, hi):
-            return (lo, hi), f"{lo} = {getattr(cfg, lo)} must be below {hi} = {getattr(cfg, hi)}"
-    if (cfg.model == EulerModel.name) != (cfg.initial == "uniform"):
-        return ("model", "initial"), f"initial {cfg.initial!r} is not defined for {cfg.model}"
-    if cfg.inflow is not None and cfg.model != EulerModel.name:
-        return ("model", "inflow"), f"inflow segments are only supported for {EulerModel.name}"
-    model = _build_model(cfg)
-    keys, data = {"sine": (("region_lo", "region_hi"), (-1.0, 1.0)),  # the range of the sine
-                  "riemann4": (("region_lo", "region_hi", "riemann_states"), cfg.riemann_states),
-                  "uniform": (("gamma", "ambient"), cfg.ambient)}[cfg.initial]
-    states = model.conserved(*data) if cfg.initial == "uniform" else np.array(data)[:, None]
-    if not np.all(model.region.contains(states)):
-        return ("initial", *keys), (f"{', '.join(keys)}: initial {cfg.initial} data {data} lie outside "
-                                    f"the invariant region {model.region}")
-    if cfg.inflow is not None and not np.all(model.region.contains(model.conserved(*cfg.inflow))):
-        return ("gamma", "inflow"), (f"gamma, inflow: inflow state {cfg.inflow} lies outside "
-                                     f"the invariant region {model.region}")
-    if cfg.model == AdvectionModel.name:
-        mesh = _build_mesh(cfg, model)
-        keys = ("advection_cx", "advection_cy", "x_lo", "x_hi", "y_lo", "y_hi", "nx", "ny")
-        phi = (abs(cfg.advection_cx) / mesh.dx, abs(cfg.advection_cy) / mesh.dy)
-        try:
-            dc.speed_ratios(phi, (1.0, 1.0))
-        except ValueError:
-            return keys, (f"advection_cx, advection_cy: the speed ratios |c_d|/h_d = {phi[0]:g}, {phi[1]:g} "
-                          "admit no decomposition: psi = sum + 2*max of them is not finite")
-        # advection's dt is the same every step: below half an ulp of t_end,
-        # t + dt rounds back to t before t reaches t_end
-        speeds, spacings = (abs(cfg.advection_cx), abs(cfg.advection_cy)), (mesh.dx, mesh.dy)
-        dt = step_controller(_decomposition(cfg, speeds, spacings), SCHEMES[cfg.scheme], speeds, spacings, cfg.c0)
-        if dt < 0.5 * math.ulp(cfg.t_end):
-            return keys + ("t_end", "scheme", "dt_policy", "c0"), (
-                f"advection_cx, advection_cy, t_end: the time step {dt:g} is below half an ulp of "
-                f"t_end = {cfg.t_end:g}, so t would never reach t_end")
-    if cfg.inflow is not None and cfg.bc != OUTFLOW:
-        return ("bc", "inflow"), f"bc, inflow: an inflow segment needs bc = {OUTFLOW}, got {cfg.bc}"
-    if cfg.inflow is not None:
-        mesh = _build_mesh(cfg, model)
-        if not mesh.bc_left.covers(face_coords(mesh, True, Basis2D(cfg.k).face_rule.nodes)).any():
-            return ("inflow", "inflow_lo", "inflow_hi"), (
-                f"inflow_lo, inflow_hi: the inflow segment [{cfg.inflow_lo}, {cfg.inflow_hi}] meets "
-                "none of the left boundary's face quadrature points")
-    return None
-
-
-def validate_config(cfg: RunConfig) -> RunConfig:
-    """`cfg` with every value run through its key's parser, as `parse_config`
-    reads it (so `jiang-liu` becomes `jiangliu`); ConfigError for any value
-    `parse_config` would reject.  Each parser reads back the text of its own
-    type: `str` of a float is exact and bools print as True/False."""
+    half an ulp of t_end, an inflow segment that meets no left-face
+    quadrature point."""
     changes = {}
     for key, (attr, parser) in _KEY_PARSERS.items():
         value = getattr(cfg, attr)
@@ -241,12 +214,64 @@ def validate_config(cfg: RunConfig) -> RunConfig:
             text = ", ".join(str(float(v)) for v in value) if isinstance(value, (tuple, list)) else str(value)
             changes[attr] = parser(text)
         except ValueError as exc:
-            raise ConfigError(f"bad value for {key}: {exc}") from exc
+            raise ConfigError(f"bad value for {key}: {exc}", (key,)) from exc
     cfg = replace(cfg, **changes)
-    issue = _cross_key_issue(cfg)
-    if issue is not None:
-        raise ConfigError(issue[1])
-    return cfg
+    for lo, hi in (("x_lo", "x_hi"), ("y_lo", "y_hi"), ("region_lo", "region_hi")):
+        if not getattr(cfg, lo) < getattr(cfg, hi):
+            raise ConfigError(f"{lo} = {getattr(cfg, lo)} must be below {hi} = {getattr(cfg, hi)}", (lo, hi))
+    if (cfg.model == EulerModel.name) != (cfg.initial == "uniform"):
+        raise ConfigError(f"initial {cfg.initial!r} is not defined for {cfg.model}", ("model", "initial"))
+    if cfg.inflow is not None and cfg.model != EulerModel.name:
+        raise ConfigError(f"inflow segments are only supported for {EulerModel.name}", ("model", "inflow"))
+    region = BoxScalar(cfg.region_lo, cfg.region_hi)  # a scalar model's
+    if cfg.model == AdvectionModel.name:
+        c = (cfg.advection_cx, cfg.advection_cy)
+
+        def exact(x, y, t):
+            return np.sin(np.pi * (x + y - (c[0] + c[1]) * t))[..., None]
+        model = AdvectionModel(c, region, exact if cfg.initial == "sine" else None)
+    else:
+        model = BurgersModel(region) if cfg.model == BurgersModel.name else EulerModel(cfg.gamma)
+    keys, data = {"sine": (("region_lo", "region_hi"), (-1.0, 1.0)),  # the range of the sine
+                  "riemann4": (("region_lo", "region_hi", "riemann_states"), cfg.riemann_states),
+                  "uniform": (("gamma", "ambient"), cfg.ambient)}[cfg.initial]
+    states = model.conserved(*data) if cfg.initial == "uniform" else np.array(data)[:, None]
+    inflow = None if cfg.inflow is None else model.conserved(*cfg.inflow)
+    with np.errstate(over="ignore", invalid="ignore"):  # an energy that overflows is outside, not a warning
+        if not np.all(model.region.contains(states)):
+            raise ConfigError(f"{', '.join(keys)}: initial {cfg.initial} data {data} lie outside "
+                              f"the invariant region {model.region}", ("initial", *keys))
+        if inflow is not None and not np.all(model.region.contains(inflow)):
+            raise ConfigError(f"gamma, inflow: inflow state {cfg.inflow} lies outside "
+                              f"the invariant region {model.region}", ("gamma", "inflow"))
+    # an inflow is Euler's and the speed checks below advection's: either may come first
+    if inflow is not None and cfg.bc != OUTFLOW:
+        raise ConfigError(f"bc, inflow: an inflow segment needs bc = {OUTFLOW}, got {cfg.bc}", ("bc", "inflow"))
+    # the bc names are the boundary kinds PERIODIC and OUTFLOW
+    left = cfg.bc if inflow is None else InflowSegment(inflow, cfg.inflow_lo, cfg.inflow_hi)
+    prob = Problem(cfg, model, Mesh2D(cfg.x_lo, cfg.x_hi, cfg.y_lo, cfg.y_hi, cfg.nx, cfg.ny,
+                                      left, cfg.bc, cfg.bc, cfg.bc))
+    if cfg.model == AdvectionModel.name:
+        keys = ("advection_cx", "advection_cy", "x_lo", "x_hi", "y_lo", "y_hi", "nx", "ny")
+        speeds = (abs(cfg.advection_cx), abs(cfg.advection_cy))
+        phi = tuple(c / h for c, h in zip(speeds, prob.spacings))
+        try:
+            dc.speed_ratios(phi, (1.0, 1.0))
+        except ValueError:
+            raise ConfigError(f"advection_cx, advection_cy: the speed ratios |c_d|/h_d = {phi[0]:g}, {phi[1]:g} "
+                              "admit no decomposition: psi = sum + 2*max of them is not finite", keys) from None
+        # advection's dt is the same every step: below half an ulp of t_end,
+        # t + dt rounds back to t before t reaches t_end
+        dt = step_controller(_decomposition(cfg, speeds, prob.spacings), prob.scheme, speeds, prob.spacings, cfg.c0)
+        if dt < 0.5 * math.ulp(cfg.t_end):
+            raise ConfigError(f"advection_cx, advection_cy, t_end: the time step {dt:g} is below half an ulp of "
+                              f"t_end = {cfg.t_end:g}, so t would never reach t_end",
+                              keys + ("t_end", "scheme", "dt_policy", "c0"))
+    if inflow is not None and not prob.mesh.bc_left.covers(
+            face_coords(prob.mesh, True, gauss_rule(cfg.k + 1).nodes)).any():
+        raise ConfigError(f"inflow_lo, inflow_hi: the inflow segment [{cfg.inflow_lo}, {cfg.inflow_hi}] meets "
+                          "none of the left boundary's face quadrature points", ("inflow", "inflow_lo", "inflow_hi"))
+    return prob
 
 
 def _reason(exc: Exception) -> str:
@@ -281,36 +306,13 @@ def parse_config(path: str | Path) -> RunConfig:
         if key in key_lines:
             raise ConfigError(f"{path}:{lineno}: {key} is set again, first at line {key_lines[key]}")
         key_lines[key] = lineno
-    issue = _cross_key_issue(cfg)
-    if issue is not None:
+    try:
+        problem(cfg)
+    except ConfigError as exc:
         # reported at the latest line of the keys involved
-        lineno = max(key_lines.get(key, 0) for key in issue[0])
-        raise ConfigError(f"{path}:{lineno}: {issue[1]}")
+        lineno = max((key_lines.get(key, 0) for key in exc.keys), default=0)
+        raise ConfigError(f"{path}:{lineno}: {exc}", exc.keys) from exc
     return cfg
-
-
-def _build_model(cfg: RunConfig):
-    if cfg.model == AdvectionModel.name:
-        c = (cfg.advection_cx, cfg.advection_cy)
-        region = BoxScalar(cfg.region_lo, cfg.region_hi)
-        if cfg.initial == "sine":
-            def exact(x, y, t):
-                return np.sin(np.pi * (x + y - (c[0] + c[1]) * t))[..., None]
-        else:
-            exact = None
-        return AdvectionModel(c, region, exact)
-    if cfg.model == BurgersModel.name:
-        return BurgersModel(BoxScalar(cfg.region_lo, cfg.region_hi))
-    return EulerModel(cfg.gamma)
-
-
-def _build_mesh(cfg: RunConfig, model) -> Mesh2D:
-    # the bc names are the boundary kinds PERIODIC and OUTFLOW
-    bcs = dict.fromkeys(("bc_left", "bc_right", "bc_bottom", "bc_top"), cfg.bc)
-    if cfg.inflow is not None:
-        state = model.conserved(*cfg.inflow)
-        bcs["bc_left"] = InflowSegment(state, cfg.inflow_lo, cfg.inflow_hi)
-    return Mesh2D(cfg.x_lo, cfg.x_hi, cfg.y_lo, cfg.y_hi, cfg.nx, cfg.ny, **bcs)
 
 
 def _build_initial(cfg: RunConfig, model):
@@ -408,16 +410,17 @@ def _failure(exc: AdmissibilityError, window, t: float, step: int) -> Admissibil
 
 
 def run(cfg: RunConfig, write_outputs: bool = True) -> RunReport:
+    """Run the problem `cfg` defines (see `solve`)."""
+    return solve(problem(cfg), write_outputs)
+
+
+def solve(prob: Problem, write_outputs: bool = True) -> RunReport:
     """Project initial data, time-step to t_end with per-stage limiting,
     write field snapshots and a run report."""
-    cfg = validate_config(cfg)
+    cfg, model, scheme, spacings = prob.cfg, prob.model, prob.scheme, prob.spacings
     out_dir = _out_dir(cfg) if write_outputs else None
-    model = _build_model(cfg)
-    mesh = _build_mesh(cfg, model)
-    spacings = (mesh.dx, mesh.dy)
     basis = Basis2D(cfg.k)
-    scheme = SCHEMES[cfg.scheme]
-    field = project(_build_initial(cfg, model), mesh, basis, model)
+    field = project(_build_initial(cfg, model), prob.mesh, basis, model)
 
     # the decomposition in use and the speeds it was built at; the chain
     # limits at its nodes, built from the internal offsets `node_offsets`
@@ -520,14 +523,21 @@ _ERRORS_HEADER = "N,l1,l2,linf,order_l1"
 
 def convergence_study(cfg: RunConfig, grids: list[int], write_outputs: bool = True):
     """Run each grid and tabulate (N, L1, L2, Linf, observed L1 order).
-    ConfigError, before any run, for a model without an exact solution."""
-    if _build_model(cfg).exact_solution is None:
+    ConfigError, before any run, naming `--grids` for a grid `cfg` cannot
+    take, and for a model without an exact solution."""
+    problems = []
+    for n in grids:
+        try:
+            problems.append(problem(replace(cfg, nx=n, ny=n)))
+        except ConfigError as exc:
+            raise ConfigError(f"--grids: grid {n}: {exc}", exc.keys) from exc
+    if any(prob.model.exact_solution is None for prob in problems):
         raise ConfigError("convergence study needs a model with an exact solution")
     out = _out_dir(cfg) if write_outputs else None
     rows = []
     prev_l1 = None
-    for n in grids:
-        rep = run(replace(cfg, nx=n, ny=n), write_outputs=False)
+    for n, prob in zip(grids, problems):
+        rep = solve(prob, write_outputs=False)
         order = math.log2(prev_l1 / rep.l1) if prev_l1 else float("nan")
         rows.append((n, rep.l1, rep.l2, rep.linf, order))
         prev_l1 = rep.l1
@@ -590,16 +600,14 @@ def decomp_report(k: int, phi: tuple[float, ...], c0: float, out=None) -> str:
 
 
 class CompareReport:
-    def __init__(self, steps_a: int, steps_b: int, wall_a: float, wall_b: float, step_ratio: float,
-                 predicted_ratio: float, report_a: RunReport, report_b: RunReport):
-        self.steps_a = steps_a
-        self.steps_b = steps_b
-        self.wall_a = wall_a
-        self.wall_b = wall_b
-        self.step_ratio = step_ratio
-        self.predicted_ratio = predicted_ratio
-        self.report_a = report_a
-        self.report_b = report_b
+    """The two runs' reports, with their step counts, wall times and step
+    ratio B/A, and the step ratio the dt formulas predict."""
+
+    def __init__(self, report_a: RunReport, report_b: RunReport, predicted_ratio: float):
+        self.report_a, self.report_b, self.predicted_ratio = report_a, report_b, predicted_ratio
+        self.steps_a, self.steps_b = report_a.steps, report_b.steps
+        self.wall_a, self.wall_b = report_a.wall_time, report_b.wall_time
+        self.step_ratio = report_b.steps / report_a.steps
 
 
 # the keys two compared configs may set differently: the scheme under test
@@ -613,38 +621,29 @@ def efficiency_compare(cfg_a: RunConfig, cfg_b: RunConfig, write_outputs: bool =
     ConfigError naming the first key outside `_COMPARE_MAY_DIFFER` whose
     values differ, and, when outputs are written, naming `out_dir` if both
     configs write to one directory (B's outputs would replace A's)."""
-    cfg_a, cfg_b = validate_config(cfg_a), validate_config(cfg_b)
+    prob_a, prob_b = problem(cfg_a), problem(cfg_b)
+    cfg_a, cfg_b = prob_a.cfg, prob_b.cfg
     for key, (attr, _) in _KEY_PARSERS.items():
         a, b = getattr(cfg_a, attr), getattr(cfg_b, attr)
         if key not in _COMPARE_MAY_DIFFER and a != b:
             raise ConfigError(f"compare requires the same problem in both configs: {key} is {a} vs {b}")
     if write_outputs and Path(cfg_a.out_dir).resolve() == Path(cfg_b.out_dir).resolve():
         raise ConfigError(f"out_dir: both configs write to {cfg_a.out_dir}; compare needs one directory each")
-    rep_a = run(cfg_a, write_outputs=write_outputs)
-    rep_b = run(cfg_b, write_outputs=write_outputs)
-    mesh = _build_mesh(cfg_a, _build_model(cfg_a))
-    spacings = (mesh.dx, mesh.dy)
+    rep_a = solve(prob_a, write_outputs=write_outputs)
+    rep_b = solve(prob_b, write_outputs=write_outputs)
 
-    def policy_dt(cfg: RunConfig, speeds: tuple[float, float]) -> float:
-        return step_controller(_decomposition(cfg, speeds, spacings), SCHEMES[cfg.scheme], speeds,
-                               spacings, cfg.c0)
+    def policy_dt(prob: Problem, speeds: tuple[float, float]) -> float:
+        return step_controller(_decomposition(prob.cfg, speeds, prob.spacings), prob.scheme, speeds,
+                               prob.spacings, prob.cfg.c0)
 
-    # integrate 1/tau over run A's recorded speed history for both policies;
-    # an unbounded step (zero speeds) counts as none under either
+    # integrate 1/tau over run A's recorded speed history for both policies
+    # (one problem: their spacings are equal); an unbounded step (zero
+    # speeds) counts as none under either
     n_a = n_b = 0.0
     for dt, *speeds in rep_a.speed_history:
-        n_a += dt / policy_dt(cfg_a, speeds)
-        n_b += dt / policy_dt(cfg_b, speeds)
-    return CompareReport(
-        steps_a=rep_a.steps,
-        steps_b=rep_b.steps,
-        wall_a=rep_a.wall_time,
-        wall_b=rep_b.wall_time,
-        step_ratio=rep_b.steps / rep_a.steps,
-        predicted_ratio=n_b / n_a if n_a > 0.0 else 1.0,
-        report_a=rep_a,
-        report_b=rep_b,
-    )
+        n_a += dt / policy_dt(prob_a, speeds)
+        n_b += dt / policy_dt(prob_b, speeds)
+    return CompareReport(rep_a, rep_b, predicted_ratio=n_b / n_a if n_a > 0.0 else 1.0)
 
 
 def main(argv: Optional[list[str]] = None) -> int:

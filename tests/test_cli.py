@@ -6,6 +6,8 @@ import math
 import os
 import subprocess
 import sys
+import warnings
+from collections import Counter
 from dataclasses import fields, replace
 from pathlib import Path
 
@@ -22,12 +24,12 @@ from bpdg.cli import (
     efficiency_compare,
     main,
     parse_config,
+    problem,
     run,
-    validate_config,
 )
 from bpdg.dg_core import Basis2D
 from bpdg.limiters import LimiterChain, LimiterDiagnostics, NodeRows
-from bpdg.physics import EULER_FLOOR
+from bpdg.physics import EULER_FLOOR, AdvectionModel, BurgersModel, EulerModel
 from bpdg.window import Quiescence
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
@@ -151,7 +153,7 @@ def test_a_file_setting_every_key_parses_to_its_run_config(tmp_path):
     assert all(getattr(expected, f.name) != f.default for f in fields(RunConfig))
     cfg = parse_config(_write(tmp_path, "every.cfg", EVERY_KEY))
     assert cfg == expected
-    assert validate_config(cfg) == cfg
+    assert problem(cfg).cfg == cfg
 
 
 @pytest.mark.parametrize(
@@ -169,7 +171,7 @@ def test_a_key_set_twice_is_a_config_error(tmp_path, capsys, text, key):
     assert not (tmp_path / "o").exists()
     # a config built in code holds each key once: either value validates
     for in_code in RunConfig(nx=8), RunConfig(nx=4), RunConfig(tvb_m=1.0), RunConfig(tvb_m=None):
-        assert validate_config(in_code) == in_code
+        assert problem(in_code).cfg == in_code
 
 
 # -------------------------------------------------------------------- runs
@@ -398,9 +400,9 @@ def test_limiter_nodes_come_from_the_decomposition_of_the_step_dt(tmp_path, monk
         cfg = parse_config(_write(tmp_path, "jet.cfg", JET_SMALL + f"dt_policy = {policy}\n"))
     else:
         cfg = RunConfig(nx=8, ny=8, t_end=0.1, advection_cx=1.0, advection_cy=0.5, dt_policy=policy)
+    basis, region = Basis2D(cfg.k), problem(cfg).model.region
     report = run(cfg, write_outputs=False)
     euler = cfg.model == "euler2d"
-    basis, region = Basis2D(cfg.k), cli._build_model(cfg).region
     # the steps' dt bounds: those after the first node set is built (the
     # advection config check bounds dt once before it)
     first_build = next(i for i, (kind, _, _) in enumerate(events) if kind == "build")
@@ -730,14 +732,14 @@ def test_cross_key_error_cites_the_latest_line(tmp_path, text, line, complaint):
         attr, parser = _KEY_PARSERS[key]
         cfg = replace(cfg, **{attr: parser(value)})
     with pytest.raises(ConfigError) as err_in_code:
-        validate_config(cfg)
+        problem(cfg)
     assert str(err_in_code.value) == str(err.value).split(": ", 1)[1]
 
 
 def test_riemann_states_inside_a_narrow_region_are_accepted(tmp_path):
     # the sine's range is not asked of riemann4 data
     cfg = parse_config(_write(tmp_path, "ok.cfg", BURGERS_OUTSIDE + "riemann_states = 0.1, 0.2, 0.3, 0.4\n"))
-    assert validate_config(cfg) == cfg
+    assert problem(cfg).cfg == cfg
 
 
 def test_burgers_desk_with_a_narrower_region_is_a_config_error(tmp_path, capsys):
@@ -771,7 +773,7 @@ def test_jet_desk_with_an_inflow_segment_meeting_no_face_point_is_a_config_error
     err = capsys.readouterr().err
     assert err.startswith(f"config error: {cfg}:{lineno}: inflow_lo, inflow_hi: the inflow segment [{lo}, {hi}]")
     with pytest.raises(ConfigError, match="meets none of the left boundary's face quadrature points"):
-        validate_config(replace(parse_config(CONFIG_DIR / "mach80_jet_desk.cfg"),
+        problem(replace(parse_config(CONFIG_DIR / "mach80_jet_desk.cfg"),
                                 inflow_lo=float(lo), inflow_hi=float(hi)))
 
 
@@ -808,7 +810,7 @@ def test_cli_rejects_deleted_keys(tmp_path, capsys, line):
 @pytest.mark.parametrize("path", sorted(CONFIG_DIR.glob("*.cfg")), ids=lambda p: p.name)
 def test_shipped_configs_parse_and_validate(path):
     cfg = parse_config(path)
-    assert validate_config(cfg) == cfg
+    assert problem(cfg).cfg == cfg
 
 
 def test_cli_accepts_jiang_liu_spelling(tmp_path, capsys):
@@ -871,7 +873,7 @@ def _must_not_run(*args, **kwargs):
 
 
 def test_converge_refuses_a_model_without_exact_solution_before_any_run(tmp_path, capsys, monkeypatch):
-    monkeypatch.setattr(cli, "run", _must_not_run)
+    monkeypatch.setattr(cli, "solve", _must_not_run)
     cfg = _write(tmp_path, "burgers.cfg", "model = burgers2d\ninitial = riemann4\nbc = outflow\n"
                  f"out_dir = {tmp_path / 'o'}\n")
     with pytest.raises(ConfigError, match="exact solution"):
@@ -879,6 +881,84 @@ def test_converge_refuses_a_model_without_exact_solution_before_any_run(tmp_path
     assert main(["converge", str(cfg), "--grids", "64", "32"]) == 2
     assert "exact solution" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+def test_converge_checks_every_grid_before_any_run(tmp_path, capsys, monkeypatch):
+    # grid 8 used to run to the end before grid 0 failed on nx, a key the
+    # file never set, and its out_dir was already created
+    monkeypatch.setattr(cli, "solve", _must_not_run)
+    cfg = _write(tmp_path, "c.cfg", ADVECTION_SMALL + f"out_dir = {tmp_path / 'o'}\n")
+    assert main(["converge", str(cfg), "--grids", "8", "0"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config error: --grids: grid 0: bad value for nx: expected at least 1 cell, got 0"]
+    assert not (tmp_path / "o").exists()
+
+
+def _count_builds(monkeypatch):
+    """A Counter of the models, full meshes (not `Window`s) and bases built
+    from now on, by class name."""
+    built = Counter()
+    for cls in (AdvectionModel, BurgersModel, EulerModel, Basis2D, dg_core.Mesh2D):
+        def counted(self, *args, __init__=cls.__init__, **kwargs):
+            if type(self).__name__ != "Window":
+                built[type(self).__name__] += 1
+            __init__(self, *args, **kwargs)
+
+        monkeypatch.setattr(cls, "__init__", counted)
+    return built
+
+
+@pytest.mark.parametrize("config", ["jet", "advection"])
+def test_a_run_builds_its_model_mesh_and_basis_once(tmp_path, monkeypatch, config):
+    # at the parent of this test a jet's parse_config and run built three of each
+    path = (_write(tmp_path, "jet.cfg", JET_SMALL) if config == "jet"
+            else _write(tmp_path, "adv.cfg", ADVECTION_SMALL))
+    built = _count_builds(monkeypatch)
+    cfg = parse_config(path)
+    assert built["Basis2D"] == 0  # the inflow check reads the cached face rule
+    built.clear()
+    run(cfg, write_outputs=False)
+    model = "EulerModel" if config == "jet" else "AdvectionModel"
+    assert built == {model: 1, "Mesh2D": 1, "Basis2D": 1}
+
+
+def test_compare_and_converge_build_one_problem_per_run(tmp_path, monkeypatch):
+    problems = []
+
+    def counted_problem(cfg):
+        problems.append((cfg.nx, cfg.dt_policy))
+        return problem(cfg)
+
+    text = "model = advection2d\nnx = 8\nny = 8\nt_end = 0.05\n"
+    a = parse_config(_write(tmp_path, "a.cfg", text + "dt_policy = optimal\n"))
+    b = parse_config(_write(tmp_path, "b.cfg", text + "dt_policy = classic\n"))
+    monkeypatch.setattr(cli, "problem", counted_problem)
+    built = _count_builds(monkeypatch)
+    efficiency_compare(a, b, write_outputs=False)
+    assert problems == [(8, "optimal"), (8, "classic")]
+    assert built == {"AdvectionModel": 2, "Mesh2D": 2, "Basis2D": 2}
+    problems.clear()
+    built.clear()
+    convergence_study(replace(a, t_end=0.01), [4, 8], write_outputs=False)
+    assert problems == [(4, "optimal"), (8, "optimal")]
+    assert built == {"AdvectionModel": 2, "Mesh2D": 2, "Basis2D": 2}
+
+
+@pytest.mark.parametrize("key, line", [("inflow", "inflow = 5.0, 1e300, 0.0, 0.4127"),
+                                       ("ambient", "ambient = 5.0, 0.0, 1e300, 0.4127")])
+def test_a_state_whose_energy_overflows_is_a_config_error_without_a_warning(tmp_path, capsys, key, line):
+    # its pressure used to warn of overflow and an invalid subtraction before
+    # the config error: a traceback where RuntimeWarnings are errors
+    text = (CONFIG_DIR / "mach80_jet_desk.cfg").read_text(encoding="utf-8")
+    old = next(raw for raw in text.splitlines() if raw.startswith(f"{key} = "))
+    cfg = _write(tmp_path, "huge.cfg", text.replace(old, line).replace("out_dir = ", f"out_dir = {tmp_path}/"))
+    with warnings.catch_warnings():
+        warnings.simplefilter("error", RuntimeWarning)
+        assert main(["run", str(cfg)]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    lineno = text.splitlines().index(old) + 1
+    complaint = "gamma, inflow: inflow state" if key == "inflow" else "gamma, ambient: initial uniform data"
+    assert len(err) == 1 and err[0].startswith(f"config error: {cfg}:{lineno}: {complaint}")
 
 
 def test_decomp_report_at_a_ratio_whose_floor_underflows(capsys):
@@ -921,9 +1001,9 @@ def test_advection_step_below_half_an_ulp_of_t_end_is_a_config_error(ulps, refus
     c = 1.0 / (32.0 * ulps * math.ulp(t_end))
     if refused:
         with pytest.raises(ConfigError, match="below half an ulp of t_end"):
-            validate_config(replace(cfg, advection_cx=c, advection_cy=c))
+            problem(replace(cfg, advection_cx=c, advection_cy=c))
     else:
-        validate_config(replace(cfg, advection_cx=c, advection_cy=c))
+        problem(replace(cfg, advection_cx=c, advection_cy=c))
 
 
 def test_cli_compare_zero_velocity(tmp_path, capsys):
