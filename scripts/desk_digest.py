@@ -39,7 +39,6 @@ import io
 import sys
 import tempfile
 from contextlib import nullcontext
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -47,7 +46,7 @@ import numpy as np
 ROOT = Path(__file__).resolve().parents[1]
 sys.path.insert(0, str(ROOT / "src"))
 
-from bpdg.cli import convergence_study, decomp_report, efficiency_compare, parse_config, run  # noqa: E402
+from bpdg.cli import convergence_study, decomp_report, efficiency_compare, parse_config, replace, run  # noqa: E402
 
 # run name -> (config, overrides)
 DESK = {

@@ -4,11 +4,11 @@ Built around convex decompositions of DG cell averages: the optimal
 decompositions give the largest provable bound-preserving time step, and the
 classic tensor-product decompositions serve as verified baselines.
 
-Records (rules, decompositions, meshes, fields, limiter diagnostics, reports)
-are plain classes with a hand-written `__init__`, not dataclasses: Python
-compiles each generated dataclass method at import, 0.5-2 ms a class, which
-every run and every command would pay before its first step.  The exception
-is `cli.RunConfig`, whose fields are the table of config keys.
+Records (rules, decompositions, meshes, fields, limiter diagnostics, reports,
+the run config) are plain classes with a hand-written `__init__`, not
+dataclasses: Python compiles each generated dataclass method at import,
+0.5-2 ms a class, which every run and every command would pay before its
+first step.  `cli.RunConfig` reads its keys from the table `cli._CONFIG_KEYS`.
 """
 
 from .decomposition import (

@@ -16,7 +16,6 @@ from __future__ import annotations
 import math
 import sys
 import time
-from dataclasses import dataclass, field as dataclass_field, fields, replace
 from pathlib import Path
 from typing import Optional
 
@@ -134,49 +133,66 @@ def _parse_choice(*names: str):
     return parse
 
 
-def _key(default, parse, key: Optional[str] = None):
-    """A `RunConfig` field: its default, the parser of its config-file text,
-    and its file key when that is not the field's name."""
-    return dataclass_field(default=default, metadata={"parse": parse, "key": key})
+# the config keys, in the order `problem` parses them and `efficiency_compare`
+# names the first that differs: a `RunConfig` attribute, its default, the
+# parser of its config-file text and, where it differs, its file key
+_CONFIG_KEYS = (
+    ("model", "advection2d", _parse_choice(AdvectionModel.name, BurgersModel.name, EulerModel.name)),
+    ("gamma", 5.0 / 3.0, _parse_finite(1.0, strict=True)),
+    ("advection_cx", 1.0, _parse_finite()),
+    ("advection_cy", 1.0, _parse_finite()),
+    ("x_lo", -1.0, _parse_finite()),
+    ("x_hi", 1.0, _parse_finite()),
+    ("y_lo", -1.0, _parse_finite()),
+    ("y_hi", 1.0, _parse_finite()),
+    ("nx", 50, _parse_cell_count),
+    ("ny", 50, _parse_cell_count),
+    ("k", 2, _parse_degree),
+    ("scheme", "ssprk3", _parse_choice(*SCHEMES)),
+    ("dt_policy", "optimal", _parse_choice(*dc.POLICIES)),
+    ("c0", 1.0, _parse_fraction),
+    ("limiter_bp", True, _parse_bool, "limiter.bp"),
+    ("tvb_m", None, _parse_optional(_parse_finite(0.0)), "limiter.tvb_M"),
+    ("t_end", 0.5, _parse_finite(0.0, strict=True)),
+    ("output_every", 0.0, _parse_finite(0.0)),
+    ("out_dir", "out", str),
+    ("bc", "periodic", _parse_choice(PERIODIC, OUTFLOW)),
+    ("initial", "sine", _parse_choice("sine", "riemann4", "uniform")),
+    ("region_lo", -1.0, _parse_finite()),
+    ("region_hi", 1.0, _parse_finite()),
+    ("riemann_states", (-0.2, -1.0, 0.5, 0.8), _parse_four_floats),
+    ("ambient", (5.0, 0.0, 0.0, 0.4127), _parse_euler_state),
+    ("inflow", None, _parse_euler_state),  # None: no inflow segment
+    ("inflow_lo", -0.05, _parse_finite()),
+    ("inflow_hi", 0.05, _parse_finite()),
+)
+_DEFAULTS = {name: default for name, default, *_ in _CONFIG_KEYS}
+# config-file key -> (RunConfig attribute, parser of its text)
+_KEY_PARSERS = {key[0] if key else name: (name, parse) for name, _, parse, *key in _CONFIG_KEYS}
 
 
-@dataclass
 class RunConfig:
-    """The one list of config keys, in the order `problem` parses them
-    and `efficiency_compare` names the first that differs."""
+    """A run's config: one attribute per row of `_CONFIG_KEYS`, given by
+    keyword or else the row's default.  Configs holding equal values are
+    equal.  A plain class, as every record here (see `bpdg`)."""
 
-    model: str = _key("advection2d", _parse_choice(AdvectionModel.name, BurgersModel.name, EulerModel.name))
-    gamma: float = _key(5.0 / 3.0, _parse_finite(1.0, strict=True))
-    advection_cx: float = _key(1.0, _parse_finite())
-    advection_cy: float = _key(1.0, _parse_finite())
-    x_lo: float = _key(-1.0, _parse_finite())
-    x_hi: float = _key(1.0, _parse_finite())
-    y_lo: float = _key(-1.0, _parse_finite())
-    y_hi: float = _key(1.0, _parse_finite())
-    nx: int = _key(50, _parse_cell_count)
-    ny: int = _key(50, _parse_cell_count)
-    k: int = _key(2, _parse_degree)
-    scheme: str = _key("ssprk3", _parse_choice(*SCHEMES))
-    dt_policy: str = _key("optimal", _parse_choice(*dc.POLICIES))
-    c0: float = _key(1.0, _parse_fraction)
-    limiter_bp: bool = _key(True, _parse_bool, "limiter.bp")
-    tvb_m: Optional[float] = _key(None, _parse_optional(_parse_finite(0.0)), "limiter.tvb_M")
-    t_end: float = _key(0.5, _parse_finite(0.0, strict=True))
-    output_every: float = _key(0.0, _parse_finite(0.0))
-    out_dir: str = _key("out", str)
-    bc: str = _key("periodic", _parse_choice(PERIODIC, OUTFLOW))
-    initial: str = _key("sine", _parse_choice("sine", "riemann4", "uniform"))
-    region_lo: float = _key(-1.0, _parse_finite())
-    region_hi: float = _key(1.0, _parse_finite())
-    riemann_states: tuple[float, ...] = _key((-0.2, -1.0, 0.5, 0.8), _parse_four_floats)
-    ambient: tuple[float, ...] = _key((5.0, 0.0, 0.0, 0.4127), _parse_euler_state)
-    inflow: Optional[tuple[float, ...]] = _key(None, _parse_euler_state)  # None: no inflow segment
-    inflow_lo: float = _key(-0.05, _parse_finite())
-    inflow_hi: float = _key(0.05, _parse_finite())
+    def __init__(self, **values):
+        unknown = values.keys() - _DEFAULTS.keys()
+        if unknown:
+            raise TypeError(f"RunConfig got unexpected keyword arguments: {', '.join(sorted(unknown))}")
+        vars(self).update(_DEFAULTS, **values)
+
+    def __eq__(self, other):
+        return vars(self) == vars(other) if type(other) is type(self) else NotImplemented
+
+    def __repr__(self) -> str:
+        return f"RunConfig({', '.join(f'{name}={value!r}' for name, value in vars(self).items())})"
 
 
-# config-file key -> (RunConfig field, parser of its text)
-_KEY_PARSERS = {f.metadata["key"] or f.name: (f.name, f.metadata["parse"]) for f in fields(RunConfig)}
+def replace(cfg: RunConfig, **changes) -> RunConfig:
+    """A new config holding `cfg`'s values with `changes` (the contract of
+    `dataclasses.replace`: TypeError for a name that is not a config key's)."""
+    return type(cfg)(**{**vars(cfg), **changes})
 
 
 class Problem:
@@ -283,6 +299,12 @@ def parse_config(path: str | Path) -> RunConfig:
     """The config file at `path`; ConfigError for a file that cannot be read
     as UTF-8 text, for any line or value `RunConfig` cannot take, and for a
     key set on two lines."""
+    return _file_problem(path).cfg
+
+
+def _file_problem(path: str | Path) -> Problem:
+    """The problem the config file at `path` defines (see `parse_config`),
+    its complaints cited at the line of the latest key they name."""
     cfg = RunConfig()
     key_lines = {}
     try:
@@ -307,12 +329,11 @@ def parse_config(path: str | Path) -> RunConfig:
             raise ConfigError(f"{path}:{lineno}: {key} is set again, first at line {key_lines[key]}")
         key_lines[key] = lineno
     try:
-        problem(cfg)
+        return problem(cfg)
     except ConfigError as exc:
         # reported at the latest line of the keys involved
         lineno = max((key_lines.get(key, 0) for key in exc.keys), default=0)
         raise ConfigError(f"{path}:{lineno}: {exc}", exc.keys) from exc
-    return cfg
 
 
 def _build_initial(cfg: RunConfig, model):
@@ -621,7 +642,11 @@ def efficiency_compare(cfg_a: RunConfig, cfg_b: RunConfig, write_outputs: bool =
     ConfigError naming the first key outside `_COMPARE_MAY_DIFFER` whose
     values differ, and, when outputs are written, naming `out_dir` if both
     configs write to one directory (B's outputs would replace A's)."""
-    prob_a, prob_b = problem(cfg_a), problem(cfg_b)
+    return _compare(problem(cfg_a), problem(cfg_b), write_outputs)
+
+
+def _compare(prob_a: Problem, prob_b: Problem, write_outputs: bool) -> CompareReport:
+    """`efficiency_compare` of two problems already built."""
     cfg_a, cfg_b = prob_a.cfg, prob_b.cfg
     for key, (attr, _) in _KEY_PARSERS.items():
         a, b = getattr(cfg_a, attr), getattr(cfg_b, attr)
@@ -672,7 +697,7 @@ def main(argv: Optional[list[str]] = None) -> int:
     args = parser.parse_args(argv)
     try:
         if args.command == "run":
-            report = run(parse_config(args.config))
+            report = solve(_file_problem(args.config))
             print(report.csv_header())
             print(report.csv_row())
             print(f"wall_time_s,{report.wall_time:.3f}")
@@ -689,7 +714,7 @@ def main(argv: Optional[list[str]] = None) -> int:
                 except OSError as exc:
                     raise ConfigError(f"--csv: cannot write {args.csv}: {_reason(exc)}") from exc
         elif args.command == "compare":
-            cmp_report = efficiency_compare(parse_config(args.config_a), parse_config(args.config_b))
+            cmp_report = _compare(_file_problem(args.config_a), _file_problem(args.config_b), True)
             # the header is the report's field names, each printed in its format
             columns = (("steps_a", "d"), ("steps_b", "d"), ("step_ratio", ".4f"), ("predicted_ratio", ".4f"),
                        ("wall_a", ".3f"), ("wall_b", ".3f"))

@@ -8,7 +8,6 @@ import subprocess
 import sys
 import warnings
 from collections import Counter
-from dataclasses import fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -25,6 +24,7 @@ from bpdg.cli import (
     main,
     parse_config,
     problem,
+    replace,
     run,
 )
 from bpdg.dg_core import Basis2D
@@ -34,14 +34,17 @@ from bpdg.window import Quiescence
 
 CONFIG_DIR = Path(__file__).resolve().parents[1] / "configs"
 
-# run in a fresh interpreter: whether importing `bpdg.cli` loads `argparse`,
-# and the dataclasses among the classes the `bpdg` modules define
+# run in a fresh interpreter: which of `argparse` and `dataclasses` importing
+# `bpdg.cli` loads, how many classes the `bpdg` modules define, and which of
+# them are dataclasses
 _IMPORT_CLI = """
-import dataclasses, json, sys
+import json, sys
 import bpdg.cli
+loaded = [name for name in ("argparse", "dataclasses") if name in sys.modules]
+import dataclasses
 classes = [c for name, module in list(sys.modules.items()) if name.split(".")[0] == "bpdg"
            for c in vars(module).values() if isinstance(c, type) and c.__module__ == name]
-print(json.dumps(["argparse" in sys.modules,
+print(json.dumps([loaded, len(classes),
                   sorted(f"{c.__module__}.{c.__qualname__}" for c in classes if dataclasses.is_dataclass(c))]))
 """
 
@@ -150,10 +153,34 @@ def test_a_file_setting_every_key_parses_to_its_run_config(tmp_path):
         inflow=(5.0, 30.0, 0.0, 0.4127), inflow_lo=-0.1, inflow_hi=0.1,
     )
     assert [line.split(" = ")[0] for line in EVERY_KEY.splitlines()] == list(_KEY_PARSERS)
-    assert all(getattr(expected, f.name) != f.default for f in fields(RunConfig))
+    assert all(getattr(expected, name) != default for name, default, *_ in cli._CONFIG_KEYS)
     cfg = parse_config(_write(tmp_path, "every.cfg", EVERY_KEY))
     assert cfg == expected
     assert problem(cfg).cfg == cfg
+
+
+def test_run_config_keeps_the_contract_its_callers_read():
+    table = cli._CONFIG_KEYS
+    assert vars(RunConfig()) == {name: default for name, default, *_ in table}
+    cfg = RunConfig(nx=8)
+    new = replace(cfg, nx=16, dt_policy="classic")
+    assert (new.nx, new.ny, new.dt_policy) == (16, 50, "classic")
+    assert vars(cfg) == {**vars(RunConfig()), "nx": 8}  # left as it was
+    assert replace(cfg) == cfg and replace(cfg) is not cfg
+    for make in (lambda: RunConfig(nz=8), lambda: replace(cfg, nz=8), lambda: RunConfig(**{"limiter.bp": False})):
+        with pytest.raises(TypeError, match="unexpected keyword"):
+            make()
+    # by value
+    assert RunConfig(nx=8) == cfg
+    assert RunConfig(nx=9) != cfg
+    assert cfg != vars(cfg)
+    # the file keys in table order, two of them dotted
+    assert [attr for attr, _ in _KEY_PARSERS.values()] == [name for name, *_ in table]
+    assert {key: attr for key, (attr, _) in _KEY_PARSERS.items() if key != attr} == {
+        "limiter.bp": "limiter_bp", "limiter.tvb_M": "tvb_m"}
+    for path in sorted(CONFIG_DIR.glob("*.cfg")):
+        parsed = parse_config(path)
+        assert problem(parsed).cfg == parsed, path.name
 
 
 @pytest.mark.parametrize(
@@ -598,17 +625,18 @@ def test_efficiency_compare_advection_ratio():
 # -------------------------------------------------------------- CLI proper
 
 
-def test_importing_cli_loads_no_argparse_and_one_dataclass():
+def test_importing_cli_loads_no_argparse_and_no_dataclasses():
     """`import bpdg.cli`, which every run pays before its first step, loads
-    no `argparse` (only `main` parses arguments) and builds no dataclass but
-    `RunConfig`, whose fields are the config keys: a dataclass compiles its
-    generated methods at import."""
+    neither `argparse` (only `main` parses arguments) nor `dataclasses`, and
+    no `bpdg` class is a dataclass: a dataclass compiles its generated
+    methods at import."""
     src = str(Path(cli.__file__).resolve().parents[1])
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH")))))
     out = subprocess.run([sys.executable, "-c", _IMPORT_CLI], check=True, env=env, capture_output=True, text=True)
-    argparse_loaded, dataclasses = json.loads(out.stdout)
-    assert not argparse_loaded
-    assert dataclasses == ["bpdg.cli.RunConfig"]
+    loaded, n_classes, dataclasses = json.loads(out.stdout)
+    assert loaded == []
+    assert n_classes > 20  # the classes were found: RunConfig, Problem, the records
+    assert dataclasses == []
 
 
 def test_cli_run_success(tmp_path, capsys):
@@ -944,6 +972,28 @@ def test_compare_and_converge_build_one_problem_per_run(tmp_path, monkeypatch):
     assert built == {"AdvectionModel": 2, "Mesh2D": 2, "Basis2D": 2}
 
 
+def test_cli_run_and_compare_build_each_problem_once(tmp_path, monkeypatch, capsys):
+    # `main` used to check each file (one problem) and then run its config
+    # (another): 2 problems per run and 4 per compare
+    text = ADVECTION_SMALL.replace("t_end = 0.1", "t_end = 0.05")
+    a = _write(tmp_path, "a.cfg", text + f"out_dir = {tmp_path / 'oa'}\n")
+    b = _write(tmp_path, "b.cfg", text.replace("optimal", "classic") + f"out_dir = {tmp_path / 'ob'}\n")
+    expected = run(parse_config(a), write_outputs=False)
+    problems = []
+
+    def counted_problem(cfg):
+        problems.append(cfg.dt_policy)
+        return problem(cfg)
+
+    monkeypatch.setattr(cli, "problem", counted_problem)
+    assert main(["run", str(a)]) == 0
+    assert problems == ["optimal"]
+    assert capsys.readouterr().out.splitlines()[:2] == [expected.csv_header(), expected.csv_row()]
+    problems.clear()
+    assert main(["compare", str(a), str(b)]) == 0
+    assert problems == ["optimal", "classic"]
+
+
 @pytest.mark.parametrize("key, line", [("inflow", "inflow = 5.0, 1e300, 0.0, 0.4127"),
                                        ("ambient", "ambient = 5.0, 0.0, 1e300, 0.4127")])
 def test_a_state_whose_energy_overflows_is_a_config_error_without_a_warning(tmp_path, capsys, key, line):
@@ -1039,10 +1089,12 @@ def test_cli_compare_refuses_one_out_dir_for_both_configs(tmp_path, capsys):
 
 
 def test_readme_config_table_lists_the_parsed_keys():
+    # each key once, with a default stated (no `-`)
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     section = readme.split("### Config keys", 1)[1].split("\n#", 1)[0]
-    cells = [line.split("|")[1] for line in section.splitlines() if line.startswith("| `")]
-    assert {key.strip(" `") for cell in cells for key in cell.split(",")} == set(_KEY_PARSERS)
+    rows = [line.split("|")[1:3] for line in section.splitlines() if line.startswith("| `")]
+    assert sorted(key.strip(" `") for keys, _ in rows for key in keys.split(",")) == sorted(_KEY_PARSERS)
+    assert [keys for keys, default in rows if default.strip() == "-"] == []
 
 
 def test_cli_compare(tmp_path, capsys):

@@ -8,14 +8,13 @@ import subprocess
 import sys
 import tracemalloc
 import weakref
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bpdg import cli, dg_core, limiters
-from bpdg.cli import RunConfig, parse_config, run
+from bpdg.cli import RunConfig, parse_config, replace, run
 from bpdg.decomposition import SpeedRatios, decomposition_for, optimal_2d, speed_ratios
 from bpdg.dg_core import (
     Basis2D,

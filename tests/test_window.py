@@ -1,14 +1,13 @@
 """The quiescent-region window: selection, bounds, and what a windowed run
 keeps of the whole-mesh path (one test per guarantee of `bpdg.window`)."""
 
-from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
 import pytest
 
 from bpdg import cli
-from bpdg.cli import RunConfig, parse_config, run
+from bpdg.cli import RunConfig, parse_config, replace, run
 from bpdg.decomposition import optimal_2d, speed_ratios
 from bpdg.dg_core import (
     OUTFLOW,
