@@ -556,12 +556,15 @@ def convergence_study(cfg: RunConfig, grids: list[int], write_outputs: bool = Tr
         raise ConfigError("convergence study needs a model with an exact solution")
     out = _out_dir(cfg) if write_outputs else None
     rows = []
-    prev_l1 = None
+    prev = None  # the last grid's (n, l1)
     for n, prob in zip(grids, problems):
         rep = solve(prob, write_outputs=False)
-        order = math.log2(prev_l1 / rep.l1) if prev_l1 else float("nan")
+        # the L1 error falls as h^order, h = 1/n; no order between equal grids
+        order = float("nan")
+        if prev and n != prev[0]:
+            order = math.log2(prev[1] / rep.l1) / math.log2(n / prev[0])
         rows.append((n, rep.l1, rep.l2, rep.linf, order))
-        prev_l1 = rep.l1
+        prev = n, rep.l1
     if write_outputs:
         lines = [_ERRORS_HEADER]
         for n, l1, l2, linf, order in rows:

@@ -216,8 +216,10 @@ class LinearStencil:
         C   = sum_d (c_d A_vol,d E_vol - a_d A_+ E_+ + b_d A_- E_-) / h_d
         P_d = -b_d A_+ E_- / h_d        M_d = a_d A_- E_+ / h_d
 
-    `neighbours` stacks P_x, M_x, P_y, M_y into one (4 n_modes, n_modes)
-    matrix.  On a non-periodic side the boundary row's exterior trace is a
+    `neighbours` holds P_x, M_x, P_y, M_y side by side, one (n_modes,
+    4 n_modes) matrix: applied to a cell's four neighbours' coefficients
+    stacked in that order (+x, -x, +y, -y), it sums all four terms in one
+    product.  On a non-periodic side the boundary row's exterior trace is a
     ghost trace, which `ghost_lo[d]` = a_d A_- / h_d and `ghost_hi[d]` =
     -b_d A_+ / h_d assemble.
 
@@ -249,7 +251,7 @@ class LinearStencil:
             neighbours += [-b * hi @ e[at_lo] / h, a * lo @ e[at_hi] / h]
             ghost_lo.append(a * lo / h)
             ghost_hi.append(-b * hi / h)
-        return LinearStencil((c, alphas, spacings), centre, np.concatenate(neighbours),
+        return LinearStencil((c, alphas, spacings), centre, np.concatenate(neighbours, axis=1),
                              tuple(ghost_lo), tuple(ghost_hi))
 
     def scaled(self, a: float, b: float) -> "LinearStencil":
@@ -528,14 +530,15 @@ def semidiscrete_residual(
 def _linear_residual(field: DGField, alphas: tuple[float, float],
                      term: Optional[tuple[float, float]]) -> np.ndarray:
     """`semidiscrete_residual` of a linear flux: its `LinearStencil` (scaled
-    to `term`, if given) applied to the coefficients.  One gemm gives C u,
-    one more the four neighbour blocks' products P_d u and M_d u in every
-    cell; a cell adds the P_d product of its +e_d neighbour and the M_d
-    product of its -e_d neighbour.
-    On a periodic side the boundary row takes the wrapped cell's; on any
-    other side its exterior trace is `ghost_trace` of the row's own trace
-    (on an outflow side, the trace itself), assembled by the stencil's ghost
-    matrices.
+    to `term`, if given) applied to the coefficients.  One operand stacks
+    every cell's four neighbours' coefficients (+x, -x, +y, -y), each a flat
+    shifted copy, so one gemm with the side-by-side neighbour blocks sums
+    the four P_d u_{ij+e_d} and M_d u_{ij-e_d} terms; the operand is
+    dropped before C u is added.
+    On a periodic side the boundary row reads the wrapped cell; on any other
+    side it reads zeros, and its exterior trace is `ghost_trace` of the
+    row's own trace (on an outflow side, the trace itself), assembled by
+    the stencil's ghost matrices.
     What is fixed for a run is built once and kept on the basis: the
     stencil and its scaled stencils (`Basis2D.linear_stencil`), and the
     shifts, boundary rows and sides (`Basis2D.boundary_plan`).  No array
@@ -546,22 +549,22 @@ def _linear_residual(field: DGField, alphas: tuple[float, float],
     nx, ny, n, m = field.coeffs.shape
     u = np.ascontiguousarray(field.coeffs.transpose(3, 2, 0, 1))  # (m, n, nx, ny), no copy when component-major
     flat = u.reshape(m, n, nx * ny)
-    rate = np.matmul(stencil.centre, flat)
-    products = np.matmul(stencil.neighbours, flat).reshape(m, 4, n, nx * ny)
-    for axis, shift, (first, last), (bc_lo, bc_hi, coords) in zip((0, 1), plan.shifts, plan.rows, plan.sides):
-        plus, minus = products[:, 2 * axis], products[:, 2 * axis + 1]
-        # the neighbour of a cell is `shift` cells on in the flat order; the
-        # products no cell reads across its own axis's boundary are zeroed
-        # first (along y they would wrap onto the next row of cells), and
-        # kept for a periodic side
-        wrap_plus, wrap_minus = plus[first].copy(), minus[last].copy()
-        plus[first] = 0.0
-        minus[last] = 0.0
-        rate[..., :-shift] += plus[..., shift:]
-        rate[..., shift:] += minus[..., :-shift]
+    stacked = np.empty((m, 4, n, nx * ny))
+    for axis, shift, (first, last), (bc_lo, _, _) in zip((0, 1), plan.shifts, plan.rows, plan.sides):
+        plus, minus = stacked[:, 2 * axis], stacked[:, 2 * axis + 1]
+        # the +e_d neighbour of a cell is `shift` cells on in the flat order;
+        # the boundary rows are set after the shifted copies, which read
+        # across the boundary there (along y, into the next row of cells)
+        plus[..., :-shift] = flat[..., shift:]
+        minus[..., shift:] = flat[..., :-shift]
+        periodic = bc_lo == PERIODIC
+        plus[last] = flat[first] if periodic else 0.0
+        minus[first] = flat[last] if periodic else 0.0
+    rate = np.matmul(stencil.neighbours, stacked.reshape(m, 4 * n, nx * ny))
+    del stacked
+    rate += np.matmul(stencil.centre, flat)
+    for axis, (first, last), (bc_lo, bc_hi, coords) in zip((0, 1), plan.rows, plan.sides):
         if bc_lo == PERIODIC:
-            rate[last] += wrap_plus
-            rate[first] += wrap_minus
             continue
         for bc, row, at, assemble in zip((bc_lo, bc_hi), (first, last), basis.at_faces[axis],
                                          (stencil.ghost_lo[axis], stencil.ghost_hi[axis])):

@@ -554,6 +554,21 @@ def test_convergence_study_orders(tmp_path):
     assert len(csv) == 4
 
 
+def test_convergence_study_order_divides_by_the_grid_ratio():
+    """The observed order is log2 of the L1 ratio over log2 of the grid
+    ratio.  Grids 8 then 24 refine h threefold; log2 of their L1 ratio
+    alone reads 4.8 for this third-order scheme.  A repeated grid has no
+    order, and a doubled grid's order is log2 of its L1 ratio, bit for bit."""
+    cfg = RunConfig(model="advection2d", k=2, t_end=0.1, limiter_bp=False)
+    rows = convergence_study(cfg, [8, 24, 24, 48], write_outputs=False)
+    assert [row[0] for row in rows] == [8, 24, 24, 48]
+    (_, l1_8, *_), (_, l1_24, *_, order), repeated, (_, l1_48, *_, doubled) = rows
+    assert order == math.log2(l1_8 / l1_24) / math.log2(3.0)
+    assert 2.8 < order < 3.2
+    assert math.isnan(rows[0][4]) and math.isnan(repeated[4]) and repeated[1] == l1_24
+    assert doubled == math.log2(l1_24 / l1_48)
+
+
 def test_node_set_choice_changes_little():
     # the policy sets both dt and the node set; at c0 = 2/3 the optimal step
     # is the classic one (h/12 at equal speeds), so only the nodes differ

@@ -457,6 +457,69 @@ def test_boundary_plan_follows_the_mesh(tmp_path):
         np.testing.assert_array_equal(rate, other, err_msg=str(key))
 
 
+def _former_linear_residual(field, alphas, term=None, magnitude=False):
+    """The linear residual as it was before its neighbour terms were one gemm
+    over each cell's stacked neighbours: one gemm gives C u, one more the
+    four neighbour blocks' products P_d u and M_d u in every cell, and a
+    cell adds the P_d product of its +e_d neighbour and the M_d product of
+    its -e_d neighbour (on a periodic side the wrapped cell's); on any other
+    side the ghost trace is assembled by the stencil's ghost matrices.  With
+    `magnitude` every block, evaluation row, coefficient and inflow state is
+    taken in absolute value: the sum |block| |u| of each entry, the scale
+    of its round-off."""
+    mesh, basis = field.mesh, field.basis
+    stencil = basis.linear_stencil(field.model.c, alphas, (mesh.dx, mesh.dy), term)
+    plan = basis.boundary_plan(mesh, field.coeffs.shape)
+    size = np.abs if magnitude else np.asarray
+    nx, ny, n, m = field.coeffs.shape
+    flat = size(np.ascontiguousarray(field.coeffs.transpose(3, 2, 0, 1))).reshape(m, n, nx * ny)
+    rate = np.matmul(size(stencil.centre), flat)
+    blocks = np.concatenate(np.split(size(stencil.neighbours), 4, axis=1))  # P_x, M_x, P_y, M_y stacked
+    products = np.matmul(blocks, flat).reshape(m, 4, n, nx * ny)
+    for axis, shift, (first, last), (bc_lo, bc_hi, coords) in zip((0, 1), plan.shifts, plan.rows, plan.sides):
+        plus, minus = products[:, 2 * axis], products[:, 2 * axis + 1]
+        wrap_plus, wrap_minus = plus[first].copy(), minus[last].copy()
+        plus[first] = 0.0
+        minus[last] = 0.0
+        rate[..., :-shift] += plus[..., shift:]
+        rate[..., shift:] += minus[..., :-shift]
+        if bc_lo == PERIODIC:
+            rate[last] += wrap_plus
+            rate[first] += wrap_minus
+            continue
+        for bc, row, at, assemble in zip((bc_lo, bc_hi), (first, last), basis.at_faces[axis],
+                                         (stencil.ghost_lo[axis], stencil.ghost_hi[axis])):
+            own = np.matmul(size(basis.eval_matrix[at]), flat[row]).transpose(2, 1, 0)
+            if magnitude and isinstance(bc, InflowSegment):
+                bc = InflowSegment(np.abs(bc.state), bc.lo, bc.hi)
+            ghost = ghost_trace(bc, own, None, coords)
+            rate[row] += np.matmul(size(assemble), ghost.transpose(2, 1, 0))
+    return rate.reshape(m, n, nx, ny).transpose(2, 3, 1, 0)
+
+
+def test_linear_residual_matches_the_former_products_then_shift():
+    """The residual that sums the neighbour terms in one gemm over each
+    cell's stacked neighbours against the products-then-shift one it
+    replaced (`_former_linear_residual`), on every `_linear_cases` and
+    `_plan_cases` mesh: periodic, outflow, mixed and inflow sides, 1 to 9
+    cells per axis, k = 2 and 3, plainly and as every rated SSPRK3 stage
+    term.  Bound, per entry: 8 eps sum |block| |u|, the former residual
+    in absolute values; the largest seen is 1.9 eps times that sum."""
+    eps = np.finfo(float).eps
+    fields = [case for param in _linear_cases() for case in param.values[0]]
+    for k, cases in _plan_cases():
+        fields += [(DGField(coeffs, Basis2D(k), mesh, model), alphas) for _, mesh, model, coeffs, alphas in cases]
+    assert {f.mesh.sides for f, _ in fields} >= {((PERIODIC,) * 2, (OUTFLOW,) * 2), ((OUTFLOW,) * 2,) * 2}
+    assert any(isinstance(f.mesh.sides[0][0], InflowSegment) for f, _ in fields)
+    for field, alphas in fields:
+        dt = 0.3 * min(field.mesh.dx, field.mesh.dy)
+        for term in [None] + [(alpha, dt * beta) for stage in SSPRK3.stages for alpha, beta, _ in stage if beta]:
+            got = semidiscrete_residual(field, alphas, term=term)
+            scale = _former_linear_residual(field, alphas, term, magnitude=True)
+            change = np.abs(got - _former_linear_residual(field, alphas, term))
+            assert np.all(change <= 8.0 * eps * scale), (field.mesh, field.basis.k, term)
+
+
 def test_advection_run_builds_its_run_constant_state_once(monkeypatch):
     """The advection desk run to t_end 0.75 builds one boundary plan (one
     `_sides` call per axis) for its one mesh and one schedule for its
@@ -883,13 +946,14 @@ def test_small_advection_step_memory_budget():
     24x12 periodic mesh, traced from before the step that builds the
     basis's stencils and boundary plan.
     - What that step leaves allocated once its result is dropped: the
-      stencils and the plan, under half of one neighbour-products array
+      stencils and the plan, under half of one stacked-neighbours operand
       (4 n_modes nx ny doubles).  A buffer kept between residual calls
-      shows here; a reused products buffer left 71,058 bytes.
+      shows here; a reused neighbour-products buffer left 71,058 bytes.
     - The peak of the next step, that included: at most the highest peak
       of three test orders (the test alone, in this file, and in the fast
-      suite) before that state was built once per run: 147,436 bytes
-      with Python 3.11 and numpy 2.4."""
+      suite) since the residual drops its stacked operand before the
+      centre product: 115,786 bytes with Python 3.11 and numpy 2.4
+      (147,298 before, with a neighbour-products array)."""
     mesh = Mesh2D(-1.0, 1.0, -1.0, 1.0, 24, 12)
     model = AdvectionModel(c=(1.0, -0.5))
     field = project(_sine, mesh, Basis2D(2), model)
@@ -909,7 +973,7 @@ def test_small_advection_step_memory_budget():
     finally:
         tracemalloc.stop()
     assert kept < 4 * field.basis.n_modes * mesh.nx * mesh.ny * 8 // 2, kept
-    assert peak <= 147_436, peak
+    assert peak <= 115_786, peak
 
 
 def _root(a: np.ndarray) -> np.ndarray:
