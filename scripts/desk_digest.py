@@ -9,6 +9,8 @@ Runs, from the `src/` next to this script:
 - `mach80_jet_desk.cfg` under the classic policy to `t_end` 0.002, the one
   desk run whose limiter nodes include internal nodes on volume Gauss points;
 - `advection_desk.cfg` at k = 3 with SSPRK4 on 100x100 cells to `t_end` 0.2;
+- `advection_desk.cfg` with `bc = outflow` to `t_end` 0.25, the one desk
+  run whose advection stencil reads non-periodic boundary rows;
 - `decomp-report` at k = 2 and k = 3 for phi = (1, 2, 3), and again for
   phi = (1, 1, 1): equal ratios are the paper's headline case and the one
   place where the optimal internal nodes merge;
@@ -58,6 +60,7 @@ DESK = {
     "advection_k3_ssprk4": (
         "advection_desk.cfg", {"k": 3, "scheme": "ssprk4", "nx": 100, "ny": 100, "t_end": 0.2}
     ),
+    "advection_outflow": ("advection_desk.cfg", {"bc": "outflow", "t_end": 0.25}),
 }
 # phi -> name suffix of the decomp-report digest lines
 DECOMP_PHI = {(1.0, 2.0, 3.0): "", (1.0, 1.0, 1.0): "_equal"}
