@@ -130,7 +130,9 @@ class Basis2D:
     `at_faces[axis]`).  The BP limiters' node sets take their rows from it
     too.  The residual's assembly matrices carry the quadrature weights:
     per axis `assemble_vol[axis]` and the (low, high) pair
-    `assemble_faces[axis]`.
+    `assemble_faces[axis]`.  `parity[axis]`, (n_modes, 1), is each mode's
+    sign when that axis's offset is negated: (-1)^a on x and (-1)^b on y
+    for mode (a, b), so coefficients times it mirror the cell in that axis.
     """
 
     def __init__(self, k: int):
@@ -142,6 +144,7 @@ class Basis2D:
         self._plan: Optional[BoundaryPlan] = None  # see boundary_plan
         self.mode_exps = _mode_exps(k)
         self.n_modes = len(self.mode_exps)  # (k+1)(k+2)/2
+        self.parity = tuple(np.array([[(-1.0) ** exps[axis]] for exps in self.mode_exps]) for axis in (0, 1))
         self.face_rule = g = gauss_rule(k + 1)
         self.vol_offsets, self.vol_weights = tensor_gauss_rule(k + 1)
         q, nv = len(g), len(self.vol_weights)
@@ -219,9 +222,10 @@ class LinearStencil:
     `neighbours` holds P_x, M_x, P_y, M_y side by side, one (n_modes,
     4 n_modes) matrix: applied to a cell's four neighbours' coefficients
     stacked in that order (+x, -x, +y, -y), it sums all four terms in one
-    product.  On a non-periodic side the boundary row's exterior trace is a
-    ghost trace, which `ghost_lo[d]` = a_d A_- / h_d and `ghost_hi[d]` =
-    -b_d A_+ / h_d assemble.
+    product.  A boundary cell's neighbour across a periodic side is the
+    wrapped cell, across an outflow side the cell itself mirrored across
+    that face (`Basis2D.parity`): its trace on the shared face is the cell's
+    own, the outflow exterior state, so the same blocks cover every side.
 
     An SSP-RK stage term a u + b rate is affine in u too: `scaled(a, b)` is
     the stencil with centre a I + b C and every other block times b, so one
@@ -231,33 +235,26 @@ class LinearStencil:
     `Basis2D.linear_stencil` keeps them.  What the residual reads of the
     mesh's boundaries is the basis's `BoundaryPlan`, also built once."""
 
-    def __init__(self, key: tuple, centre: np.ndarray, neighbours: np.ndarray,
-                 ghost_lo: tuple[np.ndarray, np.ndarray], ghost_hi: tuple[np.ndarray, np.ndarray]):
+    def __init__(self, key: tuple, centre: np.ndarray, neighbours: np.ndarray):
         self.key = key
         self.centre = centre
         self.neighbours = neighbours
-        self.ghost_lo = ghost_lo
-        self.ghost_hi = ghost_hi
 
     @staticmethod
     def build(basis: Basis2D, c, alphas, spacings) -> "LinearStencil":
         e = basis.eval_matrix
         centre = np.zeros((basis.n_modes, basis.n_modes))
-        neighbours, ghost_lo, ghost_hi = [], [], []
+        neighbours = []
         for cd, alpha, h, vol, (lo, hi), (at_lo, at_hi) in zip(c, alphas, spacings, basis.assemble_vol,
                                                                basis.assemble_faces, basis.at_faces):
             a, b = 0.5 * (cd + alpha), 0.5 * (cd - alpha)
             centre += (cd * vol @ e[basis.at_vol] - a * hi @ e[at_hi] + b * lo @ e[at_lo]) / h
             neighbours += [-b * hi @ e[at_lo] / h, a * lo @ e[at_hi] / h]
-            ghost_lo.append(a * lo / h)
-            ghost_hi.append(-b * hi / h)
-        return LinearStencil((c, alphas, spacings), centre, np.concatenate(neighbours, axis=1),
-                             tuple(ghost_lo), tuple(ghost_hi))
+        return LinearStencil((c, alphas, spacings), centre, np.concatenate(neighbours, axis=1))
 
     def scaled(self, a: float, b: float) -> "LinearStencil":
         """The stencil of a u + b rate: centre a I + b C, the other blocks times b."""
-        return LinearStencil(self.key, a * np.eye(len(self.centre)) + b * self.centre, b * self.neighbours,
-                             tuple(b * g for g in self.ghost_lo), tuple(b * g for g in self.ghost_hi))
+        return LinearStencil(self.key, a * np.eye(len(self.centre)) + b * self.centre, b * self.neighbours)
 
 
 class DGField:
@@ -365,16 +362,19 @@ class BoundaryPlan:
     builds it once per mesh.
 
     `sides[axis]` is `_sides` of the axis, which `_interface_flux` and
-    `_linear_residual` read.  The rest indexes `_linear_residual`'s flat
-    (m, n_modes, nx ny) arrays, cells in C order: a cell's +e_d neighbour
-    is `shifts[d]` cells on, and `rows[d]` = (first, last) are the index
-    tuples of the cell rows at the low and the high side normal to d."""
+    `_linear_residual` read.  `linear` is whether every side is periodic or
+    outflow, the only sides `_linear_residual` reads.  The rest indexes
+    `_linear_residual`'s flat (m, n_modes, nx ny) arrays, cells in C order:
+    a cell's +e_d neighbour is `shifts[d]` cells on, and `rows[d]` =
+    (first, last) are the index tuples of the cell rows at the low and the
+    high side normal to d."""
 
     def __init__(self, mesh: Mesh2D, q_nodes: np.ndarray, shape: tuple[int, ...]):
         nx, ny = shape[:2]
         self.mesh = mesh  # held, so the id `boundary_plan` keys by is not reused
         self.shape = shape
         self.sides = tuple(_sides(mesh, q_nodes, axis) for axis in (0, 1))
+        self.linear = all(bc in (PERIODIC, OUTFLOW) for bcs in mesh.sides for bc in bcs)
         self.shifts = (ny, 1)
         self.rows = (((..., slice(0, ny)), (..., slice((nx - 1) * ny, None))),
                      ((..., slice(0, None, ny)), (..., slice(ny - 1, None, ny))))
@@ -426,10 +426,10 @@ def global_max_speeds(field: DGField, values: Optional[PointValues] = None) -> S
     limiter returned with the field), else the one evaluation of the field.
     A linear flux (`linear_flux`) reads the coefficients instead, in one
     call of the model's `max_wave_speeds`, and its values are None: its
-    speeds are |c_d| whatever the state, an inflow state's as well, and a
-    state is admissible for it when finite, which its coefficients are
-    exactly when its point values are.  Nothing is built or kept between
-    calls.
+    speeds are |c_d| whatever the state (its residual refuses an inflow
+    side), and a state is admissible for it when finite, which its
+    coefficients are exactly when its point values are.  Nothing is built
+    or kept between calls.
 
     This pass is a state's one admissibility check: the model raises
     AdmissibilityError, naming the first cell, for an inadmissible or
@@ -535,10 +535,11 @@ def _linear_residual(field: DGField, alphas: tuple[float, float],
     shifted copy, so one gemm with the side-by-side neighbour blocks sums
     the four P_d u_{ij+e_d} and M_d u_{ij-e_d} terms; the operand is
     dropped before C u is added.
-    On a periodic side the boundary row reads the wrapped cell; on any other
-    side it reads zeros, and its exterior trace is `ghost_trace` of the
-    row's own trace (on an outflow side, the trace itself), assembled by
-    the stencil's ghost matrices.
+    On a periodic side the boundary row reads the wrapped cell; on an
+    outflow side the row's own cell mirrored across that face (its
+    coefficients times `Basis2D.parity`), whose trace there is the row's own
+    trace, the outflow exterior state.  A mesh with an inflow side raises
+    ValueError: no config gives a linear flux one.
     What is fixed for a run is built once and kept on the basis: the
     stencil and its scaled stencils (`Basis2D.linear_stencil`), and the
     shifts, boundary rows and sides (`Basis2D.boundary_plan`).  No array
@@ -546,6 +547,8 @@ def _linear_residual(field: DGField, alphas: tuple[float, float],
     mesh, basis = field.mesh, field.basis
     stencil = basis.linear_stencil(field.model.c, alphas, (mesh.dx, mesh.dy), term)
     plan = basis.boundary_plan(mesh, field.coeffs.shape)
+    if not plan.linear:
+        raise ValueError("a linear flux's residual reads periodic and outflow sides only, not an inflow side")
     nx, ny, n, m = field.coeffs.shape
     u = np.ascontiguousarray(field.coeffs.transpose(3, 2, 0, 1))  # (m, n, nx, ny), no copy when component-major
     flat = u.reshape(m, n, nx * ny)
@@ -558,20 +561,11 @@ def _linear_residual(field: DGField, alphas: tuple[float, float],
         plus[..., :-shift] = flat[..., shift:]
         minus[..., shift:] = flat[..., :-shift]
         periodic = bc_lo == PERIODIC
-        plus[last] = flat[first] if periodic else 0.0
-        minus[first] = flat[last] if periodic else 0.0
+        plus[last] = flat[first] if periodic else flat[last] * basis.parity[axis]
+        minus[first] = flat[last] if periodic else flat[first] * basis.parity[axis]
     rate = np.matmul(stencil.neighbours, stacked.reshape(m, 4 * n, nx * ny))
     del stacked
     rate += np.matmul(stencil.centre, flat)
-    for axis, (first, last), (bc_lo, bc_hi, coords) in zip((0, 1), plan.rows, plan.sides):
-        if bc_lo == PERIODIC:
-            continue
-        for bc, row, at, assemble in zip((bc_lo, bc_hi), (first, last), basis.at_faces[axis],
-                                         (stencil.ghost_lo[axis], stencil.ghost_hi[axis])):
-            own = np.matmul(basis.eval_matrix[at], flat[row]).transpose(2, 1, 0)  # (cells, Q, m)
-            # a non-periodic side never reads `wrap`
-            ghost = ghost_trace(bc, own, None, coords)
-            rate[row] += np.matmul(assemble, ghost.transpose(2, 1, 0))
     return rate.reshape(m, n, nx, ny).transpose(2, 3, 1, 0)
 
 

@@ -393,12 +393,11 @@ def test_linear_stage_term_matches_rate_then_sum():
 
 
 def _plan_cases():
-    """Advection on periodic, outflow, mixed and inflow meshes of one shape,
-    9 x 7 cells, at k = 2 and 3: per k, (kind, mesh, model, coeffs, alphas)."""
+    """Advection on periodic, outflow and mixed meshes of one shape, 9 x 7
+    cells, at k = 2 and 3: per k, (kind, mesh, model, coeffs, alphas)."""
     rng = np.random.default_rng(31)
     kinds = {"periodic": (PERIODIC,) * 4, "outflow": (OUTFLOW,) * 4,
-             "mixed": (PERIODIC, PERIODIC, OUTFLOW, OUTFLOW),
-             "inflow": (InflowSegment(np.array([0.4]), -0.3, 0.2), OUTFLOW, OUTFLOW, OUTFLOW)}
+             "mixed": (PERIODIC, PERIODIC, OUTFLOW, OUTFLOW)}
     model = AdvectionModel(c=(0.8, -0.5))
     for k in (2, 3):
         n_modes = (k + 1) * (k + 2) // 2
@@ -420,8 +419,8 @@ with open(sys.argv[2], "wb") as f:
 
 
 def test_boundary_plan_follows_the_mesh(tmp_path):
-    """One basis per k rates advection on periodic, outflow, mixed and inflow
-    meshes of one shape in turn, twice round, plainly and as a stage term,
+    """One basis per k rates advection on periodic, outflow and mixed meshes
+    of one shape in turn, twice round, plainly and as a stage term,
     and so rebuilds its boundary plan (keyed by the mesh's identity) at
     every call.  Every plain rate matches `_einsum_residual` to the bound
     of `test_linear_stencil_matches_einsum_formula`, and every rate equals,
@@ -452,9 +451,22 @@ def test_boundary_plan_follows_the_mesh(tmp_path):
     subprocess.run([sys.executable, "-c", _FRESH_RATES, str(tmp_path / "calls.pkl"), str(tmp_path / "rates.pkl")],
                    check=True, env=env)
     fresh = pickle.loads((tmp_path / "rates.pkl").read_bytes())
-    assert len(fresh) == len(first) == 16
+    assert len(fresh) == len(first) == 12
     for (key, rate), other in zip(first.items(), fresh):
         np.testing.assert_array_equal(rate, other, err_msg=str(key))
+
+
+def _ghost_matrices(basis, stencil, term):
+    """The matrices that assembled a non-periodic side's ghost trace before
+    an outflow side read the mirrored cell, per axis (low, high): a_d A_- /
+    h_d and -b_d A_+ / h_d, times b for the stage term (a, b), built here
+    from the basis and the stencil's key."""
+    c, alphas, spacings = stencil.key
+    ghosts = []
+    for cd, alpha, h, (lo, hi) in zip(c, alphas, spacings, basis.assemble_faces):
+        pair = (0.5 * (cd + alpha) * lo / h, -0.5 * (cd - alpha) * hi / h)
+        ghosts.append(pair if term is None else tuple(term[1] * g for g in pair))
+    return ghosts
 
 
 def _former_linear_residual(field, alphas, term=None, magnitude=False):
@@ -463,13 +475,14 @@ def _former_linear_residual(field, alphas, term=None, magnitude=False):
     four neighbour blocks' products P_d u and M_d u in every cell, and a
     cell adds the P_d product of its +e_d neighbour and the M_d product of
     its -e_d neighbour (on a periodic side the wrapped cell's); on any other
-    side the ghost trace is assembled by the stencil's ghost matrices.  With
-    `magnitude` every block, evaluation row, coefficient and inflow state is
-    taken in absolute value: the sum |block| |u| of each entry, the scale
-    of its round-off."""
+    side the ghost trace is assembled by `_ghost_matrices`.  With
+    `magnitude` every block, evaluation row and coefficient is taken in
+    absolute value: the sum |block| |u| of each entry, the scale of its
+    round-off."""
     mesh, basis = field.mesh, field.basis
     stencil = basis.linear_stencil(field.model.c, alphas, (mesh.dx, mesh.dy), term)
     plan = basis.boundary_plan(mesh, field.coeffs.shape)
+    ghosts = _ghost_matrices(basis, stencil, term)
     size = np.abs if magnitude else np.asarray
     nx, ny, n, m = field.coeffs.shape
     flat = size(np.ascontiguousarray(field.coeffs.transpose(3, 2, 0, 1))).reshape(m, n, nx * ny)
@@ -487,11 +500,8 @@ def _former_linear_residual(field, alphas, term=None, magnitude=False):
             rate[last] += wrap_plus
             rate[first] += wrap_minus
             continue
-        for bc, row, at, assemble in zip((bc_lo, bc_hi), (first, last), basis.at_faces[axis],
-                                         (stencil.ghost_lo[axis], stencil.ghost_hi[axis])):
+        for bc, row, at, assemble in zip((bc_lo, bc_hi), (first, last), basis.at_faces[axis], ghosts[axis]):
             own = np.matmul(size(basis.eval_matrix[at]), flat[row]).transpose(2, 1, 0)
-            if magnitude and isinstance(bc, InflowSegment):
-                bc = InflowSegment(np.abs(bc.state), bc.lo, bc.hi)
             ghost = ghost_trace(bc, own, None, coords)
             rate[row] += np.matmul(size(assemble), ghost.transpose(2, 1, 0))
     return rate.reshape(m, n, nx, ny).transpose(2, 3, 1, 0)
@@ -499,18 +509,18 @@ def _former_linear_residual(field, alphas, term=None, magnitude=False):
 
 def test_linear_residual_matches_the_former_products_then_shift():
     """The residual that sums the neighbour terms in one gemm over each
-    cell's stacked neighbours against the products-then-shift one it
-    replaced (`_former_linear_residual`), on every `_linear_cases` and
-    `_plan_cases` mesh: periodic, outflow, mixed and inflow sides, 1 to 9
-    cells per axis, k = 2 and 3, plainly and as every rated SSPRK3 stage
-    term.  Bound, per entry: 8 eps sum |block| |u|, the former residual
-    in absolute values; the largest seen is 1.9 eps times that sum."""
+    cell's stacked neighbours, an outflow side's mirrored cell among them,
+    against the products-then-shift one with ghost traces it replaced
+    (`_former_linear_residual`), on every `_linear_cases` and `_plan_cases`
+    mesh: periodic, outflow and mixed sides, 1 to 9 cells per axis, k = 2
+    and 3, plainly and as every rated SSPRK3 stage term.  Bound, per entry:
+    8 eps sum |block| |u|, the former residual in absolute values; the
+    largest seen is 1.9 eps times that sum."""
     eps = np.finfo(float).eps
     fields = [case for param in _linear_cases() for case in param.values[0]]
     for k, cases in _plan_cases():
         fields += [(DGField(coeffs, Basis2D(k), mesh, model), alphas) for _, mesh, model, coeffs, alphas in cases]
     assert {f.mesh.sides for f, _ in fields} >= {((PERIODIC,) * 2, (OUTFLOW,) * 2), ((OUTFLOW,) * 2,) * 2}
-    assert any(isinstance(f.mesh.sides[0][0], InflowSegment) for f, _ in fields)
     for field, alphas in fields:
         dt = 0.3 * min(field.mesh.dx, field.mesh.dy)
         for term in [None] + [(alpha, dt * beta) for stage in SSPRK3.stages for alpha, beta, _ in stage if beta]:
@@ -578,15 +588,15 @@ def _rate_then_sum_step(field, scheme, dt):
 
 @pytest.mark.parametrize("scheme", [SSPRK3, SSPRK4], ids=["ssprk3", "ssprk4"])
 @pytest.mark.parametrize("k", [2, 3])
-@pytest.mark.parametrize("kind", ["periodic", "outflow", "mixed", "inflow"])
+@pytest.mark.parametrize("kind", ["periodic", "outflow", "mixed"])
 def test_linear_ssp_step_is_one_stage_term_per_stage(monkeypatch, kind, k, scheme):
     """A linear step makes one residual call per stage.  Each returns its
     stage term, but for a state two stages rate (SSPRK4's stage-3 state,
     read with beta 0.545 by stage 4 and 0.0637 by stage 5), which is rated
     once, without a term, and summed.  The step matches the rate-then-sum
     step to max|change| <= 16 eps times the round-off scale of its sums."""
-    bcs = {"periodic": (PERIODIC,) * 4, "outflow": (OUTFLOW,) * 4, "mixed": (PERIODIC, PERIODIC, OUTFLOW, OUTFLOW),
-           "inflow": (InflowSegment(np.array([0.4]), -0.3, 0.2), OUTFLOW, OUTFLOW, OUTFLOW)}[kind]
+    bcs = {"periodic": (PERIODIC,) * 4, "outflow": (OUTFLOW,) * 4,
+           "mixed": (PERIODIC, PERIODIC, OUTFLOW, OUTFLOW)}[kind]
     mesh = Mesh2D(0.0, 1.0, -0.5, 0.5, 9, 7, *bcs)
     basis = Basis2D(k)
     coeffs = np.random.default_rng(k).normal(size=(9, 7, basis.n_modes, 1))
@@ -612,11 +622,29 @@ def test_linear_ssp_step_is_one_stage_term_per_stage(monkeypatch, kind, k, schem
     assert np.abs(got.coeffs - ref).max() <= 16.0 * np.finfo(float).eps * scale
 
 
+def test_a_linear_flux_refuses_an_inflow_side():
+    """A linear-flux residual on a mesh with an inflow side raises, plainly
+    and as a stage term, whichever side the segment is on: the residual
+    reads an outflow side's mirrored cell and has no path for an inflow
+    state.  No config reaches it (`cli.problem` refuses inflow on a scalar
+    model)."""
+    inflow = InflowSegment(np.array([0.4]), -0.3, 0.2)
+    basis = Basis2D(2)
+    coeffs = np.random.default_rng(3).normal(size=(9, 7, basis.n_modes, 1))
+    for side in range(4):
+        bcs = [OUTFLOW] * 4
+        bcs[side] = inflow
+        field = DGField(coeffs, basis, Mesh2D(0.0, 1.0, -0.5, 0.5, 9, 7, *bcs), AdvectionModel(c=(0.8, -0.5)))
+        for term in (None, (0.75, 0.01)):
+            with pytest.raises(ValueError, match="inflow side"):
+                semidiscrete_residual(field, (0.8, 0.5), term=term)
+
+
 def _no_stacked_evaluation(*args):
     raise AssertionError("an advection state was evaluated at the stacked points")
 
 
-@pytest.mark.parametrize("bc, k, scheme", [(PERIODIC, 2, "ssprk3"), (OUTFLOW, 3, "ssprk4")])
+@pytest.mark.parametrize("bc, k, scheme", [(PERIODIC, 2, "ssprk3"), (OUTFLOW, 2, "ssprk3"), (OUTFLOW, 3, "ssprk4")])
 def test_advection_run_matches_the_pointwise_run(tmp_path, monkeypatch, bc, k, scheme):
     """A whole limited advection run through the block stencil against the
     same run with the flux taken as nonlinear, i.e. through the pointwise
