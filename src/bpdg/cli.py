@@ -214,7 +214,8 @@ def problem(cfg: RunConfig) -> Problem:
 
     ConfigError, with its keys, for a value `parse_config` would reject, or
     else for the first of these values valid alone but not together: an
-    empty interval (domain, then scalar region), an initial condition the
+    empty interval or a domain side whose length overflows (x, y, then the
+    scalar region's interval), an initial condition the
     model lacks, an inflow on a scalar model, initial data or an inflow state
     outside the model's invariant region (a state whose energy overflows
     among them), an inflow without outflow boundaries, advection speed
@@ -235,6 +236,8 @@ def problem(cfg: RunConfig) -> Problem:
     for lo, hi in (("x_lo", "x_hi"), ("y_lo", "y_hi"), ("region_lo", "region_hi")):
         if not getattr(cfg, lo) < getattr(cfg, hi):
             raise ConfigError(f"{lo} = {getattr(cfg, lo)} must be below {hi} = {getattr(cfg, hi)}", (lo, hi))
+        if lo != "region_lo" and not math.isfinite(getattr(cfg, hi) - getattr(cfg, lo)):
+            raise ConfigError(f"{hi} - {lo} = {getattr(cfg, hi)} - {getattr(cfg, lo)} overflows", (lo, hi))
     if (cfg.model == EulerModel.name) != (cfg.initial == "uniform"):
         raise ConfigError(f"initial {cfg.initial!r} is not defined for {cfg.model}", ("model", "initial"))
     if cfg.inflow is not None and cfg.model != EulerModel.name:
@@ -245,7 +248,10 @@ def problem(cfg: RunConfig) -> Problem:
 
         def exact(x, y, t):
             return np.sin(np.pi * (x + y - (c[0] + c[1]) * t))[..., None]
-        model = AdvectionModel(c, region, exact if cfg.initial == "sine" else None)
+        # exact only on a periodic domain whose sides are whole sine periods 2, to 1e-12 relative
+        periods = [(n, round(n / 2.0)) for n in (cfg.x_hi - cfg.x_lo, cfg.y_hi - cfg.y_lo)]
+        solved = cfg.bc == PERIODIC and all(p >= 1 and abs(n - 2.0 * p) <= 1e-12 * n for n, p in periods)
+        model = AdvectionModel(c, region, exact if solved and cfg.initial == "sine" else None)
     else:
         model = BurgersModel(region) if cfg.model == BurgersModel.name else EulerModel(cfg.gamma)
     keys, data = {"sine": (("region_lo", "region_hi"), (-1.0, 1.0)),  # the range of the sine

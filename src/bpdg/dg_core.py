@@ -222,10 +222,9 @@ class LinearStencil:
     `neighbours` holds P_x, M_x, P_y, M_y side by side, one (n_modes,
     4 n_modes) matrix: applied to a cell's four neighbours' coefficients
     stacked in that order (+x, -x, +y, -y), it sums all four terms in one
-    product.  A boundary cell's neighbour across a periodic side is the
-    wrapped cell, across an outflow side the cell itself mirrored across
-    that face (`Basis2D.parity`): its trace on the shared face is the cell's
-    own, the outflow exterior state, so the same blocks cover every side.
+    product.  Across an outflow side a boundary cell's neighbour is the cell
+    mirrored across that face (`Basis2D.parity`), whose trace there is the
+    cell's own: the outflow exterior state, so no side needs other blocks.
 
     An SSP-RK stage term a u + b rate is affine in u too: `scaled(a, b)` is
     the stencil with centre a I + b C and every other block times b, so one
@@ -362,12 +361,11 @@ class BoundaryPlan:
     builds it once per mesh.
 
     `sides[axis]` is `_sides` of the axis, which `_interface_flux` and
-    `_linear_residual` read.  `linear` is whether every side is periodic or
-    outflow, the only sides `_linear_residual` reads.  The rest indexes
-    `_linear_residual`'s flat (m, n_modes, nx ny) arrays, cells in C order:
-    a cell's +e_d neighbour is `shifts[d]` cells on, and `rows[d]` =
-    (first, last) are the index tuples of the cell rows at the low and the
-    high side normal to d."""
+    `_linear_residual` read; it reads only periodic and outflow sides, and
+    `linear` says every side is one.  The rest indexes its flat (m, n_modes,
+    nx ny) arrays, cells in C order: a cell's +e_d neighbour is `shifts[d]`
+    cells on, and `rows[d]` = (first, last) are the index tuples of the
+    cell rows at the low and the high side normal to d."""
 
     def __init__(self, mesh: Mesh2D, q_nodes: np.ndarray, shape: tuple[int, ...]):
         nx, ny = shape[:2]
@@ -535,11 +533,9 @@ def _linear_residual(field: DGField, alphas: tuple[float, float],
     shifted copy, so one gemm with the side-by-side neighbour blocks sums
     the four P_d u_{ij+e_d} and M_d u_{ij-e_d} terms; the operand is
     dropped before C u is added.
-    On a periodic side the boundary row reads the wrapped cell; on an
-    outflow side the row's own cell mirrored across that face (its
-    coefficients times `Basis2D.parity`), whose trace there is the row's own
-    trace, the outflow exterior state.  A mesh with an inflow side raises
-    ValueError: no config gives a linear flux one.
+    On a periodic side the boundary row reads the wrapped cell, on an
+    outflow side its own cell mirrored across that face (`Basis2D.parity`);
+    any other side raises ValueError (no config gives advection an inflow).
     What is fixed for a run is built once and kept on the basis: the
     stencil and its scaled stencils (`Basis2D.linear_stencil`), and the
     shifts, boundary rows and sides (`Basis2D.boundary_plan`).  No array
@@ -548,7 +544,7 @@ def _linear_residual(field: DGField, alphas: tuple[float, float],
     stencil = basis.linear_stencil(field.model.c, alphas, (mesh.dx, mesh.dy), term)
     plan = basis.boundary_plan(mesh, field.coeffs.shape)
     if not plan.linear:
-        raise ValueError("a linear flux's residual reads periodic and outflow sides only, not an inflow side")
+        raise ValueError("a linear flux's residual reads periodic and outflow sides only")
     nx, ny, n, m = field.coeffs.shape
     u = np.ascontiguousarray(field.coeffs.transpose(3, 2, 0, 1))  # (m, n, nx, ny), no copy when component-major
     flat = u.reshape(m, n, nx * ny)

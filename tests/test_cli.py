@@ -277,13 +277,15 @@ def test_run_rejects_unknown_scheme_and_model():
      dict(model="euler2d", initial="uniform", ambient=(5.0, 0.0, 0.0, -0.4)),
      dict(advection_cx=float("nan")), dict(tvb_m=-1.0), dict(output_every=float("nan")),
      dict(region_hi=float("inf")), dict(region_lo=float("nan")), dict(region_hi=0.5), dict(initial="uniform"),
-     dict(model="burgers2d", inflow=(5.0, 30.0, 0.0, 0.4127))],
+     dict(model="burgers2d", inflow=(5.0, 30.0, 0.0, 0.4127)), dict(x_lo=-1e308, x_hi=1e308),
+     dict(model="burgers2d", initial="riemann4", y_lo=-1e308, y_hi=1e308)],
     ids=["zero-cells", "negative-cells", "unsupported-degree", "unknown-policy", "linear-policy",
          "x-bounds-reversed", "empty-y-range", "gamma-one", "zero-c0", "c0-above-one", "negative-t-end",
          "two-inflow-values", "three-ambient-values", "five-riemann-states", "empty-region",
          "infinite-t-end", "bp-not-a-bool", "tvb-not-a-number", "negative-ambient-pressure",
          "nan-velocity", "negative-tvb", "nan-output-every", "infinite-region", "nan-region",
-         "sine-outside-region", "uniform-advection", "scalar-inflow"],
+         "sine-outside-region", "uniform-advection", "scalar-inflow", "overflowing-domain",
+         "overflowing-burgers-domain"],
 )
 def test_run_validates_configs_built_in_code(changes):
     with pytest.raises(ConfigError):
@@ -676,7 +678,8 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
      "ambient = nan, 0, 0, 1", "advection_cx = nan", "advection_cy = inf", "x_hi = inf",
      "inflow_lo = nan", "limiter.tvb_M = -1", "limiter.tvb_M = nan", "output_every = -1",
      "output_every = nan", "model = foo", "bc = wall", "initial = gauss", "region_hi = inf",
-     "region_lo = -inf", "region_hi = nan", "region_hi = 0.5", "initial = uniform", "inflow = 5, 30, 0, 0.4127"],
+     "region_lo = -inf", "region_hi = nan", "region_hi = 0.5", "initial = uniform", "inflow = 5, 30, 0, 0.4127",
+     "x_lo = -1e308\nx_hi = 1e308"],
     ids=["zero-cells", "unsupported-degree", "unknown-policy", "x-bounds-reversed", "empty-y-range",
          "gamma-one", "zero-c0", "c0-above-one", "negative-t-end", "two-inflow-values",
          "three-ambient-values", "five-riemann-states", "empty-region", "zero-fallback-dt",
@@ -684,14 +687,17 @@ def test_cli_config_error_exit_code(tmp_path, capsys):
          "zero-inflow-density", "nan-ambient", "nan-velocity", "infinite-velocity", "infinite-domain",
          "nan-inflow-bound", "negative-tvb", "nan-tvb", "negative-output-every", "nan-output-every",
          "unknown-model", "unknown-bc", "unknown-initial", "infinite-region", "negative-infinite-region",
-         "nan-region", "sine-outside-region", "uniform-advection", "scalar-inflow"],
+         "nan-region", "sine-outside-region", "uniform-advection", "scalar-inflow", "overflowing-domain"],
 )
 def test_cli_invalid_value_exit_code(tmp_path, capsys, line):
     cfg = _write(tmp_path, "bad.cfg", ADVECTION_SMALL + f"{line}\nout_dir = {tmp_path / 'o'}\n")
     assert main(["run", str(cfg)]) == 2
     err = capsys.readouterr().err.strip().splitlines()
-    # one line, naming the file, the offending line (the 10th) and its key
-    assert len(err) == 1 and err[0].startswith(f"config error: {cfg}:10:") and line.split()[0] in err[0]
+    # one line, naming the file, the offending line (the last of `line`'s,
+    # from the 10th on) and its key
+    last = line.splitlines()[-1]
+    assert len(err) == 1 and err[0].startswith(f"config error: {cfg}:{9 + len(line.splitlines())}:")
+    assert last.split()[0] in err[0]
 
 
 def _io_probe(tmp_path, case):
@@ -924,6 +930,35 @@ def test_converge_refuses_a_model_without_exact_solution_before_any_run(tmp_path
     assert main(["converge", str(cfg), "--grids", "64", "32"]) == 2
     assert "exact solution" in capsys.readouterr().err
     assert not (tmp_path / "o").exists()
+
+
+@pytest.mark.parametrize("changes", [dict(bc="outflow"), dict(x_lo=0.0, y_lo=0.0), dict(x_hi=2.0)],
+                         ids=["outflow", "unit-square", "side-of-three"])
+def test_advection_sine_has_no_exact_solution_off_its_periodic_domain(tmp_path, capsys, changes):
+    """sin(pi (x + y - (c_x + c_y) t)) solves advection only on a periodic
+    domain whose sides are whole multiples of the sine's period 2: off it a
+    run reports no error norms and `converge` refuses the config."""
+    cfg = replace(RunConfig(nx=6, ny=6, t_end=0.05), **changes)
+    assert problem(cfg).model.exact_solution is None
+    report = run(cfg, write_outputs=False)
+    assert report.steps > 0 and report.l1 is report.l2 is report.linf is None
+    text = "".join(f"{key} = {value}\n" for key, value in changes.items())
+    path = _write(tmp_path, "c.cfg", ADVECTION_SMALL + text + f"out_dir = {tmp_path / 'o'}\n")
+    assert main(["converge", str(path), "--grids", "8", "16"]) == 2
+    err = capsys.readouterr().err.strip().splitlines()
+    assert err == ["config error: convergence study needs a model with an exact solution"]
+
+
+@pytest.mark.parametrize("changes", [dict(), dict(x_hi=3.0, y_lo=-3.0), dict(x_lo=0.3, x_hi=2.3)],
+                         ids=["desk-square", "sides-of-four", "side-off-by-round-off"])
+def test_advection_sine_keeps_its_exact_solution_on_whole_periods(changes):
+    """The desk config, sides of two periods, and a side of one period whose
+    length 2.3 - 0.3 rounds to 2 - 2.2e-16 keep the exact solution, and at
+    four cells per unit length its L1 error is that of the desk square."""
+    cfg = replace(parse_config(CONFIG_DIR / "advection_desk.cfg"), t_end=0.05, **changes)
+    cfg = replace(cfg, nx=round(4 * (cfg.x_hi - cfg.x_lo)), ny=round(4 * (cfg.y_hi - cfg.y_lo)))
+    assert problem(cfg).model.exact_solution is not None
+    assert run(cfg, write_outputs=False).l1 < 0.02
 
 
 def test_converge_checks_every_grid_before_any_run(tmp_path, capsys, monkeypatch):
