@@ -588,15 +588,18 @@ def _rate_then_sum_step(field, scheme, dt):
 
 @pytest.mark.parametrize("scheme", [SSPRK3, SSPRK4], ids=["ssprk3", "ssprk4"])
 @pytest.mark.parametrize("k", [2, 3])
-@pytest.mark.parametrize("kind", ["periodic", "outflow", "mixed"])
+@pytest.mark.parametrize("kind", ["periodic", "outflow", "mixed", "inflow"])
 def test_linear_ssp_step_is_one_stage_term_per_stage(monkeypatch, kind, k, scheme):
     """A linear step makes one residual call per stage.  Each returns its
     stage term, but for a state two stages rate (SSPRK4's stage-3 state,
     read with beta 0.545 by stage 4 and 0.0637 by stage 5), which is rated
     once, without a term, and summed.  The step matches the rate-then-sum
-    step to max|change| <= 16 eps times the round-off scale of its sums."""
+    step to max|change| <= 16 eps times the round-off scale of its sums.
+    On a mesh with an inflow side the step's first stage term refuses: a
+    linear flux has no path for an inflow state."""
     bcs = {"periodic": (PERIODIC,) * 4, "outflow": (OUTFLOW,) * 4,
-           "mixed": (PERIODIC, PERIODIC, OUTFLOW, OUTFLOW)}[kind]
+           "mixed": (PERIODIC, PERIODIC, OUTFLOW, OUTFLOW),
+           "inflow": (InflowSegment(np.array([0.4]), -0.3, 0.2), OUTFLOW, OUTFLOW, OUTFLOW)}[kind]
     mesh = Mesh2D(0.0, 1.0, -0.5, 0.5, 9, 7, *bcs)
     basis = Basis2D(k)
     coeffs = np.random.default_rng(k).normal(size=(9, 7, basis.n_modes, 1))
@@ -610,9 +613,14 @@ def test_linear_ssp_step_is_one_stage_term_per_stage(monkeypatch, kind, k, schem
         return residual(state, alphas, values, term)
 
     monkeypatch.setattr(dg_core, "semidiscrete_residual", recorded)
+    expect = [(alpha, dt * beta) for stage in scheme.stages for alpha, beta, idx in stage if beta != 0.0]
+    if kind == "inflow":
+        with pytest.raises(ValueError, match="periodic and outflow sides only"):
+            ssp_step(field, scheme, dt)
+        assert terms == expect[:1]
+        return
     got, _, _ = ssp_step(field, scheme, dt)
     monkeypatch.undo()
-    expect = [(alpha, dt * beta) for stage in scheme.stages for alpha, beta, idx in stage if beta != 0.0]
     if scheme is SSPRK4:
         assert expect[3:5] == [(SSPRK4.stages[3][1][0], dt * SSPRK4.stages[3][1][1]),
                                (SSPRK4.stages[4][1][0], dt * SSPRK4.stages[4][1][1])]
